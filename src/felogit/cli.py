@@ -150,6 +150,9 @@ def write_sample_csv(sample, fh):
             w.writerow([i + 1, t + 1, int(sample.Y[i, t])] + xs)
 
 
+_BINARY = {"0": 0, "1": 1}
+
+
 def read_sample_csv(fh, spec):
     rows = [r for r in csv.reader(
         line for line in fh if not line.startswith("#")
@@ -158,8 +161,11 @@ def read_sample_csv(fh, spec):
     if header[:3] != ["unit", "t", "y"]:
         raise ValueError("sample CSV must start with columns unit,t,y")
     data = {}
-    for r in rows[1:]:
-        unit, t, y = int(r[0]), int(r[1]), int(r[2])
+    for k, r in enumerate(rows[1:], start=1):
+        unit, t, y = int(r[0]), int(r[1]), _BINARY.get(r[2].strip())
+        if y is None:
+            raise ValueError(f"sample CSV data row {k}: y must be 0 or 1, "
+                             f"found {r[2]!r}")
         xs = [float(v) for v in r[3: 3 + spec.d_x]] if t >= 1 and spec.d_x else None
         data.setdefault(unit, {})[t] = (y, xs)
     units = sorted(data)

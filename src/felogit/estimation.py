@@ -1,15 +1,23 @@
 """Conditional maximum likelihood and GMM estimators.
 
-CMLE variants condition on the statistic that absorbs the fixed
-effects: the static estimator sums conditional logits over the classes
-S(W y), the pairwise estimator reduces to a logistic regression on the
-differenced covariates X w_perp, and the dynamic AR estimator
-conditions on the transition-count classes (for p >= 2 only the last
-lag coefficient moves the objective).  The GMM estimator consumes any
-stack of fixed-effect-free moment evaluators.
+A sample enters through its count table: ``_count_table`` reduces it,
+with one ``np.unique`` over the unit records (Y0, Y, X), to the distinct
+records, their counts and each unit's record.  It applies whenever
+records repeat, as in covariate-free samples; with continuous
+covariates every record is distinct and the sample is used as it is.
+``gmm`` evaluates the moments on the cells only and takes the mean, the
+two-step weight matrix and the sandwich as count-weighted sums; the
+dynamic CMLE builds its classes from the same table.
 
-All objectives are evaluated unit by unit with deterministic
-fixed-order reductions; standard errors are sandwich formulas.
+The three CMLEs maximize one conditional logit, the sum over rows of
+w * (G_own' theta - logsumexp(G theta)): G stacks the profiles of the
+paths in a row's conditioning class, G_own is the observed path's and
+w counts identical rows.  The profiles are X_u P' over the static
+classes S(W y), (X w_perp, 0) over the pairwise classes of two, and
+the transition statistics over the dynamic AR classes (for p >= 2 only
+the last lag coefficient moves the objective).  ``_CondLogit`` holds
+one block per class size and gives the value, its analytic gradient
+and Hessian, and the sandwich meat with scores clustered by unit.
 """
 
 from __future__ import annotations
@@ -18,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
-from .model import AR, STATIC, all_paths, path_index
+from .model import AR, STATIC, ModelSpec, all_paths, path_index
 from .sufficiency import arp_statistic_key, canonicalize_design
 
 
@@ -28,11 +35,19 @@ class NoInformationError(RuntimeError):
     """Raised when a sample carries no identifying variation."""
 
 
+def _check_binary(name, values):
+    values = np.asarray(values)
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise ValueError(f"{name} must be binary (0/1), found {bad[0].item()!r}")
+    return values.astype(np.int8)
+
+
 @dataclass
 class Sample:
     """Cross-section of units sharing one ModelSpec.
 
-    Y is (n, T) binary, Y0 is (n, L0) with L0 the spec's
+    Y is (n, T) binary, Y0 is (n, L0) binary with L0 the spec's
     initial-condition length, X is (n, d_x, T) or None.
     """
 
@@ -40,24 +55,47 @@ class Sample:
     Y: np.ndarray
     Y0: np.ndarray
     X: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=np.int8)
-        n, T = self.Y.shape
-        if T != self.spec.T:
+        self.Y = _check_binary("Y", self.Y)
+        if self.Y.ndim != 2 or self.Y.shape[1] != self.spec.T:
             raise ValueError("Y must have spec.T columns")
-        self.Y0 = np.asarray(self.Y0, dtype=np.int8).reshape(n, self.spec.y0_len)
+        n, T = self.Y.shape
+        self.Y0 = _check_binary("Y0", self.Y0).reshape(n, self.spec.y0_len)
         if self.spec.d_x:
-            self.X = np.asarray(self.X, dtype=float).reshape(
-                n, self.spec.d_x, T
-            )
+            self.X = np.asarray(self.X, float).reshape(n, self.spec.d_x, T)
         else:
             self.X = None
 
     @property
     def n(self):
         return self.Y.shape[0]
+
+
+def _count_table(sample):
+    """Distinct unit records, their counts and each unit's record.
+
+    Returns (cells, counts, inverse) with ``cells`` a Sample of the
+    distinct (Y0, Y, X) records and ``cells`` row ``inverse[i]`` equal
+    to unit i.  Records are compared byte for byte.  When no record
+    repeats, ``cells`` is the sample itself and every count is one.
+    """
+    n = sample.n
+    parts = [sample.Y0, sample.Y] + ([] if sample.X is None else [sample.X])
+    rec = np.concatenate(
+        [np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in parts],
+        axis=1,
+    )
+    keys = np.ascontiguousarray(rec).view(np.dtype((np.void, rec.shape[1])))
+    _, first, inverse, counts = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True,
+        return_counts=True,
+    )
+    if first.size == n:
+        return sample, np.ones(n, dtype=np.int64), np.arange(n)
+    cells = Sample(spec=sample.spec, Y=sample.Y[first], Y0=sample.Y0[first],
+                   X=None if sample.X is None else sample.X[first])
+    return cells, counts, inverse
 
 
 @dataclass
@@ -86,25 +124,86 @@ class EstimateReport:
         }
 
 
-def _sandwich(H, S):
-    # H, S are summed (not averaged) hessian and outer-score matrices
-    Hinv = np.linalg.pinv(-H)
-    V = Hinv @ S @ Hinv
-    return np.sqrt(np.maximum(np.diag(V), 0.0))
+# -- the conditional-logit core ----------------------------------------------
+
+
+def _block_terms(G, own, theta):
+    """Per-row log likelihood, class probabilities, profile deviations
+    from the class mean and score of one block."""
+    logits = G @ theta
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    prob = e / total
+    rows = np.arange(len(own))
+    loglik = logits[rows, own] - (top + np.log(total))[:, 0]
+    dev = G - np.einsum("umd,um->ud", G, prob)[:, None, :]
+    return loglik, prob, dev, dev[rows, own]
+
+
+class _CondLogit:
+    """sum_rows w * (G_own' theta - logsumexp(G theta)) over blocks.
+
+    A block stacks the rows whose classes have the same size m: profiles
+    G (u, m, d), the observed member ``own`` (u,), the row weights ``w``
+    (u,) and, when one unit contributes several rows, each row's
+    ``unit`` (otherwise None, and every counted row is its own unit).
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.blocks = []
+
+    def add(self, G, own, w=None, unit=None):
+        w = np.ones(len(own)) if w is None else np.asarray(w, dtype=float)
+        self.blocks.append((G, own, w, unit))
+
+    def __call__(self, theta):
+        """Value, gradient and Hessian at theta."""
+        d = self.d
+        val, g, H = 0.0, np.zeros(d), np.zeros((d, d))
+        for G, own, w, _ in self.blocks:
+            loglik, prob, dev, score = _block_terms(G, own, theta)
+            val += float(w @ loglik)
+            g += w @ score
+            wdev = dev * (prob * w[:, None])[:, :, None]
+            H -= wdev.reshape(-1, d).T @ dev.reshape(-1, d)
+        return val, g, H
+
+    def meat(self, theta):
+        """Outer products of the unit scores at theta."""
+        S = np.zeros((self.d, self.d))
+        units, scores = [], []
+        for G, own, w, unit in self.blocks:
+            score = _block_terms(G, own, theta)[3]
+            if unit is None:
+                S += (score * w[:, None]).T @ score
+            else:
+                units.append(unit)
+                scores.append(score * w[:, None])
+        if units:
+            units = np.concatenate(units)
+            by_unit = np.zeros((units.max() + 1, self.d))
+            np.add.at(by_unit, units, np.concatenate(scores))
+            S += by_unit.T @ by_unit
+        return S
 
 
 def _newton(objective, start, tol=1e-8, max_iter=200):
     """Damped Newton ascent for concave objectives.
 
     ``objective`` returns (value, gradient, hessian); steps are halved
-    until the value does not decrease.
+    until the value does not decrease.  Returns (x, value, gradient,
+    hessian, iterations, stop reason), the reason being ``converged``,
+    ``max_iter`` or ``line_search_failed`` (50 halvings without an
+    acceptable step).
     """
     x = np.asarray(start, dtype=float).copy()
     val, g, H = objective(x)
     it = 0
     for it in range(1, max_iter + 1):
         if np.max(np.abs(g)) < tol:
-            break
+            return x, val, g, H, it, "converged"
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -118,60 +217,72 @@ def _newton(objective, start, tol=1e-8, max_iter=200):
                 break
             lam *= 0.5
         else:
-            break
-    return x, val, g, H, it
+            return x, val, g, H, it, "line_search_failed"
+    stop = "converged" if np.max(np.abs(g)) < tol else "max_iter"
+    return x, val, g, H, it, stop
 
 
-def _static_blocks(sample):
-    spec = sample.spec
-    paths = all_paths(spec.T).astype(float)
-    stats = paths @ spec.W.T
-    keys = {}
-    for idx in range(paths.shape[0]):
-        keys.setdefault(tuple(np.round(stats[idx], 9)), []).append(idx)
-    classes = {k: np.array(v) for k, v in keys.items()}
+def _fit(core, spec, init, tol, max_iter, diagnostics, free=None):
+    """Newton ascent of ``core`` from ``init`` (zeros if None) over the
+    coordinates ``free`` (all by default), the others held, with
+    sandwich standard errors; held coordinates get NaN."""
+    start = np.zeros(core.d) if init is None else np.asarray(init, float)
+    free = np.arange(start.size) if free is None else np.asarray(free)
+    block = np.ix_(free, free)
 
-    unit_stats = sample.Y.astype(float) @ spec.W.T
-    by_class = {}
-    for i, s in enumerate(unit_stats):
-        k = tuple(np.round(s, 9))
-        if len(classes[k]) > 1:
-            by_class.setdefault(k, []).append(i)
-    n_info = sum(len(v) for v in by_class.values())
-    # per class: G[u] = X_u P', the class profile of differenced indices
-    blocks = []
-    for k, unit_idx in by_class.items():
-        P = paths[classes[k]]
-        Xu = sample.X[unit_idx]
-        G = np.einsum("udt,mt->udm", Xu, P)
-        own = np.array(
-            [int(np.flatnonzero(classes[k] == path_index(sample.Y[i]))[0])
-             for i in unit_idx]
-        )
-        blocks.append((G, own, np.array(unit_idx)))
-    return blocks, n_info
+    def objective(x):
+        theta = start.copy()
+        theta[free] = x
+        val, g, H = core(theta)
+        return val, g[free], H[block]
+
+    x, val, g, H, it, stop = _newton(objective, start[free], tol=tol,
+                                     max_iter=max_iter)
+    theta = start.copy()
+    theta[free] = x
+    Hinv = np.linalg.pinv(-H)
+    V = Hinv @ core.meat(theta)[block] @ Hinv
+    ses = np.full(theta.size, np.nan)
+    ses[free] = np.sqrt(np.maximum(np.diag(V), 0.0))
+    return EstimateReport(
+        theta=theta,
+        names=spec.theta_names(),
+        std_errors=ses,
+        objective=val,
+        converged=bool(stop == "converged" and np.isfinite(val)),
+        iterations=it,
+        diagnostics={**diagnostics, "grad_norm": float(np.max(np.abs(g))),
+                     "stop_reason": stop},
+    )
+
+
+# -- static classes S(W y) ---------------------------------------------------
 
 
 def _static_objective(sample):
-    blocks, n_info = _static_blocks(sample)
-    d_x = sample.spec.d_x
+    """Core over the static classes; returns (core, blocks, n_informative)."""
+    spec = sample.spec
+    paths = all_paths(spec.T)
+    stats = np.round(paths @ spec.W.T, 9)
+    _, cls, size = np.unique(stats, axis=0, return_inverse=True,
+                             return_counts=True)
+    cls = cls.ravel()
+    # members of each class in path order, and each path's rank in its class
+    order = np.argsort(cls, kind="stable")
+    first = np.cumsum(size) - size
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - first[cls[order]]
 
-    def objective(beta):
-        val = 0.0
-        g = np.zeros(d_x)
-        H = np.zeros((d_x, d_x))
-        for G, own, _ in blocks:
-            logits = np.einsum("udm,d->um", G, beta)
-            lse = logsumexp(logits, axis=1)
-            val += float(np.sum(logits[np.arange(len(own)), own] - lse))
-            s = np.exp(logits - lse[:, None])
-            mean = np.einsum("udm,um->ud", G, s)
-            g += np.sum(G[np.arange(len(own)), :, own] - mean, axis=0)
-            GS = G * s[:, None, :]
-            H -= np.einsum("udm,uem->de", GS, G) - mean.T @ mean
-        return val, g, H
-
-    return objective, blocks, n_info
+    unit_path = path_index(sample.Y)
+    unit_cls = cls[unit_path]
+    unit_size = size[unit_cls]
+    core = _CondLogit(spec.d_x)
+    for m in np.unique(unit_size[unit_size > 1]):
+        units = np.flatnonzero(unit_size == m)
+        members = order[first[unit_cls[units]][:, None] + np.arange(m)]
+        G = np.einsum("udt,umt->umd", sample.X[units], paths[members])
+        core.add(G, rank[unit_path[units]])
+    return core, core.blocks, int(np.sum(unit_size > 1))
 
 
 def cmle_static(sample, init=None, tol=1e-8, max_iter=100):
@@ -186,77 +297,41 @@ def cmle_static(sample, init=None, tol=1e-8, max_iter=100):
         raise ValueError("cmle_static requires a static spec")
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    objective, blocks, n_info = _static_objective(sample)
+    core, _, n_info = _static_objective(sample)
     if n_info == 0:
         raise NoInformationError("every conditioning class is a singleton")
-    d_x = spec.d_x
-    start = np.zeros(d_x) if init is None else np.asarray(init, dtype=float)
-    _, _, H0 = objective(start)
+    _, _, H0 = core(np.zeros(spec.d_x) if init is None else init)
     xscale = float(np.max(np.abs(sample.X))) if sample.X is not None else 1.0
     if np.max(np.abs(H0)) <= 1e-12 * n_info * max(1.0, xscale) ** 2:
         raise NoInformationError(
             "differenced covariates vanish on every conditioning class"
         )
-    beta, val, g, H, it = _newton(objective, start, tol=tol, max_iter=max_iter)
-
-    S = np.zeros((d_x, d_x))
-    for G, own, _ in blocks:
-        logits = np.einsum("udm,d->um", G, beta)
-        s = np.exp(logits - logsumexp(logits, axis=1)[:, None])
-        mean = np.einsum("udm,um->ud", G, s)
-        sc = G[np.arange(len(own)), :, own] - mean
-        S += sc.T @ sc
-    converged = bool(np.max(np.abs(g)) < tol and np.isfinite(val))
-    return EstimateReport(
-        theta=beta,
-        names=spec.theta_names(),
-        std_errors=_sandwich(H, S),
-        objective=val,
-        converged=converged,
-        iterations=it,
-        diagnostics={"n_informative": n_info, "n_units": sample.n,
-                     "grad_norm": float(np.max(np.abs(g)))},
-    )
+    return _fit(core, spec, init, tol, max_iter,
+                {"n_informative": n_info, "n_units": sample.n})
 
 
-def _pairwise_rows(sample, Wperp):
-    Wperp = np.asarray(Wperp, dtype=np.int64)
-    if Wperp.ndim == 1:
-        Wperp = Wperp[:, None]
-    rows_v, rows_z, rows_u = [], [], []
-    for c in range(Wperp.shape[1]):
-        w = Wperp[:, c]
-        plus, minus = w == 1, w == -1
-        up = np.all(sample.Y[:, plus] == 1, axis=1) & np.all(
-            sample.Y[:, minus] == 0, axis=1
-        )
-        dn = np.all(sample.Y[:, plus] == 0, axis=1) & np.all(
-            sample.Y[:, minus] == 1, axis=1
-        )
-        hit = np.flatnonzero(up | dn)
-        if hit.size == 0:
-            continue
-        rows_v.append(sample.X[hit] @ w.astype(float))
-        rows_z.append(up[hit].astype(float))
-        rows_u.append(hit)
-    if not rows_v:
-        return (np.zeros((0, sample.spec.d_x)), np.zeros(0),
-                np.zeros(0, dtype=int))
-    return np.vstack(rows_v), np.concatenate(rows_z), np.concatenate(rows_u)
+# -- pairwise classes of two -------------------------------------------------
 
 
 def _pairwise_objective(sample, Wperp):
-    V, z, units = _pairwise_rows(sample, Wperp)
-
-    def objective(beta):
-        eta = V @ beta
-        val = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
-        p = 1.0 / (1.0 + np.exp(-eta))
-        g = V.T @ (z - p)
-        H = -(V * (p * (1 - p))[:, None]).T @ V
-        return val, g, H
-
-    return objective, V, z, units
+    """Core over the pairs, one row per unit and column w of Wperp whose
+    outcomes on the support of w match the +pattern (event 1, profile
+    X w) or its flip (event 0, profile 0); returns (core, V, z, units)."""
+    d_x = sample.spec.d_x
+    V, z, units = [np.zeros((0, d_x))], [np.zeros(0)], [np.zeros(0, int)]
+    for w in np.asarray(Wperp, dtype=np.int64).reshape(sample.spec.T, -1).T:
+        match = sample.Y[:, w != 0] == (w[w != 0] == 1)
+        up = match.all(axis=1)
+        hit = np.flatnonzero(up | (~match).all(axis=1))
+        V.append(sample.X[hit] @ w.astype(float))
+        z.append(up[hit].astype(float))
+        units.append(hit)
+    V, z, units = np.vstack(V), np.concatenate(z), np.concatenate(units)
+    core = _CondLogit(d_x)
+    if len(z):
+        core.add(np.stack([V, np.zeros_like(V)], axis=1),
+                 (z == 0).astype(np.int64), unit=units)
+    return core, V, z, units
 
 
 def cmle_pairwise(sample, Wperp, init=None, tol=1e-8, max_iter=100):
@@ -265,36 +340,20 @@ def cmle_pairwise(sample, Wperp, init=None, tol=1e-8, max_iter=100):
     For each column w of Wperp, a unit contributes when its outcomes on
     the support of w match the +pattern (event 1) or the -pattern
     (event 0); the regressor is X w and the fills are the unit's own
-    off-support outcomes.
+    off-support outcomes.  Scores are clustered by unit.
     """
     spec = sample.spec
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    objective, V, z, units = _pairwise_objective(sample, Wperp)
+    core, _, z, units = _pairwise_objective(sample, Wperp)
     if len(z) == 0:
         raise NoInformationError("no unit lands in any conditioning pair")
-    d_x = spec.d_x
-    start = np.zeros(d_x) if init is None else np.asarray(init, dtype=float)
-    beta, val, g, H, it = _newton(objective, start, tol=tol, max_iter=max_iter)
+    return _fit(core, spec, init, tol, max_iter,
+                {"n_rows": int(len(z)),
+                 "n_contributing_units": int(len(np.unique(units)))})
 
-    eta = V @ beta
-    resid = (z - 1.0 / (1.0 + np.exp(-eta)))[:, None] * V
-    S = np.zeros((d_x, d_x))
-    for u in np.unique(units):  # cluster scores by unit
-        sc = resid[units == u].sum(axis=0)
-        S += np.outer(sc, sc)
-    converged = bool(np.max(np.abs(g)) < tol and np.isfinite(val))
-    return EstimateReport(
-        theta=beta,
-        names=spec.theta_names(),
-        std_errors=_sandwich(H, S),
-        objective=val,
-        converged=converged,
-        iterations=it,
-        diagnostics={"n_rows": int(len(z)),
-                     "n_contributing_units": int(len(np.unique(units))),
-                     "grad_norm": float(np.max(np.abs(g)))},
-    )
+
+# -- dynamic AR sufficiency classes ------------------------------------------
 
 
 def _ar_transition_stats(spec, Y, Y0):
@@ -308,72 +367,50 @@ def _ar_transition_stats(spec, Y, Y0):
     return out
 
 
-def _dynamic_entries(sample):
-    """Class profiles (transition statistics, member counts) per
-    occupied multi-member sufficiency class."""
+def _dynamic_core(sample):
+    """Core over the occupied multi-member sufficiency classes, one row
+    per (y0, y) cell of the count table weighted by its count; profiles
+    are the transition statistics of every path in the class."""
     spec = sample.spec
     work = spec
     if not spec.binary_design:
-        W_star, _ = canonicalize_design(spec.W)
-        from .model import ModelSpec
-
-        work = ModelSpec(AR, spec.T, W_star, d_x=0, p=spec.p)
-
-    # aggregate duplicated (y0, y) patterns; the objective only needs counts
-    n, T = sample.Y.shape
-    pat_counts = {}
-    for i in range(n):
-        key = (tuple(sample.Y0[i].tolist()), int(path_index(sample.Y[i])))
-        pat_counts[key] = pat_counts.get(key, 0) + 1
-
-    paths = all_paths(T)
-    class_members = {}
-    for (y0key, ipath), cnt in pat_counts.items():
-        y0 = np.array(y0key, dtype=np.int64)
-        skey = (y0key, arp_statistic_key(work, paths[ipath], y0))
-        class_members.setdefault(skey, {})[ipath] = cnt
-
-    # class profiles: all paths sharing the statistic, observed or not
-    by_y0 = {}
-    for (y0key, _skey) in class_members:
-        by_y0.setdefault(y0key, None)
-    for y0key in by_y0:
-        y0 = np.array(y0key, dtype=np.int64)
-        table = {}
-        for ipath in range(paths.shape[0]):
-            table.setdefault(
-                arp_statistic_key(work, paths[ipath], y0), []
-            ).append(ipath)
-        by_y0[y0key] = table
-
-    p = spec.p
-    entries = []
+        work = ModelSpec(AR, spec.T, canonicalize_design(spec.W)[0], d_x=0,
+                         p=spec.p)
+    cells, counts, _ = _count_table(sample)
+    paths = all_paths(spec.T)
+    cell_path = path_index(cells.Y)
+    rows = {}  # class size -> lists of profiles, observed members, counts
     n_info = 0
-    for (y0key, skey), members in class_members.items():
-        ipaths = by_y0[y0key][skey]
-        if len(ipaths) < 2:
-            continue
-        y0 = np.array(y0key, dtype=np.int64)
-        Y0m = np.broadcast_to(y0, (len(ipaths), p))
-        s = _ar_transition_stats(spec, paths[ipaths], Y0m)
-        cvec = np.array([members.get(ip, 0) for ip in ipaths], dtype=float)
-        entries.append((s.astype(float), cvec))
-        n_info += int(cvec.sum())
-    return entries, n_info
+    for y0 in np.unique(cells.Y0, axis=0):
+        keys = [arp_statistic_key(work, y, y0) for y in paths]
+        classes = {}
+        for ipath, key in enumerate(keys):
+            classes.setdefault(key, []).append(ipath)
+        stats = _ar_transition_stats(
+            spec, paths, np.broadcast_to(y0, (len(paths), spec.p))
+        ).astype(float)
+        for c in np.flatnonzero(np.all(cells.Y0 == y0, axis=1)):
+            members = classes[keys[cell_path[c]]]
+            if len(members) < 2:
+                continue
+            G, own, w = rows.setdefault(len(members), ([], [], []))
+            G.append(stats[members])
+            own.append(members.index(cell_path[c]))
+            w.append(counts[c])
+            n_info += int(counts[c])
+    core = _CondLogit(spec.p)
+    for G, own, w in rows.values():
+        core.add(np.stack(G), np.array(own), np.array(w))
+    return core, n_info
 
 
 def _dynamic_loglik(sample):
     """The conditional log likelihood as a function of the full gamma
     vector (flat in every lag but the last one)."""
-    entries, n_info = _dynamic_entries(sample)
+    core, n_info = _dynamic_core(sample)
 
     def loglik(gam):
-        gam = np.asarray(gam, dtype=float)
-        val = 0.0
-        for s, cvec in entries:
-            logits = s @ gam
-            val += float(cvec @ (logits - logsumexp(logits)))
-        return val
+        return core(np.asarray(gam, dtype=float))[0]
 
     return loglik, n_info
 
@@ -391,63 +428,19 @@ def cmle_dynamic_ar(sample, init=None, tol=1e-8, max_iter=100):
         raise ValueError("cmle_dynamic_ar requires an AR spec")
     if spec.d_x:
         raise ValueError("dynamic CMLE is covariate-free; use moments + GMM")
-    entries, n_info = _dynamic_entries(sample)
+    core, n_info = _dynamic_core(sample)
     if n_info == 0:
         raise NoInformationError(
             "no conditioning class with multiple members is occupied"
         )
     p = spec.p
-    start = np.zeros(p) if init is None else np.asarray(init, dtype=float).copy()
+    return _fit(core, spec, init, tol, max_iter,
+                {"n_informative": n_info, "n_units": sample.n,
+                 "not_identified": spec.theta_names()[: p - 1]},
+                free=[p - 1])
 
-    def objective(gp):
-        gam = start.copy()
-        gam[p - 1] = gp[0]
-        val, g, h = 0.0, 0.0, 0.0
-        for s, cvec in entries:
-            logits = s @ gam
-            lse = logsumexp(logits)
-            probs = np.exp(logits - lse)
-            sp = s[:, p - 1]
-            mean = float(probs @ sp)
-            var = float(probs @ (sp - mean) ** 2)
-            val += float(cvec @ (logits - lse))
-            g += float(cvec @ (sp - mean))
-            h -= float(cvec.sum()) * var
-        return val, np.array([g]), np.array([[h]])
 
-    gp, val, g, H, it = _newton(
-        objective, np.array([start[p - 1]]), tol=tol, max_iter=max_iter
-    )
-    theta = start.copy()
-    theta[p - 1] = gp[0]
-
-    gam = theta
-    S = 0.0
-    for s, cvec in entries:
-        logits = s @ gam
-        probs = np.exp(logits - logsumexp(logits))
-        sp = s[:, p - 1]
-        mean = float(probs @ sp)
-        S += float(cvec @ (sp - mean) ** 2)
-    se_gp = _sandwich(H, np.array([[S]]))[0]
-    ses = np.full(p, np.nan)
-    ses[p - 1] = se_gp
-    converged = bool(np.max(np.abs(g)) < tol and np.isfinite(val))
-    names = spec.theta_names()
-    return EstimateReport(
-        theta=theta,
-        names=names,
-        std_errors=ses,
-        objective=val,
-        converged=converged,
-        iterations=it,
-        diagnostics={
-            "n_informative": n_info,
-            "n_units": sample.n,
-            "not_identified": names[: p - 1],
-            "grad_norm": float(np.max(np.abs(g))),
-        },
-    )
+# -- GMM ---------------------------------------------------------------------
 
 
 def _central_diff(fn, theta, base_step=1e-6):
@@ -469,6 +462,7 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
     Minimizes n * gbar(theta)' W gbar(theta) by BFGS with central-
     difference gradients; ``two-step`` re-minimizes with the inverse
     sample covariance of the moments (ridge-regularized when needed).
+    Moments are evaluated once per cell of the sample's count table.
     The rank of the moment Jacobian is reported as an identification
     diagnostic.
     """
@@ -476,10 +470,19 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
         raise ValueError("weighting must be 'identity' or 'two-step'")
     spec = sample.spec
     init = np.asarray(init, dtype=float)
+    cells, counts, _ = _count_table(sample)
+
+    def stacked(theta):
+        return moments.stacked(cells.Y, cells.Y0, cells.X, theta)
+
+    k = getattr(moments, "k", None)
+    k = int(k) if k is not None else np.asarray(stacked(init)).shape[1]
 
     def gbar(theta):
-        M = moments.stacked(sample.Y, sample.Y0, sample.X, theta)
-        return M.mean(axis=0)
+        return np.average(stacked(theta), axis=0, weights=counts)
+
+    def cov(theta):
+        return np.cov(stacked(theta).T, fweights=counts, bias=True).reshape(k, k)
 
     def solve(Wmat, start):
         def obj(theta):
@@ -501,14 +504,11 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
                 best = res
         return best
 
-    k = _n_moments(moments, sample, init)
     Wmat = np.eye(k)
     res = solve(Wmat, init)
     flagged_singular = False
     if weighting == "two-step":
-        M = moments.stacked(sample.Y, sample.Y0, sample.X, res.x)
-        S = np.cov(M.T, bias=True).reshape(k, k)
-        S_r = S + ridge * np.eye(k)
+        S_r = cov(res.x) + ridge * np.eye(k)
         try:
             Wmat = np.linalg.inv(S_r)
         except np.linalg.LinAlgError:
@@ -517,8 +517,7 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
         res = solve(Wmat, res.x)
 
     theta = res.x
-    M = moments.stacked(sample.Y, sample.Y0, sample.X, theta)
-    S = np.cov(M.T, bias=True).reshape(k, k)
+    S = cov(theta)
     G = _central_diff(gbar, theta)
     sv = np.linalg.svd(G, compute_uv=False) if G.size else np.zeros(0)
     rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300))) if sv.size else 0
@@ -538,16 +537,8 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
             "jacobian_rank": rank,
             "identified": bool(rank >= theta.size),
             "n_moments": k,
+            "n_cells": cells.n,
             "weighting": weighting,
             "singular_weighting": flagged_singular,
         },
     )
-
-
-def _n_moments(moments, sample, theta):
-    k = getattr(moments, "k", None)
-    if k is not None:
-        return int(k)
-    probe = moments.stacked(sample.Y[:1], sample.Y0[:1],
-                            None if sample.X is None else sample.X[:1], theta)
-    return int(np.asarray(probe).shape[1])

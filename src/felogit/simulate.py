@@ -116,10 +116,11 @@ def _draw_y0(cfg, X, A, rng):
         state = np.zeros((n, D), dtype=np.int8)
         dyn, _ = spec.split_theta(cfg.theta)
         gamma, delta = dyn
-        for _ in range(burn):
+        for b in range(burn):
+            per = b % spec.tau
             eta = gamma * state + delta * shared_friends(spec, state)
-            Adyad = A  # one effect per dyad
-            draw = rng.random((n, D)) < expit(eta + Adyad)
+            eta = eta + A @ spec.W[:, per * D: (per + 1) * D]
+            draw = rng.random((n, D)) < expit(eta)
             state = draw.astype(np.int8)
         return state
     return np.zeros((n, 0), dtype=np.int8)
@@ -154,9 +155,10 @@ def generate(cfg):
         gamma, delta = dyn
         prev = Y0.astype(np.int8).copy()
         for per in range(1, spec.tau + 1):
-            eta = gamma * prev + delta * shared_friends(spec, prev) + A
+            cols = slice((per - 1) * D, per * D)
+            eta = gamma * prev + delta * shared_friends(spec, prev)
+            eta = eta + A @ spec.W[:, cols]
             if spec.d_x:
-                cols = slice((per - 1) * D, per * D)
                 eta = eta + np.einsum("ndk,d->nk", X[:, :, cols], beta)
             draw = (rng.random((n, D)) < expit(eta)).astype(np.int8)
             Y[:, (per - 1) * D: per * D] = draw

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,3 +246,17 @@ def test_round_trip_reads_every_emitted_json(tmp_path, capsys):
     loaded = cli._load_spec(ns_args)
     assert loaded.T == 6 and loaded.family == "ar"
     assert np.array_equal(loaded.W, spec.W)
+
+
+@pytest.mark.parametrize("bad", ["0.5", "7", "300"])
+def test_sample_csv_rejects_non_binary_outcome(bad):
+    spec = fl.panel_ar(1, 3)
+    s = simulate.generate(simulate.DGPConfig(spec=spec, theta=np.array([0.5]),
+                                             n=3, seed=1))
+    buf = io.StringIO()
+    write_sample_csv(s, buf)
+    lines = buf.getvalue().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith("2,2,"))
+    lines[row] = f"2,2,{bad}"
+    with pytest.raises(ValueError, match=re.escape(f"found '{bad}'")):
+        read_sample_csv(io.StringIO("\n".join(lines)), spec)

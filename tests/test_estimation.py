@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 import felogit as fl
@@ -256,3 +261,157 @@ def test_sample_shape_validation():
     spec = fl.panel_ar(1, 3)
     with pytest.raises(ValueError):
         Sample(spec=spec, Y=np.zeros((5, 4), dtype=int), Y0=np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 7])
+def test_sample_rejects_non_binary_outcomes(bad):
+    spec = fl.panel_ar(1, 3)
+    Y, Y0 = np.zeros((4, 3)), np.zeros((4, 1))
+    Y[2, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(f"Y must be binary (0/1), found {bad}")):
+        Sample(spec=spec, Y=Y, Y0=Y0)
+    Y[2, 1], Y0[3, 0] = 1, bad
+    with pytest.raises(ValueError, match=re.escape(f"Y0 must be binary (0/1), found {bad}")):
+        Sample(spec=spec, Y=Y, Y0=Y0)
+
+
+def test_newton_reports_why_it_stopped():
+    s = _static_sample(n=500, T=3, beta=(0.5,), seed=3)
+    ar = _ar_sample(1, 3, [0.5], n=2000, seed=4)
+    fits = [
+        lambda **kw: cmle_static(s, **kw),
+        lambda **kw: cmle_pairwise(s, np.array([1, -1, 0]), **kw),
+        lambda **kw: cmle_dynamic_ar(ar, **kw),
+    ]
+    for fit in fits:
+        rep = fit()
+        assert rep.converged and rep.diagnostics["stop_reason"] == "converged"
+        rep = fit(max_iter=1)
+        assert rep.iterations == 1
+        assert not rep.converged and rep.diagnostics["stop_reason"] == "max_iter"
+
+    def nowhere_better(x):  # the value is finite only at the start
+        return (0.0 if not np.any(x) else np.nan), np.ones(1), -np.eye(1)
+
+    *_, it, stop = estimation._newton(nowhere_better, np.zeros(1))
+    assert (it, stop) == (1, "line_search_failed")
+
+
+def _stack(sample, *others):
+    parts = (sample,) + others
+    X = None if sample.X is None else np.concatenate([p.X for p in parts])
+    return Sample(spec=sample.spec, Y=np.concatenate([p.Y for p in parts]),
+                  Y0=np.concatenate([p.Y0 for p in parts]), X=X)
+
+
+def _permute(sample, seed):
+    perm = np.random.default_rng(seed).permutation(sample.n)
+    return Sample(spec=sample.spec, Y=sample.Y[perm], Y0=sample.Y0[perm],
+                  X=None if sample.X is None else sample.X[perm])
+
+
+INVARIANCE_CASES = {
+    "cmle_static": (lambda: _static_sample(n=800, T=3, beta=(0.5, -0.5), seed=31),
+                    cmle_static, 1e-8),
+    "cmle_pairwise": (lambda: _static_sample(n=1500, T=2, beta=(0.8,), seed=32),
+                      lambda s: cmle_pairwise(s, np.array([1, -1])), 1e-8),
+    "cmle_dynamic_ar": (lambda: _ar_sample(2, 4, [0.5, -0.3], n=3000, seed=33,
+                                           stationary=True),
+                        cmle_dynamic_ar, 1e-8),
+    "gmm": (lambda: _ar_sample(2, 3, [0.5, -0.3], n=4000, seed=34, stationary=True),
+            lambda s: gmm(s, moments.Ar2T3Moments(), np.zeros(2)), 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_CASES))
+def test_estimates_invariant_to_stacking_and_permuting_units(name):
+    make, fit, tol = INVARIANCE_CASES[name]
+    s = make()
+    base = fit(s)
+    twice = fit(_stack(s, s))
+    np.testing.assert_allclose(twice.theta, base.theta, rtol=0, atol=tol)
+    finite = np.isfinite(base.std_errors)
+    assert finite.any()
+    np.testing.assert_allclose(twice.std_errors[finite],
+                               base.std_errors[finite] / np.sqrt(2), rtol=1e-6)
+    assert np.array_equal(np.isfinite(twice.std_errors), finite)
+    shuffled = fit(_permute(s, seed=35))
+    np.testing.assert_allclose(shuffled.theta, base.theta, rtol=0, atol=tol)
+
+
+def test_count_table_reconstructs_sample_and_skips_distinct_records():
+    s = _ar_sample(2, 3, [0.5, -0.3], n=500, seed=36)
+    cells, counts, inverse = estimation._count_table(s)
+    assert cells.n <= 32 and counts.sum() == s.n
+    assert np.array_equal(cells.Y[inverse], s.Y)
+    assert np.array_equal(cells.Y0[inverse], s.Y0)
+    xs = _static_sample(n=50, T=3, beta=(0.5,), seed=37)
+    cells, counts, inverse = estimation._count_table(xs)
+    assert cells is xs and np.all(counts == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=hnp.arrays(np.int8, st.tuples(st.integers(1, 80), st.just(5)),
+                       elements=st.integers(0, 1)),
+    theta=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+)
+def test_count_weighted_moment_mean_equals_unit_mean(records, theta):
+    s = Sample(spec=fl.panel_ar(2, 3), Y=records[:, 2:], Y0=records[:, :2])
+    cells, counts, inverse = estimation._count_table(s)
+    assert np.array_equal(cells.Y[inverse], s.Y)
+    ev, theta = moments.Ar2T3Moments(), np.array(theta)
+    per_unit = ev.stacked(s.Y, s.Y0, None, theta).mean(axis=0)
+    weighted = np.average(ev.stacked(cells.Y, cells.Y0, None, theta), axis=0,
+                          weights=counts)
+    np.testing.assert_allclose(weighted, per_unit, rtol=1e-12, atol=1e-12)
+
+
+def test_cmle_objectives_match_unit_by_unit_reference():
+    # reference: one conditioning class and one logsumexp per unit
+    from scipy.special import logsumexp
+
+    from felogit import model, sufficiency
+
+    s = _static_sample(n=150, T=3, beta=(0.4, -0.2), seed=41)
+    paths = model.all_paths(3).astype(float)
+    stats = paths @ s.spec.W.T
+    objective, _, _ = _static_objective(s)
+    beta = np.array([0.3, -0.6])
+    want = 0.0
+    for y, x in zip(s.Y, s.X):
+        members = np.all(np.isclose(stats, s.spec.W @ y), axis=1)
+        if members.sum() > 1:
+            index = x.T @ beta
+            want += y @ index - logsumexp(paths[members] @ index)
+    assert objective(beta)[0] == pytest.approx(want, rel=1e-12)
+
+    ar = _ar_sample(2, 4, [0.5, -0.3], n=150, seed=42, stationary=True)
+    loglik, _ = _dynamic_loglik(ar)
+    gam = np.array([0.2, 0.7])
+    all_y = model.all_paths(4)
+    want = 0.0
+    for y, y0 in zip(ar.Y, ar.Y0):
+        key = sufficiency.arp_statistic_key(ar.spec, y, y0)
+        members = [q for q in all_y
+                   if sufficiency.arp_statistic_key(ar.spec, q, y0) == key]
+        if len(members) > 1:
+            prof = estimation._ar_transition_stats(
+                ar.spec, np.array(members), np.tile(y0, (len(members), 1)))
+            own = estimation._ar_transition_stats(ar.spec, y[None], y0[None])
+            want += float(own[0] @ gam) - logsumexp(prof @ gam)
+    assert loglik(gam) == pytest.approx(want, rel=1e-12)
+
+
+def test_analytic_hessians_match_finite_differences():
+    s = _static_sample(n=200, T=3, beta=(0.4, -0.2), seed=43)
+    static, _, _ = _static_objective(s)
+    pairwise, _, _, _ = _pairwise_objective(s, np.array([[1], [-1], [0]]))
+    beta, h = np.array([0.5, -0.7]), 1e-6
+    for fn in (static, pairwise):
+        H = fn(beta)[2]
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (fn(beta + e)[1] - fn(beta - e)[1]) / (2 * h)
+            np.testing.assert_allclose(fd, H[:, j], rtol=1e-6, atol=1e-6)

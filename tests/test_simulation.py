@@ -221,3 +221,18 @@ def test_monte_carlo_bias_shrinks_with_n():
         _, summary = monte_carlo(cfg, est, replications=reps)
         biases[n] = abs(summary["beta1"]["bias"])
     assert biases[2400] < biases[150] / 2
+
+
+def test_network_simulator_loads_effects_through_W():
+    # W = 3 x dyad indicator with A = 1 and no dynamics: every link has
+    # probability expit(3), in the initial network as in later periods
+    base = model.network_design(3, 2)
+    spec = model.ModelSpec("network", base.T, 3.0 * base.W, n=3, tau=2)
+    cfg = DGPConfig(
+        spec=spec, theta=np.zeros(2), n=20_000, seed=3,
+        a_law={"kind": "normal", "loc": 1.0, "scale": 0.0},
+        y0_law={"kind": "stationary", "burn_in": 5},
+    )
+    s = generate(cfg)
+    assert s.Y.mean() == pytest.approx(expit(3.0), abs=0.005)
+    assert s.Y0.mean() == pytest.approx(expit(3.0), abs=0.005)
