@@ -10,12 +10,16 @@ File schemas (versioned in the emitted ``schema`` comment):
 
 * model JSON: ``{"schema_version": 1, "family", "T", "d_x", "W", "p",
   "n", "tau"}`` with W row-major.
-* sample CSV: columns ``unit,t,y,x1..xd``; rows with t <= 0 hold the
-  initial-condition block in chronological order (covariates ignored
-  there).
-* network edge list CSV: columns ``unit,tau,i,j,y,x1..xd`` (the unit
-  column may be omitted for a single network); tau = 0 rows hold the
-  initial network.
+* sample CSV: columns ``unit,t,y,x1..xd``, one row per unit and t in
+  1-L0..T; rows with t <= 0 hold the L0 initial outcomes (covariates
+  ignored there).
+* network edge list CSV: columns ``unit,tau,i,j,y,x1..xd``, one row per
+  unit, tau in 0..tau and dyad i != j (the unit column may be omitted
+  for a single network); tau = 0 rows hold the initial network.
+
+Rows may come in any order.  y is 0 or 1 and covariates are finite.  A
+malformed file is a usage error: it exits 2 with a message naming the
+data row, or the unit and the period missing or given twice.
 """
 
 from __future__ import annotations
@@ -128,118 +132,127 @@ def _load_spec(args):
     raise ValueError(f"unknown design {design!r}")
 
 
-# -- sample CSV ---------------------------------------------------------------
+# -- sample CSV and network edge list -----------------------------------------
+
+
+class DataError(ValueError):
+    """A malformed sample or edge-list file; the CLI exits with code 2."""
+
+
+def _layout(spec, kind):
+    """Both files are long tables with one row per unit and slot: its
+    initial-condition outcomes, then its T periods.  Returns the key
+    columns after ``unit`` with their (lo, hi) ranges, each slot's key
+    fields as written, and the map from key values to slots."""
+    L0, n, S = spec.y0_len, spec.n, spec.y0_len + spec.T
+    if kind == "sample":
+        return ({"t": (1 - L0, spec.T)}, [str(s - L0 + 1) for s in range(S)],
+                lambda t: t + L0 - 1)
+    ds, dyad = model.dyads(n), np.full((n + 1, n + 1), -S)
+    for d, (i, j) in enumerate(ds):
+        dyad[i + 1, j + 1] = dyad[j + 1, i + 1] = d
+    return ({"tau": (0, spec.tau), "i": (1, n), "j": (1, n)},
+            [f"{s // L0},{ds[s % L0][0] + 1},{ds[s % L0][1] + 1}"
+             for s in range(S)], lambda tau, i, j: tau * L0 + dyad[i, j])
+
+
+def _write_long(sample, fh, kind):
+    spec, d_x, n = sample.spec, sample.spec.d_x, sample.n
+    keys, slots, _ = _layout(spec, kind)
+    header = ["unit", *keys, "y"] + [f"x{k + 1}" for k in range(d_x)]
+    fh.write(f"# schema: {SCHEMA[kind]}\n{','.join(header)}\r\n")
+    tails = np.full((n, len(slots)), "," * d_x, dtype=object)
+    if d_x:  # summing objects concatenates a period's ",x1,x2,..." text
+        xs = [f",{v:.12g}" for v in sample.X.transpose(0, 2, 1).ravel().tolist()]
+        tails[:, spec.y0_len:] = np.array(xs, dtype=object).reshape(
+            n, spec.T, d_x).sum(axis=2)
+    fh.write("".join(f"{u},{key},{y}{x}\r\n" for u, key, y, x in zip(
+        np.repeat(np.arange(1, n + 1), len(slots)).tolist(), slots * n,
+        np.hstack([sample.Y0, sample.Y]).ravel().tolist(), tails.ravel().tolist())))
+
+
+def _columns(what, lines, rows, cols, dtype):
+    """Parse the columns ``{index: (name, lo, hi, expected)}`` of all
+    ``lines`` in one call and check lo <= value <= hi.  On failure, name
+    the first bad field and its data row (line k holds row rows[k])."""
+    lo, hi = np.array([c[1:3] for c in cols.values()]).T
+    try:
+        A = np.loadtxt(lines, delimiter=",", usecols=list(cols), dtype=dtype,
+                       ndmin=2, comments=None)
+        if np.all((A >= lo) & (A <= hi)):
+            return A
+    except ValueError:
+        pass
+    for row, line in zip(rows, lines):
+        fields = line.rstrip("\r\n").split(",")
+        for c, (name, lo, hi, expected) in cols.items():
+            text = fields[c] if c < len(fields) else ""
+            try:
+                if lo <= dtype(text) <= hi:
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise DataError(f"{what} data row {row + 1}: {name} must be "
+                            f"{expected}, found {text!r}")
+    raise DataError(f"{what}: cannot parse the data rows")
+
+
+def _read_long(fh, spec, kind):
+    keys, slots, slot_of = _layout(spec, kind)
+    what = "sample CSV" if kind == "sample" else "edge CSV"
+    big = np.finfo(float).max
+    lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+    head = lines[0].strip().split(",") if lines else []
+    bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
+    if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
+        del bounds["unit"]
+    if head[:len(bounds)] != list(bounds) or len(lines) < 2:
+        raise DataError(f"{what} must start with columns {','.join(bounds)} "
+                        "and hold data rows")
+    body, L0, S = lines[1:], spec.y0_len, len(slots)
+    K = _columns(what, body, range(len(body)), {
+        c: (m, lo, hi, "0 or 1" if m == "y" else "an integer" if m == "unit"
+            else f"an integer in {lo}..{hi}")
+        for c, (m, (lo, hi)) in enumerate(bounds.items())}, np.int64)
+    slot = slot_of(*K[:, -len(keys) - 1:-1].T)
+    bad = np.flatnonzero(slot < 0)  # an edge with i == j
+    if bad.size:
+        raise DataError(f"{what} data row {bad[0] + 1}: i and j must differ")
+    units, unit = np.unique(K[:, 0] if "unit" in bounds else np.ones_like(slot),
+                            return_inverse=True)
+    key = unit * S + slot
+    count = np.bincount(key, minlength=len(units) * S)
+    bad = np.flatnonzero(count != 1)
+    if bad.size:
+        u, s = divmod(int(bad[0]), S)
+        raise DataError(f"{what}: unit {units[u]} has {count[bad[0]] or 'no'} "
+                        f"rows for {','.join(keys)} = {slots[s]}")
+    Y, X = np.empty((len(units), S), dtype=np.int8), None
+    np.put(Y, key, K[:, -1])
+    if spec.d_x:
+        rows = np.flatnonzero(slot >= L0)
+        X = np.empty((len(units), spec.d_x, spec.T))
+        X[unit[rows], :, slot[rows] - L0] = _columns(
+            what, [body[r] for r in rows], rows,
+            {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
+             for k in range(spec.d_x)}, float)
+    return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 
 def write_sample_csv(sample, fh):
-    spec = sample.spec
-    w = csv.writer(fh)
-    fh.write(f"# schema: {SCHEMA['sample']}\n")
-    w.writerow(["unit", "t", "y"] + [f"x{k+1}" for k in range(spec.d_x)])
-    L0 = spec.y0_len
-    for i in range(sample.n):
-        for j in range(L0):
-            w.writerow([i + 1, j - L0 + 1, int(sample.Y0[i, j])]
-                       + [""] * spec.d_x)
-        for t in range(spec.T):
-            xs = (
-                [_fmt(float(v)) for v in sample.X[i, :, t]]
-                if spec.d_x
-                else []
-            )
-            w.writerow([i + 1, t + 1, int(sample.Y[i, t])] + xs)
-
-
-_BINARY = {"0": 0, "1": 1}
+    _write_long(sample, fh, "sample")
 
 
 def read_sample_csv(fh, spec):
-    rows = [r for r in csv.reader(
-        line for line in fh if not line.startswith("#")
-    ) if r]
-    header = rows[0]
-    if header[:3] != ["unit", "t", "y"]:
-        raise ValueError("sample CSV must start with columns unit,t,y")
-    data = {}
-    for k, r in enumerate(rows[1:], start=1):
-        unit, t, y = int(r[0]), int(r[1]), _BINARY.get(r[2].strip())
-        if y is None:
-            raise ValueError(f"sample CSV data row {k}: y must be 0 or 1, "
-                             f"found {r[2]!r}")
-        xs = [float(v) for v in r[3: 3 + spec.d_x]] if t >= 1 and spec.d_x else None
-        data.setdefault(unit, {})[t] = (y, xs)
-    units = sorted(data)
-    n, L0 = len(units), spec.y0_len
-    Y = np.zeros((n, spec.T), dtype=np.int8)
-    Y0 = np.zeros((n, L0), dtype=np.int8)
-    X = np.zeros((n, spec.d_x, spec.T)) if spec.d_x else None
-    for i, u in enumerate(units):
-        for t in range(1, spec.T + 1):
-            y, xs = data[u][t]
-            Y[i, t - 1] = y
-            if spec.d_x:
-                X[i, :, t - 1] = xs
-        for j in range(L0):
-            Y0[i, j] = data[u][j - L0 + 1][0]
-    return estimation.Sample(spec=spec, Y=Y, Y0=Y0, X=X)
+    return _read_long(fh, spec, "sample")
 
 
 def write_edge_csv(sample, fh):
-    spec = sample.spec
-    ds = model.dyads(spec.n)
-    w = csv.writer(fh)
-    fh.write(f"# schema: {SCHEMA['edges']}\n")
-    w.writerow(["unit", "tau", "i", "j", "y"] + [f"x{k+1}" for k in range(spec.d_x)])
-    D = spec.n_dyads
-    for u in range(sample.n):
-        for d, (i, j) in enumerate(ds):
-            w.writerow([u + 1, 0, i + 1, j + 1, int(sample.Y0[u, d])]
-                       + [""] * spec.d_x)
-        for per in range(1, spec.tau + 1):
-            for d, (i, j) in enumerate(ds):
-                t = (per - 1) * D + d
-                xs = (
-                    [_fmt(float(v)) for v in sample.X[u, :, t]]
-                    if spec.d_x
-                    else []
-                )
-                w.writerow([u + 1, per, i + 1, j + 1, int(sample.Y[u, t])] + xs)
+    _write_long(sample, fh, "edges")
 
 
 def read_edge_csv(fh, spec):
-    rows = [r for r in csv.reader(
-        line for line in fh if not line.startswith("#")
-    ) if r]
-    header = rows[0]
-    if header[0] == "tau":  # single network without a unit column
-        rows = [["1"] + r for r in rows[1:]]
-    elif header[:4] == ["unit", "tau", "i", "j"]:
-        rows = rows[1:]
-    else:
-        raise ValueError("edge CSV must have columns [unit,]tau,i,j,y,...")
-    index = {d: k for k, d in enumerate(model.dyads(spec.n))}
-    D = spec.n_dyads
-    data = {}
-    for r in rows:
-        u, tau, i, j, y = int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4])
-        d = index[(min(i, j) - 1, max(i, j) - 1)]
-        xs = [float(v) for v in r[5: 5 + spec.d_x]] if tau >= 1 and spec.d_x else None
-        data.setdefault(u, {})[(tau, d)] = (y, xs)
-    units = sorted(data)
-    n = len(units)
-    Y = np.zeros((n, spec.T), dtype=np.int8)
-    Y0 = np.zeros((n, D), dtype=np.int8)
-    X = np.zeros((n, spec.d_x, spec.T)) if spec.d_x else None
-    for k, u in enumerate(units):
-        for (tau, d), (y, xs) in data[u].items():
-            if tau == 0:
-                Y0[k, d] = y
-            else:
-                t = (tau - 1) * D + d
-                Y[k, t] = y
-                if spec.d_x and xs is not None:
-                    X[k, :, t] = xs
-    return estimation.Sample(spec=spec, Y=Y, Y0=Y0, X=X)
+    return _read_long(fh, spec, "edges")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -441,10 +454,8 @@ def cmd_simulate(args):
         cfg.seed = args.seed
     sample = simulate.generate(cfg)
     buf = io.StringIO()
-    if cfg.spec.family == model.NETWORK:
-        write_edge_csv(sample, buf)
-    else:
-        write_sample_csv(sample, buf)
+    _write_long(sample, buf,
+                "edges" if cfg.spec.family == model.NETWORK else "sample")
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -485,10 +496,8 @@ def _build_estimator(doc, spec):
 def cmd_estimate(args):
     spec = _load_spec(args)
     with open(args.data) as fh:
-        if spec.family == model.NETWORK:
-            sample = read_edge_csv(fh, spec)
-        else:
-            sample = read_sample_csv(fh, spec)
+        sample = _read_long(
+            fh, spec, "edges" if spec.family == model.NETWORK else "sample")
     doc = {"method": args.method}
     if args.moments:
         doc["moments"] = args.moments
@@ -545,7 +554,7 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_design_flags(p, with_dx=True):
+    def add_design_flags(p):
         p.add_argument("--model", help="model-spec JSON file")
         p.add_argument("--design", help="design family name")
         p.add_argument("--T", type=int)
@@ -555,20 +564,17 @@ def build_parser():
         p.add_argument("--n1", type=int)
         p.add_argument("--n2", type=int)
         p.add_argument("--n3", type=int)
-        if with_dx:
-            p.add_argument("--d-x", dest="d_x", type=int, default=0)
+        p.add_argument("--d-x", dest="d_x", type=int, default=0)
 
     p = sub.add_parser("wperp", help="search differencing vectors")
     add_design_flags(p)
     p.add_argument("--max-solutions", type=int)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_wperp)
 
     p = sub.add_parser("table1", help="minimal T per trend degree, as CSV")
     p.add_argument("--max-p", type=int, default=5)
     p.add_argument("--long-run", action="store_true",
                    help="allow the p=6 scan (minutes, not hours, but gated)")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("pairs", help="identifying AR(1) pairs")
@@ -576,7 +582,6 @@ def build_parser():
     p.add_argument("--y0", required=True)
     p.add_argument("--theta")
     p.add_argument("--require-gap", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("netcond", help="network conditioning set")
@@ -585,7 +590,6 @@ def build_parser():
     p.add_argument("--path", required=True)
     p.add_argument("--set", choices=["star", "full"], default="star")
     p.add_argument("--theta")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_netcond)
 
     p = sub.add_parser("dset", help="exponent-set size and moment bound")
@@ -593,7 +597,6 @@ def build_parser():
     p.add_argument("--theta")
     p.add_argument("--y0")
     p.add_argument("--x", help="covariate CSV, d_x rows x T columns")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_dset)
 
     p = sub.add_parser("moments", help="null-space moment report")
@@ -603,7 +606,6 @@ def build_parser():
     p.add_argument("--x")
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", help="closed-form moment residuals")
@@ -611,7 +613,6 @@ def build_parser():
                    choices=["ar2_t3", "quarterly_t6", "network_t3"])
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="fit a sample file")
@@ -624,21 +625,20 @@ def build_parser():
     p.add_argument("--init")
     p.add_argument("--wperp")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="draw a sample CSV from a DGP config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mc", help="Monte Carlo experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("FELOGIT_THREADS", "0")) or None)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_mc)
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return ap
 
 
@@ -653,7 +653,7 @@ def main(argv=None):
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DataError) else 1
 
 
 if __name__ == "__main__":

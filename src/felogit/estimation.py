@@ -478,8 +478,10 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
     k = getattr(moments, "k", None)
     k = int(k) if k is not None else np.asarray(stacked(init)).shape[1]
 
+    weights = counts / counts.sum()
+
     def gbar(theta):
-        return np.average(stacked(theta), axis=0, weights=counts)
+        return weights @ stacked(theta)
 
     def cov(theta):
         return np.cov(stacked(theta).T, fweights=counts, bias=True).reshape(k, k)

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,59 @@ def test_sample_csv_rejects_non_binary_outcome(bad):
     lines[row] = f"2,2,{bad}"
     with pytest.raises(ValueError, match=re.escape(f"found '{bad}'")):
         read_sample_csv(io.StringIO("\n".join(lines)), spec)
+
+
+
+def _replace_row(text, prefix, row):
+    lines = text.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    lines[k: k + 1] = [row] if row else []
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("design, prefix, row, message", [
+    ("ar", "2,2,", "2,2,7", "sample CSV data row 7: y must be 0 or 1, found '7'"),
+    ("ar", "3,2,", None, "sample CSV: unit 3 has no rows for t = 2"),
+    ("network", "2,1,1,3,", None,
+     "edge CSV: unit 2 has no rows for tau,i,j = 1,1,3"),
+])
+def test_estimate_malformed_data_exits_2(tmp_path, capsys, design, prefix, row,
+                                         message):
+    spec = fl.panel_ar(1, 3) if design == "ar" else fl.network_design(3, 2)
+    s = simulate.generate(simulate.DGPConfig(
+        spec=spec, theta=np.full(spec.theta_dim, 0.5), n=4, seed=2))
+    buf = io.StringIO()
+    (write_sample_csv if design == "ar" else write_edge_csv)(s, buf)
+    data = tmp_path / "data.csv"
+    data.write_text(_replace_row(buf.getvalue(), prefix, row))
+    code, _, err = run(capsys, "estimate", "--design", design, "--p", "1",
+                       "--T", "3", "--n", "3", "--tau", "2", "--data", str(data),
+                       "--method", "cmle")
+    assert code == 2
+    assert f"error: {message}\n" in err
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # Through `python -m felogit`, so the exit code must survive sys.exit.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def felogit(*argv):
+        return subprocess.run([sys.executable, "-m", "felogit", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    cfg = tmp_path / "dgp.json"
+    cfg.write_text(json.dumps({"design": {"design": "ar", "p": 2, "T": 3},
+                               "theta": [0.5, -0.3], "n": 2000, "seed": 4}))
+    data = tmp_path / "sample.csv"
+    done = felogit("simulate", "--config", str(cfg), "--output", str(data))
+    assert done.returncode == 0, done.stderr
+    estimate = ["estimate", "--design", "ar", "--p", "2", "--T", "3",
+                "--data", str(data), "--method", "gmm"]
+    done = felogit(*estimate)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["converged"] is True
+    data.write_text(_replace_row(data.read_text(), "5,1,", "5,1,x"))
+    done = felogit(*estimate)
+    assert done.returncode == 2
+    assert "y must be 0 or 1, found 'x'" in done.stderr
