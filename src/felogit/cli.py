@@ -92,11 +92,19 @@ def _parse_vec(text, dtype=float):
     return np.array([dtype(p) for p in parts])
 
 
-def _parse_bits(text):
+class DataError(ValueError):
+    """Malformed input data: a sample, edge-list or covariate file, or a
+    0/1 vector given on the command line.  The CLI exits with code 2."""
+
+
+def _parse_bits(text, flag, length):
+    """A 0/1 vector of the given length, written as digits ("010") or
+    as separated values ("0,1,0")."""
     text = text.strip()
-    if "," in text or " " in text:
-        return _parse_vec(text, dtype=int).astype(np.int8)
-    return np.array([int(c) for c in text], dtype=np.int8)
+    bits = text.replace(",", " ").split() if "," in text or " " in text else list(text)
+    if len(bits) != length or any(b not in ("0", "1") for b in bits):
+        raise DataError(f"{flag} must be a 0/1 vector of length {length}, found {text!r}")
+    return np.array([int(b) for b in bits], dtype=np.int8)
 
 
 def _load_spec(args):
@@ -133,10 +141,6 @@ def _load_spec(args):
 
 
 # -- sample CSV and network edge list -----------------------------------------
-
-
-class DataError(ValueError):
-    """A malformed sample or edge-list file; the CLI exits with code 2."""
 
 
 def _layout(spec, kind):
@@ -282,7 +286,7 @@ def cmd_table1(args):
 
 def cmd_pairs(args):
     spec = _load_spec(args)
-    y0 = _parse_bits(args.y0)
+    y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
     theta = _parse_vec(args.theta)
     certs = sufficiency.enumerate_pairs_ar1(
         spec, y0, require_gap=args.require_gap, theta=theta
@@ -302,8 +306,8 @@ def cmd_pairs(args):
 
 def cmd_netcond(args):
     spec = model.network_design(args.n, 3)
-    y = _parse_bits(args.path)
-    y0 = _parse_bits(args.y0)
+    y = _parse_bits(args.path, "--path", spec.T)
+    y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
     cond = (
         sufficiency.network_cond_full(spec, y)
         if args.set == "full"
@@ -331,16 +335,23 @@ def _theta_or_zero(spec, text):
 def _load_X(spec, path):
     if path is None:
         return None
-    X = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        X = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"covariate CSV: {exc}") from None
     if X.shape != (spec.d_x, spec.T):
-        raise ValueError(f"covariate CSV must be d_x x T = {(spec.d_x, spec.T)}")
+        raise DataError(f"covariate CSV must be d_x x T = {(spec.d_x, spec.T)}, "
+                        f"found {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("covariate CSV entries must be finite")
     return X
 
 
 def cmd_dset(args):
     spec = _load_spec(args)
     theta = _theta_or_zero(spec, args.theta)
-    y0 = _parse_bits(args.y0) if args.y0 else np.zeros(spec.y0_len, dtype=np.int8)
+    y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
+          else np.zeros(spec.y0_len, dtype=np.int8))
     X = _load_X(spec, args.x)
     Q = moments.qt_values(spec, y0, X, theta)
     ds = moments.build_dset(spec, Q)
@@ -358,7 +369,8 @@ def cmd_dset(args):
 def cmd_moments(args):
     spec = _load_spec(args)
     theta = _theta_or_zero(spec, args.theta)
-    y0 = _parse_bits(args.y0) if args.y0 else np.zeros(spec.y0_len, dtype=np.int8)
+    y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
+          else np.zeros(spec.y0_len, dtype=np.int8))
     X = _load_X(spec, args.x)
     Q = moments.qt_values(spec, y0, X, theta)
     ds = moments.build_dset(spec, Q)
@@ -574,7 +586,7 @@ def build_parser():
     p = sub.add_parser("table1", help="minimal T per trend degree, as CSV")
     p.add_argument("--max-p", type=int, default=5)
     p.add_argument("--long-run", action="store_true",
-                   help="allow the p=6 scan (minutes, not hours, but gated)")
+                   help="allow the p=6 scan (T up to 31)")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("pairs", help="identifying AR(1) pairs")

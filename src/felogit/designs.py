@@ -6,7 +6,7 @@ W Y; every such vector yields an identifying outcome pair for the
 static logit model.  This module builds the standard design matrices
 (panel intercepts, polynomial trends, overlapping effects, two-way
 panels, dyadic and triadic networks), enumerates differencing vectors
-by exhaustive depth-first search with branch-and-bound pruning, and
+by an exhaustive frontier search with branch-and-bound pruning, and
 provides the rank diagnostic that turns a set of vectors into an
 identification check for the covariate coefficients.
 """
@@ -137,25 +137,33 @@ def _as_exact(W):
     return W, False
 
 
-def _canonical_sign(v):
-    for x in v:
-        if x:
-            return v if x > 0 else -v
-    return v
+# States held by one frontier chunk; bounds the search's working memory.
+_FRONTIER_CHUNK = 1 << 16
+_STEPS = np.array([-1, 0, 1], dtype=np.int8)
 
 
 def find_wperp(W, max_solutions=None, require_nonzero=True):
     """All w in {-1,0,1}^T with W w = 0, up to global sign.
 
-    Exhaustive depth-first search over the 3^T assignments; a branch is
-    cut as soon as some row's partial sum exceeds what the remaining
-    positions can still cancel.  Positions are visited in decreasing
-    order of their largest design entry, which makes the bound bite
-    early on polynomial-trend rows.
+    Exhaustive level-synchronous search over the 3^T assignments.  A
+    frontier of partial assignments holds, per state, the partial sums
+    W v (states x d) and the prefix v (states x T); each level extends
+    every state by -1, 0 and +1 at once and drops the states in which
+    some row's partial sum exceeds what the remaining positions can
+    still cancel.  Positions are visited in decreasing order of their
+    largest design entry, which makes the bound bite early on
+    polynomial-trend rows.  The first nonzero entry in search order is
+    pinned to +1, which fixes the global sign once and halves the tree.
+    Integer designs are searched exactly; others with a tolerance.
+
+    The frontier is kept as a stack of chunks of at most 2^16 states,
+    expanded depth first with the lexicographically least chunk on
+    top, so memory stays bounded and solutions arrive in the order of a
+    depth-first search.  ``max_solutions`` stops the search once that
+    many have been found and returns the first ones in that order.
 
     Returns canonical vectors (first nonzero entry +1) sorted
-    lexicographically with -1 < 0 < 1.  ``max_solutions`` caps the
-    search; the returned subset then depends on internal search order.
+    lexicographically with -1 < 0 < 1.
     """
     W = np.atleast_2d(W)
     d, T = W.shape
@@ -163,45 +171,43 @@ def find_wperp(W, max_solutions=None, require_nonzero=True):
         raise ValueError("exhaustive search limited to T <= 40")
     Wx, exact = _as_exact(W)
     order = np.argsort(-np.abs(Wx).max(axis=0), kind="stable")
-    Wo = np.ascontiguousarray(Wx[:, order])
-    suffix = np.zeros((T + 1, d), dtype=Wo.dtype)
-    for i in range(T - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + np.abs(Wo[:, i])
+    cols = np.ascontiguousarray(Wx[:, order].T)
+    suffix = np.zeros((T + 1, d), dtype=cols.dtype)
+    suffix[:T] = np.cumsum(np.abs(cols[::-1]), axis=0)[::-1]
     tol = 0 if exact else 1e-9 * (1 + np.abs(Wx).sum())
-    cols = [Wo[:, i] for i in range(T)]
+    limit = np.inf if max_solutions is None else max(int(max_solutions), 0)
 
-    sols = []
-    v = np.zeros(T, dtype=np.int64)
-    s = np.zeros(d, dtype=Wo.dtype)
-
-    def rec(i, any_nonzero):
+    found, n_found = [np.zeros((0, T), dtype=np.int8)], 0
+    stack = [(0, np.zeros((1, d), dtype=cols.dtype),
+              np.zeros((1, T), dtype=np.int8), np.zeros(1, dtype=bool))]
+    while stack and n_found < limit:
+        i, S, V, nz = stack.pop()
         if i == T:
-            if (any_nonzero or not require_nonzero) and np.all(np.abs(s) <= tol):
-                out = np.zeros(T, dtype=np.int64)
-                out[order] = v
-                sols.append(_canonical_sign(out))
-            return max_solutions is not None and len(sols) >= max_solutions
-        if np.any(np.abs(s) > suffix[i] + tol):
-            return False
-        w = cols[i]
-        # the first nonzero entry (in search order) is pinned to +1;
-        # global sign is fixed once, halving the tree
-        for val in (-1, 0, 1) if any_nonzero else (0, 1):
-            v[i] = val
-            if val:
-                s[:] += val * w
-            if rec(i + 1, any_nonzero or val != 0):
-                return True
-            if val:
-                s[:] -= val * w
-        v[i] = 0
-        return False
+            hits = V[nz] if require_nonzero else V
+            found.append(hits)
+            n_found += len(hits)
+            continue
+        # children in lexicographic order: state-major, then -1, 0, +1;
+        # -1 only after a nonzero entry
+        step = np.tile(_STEPS, len(S))
+        nz = np.repeat(nz, 3)
+        S = np.repeat(S, 3, axis=0) + step[:, None] * cols[i]
+        keep = (nz | (step >= 0)) & np.all(np.abs(S) <= suffix[i + 1] + tol, axis=1)
+        step = step[keep]
+        S, nz = S[keep], nz[keep] | (step != 0)
+        V = np.repeat(V, 3, axis=0)[keep]
+        V[:, i] = step
+        top = (len(S) - 1) // _FRONTIER_CHUNK * _FRONTIER_CHUNK
+        for lo in range(top, -1, -_FRONTIER_CHUNK):
+            hi = lo + _FRONTIER_CHUNK
+            stack.append((i + 1, S[lo:hi], V[lo:hi], nz[lo:hi]))
 
-    rec(0, False)
-    uniq = {tuple(v_.tolist()) for v_ in sols}
-    if not require_nonzero:
-        uniq.add(tuple([0] * T))
-    return [np.array(u, dtype=np.int64) for u in sorted(uniq)]
+    sols = np.concatenate(found)[: int(min(limit, n_found))]
+    out = np.zeros(sols.shape, dtype=np.int64)
+    out[:, order] = sols
+    lead = out[np.arange(len(out)), np.argmax(out != 0, axis=1)]
+    out *= np.where(lead < 0, -1, 1)[:, None]
+    return list(out[np.lexsort(out.T[::-1])])
 
 
 def minimal_T_polytrend(p, allow_long_run=False, T_max=40):

@@ -31,7 +31,7 @@ from .model import (
     NETWORK,
     STATIC,
     all_paths,
-    path_distribution,
+    index_matrix,
     path_index,
     shared_friends,
 )
@@ -390,11 +390,56 @@ def nullspace_moments(spec, y0, X, theta, rel_tol=1e-9):
     )
 
 
+# The last probability matrix built, as (key, P).  The key holds the
+# exact contents of every input, so a hit returns the matrix those
+# inputs give and no caller can see another's inputs.
+_LAST_PROBABILITIES = None
+# Elements of one draw block's (draws x 2^T x T) temporaries.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _contents_key(spec, y0, X, theta, A_rows):
+    key = [spec.family, spec.T, spec.p, spec.n, spec.tau, spec.d_x]
+    for a in (spec.W, y0, X, theta, A_rows):
+        if a is not None:
+            a = np.asarray(a)
+            a = (a.dtype.str, a.shape, a.tobytes())
+        key.append(a)
+    return tuple(key)
+
+
 def probability_matrix(spec, y0, X, theta, A_rows):
-    """Rows Pr(y | Y0, X, A_j) over all paths, one per fixed-effect draw."""
-    return np.vstack(
-        [path_distribution(spec, y0, X, theta, A) for A in np.atleast_2d(A_rows)]
-    )
+    """Rows Pr(y | Y0, X, A_j) over all paths, one per fixed-effect draw.
+
+    The index matrix pi of all 2^T paths is computed once and every
+    draw's linear index is the broadcast eta = pi + (A_rows @ W)[:, None, :],
+    taken in blocks of draws that bound the temporaries.  The last matrix
+    built is kept and returned again, read-only, while every input holds
+    the same contents (the spec's family, sizes and W, y0, X, theta and
+    A_rows), so verifying many moments against one grid builds it once.
+    """
+    global _LAST_PROBABILITIES
+    A_rows = np.atleast_2d(np.asarray(A_rows, dtype=float))
+    if A_rows.shape[1:] != (spec.d_w,):
+        raise ValueError(f"A_rows must have {spec.d_w} columns, got {A_rows.shape}")
+    if not np.all(np.isfinite(A_rows)):
+        raise ValueError("A must be finite")
+    key = _contents_key(spec, y0, X, theta, A_rows)
+    last = _LAST_PROBABILITIES
+    if last is not None and last[0] == key:
+        return last[1]
+    paths = all_paths(spec.T)
+    pi = index_matrix(spec, paths, y0, X, theta)
+    shift = (A_rows @ spec.W)[:, None, :]
+    logp = np.empty((A_rows.shape[0], paths.shape[0]))
+    block = max(1, _BLOCK_ELEMENTS // pi.size)
+    for lo in range(0, A_rows.shape[0], block):
+        eta = pi + shift[lo: lo + block]
+        logp[lo: lo + block] = np.sum(paths * eta - np.logaddexp(0.0, eta), axis=2)
+    P = np.exp(logp)
+    P.flags.writeable = False
+    _LAST_PROBABILITIES = (key, P)
+    return P
 
 
 def nullspace_from_probabilities(spec, y0, X, theta, A_rows, rel_tol=1e-9):
@@ -414,14 +459,15 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows, rel_tol=1e-9):
 
 
 def verify_moment(m, spec, y0, X, theta, A_grid):
-    """Exact max_A |sum_y m(y) Pr(y|Y0,X,A)| over a fixed-effect grid."""
+    """Exact max_A |sum_y m(y) Pr(y|Y0,X,A)| over a fixed-effect grid.
+
+    All residuals come from one product P @ m with the (draws x 2^T)
+    matrix of ``probability_matrix``, which is built once for a run of
+    calls that verify many moments against one grid.
+    """
     vec = m.values if isinstance(m, MomentFunction) else np.asarray(m, dtype=float)
-    A_grid = np.atleast_2d(np.asarray(A_grid, dtype=float))
-    worst = 0.0
-    for A in A_grid:
-        p = path_distribution(spec, y0, X, theta, A)
-        worst = max(worst, abs(float(vec @ p)))
-    return worst
+    P = probability_matrix(spec, y0, X, theta, A_grid)
+    return float(np.max(np.abs(P @ vec), initial=0.0))
 
 
 # -- closed-form moment libraries -------------------------------------------

@@ -55,7 +55,7 @@ class PairCertificate:
 class ConditioningSet:
     """A set of outcome paths sharing one statistic value."""
 
-    kind: str  # "static_class" | "network_star" | "network_full"
+    kind: str  # "network_star" | "network_full"
     members: tuple
 
     def __len__(self):
@@ -196,6 +196,13 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     certified.  With ``require_gap`` only pairs whose transition counts
     differ (the ones that identify gamma) are kept.  An empty list is a
     meaningful outcome: designs with per-period effects admit no pairs.
+
+    Every per-path statistic is computed once over all 2^T paths: the
+    group key, the permutation key (the count of periods t = 2..T per
+    design column and y_{t-1}), the transition count and
+    g(y) = sum_t y_t pi_t.  A pair's certificate is then a lookup, with
+    log_ratio = g(y) - g(y~).  Groups come in increasing key order and
+    pairs within a group in increasing path order.
     """
     if spec.family != AR or spec.p != 1:
         raise ValueError("enumerate_pairs_ar1 requires an AR(1) spec")
@@ -205,28 +212,43 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     if theta is None:
         theta = np.zeros(spec.theta_dim)
     y0 = np.asarray(y0, dtype=np.int64)
-    paths = all_paths(spec.T)
+    paths = all_paths(spec.T).astype(np.int64)
     Wi = np.rint(spec.W).astype(np.int64)
-    S_y = paths.astype(np.int64) @ Wi.T
     lag = np.concatenate(
         [np.full((paths.shape[0], 1), y0[-1], dtype=np.int64), paths[:, :-1]],
         axis=1,
     )
-    S_lag = lag @ Wi.T
-    groups = {}
-    for i in range(paths.shape[0]):
-        groups.setdefault(
-            (tuple(S_y[i]), tuple(S_lag[i])), []
-        ).append(i)
-    out = []
-    for key in sorted(groups):
-        idx = groups[key]
-        for a, b in combinations(idx, 2):
-            cert = permutation_check(spec, paths[a], paths[b], y0, theta)
-            if require_gap and cert.transition_gap == 0:
-                continue
-            out.append(cert)
-    return out
+    _, inverse, sizes = np.unique(
+        np.hstack([paths @ Wi.T, lag @ Wi.T]), axis=0,
+        return_inverse=True, return_counts=True,
+    )
+    # periods t = 2..T of a basis-vector design, one column per design row
+    E = Wi[:, 1:].T
+    perm_key = np.hstack([lag[:, 1:] @ E, (1 - lag[:, 1:]) @ E])
+    transitions = np.sum(paths * lag, axis=1)
+    g = np.sum(paths * index_matrix(spec, paths, y0, None, theta), axis=1)
+
+    members = np.argsort(inverse.ravel(), kind="stable")
+    a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        if size < 2:
+            continue
+        i, j = np.triu_indices(size, 1)
+        a.append(members[start + i])
+        b.append(members[start + j])
+    a, b = np.concatenate(a), np.concatenate(b)
+    gap = transitions[a] - transitions[b]
+    if require_gap:
+        a, b, gap = a[gap != 0], b[gap != 0], gap[gap != 0]
+    same_perm = np.all(perm_key[a] == perm_key[b], axis=1)
+    log_ratio = g[a] - g[b]
+    Y, Y_tilde = paths[a], paths[b]
+    # cond_linear holds by construction: both paths share W y
+    return [
+        PairCertificate(Y[k], Y_tilde[k], True, bool(same_perm[k]),
+                        int(gap[k]), float(log_ratio[k]))
+        for k in range(len(a))
+    ]
 
 
 def arp_statistic_key(spec, y, y0):
@@ -271,16 +293,6 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
         transition_gap=transition_count(y, y0) - transition_count(y_tilde, y0),
         log_ratio=_log_ratio(spec, y, y_tilde, y0, None, theta),
     )
-
-
-def static_conditioning_class(spec, y):
-    """All paths sharing the static sufficient statistic W y."""
-    y = np.asarray(y, dtype=np.int64)
-    paths = all_paths(spec.T)
-    target = spec.W @ y.astype(float)
-    stats = paths @ spec.W.T.astype(float)
-    hit = np.flatnonzero(np.all(np.abs(stats - target) < 1e-9, axis=1))
-    return ConditioningSet("static_class", tuple(paths[i] for i in hit))
 
 
 # -- dynamic network conditioning ------------------------------------------

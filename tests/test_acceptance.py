@@ -1,15 +1,12 @@
 """Acceptance suite: one test per criterion, one PASS line per test.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
-Criterion 1's degree-6 scan is gated behind FELOGIT_LONG_RUN=1.
 """
 
 import itertools
-import os
 import time
 
 import numpy as np
-import pytest
 
 import felogit as fl
 from felogit import designs, estimation, model, moments, simulate, sufficiency
@@ -48,10 +45,6 @@ def test_criterion_1_table1_reproduction():
         f"(p=4 in {elapsed:.1f}s)")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FELOGIT_LONG_RUN"),
-    reason="degree-6 scan is a long run; set FELOGIT_LONG_RUN=1",
-)
 def test_criterion_1_long_run_p6():
     T, w = fl.minimal_T_polytrend(6, allow_long_run=True)
     assert T == 31

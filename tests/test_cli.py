@@ -92,6 +92,45 @@ def test_netcond_singleton(capsys):
     assert doc["size"] == 1 and doc["likelihood"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("pairs", "--design", "ar", "--p", "1", "--T", "3", "--y0", "7"),
+    ("pairs", "--design", "ar", "--p", "1", "--T", "3", "--y0", "0,1"),
+    ("moments", "--design", "ar", "--p", "1", "--T", "3", "--y0", "5"),
+    ("dset", "--design", "ar", "--p", "1", "--T", "3", "--y0", "2"),
+    ("netcond", "--n", "3", "--y0", "0x0", "--path", "101101000"),
+    ("netcond", "--n", "3", "--y0", "000", "--path", "101101002"),
+])
+def test_bit_vector_outside_0_1_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be a 0/1 vector of length" in err
+
+
+@pytest.mark.parametrize("command", ["dset", "moments"])
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n", r"must be d_x x T = \(1, 3\), found \(1, 2\)"),
+    ("1,2,3\n4,5,6\n", r"found \(2, 3\)"),
+    ("1,a,3\n", "covariate CSV: "),
+    ("1,2,3\n4,5\n", "covariate CSV: "),
+    ("1,nan,3\n", "must be finite"),
+])
+def test_bad_covariate_file_exits_2(tmp_path, capsys, command, text, message):
+    x = tmp_path / "x.csv"
+    x.write_text(text)
+    code, _, err = run(capsys, command, "--design", "ar", "--p", "1", "--T", "3",
+                       "--d-x", "1", "--theta", "0.5,1", "--x", str(x))
+    assert code == 2
+    assert re.search(message, err)
+
+
+def test_covariate_file_is_read(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    x.write_text("0.5,-1,2\n")
+    code, out, _ = run(capsys, "dset", "--design", "ar", "--p", "1", "--T", "3",
+                       "--d-x", "1", "--theta", "0.5,1", "--x", str(x))
+    assert code == 0 and json.loads(out)["Q"] == [1, 2, 2]
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "--moment", "ar2_t3", "--draws", "3")
     assert code == 0

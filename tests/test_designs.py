@@ -1,5 +1,10 @@
+import itertools
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import felogit as fl
 from felogit import designs
@@ -95,6 +100,53 @@ def test_max_solutions_caps_output():
     spec = fl.build_design("two_way", n=3, tau=3)
     sols = fl.find_wperp(spec.W, max_solutions=2)
     assert len(sols) == 2
+
+
+def brute_wperp(K, require_nonzero=True):
+    """Every canonical w in {-1,0,1}^T with K w = 0 for an integer K, by
+    scanning all 3^T vectors in lexicographic order."""
+    cands = np.array(list(itertools.product((-1, 0, 1), repeat=K.shape[1])))
+    lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
+    keep = np.all(cands @ K.T == 0, axis=1) & (lead >= 0)
+    if require_nonzero:
+        keep &= lead > 0
+    return [tuple(w) for w in cands[keep].tolist()]
+
+
+INTEGER_DESIGNS = hnp.arrays(
+    np.int64, st.tuples(st.integers(1, 3), st.integers(1, 8)),
+    elements=st.integers(-3, 3),
+)
+
+
+def _tuples(sols):
+    return [tuple(int(v) for v in w) for w in sols]
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=INTEGER_DESIGNS, require_nonzero=st.booleans())
+def test_find_wperp_matches_brute_force_on_integer_designs(K, require_nonzero):
+    sols = fl.find_wperp(K.astype(float), require_nonzero=require_nonzero)
+    assert _tuples(sols) == brute_wperp(K, require_nonzero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=INTEGER_DESIGNS, scale=st.sampled_from([0.37, 1 / 3, -2.5, 1e-3]))
+def test_find_wperp_matches_brute_force_on_non_integer_designs(K, scale):
+    # scale * K has the null vectors of K but takes the tolerance path
+    assume(np.any(K))
+    assert _tuples(fl.find_wperp(scale * K)) == brute_wperp(K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=INTEGER_DESIGNS, k=st.integers(1, 12), require_nonzero=st.booleans())
+def test_find_wperp_max_solutions_returns_a_valid_prefix(K, k, require_nonzero):
+    everything = brute_wperp(K, require_nonzero)
+    sols = _tuples(fl.find_wperp(K.astype(float), max_solutions=k,
+                                 require_nonzero=require_nonzero))
+    assert len(sols) == min(k, len(everything))
+    assert len(set(sols)) == len(sols) and sols == sorted(sols)
+    assert set(sols) <= set(everything)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])

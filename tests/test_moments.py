@@ -175,6 +175,45 @@ def test_verify_moment_edge_cases():
     assert fl.verify_moment(spike, spec, np.array([0]), None, [0.5], grid) > 0.0
 
 
+def test_verify_moment_follows_every_input_after_a_cached_call():
+    rng = np.random.default_rng(7)
+    spec = fl.quarterly_ar(1, 5, d_x=1)
+    theta, y0 = np.array([0.4, -0.7]), np.array([1])
+    X, grid = rng.normal(size=(1, 5)), rng.uniform(-2, 2, (6, 4))
+    m = rng.normal(size=32)
+
+    def uncached():
+        return max(abs(m @ fl.path_distribution(spec, y0, X, theta, A))
+                   for A in grid)
+
+    first = fl.verify_moment(m, spec, y0, X, theta, grid)
+    assert fl.verify_moment(m, spec, y0, X, theta, grid) == first
+    assert first == pytest.approx(uncached(), rel=1e-12)
+    # each change is made in place, to arrays the cached call has seen
+    for change in (
+        lambda: theta.__setitem__(0, 1.1),
+        lambda: y0.__setitem__(0, 0),
+        lambda: X.__setitem__((0, 2), X[0, 2] + 1.0),
+        lambda: grid.__setitem__((3, 1), grid[3, 1] - 1.0),
+        lambda: spec.W.__setitem__((1, 2), 0.5),
+    ):
+        before = fl.verify_moment(m, spec, y0, X, theta, grid)
+        change()
+        after = fl.verify_moment(m, spec, y0, X, theta, grid)
+        assert after != before
+        assert after == pytest.approx(uncached(), rel=1e-12)
+
+
+def test_probability_matrix_is_read_only():
+    spec = fl.panel_ar(1, 3)
+    grid = np.linspace(-2, 2, 5)[:, None]
+    P = moments.probability_matrix(spec, np.array([0]), None, [0.5], grid)
+    assert P.shape == (5, 8)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=1e-12)
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
+
+
 def test_ar2_closed_form_table_values():
     g1, g2 = 0.8, -0.6
     m00 = fl.closed_form_ar2_T3((0, 0), [g1, g2])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,49 @@ def test_enumerate_pairs_quarterly_threshold():
     for c in certs:
         diff = c.y - c.y_tilde
         assert np.array_equal(diff, target) or np.array_equal(diff, -target)
+
+
+def pairs_oracle(spec, y0, theta):
+    """Every pair of paths sharing (W y, W y_lag), each certified on its
+    own by ``permutation_check``: groups in key order, pairs in path
+    order."""
+    W_star, _ = sufficiency.canonicalize_design(spec.W)
+    spec = fl.ModelSpec("ar", spec.T, W_star, p=1)
+    paths = model.all_paths(spec.T)
+    groups = {}
+    for i, y in enumerate(paths):
+        groups.setdefault(fl.ar1_sufficient_stat(spec, y, y0).key(), []).append(i)
+    return [
+        fl.permutation_check(spec, paths[a], paths[b], y0, theta)
+        for key in sorted(groups)
+        for a, b in itertools.combinations(groups[key], 2)
+    ]
+
+
+@pytest.mark.parametrize("T", [3, 6, 8])
+@pytest.mark.parametrize("design", [
+    fl.panel_ar,
+    fl.quarterly_ar,
+    lambda p, T: fl.trend_ar(T),
+    # not basis vectors, so canonicalized to the quarterly design
+    lambda p, T: fl.ModelSpec("ar", T, 2.0 * fl.quarterly_ar(p, T).W, p=p),
+], ids=["panel", "quarterly", "trend", "quarterly_x2"])
+def test_enumerate_pairs_matches_per_pair_oracle(design, T):
+    rng = np.random.default_rng(T)
+    spec = design(1, T)
+    for y0 in (np.array([0]), np.array([1])):
+        theta = rng.normal(size=1)
+        want = pairs_oracle(spec, y0, theta)
+        for require_gap in (False, True):
+            got = fl.enumerate_pairs_ar1(spec, y0, require_gap=require_gap,
+                                         theta=theta)
+            kept = [c for c in want if c.transition_gap or not require_gap]
+            assert len(got) == len(kept)
+            for g, w in zip(got, kept):
+                assert np.array_equal(g.y, w.y) and np.array_equal(g.y_tilde, w.y_tilde)
+                assert (g.cond_linear, g.cond_permutation, g.transition_gap) == (
+                    w.cond_linear, w.cond_permutation, w.transition_gap)
+                assert abs(g.log_ratio - w.log_ratio) <= 1e-12
 
 
 def test_enumerate_pairs_trend_design_negative_result():
