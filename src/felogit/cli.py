@@ -85,16 +85,22 @@ def _json_out(doc, output):
     _emit(json.dumps(_round_floats(doc), indent=2) + "\n", output)
 
 
-def _parse_vec(text, dtype=float):
-    if text is None:
-        return None
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return np.array([dtype(p) for p in parts])
-
-
 class DataError(ValueError):
     """Malformed input data: a sample, edge-list or covariate file, or a
-    0/1 vector given on the command line.  The CLI exits with code 2."""
+    vector given on the command line.  The CLI exits with code 2."""
+
+
+def _parse_vec(text, flag, dtype=float, length=None):
+    """A vector written as separated numbers, optionally of a set length."""
+    if text is None:
+        return None
+    try:
+        vec = np.array([dtype(p) for p in text.replace(",", " ").split()])
+    except ValueError:
+        raise DataError(f"{flag} must be a list of numbers, found {text!r}") from None
+    if length is not None and vec.shape != (length,):
+        raise DataError(f"{flag} must have length {length}, found {vec.size}")
+    return vec
 
 
 def _parse_bits(text, flag, length):
@@ -287,7 +293,7 @@ def cmd_table1(args):
 def cmd_pairs(args):
     spec = _load_spec(args)
     y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
-    theta = _parse_vec(args.theta)
+    theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
     certs = sufficiency.enumerate_pairs_ar1(
         spec, y0, require_gap=args.require_gap, theta=theta
     )
@@ -319,7 +325,7 @@ def cmd_netcond(args):
         "members": [[int(v) for v in m] for m in cond.members],
     }
     if args.theta is not None:
-        theta = _parse_vec(args.theta)
+        theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
         doc["likelihood"] = sufficiency.network_cond_likelihood(
             spec, theta, y, y0, cond
         )
@@ -328,7 +334,7 @@ def cmd_netcond(args):
 
 
 def _theta_or_zero(spec, text):
-    theta = _parse_vec(text)
+    theta = _parse_vec(text, "--theta", length=spec.theta_dim)
     return np.zeros(spec.theta_dim) if theta is None else theta
 
 
@@ -516,9 +522,9 @@ def cmd_estimate(args):
     if args.weighting:
         doc["weighting"] = args.weighting
     if args.init:
-        doc["init"] = _parse_vec(args.init).tolist()
+        doc["init"] = _parse_vec(args.init, "--init", length=spec.theta_dim).tolist()
     if args.wperp:
-        doc["wperp"] = [_parse_vec(args.wperp, dtype=int).tolist()]
+        doc["wperp"] = [_parse_vec(args.wperp, "--wperp", dtype=int).tolist()]
     report = _build_estimator(doc, spec)(sample)
     _json_out(report.as_dict(), args.output)
     return 0
@@ -665,7 +671,8 @@ def main(argv=None):
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, DataError) else 1
+        # every file the command reads is named by the user
+        return 2 if isinstance(exc, (DataError, FileNotFoundError)) else 1
 
 
 if __name__ == "__main__":

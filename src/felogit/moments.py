@@ -12,6 +12,13 @@ vector orthogonal to every chat_d coefficient profile is a moment
 function with conditional expectation zero at every fixed effect.  The
 number of independent such functions is at least 2^T - |D|.
 
+The coefficient matrix [chat_d(y)] comes from one forward pass over
+periods on the prefix tree of the outcome paths: paths that share
+y_1..y_t share the partial product prod_{s<=t} phi_s, held as one
+column of coefficients over the distinct partial exponents, and period
+t adds each column times the coefficient of a_t^k into the rows
+d + k w_t.
+
 This module counts the Q_t, builds the exponent set D and the bound,
 expands the phi polynomials, extracts the null space numerically, and
 provides the closed-form moment libraries for the AR(2) three-period
@@ -41,10 +48,9 @@ _VALUE_TOL = 1e-12
 
 @dataclass
 class PeriodTable:
-    """Distinct index values at one period and the lag-pattern lookup."""
+    """Distinct index values at one period."""
 
     values: np.ndarray            # sorted distinct pi values, length Q_t
-    q_of: dict                    # exact lag-pattern key -> index into values
 
     @property
     def Q(self):
@@ -60,17 +66,18 @@ def _collapse(vals):
     return np.array(kept)
 
 
-def _nearest(values, v):
-    return int(np.argmin(np.abs(values - v)))
+def _q_index(values, pi):
+    """Position of the nearest entry of ``values`` for each index value."""
+    return np.argmin(np.abs(pi[:, None] - values[None, :]), axis=1)
 
 
 def index_value_tables(spec, y0, X, theta):
     """Per-period tables of achievable index values.
 
-    Lag patterns are enumerated with exact integer keys; values that
-    coincide numerically (theta coincidences such as gamma1 = gamma2)
-    are collapsed at absolute tolerance 1e-12, matching the convention
-    that Q_t counts distinct values, not distinct histories.
+    Lag patterns are enumerated exhaustively; values that coincide
+    numerically (theta coincidences such as gamma1 = gamma2) are
+    collapsed at absolute tolerance 1e-12, matching the convention that
+    Q_t counts distinct values, not distinct histories.
     """
     dyn, beta = spec.split_theta(theta)
     y0 = np.zeros(0, dtype=np.int64) if y0 is None else np.asarray(y0, dtype=np.int64)
@@ -78,37 +85,23 @@ def index_value_tables(spec, y0, X, theta):
     tables = []
     for t in range(1, spec.T + 1):
         if spec.family == STATIC:
-            tables.append(PeriodTable(np.array([xb[t - 1]]), {(): 0}))
-            continue
-        if spec.family == AR:
+            vals = [xb[t - 1]]
+        elif spec.family == AR:
             free = min(spec.p, t - 1)
             # lags r > t-1 reach into the initial block: y_{t-r} = y0[p-1+t-r]
             pinned = [int(y0[spec.p - 1 + t - r]) for r in range(free + 1, spec.p + 1)]
-            pats, vals = [], []
-            for bits in product((0, 1), repeat=free):
-                lagpat = list(bits) + pinned  # (y_{t-1}, ..., y_{t-p})
-                pats.append(tuple(lagpat))
-                vals.append(float(np.dot(dyn, lagpat)) + xb[t - 1])
-            values = _collapse(vals)
-            q_of = {pat: _nearest(values, v) for pat, v in zip(pats, vals)}
-            tables.append(PeriodTable(values, q_of))
-            continue
-        # network: the index reads (lagged link, shared friends)
-        gamma, delta = dyn
-        d, per = spec.dyad_of_obs(t)
-        if per == 1:
-            link = int(y0[d])
-            R = int(shared_friends(spec, y0)[0, d])
-            keys, vals = [(link, R)], [gamma * link + delta * R + xb[t - 1]]
+            vals = [float(np.dot(dyn, list(bits) + pinned)) + xb[t - 1]
+                    for bits in product((0, 1), repeat=free)]
         else:
-            keys, vals = [], []
-            for link in (0, 1):
-                for R in range(spec.n - 1):
-                    keys.append((link, R))
-                    vals.append(gamma * link + delta * R + xb[t - 1])
-        values = _collapse(vals)
-        q_of = {k: _nearest(values, v) for k, v in zip(keys, vals)}
-        tables.append(PeriodTable(values, q_of))
+            # network: the index reads (lagged link, shared friends)
+            gamma, delta = dyn
+            d, per = spec.dyad_of_obs(t)
+            if per == 1:
+                pairs = [(int(y0[d]), int(shared_friends(spec, y0)[0, d]))]
+            else:
+                pairs = product((0, 1), range(spec.n - 1))
+            vals = [gamma * link + delta * R + xb[t - 1] for link, R in pairs]
+        tables.append(PeriodTable(_collapse(vals)))
     return tables
 
 
@@ -129,27 +122,38 @@ class DSet:
     cardinality: int
     elements: frozenset | None = None  # None when only counted structurally
 
-    def as_array(self):
-        if self.elements is None:
-            raise ValueError("element list was not materialized")
-        return np.array(sorted(self.elements))
-
 
 def _exact_cols(W):
+    """W as exact exponent steps, d_w x T: integers when W is
+    integer-valued, floats rounded to 9 digits otherwise."""
     Wr = np.rint(W)
     if np.max(np.abs(W - Wr)) < 1e-9:
-        return [tuple(int(v) for v in Wr[:, t]) for t in range(W.shape[1])]
-    return [tuple(round(float(v), 9) for v in W[:, t]) for t in range(W.shape[1])]
+        return Wr.astype(np.int64)
+    return np.array([[round(float(v), 9) for v in row] for row in W])
+
+
+def _extend(ds, w, q):
+    """One period of the running exponent set.
+
+    Returns the sorted distinct rows d + k*w over the rows d of ``ds``
+    and k = 0..q, and trans[i, k], the position of ds[i] + k*w among
+    them.  For a fixed k the map i -> trans[i, k] is injective.
+    """
+    steps = np.arange(q + 1)[:, None] * w
+    cand = (ds[:, None, :] + steps[None]).reshape(-1, ds.shape[1])
+    nxt, trans = np.unique(cand, axis=0, return_inverse=True)
+    return nxt, trans.reshape(len(ds), q + 1)
 
 
 def build_dset(spec, Q, element_limit=200_000):
     """Construct the exponent set D for caps Q = (Q_1..Q_T).
 
     Constant-column and indicator designs use exact counting formulas;
-    other designs are enumerated by a running set-of-sums.  Sets whose
-    enumeration cannot fit desk-scale memory are refused with a size
-    estimate, and very large structured sets report the cardinality
-    without materializing the elements.
+    other designs are enumerated by the running set of distinct partial
+    sums that ``coefficient_matrix`` also walks.  Sets whose enumeration
+    cannot fit desk-scale memory are refused with a size estimate, and
+    very large structured sets report the cardinality without
+    materializing the elements.
     """
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
@@ -157,10 +161,9 @@ def build_dset(spec, Q, element_limit=200_000):
     cols = _exact_cols(spec.W)
     d_w = spec.d_w
 
-    if len(set(cols)) == 1:
+    if np.all(cols == cols[:, :1]):
         smax = sum(Q)
-        w = np.array(cols[0])
-        elems = frozenset(tuple((k * w).tolist()) for k in range(smax + 1))
+        elems = frozenset(tuple((k * cols[:, 0]).tolist()) for k in range(smax + 1))
         return DSet(Q, smax + 1, elems)
 
     if spec.binary_design:
@@ -185,19 +188,14 @@ def build_dset(spec, Q, element_limit=200_000):
         raise DSetTooLarge(
             f"exact enumeration would scan ~{size:.3g} combinations"
         )
-    current = {(0,) * d_w}
+    ds = np.zeros((1, d_w), dtype=cols.dtype)
     for t in range(spec.T):
-        w = cols[t]
-        nxt = set()
-        for d in current:
-            for k in range(Q[t] + 1):
-                nxt.add(tuple(d[i] + k * w[i] for i in range(d_w)))
-        current = nxt
-        if len(current) > 5_000_000:
+        ds, _ = _extend(ds, cols[:, t], Q[t])
+        if len(ds) > 5_000_000:
             raise DSetTooLarge(
                 f"running element set exceeded 5e6 entries at period {t + 1}"
             )
-    return DSet(Q, len(current), frozenset(current))
+    return DSet(Q, len(ds), frozenset(map(tuple, ds.tolist())))
 
 
 def moment_bound(spec, y0, X, theta):
@@ -221,71 +219,76 @@ class PhiExpansion:
 
 
 def _poly_cache(tables):
-    # polynomial coefficients of phi_t for each (t, q(history), y_t)
+    """Coefficients of phi_t in a_t, one (Q_t, 2, Q_t + 1) array per
+    period indexed by (q(history), y_t, power of a_t)."""
     cache = []
     for tab in tables:
         b = np.exp(tab.values)
-        per = {}
+        coef = np.zeros((tab.Q, 2, tab.Q + 1))
         for q in range(tab.Q):
             for yt in (0, 1):
                 poly = np.array([1.0]) if yt == 0 else np.array([0.0, b[q]])
                 for qq in range(tab.Q):
                     if qq != q:
                         poly = np.convolve(poly, np.array([1.0, b[qq]]))
-                per[(q, yt)] = poly
-        cache.append(per)
+                coef[q, yt, :poly.size] = poly
+        cache.append(coef)
     return cache
 
 
-def _q_sequence(spec, tables, y, y0):
-    """q(y^{t-1}) indices along one path."""
-    full = np.concatenate([y0, y]).astype(np.int64)
-    L0 = spec.y0_len
-    out = []
-    for t in range(1, spec.T + 1):
-        if spec.family == STATIC:
-            out.append(0)
-        elif spec.family == AR:
-            pat = tuple(int(full[L0 + t - 1 - r]) for r in range(1, spec.p + 1))
-            out.append(tables[t - 1].q_of[pat])
-        else:
-            d, per = spec.dyad_of_obs(t)
-            D = spec.n_dyads
-            prev = full[(per - 1) * D: per * D]
-            key = (int(prev[d]), int(shared_friends(spec, prev)[0, d]))
-            out.append(tables[t - 1].q_of[key])
-    return out
+def _expand(spec, tables, polys, paths, pi):
+    """Expand prod_t phi_t(y, a_t) for every row y of ``paths`` at once.
 
+    The rows of ``paths`` are distinct and in ``all_paths`` order (all
+    paths, or a single one), so the last level of the prefix tree holds
+    the paths in their given order.
 
-def _group(spec, polys, qs, y, cols):
-    acc = {(0,) * spec.d_w: 1.0}
-    for t in range(spec.T):
-        poly = polys[t][(qs[t], int(y[t]))]
-        w = cols[t]
-        nxt = {}
-        for d, c in acc.items():
-            for k, ck in enumerate(poly):
-                if ck == 0.0:
-                    continue
-                nd = tuple(d[i] + k * w[i] for i in range(spec.d_w))
-                nxt[nd] = nxt.get(nd, 0.0) + c * ck
-        acc = nxt
-    return acc
+    One forward pass over periods on the prefix tree of the paths: the
+    state S holds one row per distinct partial exponent
+    sum_{s<=t} k_s w_s and one column per distinct prefix y_1..y_t, so
+    paths that share a prefix share its partial product.  Period t
+    finds each prefix's q index by a nearest match of its index value
+    pi_t against the period table and adds S * coef[:, k] into the rows
+    d + k*w_t of the next state.  Returns (C, ds) with C[i, j] the
+    coefficient of exp(ds[i]'A) for path j; rows that are zero for
+    every path are dropped.
+    """
+    cols = _exact_cols(spec.W)
+    S = np.ones((1, 1))
+    ds = np.zeros((1, spec.d_w), dtype=cols.dtype)
+    node = np.zeros(paths.shape[0], dtype=np.int64)
+    for t, tab in enumerate(tables):
+        keys = path_index(paths[:, : t + 1])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        coef = polys[t][_q_index(tab.values, pi[first, t]), paths[first, t]]
+        ds, trans = _extend(ds, cols[:, t], tab.Q)
+        parent = S[:, node[first]]
+        S = np.zeros((ds.shape[0], first.size))
+        # descending k adds each entry's terms from the source
+        # d - Q_t*w_t up to d, as a per-path expansion over ascending
+        # exponents does, so both round alike
+        for k in range(tab.Q, -1, -1):
+            S[trans[:, k]] += parent * coef[:, k]
+        node = inverse.reshape(-1)
+    keep = np.any(S != 0.0, axis=1)
+    return S[keep], ds[keep]
 
 
 def phi_expand(spec, y, y0, X, theta):
     """Expand the path probability of y into exponent-grouped coefficients.
 
-    Reconstruction: Pr(Y=y|Y0,X,A) = phi_kappa(tables, A) *
-    sum_d grouped[d] * exp(d'A).
+    The grouping is the forward pass of ``coefficient_matrix`` run on
+    the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) =
+    phi_kappa(tables, A) * sum_d grouped[d] * exp(d'A).
     """
     tables = index_value_tables(spec, y0, X, theta)
-    y = np.asarray(y, dtype=np.int64)
-    y0a = np.zeros(0, dtype=np.int64) if y0 is None else np.asarray(y0, dtype=np.int64)
+    paths = np.atleast_2d(np.asarray(y, dtype=np.int64))
+    pi = index_matrix(spec, paths, y0, X, theta)
     polys = _poly_cache(tables)
-    qs = _q_sequence(spec, tables, y, y0a)
-    per_period = [polys[t][(qs[t], int(y[t]))] for t in range(spec.T)]
-    grouped = _group(spec, polys, qs, y, _exact_cols(spec.W))
+    C, ds = _expand(spec, tables, polys, paths, pi)
+    per_period = [polys[t][_q_index(tab.values, pi[0, t: t + 1])[0], y, : tab.Q + y]
+                  for t, (tab, y) in enumerate(zip(tables, paths[0]))]
+    grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
     return PhiExpansion(per_period=per_period, grouped=grouped)
 
 
@@ -302,27 +305,17 @@ def phi_kappa(spec, tables, A):
 def coefficient_matrix(spec, y0, X, theta):
     """The |D| x 2^T matrix [chat_d(y)] over all outcome paths.
 
-    Returns (C, ds, tables) where row i of C holds the coefficients of
-    exp(ds[i]'A) and tables are the per-period index-value tables.
+    Built by one forward pass over periods on the prefix tree of all
+    2^T paths (see ``_expand``), the same mechanism for every family
+    and design.  Returns (C, ds, tables): row i of C holds the
+    coefficients of exp(ds[i]'A), ds is the |D| x d_w array of exponent
+    vectors in lexicographic order, and tables are the per-period
+    index-value tables.
     """
     tables = index_value_tables(spec, y0, X, theta)
-    y0a = np.zeros(0, dtype=np.int64) if y0 is None else np.asarray(y0, dtype=np.int64)
-    polys = _poly_cache(tables)
-    cols = _exact_cols(spec.W)
     paths = all_paths(spec.T)
-    d_index = {}
-    entries = []
-    for j, y in enumerate(paths):
-        qs = _q_sequence(spec, tables, y, y0a)
-        for d, c in _group(spec, polys, qs, y, cols).items():
-            i = d_index.setdefault(d, len(d_index))
-            entries.append((i, j, c))
-    C = np.zeros((len(d_index), paths.shape[0]))
-    for i, j, c in entries:
-        C[i, j] = c
-    ds = [None] * len(d_index)
-    for d, i in d_index.items():
-        ds[i] = d
+    pi = index_matrix(spec, paths, y0, X, theta)
+    C, ds = _expand(spec, tables, _poly_cache(tables), paths, pi)
     return C, ds, tables
 
 
@@ -359,6 +352,16 @@ class NullspaceReport:
     weak_separation: bool
 
 
+def _svd_rank(M, rel_tol):
+    """Singular values, right factor Vt (all 2^T rows) and numerical rank
+    of M with its rows max-normalized (row scaling keeps the null space)."""
+    scale = np.abs(M).max(axis=1, keepdims=True)
+    Mn = M / np.where(scale == 0, 1.0, scale)
+    # with at least as many rows as columns the thin Vt is already square
+    _, s, Vt = np.linalg.svd(Mn, full_matrices=M.shape[0] < M.shape[1])
+    return s, Vt, int(np.sum(s > rel_tol * s[0])) if s.size else 0
+
+
 def nullspace_moments(spec, y0, X, theta, rel_tol=1e-9):
     """Orthonormal basis of the fixed-effect-free moment space.
 
@@ -370,24 +373,12 @@ def nullspace_moments(spec, y0, X, theta, rel_tol=1e-9):
     """
     if 2**spec.T > 16384:
         raise ValueError("null-space extraction limited to 2^T <= 16384")
-    C, ds, _ = coefficient_matrix(spec, y0, X, theta)
-    scale = np.abs(C).max(axis=1, keepdims=True)
-    Cn = C / np.where(scale == 0, 1.0, scale)
-    _, s, Vt = np.linalg.svd(Cn, full_matrices=True)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size else 0
+    s, Vt, rank = _svd_rank(coefficient_matrix(spec, y0, X, theta)[0], rel_tol)
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     basis = Vt[rank:]
-    moments = [
-        MomentFunction(spec.T, basis[i].copy(), "nullspace")
-        for i in range(basis.shape[0])
-    ]
-    return NullspaceReport(
-        dimension=basis.shape[0],
-        moments=moments,
-        rank=rank,
-        singular_values=s,
-        weak_separation=weak,
-    )
+    moments = [MomentFunction(spec.T, row.copy(), "nullspace") for row in basis]
+    return NullspaceReport(dimension=basis.shape[0], moments=moments, rank=rank,
+                           singular_values=s, weak_separation=weak)
 
 
 # The last probability matrix built, as (key, P).  The key holds the
@@ -450,11 +441,7 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows, rel_tol=1e-9):
     of the exp(d'A) profiles, so the two null spaces coincide for
     well-spread draws.
     """
-    P = probability_matrix(spec, y0, X, theta, A_rows)
-    scale = np.abs(P).max(axis=1, keepdims=True)
-    Pn = P / np.where(scale == 0, 1.0, scale)
-    _, s, Vt = np.linalg.svd(Pn, full_matrices=True)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size else 0
+    _, Vt, rank = _svd_rank(probability_matrix(spec, y0, X, theta, A_rows), rel_tol)
     return Vt[rank:]
 
 

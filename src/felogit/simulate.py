@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .estimation import Sample
+from .estimation import NoInformationError, Sample
 from .model import AR, NETWORK, shared_friends
 
 
@@ -180,8 +180,10 @@ def _rep_seed(seed, rep):
 def monte_carlo(cfg, estimator, replications, threads=1):
     """Replicate generate -> estimate and summarize bias, RMSE, coverage.
 
-    ``estimator`` maps a Sample to an EstimateReport; failures are
-    recorded per replication and excluded from the summary.  Each
+    ``estimator`` maps a Sample to an EstimateReport.  Estimation
+    failures (``NoInformationError``, ``LinAlgError``) are recorded per
+    replication with their ``error_type`` and excluded from the summary;
+    any other exception propagates.  Each
     replication draws from an independently derived seed, so results do
     not depend on execution order.
     """
@@ -201,7 +203,8 @@ def monte_carlo(cfg, estimator, replications, threads=1):
                 row[name] = float(est)
                 row[f"se_{name}"] = float(se)
             row["converged"] = bool(report.converged)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+        except (NoInformationError, np.linalg.LinAlgError) as exc:
+            row["error_type"] = type(exc).__name__
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 

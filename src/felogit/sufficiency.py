@@ -401,12 +401,12 @@ def network_star_equality_fraction(spec):
         raise ValueError("exhaustive equality count supported for n <= 4")
     E = _z_equal(spec.n)
     m = E.shape[1]
-    counts = np.ones((m, m, m, m), dtype=bool)
-    for d in range(spec.n_dyads):
-        keep = E[d][:, None, :, None] & E[d][None, :, None, :]
-        swap = E[d][None, :, :, None] & E[d][:, None, None, :]
-        counts &= keep | swap
-    sizes = counts.sum(axis=(2, 3))
+    sizes = np.empty((m, m), dtype=np.int64)
+    for a in range(m):  # one period-1 network at a time: m^3 booleans, not m^4
+        ok = np.ones((m, m, m), dtype=bool)
+        for e in E:  # keep: (a, c) and (b, d) match; swap: (b, c) and (a, d)
+            ok &= (e[a][None, :, None] & e[:, None, :]) | (e[:, :, None] & e[a][None, None, :])
+        sizes[a] = ok.sum(axis=(1, 2))
     star = np.where(np.eye(m, dtype=bool), 1, 2)
     return float(np.mean(sizes == star))
 

@@ -143,3 +143,53 @@ def subspace_residual(V1, V2):
     r12 = np.max(np.abs(V1 - (V1 @ V2.T) @ V2)) if V1.size else 0.0
     r21 = np.max(np.abs(V2 - (V2 @ V1.T) @ V1)) if V2.size else 0.0
     return max(r12, r21)
+
+
+def _phi_poly(values, q, yt):
+    """Coefficients of phi_t in a_t for history class q and outcome yt."""
+    b = np.exp(values)
+    poly = np.array([1.0]) if yt == 0 else np.array([0.0, b[q]])
+    for qq in range(len(values)):
+        if qq != q:
+            poly = np.convolve(poly, np.array([1.0, b[qq]]))
+    return poly
+
+
+def per_path_coefficients(spec, tables, y0, X, theta):
+    """The exponent-grouped expansion of prod_t phi_t, one path at a time.
+
+    Each path's q indices come from the naive index matched to the
+    nearest tabulated value, and its product is expanded with a dict
+    keyed by the exponent tuple.  Returns {d: coefficients over the
+    ``enumerate_paths`` order}.
+    """
+    Wr = np.rint(spec.W)
+    if np.max(np.abs(spec.W - Wr)) < 1e-9:
+        cols = [tuple(int(v) for v in Wr[:, t]) for t in range(spec.T)]
+    else:
+        cols = [tuple(round(float(v), 9) for v in spec.W[:, t])
+                for t in range(spec.T)]
+    theta = np.asarray(theta, dtype=float)
+    paths = enumerate_paths(spec.T)
+    rows = {}
+    for j, y in enumerate(paths):
+        full = [int(v) for v in (y0 if y0 is not None else [])]
+        acc = {(0,) * spec.d_w: 1.0}
+        for t in range(1, spec.T + 1):
+            values = tables[t - 1].values
+            pi = naive_index(spec, t, full, X, theta)
+            q = int(np.argmin(np.abs(values - pi)))
+            poly = _phi_poly(values, q, int(y[t - 1]))
+            w = cols[t - 1]
+            nxt = {}
+            for d, c in acc.items():
+                for k, ck in enumerate(poly):
+                    if ck == 0.0:
+                        continue
+                    nd = tuple(d[i] + k * w[i] for i in range(spec.d_w))
+                    nxt[nd] = nxt.get(nd, 0.0) + c * ck
+            acc = nxt
+            full.append(int(y[t - 1]))
+        for d, c in acc.items():
+            rows.setdefault(d, np.zeros(len(paths)))[j] = c
+    return rows

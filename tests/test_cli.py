@@ -106,6 +106,59 @@ def test_bit_vector_outside_0_1_exits_2(capsys, argv):
     assert "must be a 0/1 vector of length" in err
 
 
+AR1 = ("--design", "ar", "--p", "1", "--T", "3", "--y0", "0")
+NETCOND = ("netcond", "--n", "3", "--y0", "000", "--path", "101101000")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("pairs", *AR1, "--theta", "abc"), "--theta must be a list of numbers, found 'abc'"),
+    (("pairs", *AR1, "--theta", "0.5,0.2"), "--theta must have length 1, found 2"),
+    ((*NETCOND, "--theta", "0.5,x"), "--theta must be a list of numbers, found '0.5,x'"),
+    ((*NETCOND, "--theta", "0.5"), "--theta must have length 2, found 1"),
+    (("dset", *AR1, "--theta", "abc"), "--theta must be a list of numbers, found 'abc'"),
+    (("dset", *AR1, "--theta", "0.5,0.2"), "--theta must have length 1, found 2"),
+    (("moments", *AR1, "--theta", "abc"), "--theta must be a list of numbers, found 'abc'"),
+    (("moments", *AR1, "--theta", ""), "--theta must have length 1, found 0"),
+])
+def test_bad_theta_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {message}\n" in err
+
+
+def test_bad_init_exits_2(tmp_path, capsys):
+    s = simulate.generate(simulate.DGPConfig(
+        spec=fl.panel_ar(1, 3), theta=np.array([0.5]), n=4, seed=2))
+    data = tmp_path / "data.csv"
+    with open(data, "w") as fh:
+        write_sample_csv(s, fh)
+    argv = ("estimate", "--design", "ar", "--p", "1", "--T", "3",
+            "--data", str(data), "--method", "cmle", "--init")
+    code, out, err = run(capsys, *argv, "0.5,0.1")
+    assert code == 2 and out == ""
+    assert "error: --init must have length 1, found 2\n" in err
+    code, _, err = run(capsys, *argv, "half")
+    assert code == 2 and "error: --init must be a list of numbers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--design", "ar", "--p", "1", "--T", "3", "--method", "cmle",
+     "--data"),
+    ("estimate", "--design", "network", "--n", "3", "--tau", "2",
+     "--method", "cmle", "--data"),
+    ("dset", *AR1, "--d-x", "1", "--theta", "0.5,1", "--x"),
+    ("moments", *AR1, "--d-x", "1", "--theta", "0.5,1", "--x"),
+    ("wperp", "--model"),
+    ("simulate", "--config"),
+    ("mc", "--config"),
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "absent.csv"
+    code, out, err = run(capsys, *argv, str(missing))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and str(missing) in err
+
+
 @pytest.mark.parametrize("command", ["dset", "moments"])
 @pytest.mark.parametrize("text, message", [
     ("1,2\n", r"must be d_x x T = \(1, 3\), found \(1, 2\)"),

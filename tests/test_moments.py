@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import felogit as fl
 from felogit import model, moments
@@ -7,6 +9,7 @@ from oracles import (
     mp_null_basis,
     mp_probability_matrix,
     naive_expectation,
+    per_path_coefficients,
     subspace_residual,
 )
 
@@ -130,6 +133,81 @@ def test_phi_reconstruction_and_mass():
             total[tuple(A)] += val
     for A in A_draws:  # sum over y of the grouped mass is 1/kappa rearranged
         assert total[tuple(A)] == pytest.approx(1.0, abs=1e-9)
+
+
+COEFFICIENT_SPECS = {
+    "ar1": fl.panel_ar(1, 5),
+    "ar1_x": fl.panel_ar(1, 5, d_x=1),
+    "ar2": fl.panel_ar(2, 5),
+    "ar2_x": fl.panel_ar(2, 5, d_x=1),
+    "quarterly_ar1": fl.quarterly_ar(1, 7),
+    "trend_ar1": fl.trend_ar(6),
+    "static_two_way_x": fl.build_design("two_way", n=3, tau=3, d_x=1),
+    "network_tau3": fl.network_design(3, 3),
+}
+
+
+@pytest.mark.parametrize("y0_bit", [0, 1])
+@pytest.mark.parametrize("name", list(COEFFICIENT_SPECS))
+def test_coefficient_matrix_matches_per_path_expansion(name, y0_bit):
+    spec = COEFFICIENT_SPECS[name]
+    rng = np.random.default_rng([list(COEFFICIENT_SPECS).index(name), y0_bit])
+    theta = rng.uniform(-1, 1, spec.theta_dim)
+    X = rng.normal(size=(spec.d_x, spec.T)) if spec.d_x else None
+    y0 = np.full(spec.y0_len, y0_bit)
+    C, ds, tables = moments.coefficient_matrix(spec, y0, X, theta)
+    ref = per_path_coefficients(spec, tables, y0, X, theta)
+    assert C.shape == (len(ref), 2**spec.T)
+    assert set(map(tuple, ds.tolist())) == set(ref)
+    expect = np.array([ref[d] for d in map(tuple, ds.tolist())])
+    np.testing.assert_allclose(C, expect, rtol=1e-12, atol=0)
+
+
+PROPERTY_SPECS = [
+    fl.panel_ar(1, 4, d_x=1),
+    fl.panel_ar(2, 4),
+    fl.panel_ar(2, 5, d_x=1),
+    fl.quarterly_ar(1, 6, d_x=1),
+    fl.trend_ar(4, d_x=1),
+    fl.network_design(3, 2),
+]
+
+
+def _draw_inputs(data):
+    """A spec with random (theta, X, y0) and a few fixed-effect draws."""
+    spec = data.draw(st.sampled_from(PROPERTY_SPECS))
+
+    def floats(n, bound):
+        return np.array(data.draw(st.lists(st.floats(-bound, bound),
+                                           min_size=n, max_size=n)))
+
+    theta = floats(spec.theta_dim, 1.5)
+    X = floats(spec.d_x * spec.T, 1.5).reshape(spec.d_x, spec.T) if spec.d_x else None
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.y0_len,
+                                     max_size=spec.y0_len)), dtype=np.int64)
+    A_rows = floats(3 * spec.d_w, 2.0).reshape(3, spec.d_w)
+    return spec, theta, X, y0, A_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coefficient_matrix_reconstructs_path_probabilities(data):
+    spec, theta, X, y0, A_rows = _draw_inputs(data)
+    C, ds, tables = moments.coefficient_matrix(spec, y0, X, theta)
+    for A in A_rows:
+        recon = moments.phi_kappa(spec, tables, A) * (np.exp(ds @ A) @ C)
+        for y, value in zip(model.all_paths(spec.T), recon):
+            ref = fl.path_probability(spec, y, y0, X, theta, A)
+            assert value == pytest.approx(ref, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_nullspace_moments_have_zero_mean(data):
+    spec, theta, X, y0, A_rows = _draw_inputs(data)
+    rep = fl.nullspace_moments(spec, y0, X, theta)
+    for m in rep.moments:
+        assert fl.verify_moment(m, spec, y0, X, theta, A_rows) < 1e-8
 
 
 def test_nullspace_dimension_ar1_t3():

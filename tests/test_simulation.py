@@ -175,7 +175,7 @@ def test_monte_carlo_records_failures():
     def flaky(sample):
         calls["k"] += 1
         if calls["k"] % 2 == 0:
-            raise RuntimeError("synthetic failure")
+            raise estimation.NoInformationError("synthetic failure")
         return estimation.EstimateReport(
             theta=np.array([0.5]), names=["gamma1"],
             std_errors=np.array([0.1]), objective=0.0, converged=True,
@@ -185,6 +185,21 @@ def test_monte_carlo_records_failures():
     rows, summary = monte_carlo(cfg, flaky, replications=6)
     assert summary["n_failed"] == 3
     assert summary["gamma1"]["n_ok"] == 3
+    failed = [r for r in rows if "error" in r]
+    assert [r["error_type"] for r in failed] == ["NoInformationError"] * 3
+    assert failed[0]["error"] == "NoInformationError: synthetic failure"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_propagates_programming_errors(threads):
+    spec = fl.panel_ar(1, 3)
+    cfg = DGPConfig(spec=spec, theta=np.array([0.5]), n=50, seed=9)
+
+    def broken(sample):
+        return sample.Y + "not a number"
+
+    with pytest.raises(TypeError):
+        monte_carlo(cfg, broken, replications=3, threads=threads)
 
 
 def test_monte_carlo_pairwise_bias_and_coverage():
