@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -18,6 +20,47 @@ def test_identical_configs_identical_bytes():
     assert a.X.tobytes() == b.X.tobytes()
     c = generate(DGPConfig(spec=spec, theta=np.array([0.5, 1.0]), n=500, seed=43))
     assert c.Y.tobytes() != a.Y.tobytes()
+
+
+_CORRELATED = {"kind": "correlated", "rho": 0.5, "scale": 1.0}
+_STATIONARY = {"kind": "stationary", "burn_in": 30}
+# sha256 of Y, Y0 and X bytes, taken from the family-branched simulator;
+# simulated samples are part of the reproducibility contract.
+GOLDEN_SAMPLES = {
+    "static_x": ("e2bc7c92f4509208d633f5bed52de0e2e553d88d338406bd1a0a530303e2b994",
+                 dict(spec=fl.build_design("two_way", n=3, tau=3, d_x=2),
+                      theta=[1.0, -0.5], seed=21, a_law=_CORRELATED)),
+    "ar2_x_fixed": ("692d9df77798dc4ee6a2ed70f60cfaca307a7f1d5abe88a097930037c2728507",
+                    dict(spec=fl.panel_ar(2, 5, d_x=2), theta=[0.5, -0.3, 1.0, -0.5],
+                         seed=22, a_law=_CORRELATED,
+                         y0_law={"kind": "fixed", "value": [0, 1]})),
+    "ar2_x_stationary": ("ae331c6e6fcc0fc7abf4fccbd8554e2a1d059bd6d2b1da016743e382483d6aae",
+                         dict(spec=fl.panel_ar(2, 5, d_x=2),
+                              theta=[0.5, -0.3, 1.0, -0.5], seed=23,
+                              a_law=_CORRELATED, y0_law=_STATIONARY)),
+    "quarterly_ar1": ("d4b58b72ba690fba013d6716152ef5f11712180234fc4d95f37fe748303f3d45",
+                      dict(spec=fl.quarterly_ar(1, 6, d_x=1), theta=[0.5, 1.0],
+                           seed=24,
+                           a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7})),
+    "network_fixed": ("c71720712732e24624028ca6fef4b13e97a37ad1f2e2fb0370b0ffba5be8ac0d",
+                      dict(spec=fl.network_design(3, 3), theta=[0.8, 0.4], seed=25,
+                           y0_law={"kind": "fixed", "value": [1, 0, 1]})),
+    "network_stationary": ("01d632db86fb7e7b396ba8712124551e763f33b4d3ad11dcc1b47a851af34c61",
+                           dict(spec=fl.network_design(4, 3), theta=[0.8, -0.4],
+                                seed=26, y0_law=_STATIONARY)),
+    "network_x_fixed": ("a0737b54eecfacf38e1dc72b8c50879aed77e0a8955a2adeb9b47e12a41dcb9f",
+                        dict(spec=fl.network_design(4, 3, d_x=1),
+                             theta=[0.8, -0.4, 1.0], seed=27,
+                             x_law={"kind": "ar", "phi": 0.5, "scale": 1.0})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAMPLES))
+def test_generate_bytes_are_pinned(case):
+    digest, kw = GOLDEN_SAMPLES[case]
+    s = generate(DGPConfig(n=300, **{**kw, "theta": np.array(kw["theta"])}))
+    parts = [s.Y, s.Y0] + ([] if s.X is None else [s.X])
+    assert hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest() == digest
 
 
 def test_fair_coin_mean():
