@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AR, STATIC, ModelSpec, dyads
+from .model import AR, STATIC, ModelSpec, dyads, exact_key
 
 PANEL_FE = "panel_fe"
 POLY_TREND = "poly_trend"
@@ -129,14 +129,6 @@ def trend_ar(T, d_x=0):
 # -- differencing-vector search -------------------------------------------
 
 
-def _as_exact(W):
-    W = np.asarray(W, dtype=float)
-    Wi = np.rint(W)
-    if np.max(np.abs(W - Wi)) < 1e-9:
-        return Wi.astype(np.int64), True
-    return W, False
-
-
 # States held by one frontier chunk; bounds the search's working memory.
 _FRONTIER_CHUNK = 1 << 16
 _STEPS = np.array([-1, 0, 1], dtype=np.int8)
@@ -169,7 +161,9 @@ def find_wperp(W, max_solutions=None, require_nonzero=True):
     d, T = W.shape
     if T > 40:
         raise ValueError("exhaustive search limited to T <= 40")
-    Wx, exact = _as_exact(W)
+    Wx = exact_key(W)
+    exact = Wx.dtype.kind == "i"
+    Wx = Wx if exact else np.asarray(W, dtype=float)  # tolerance path: raw W
     order = np.argsort(-np.abs(Wx).max(axis=0), kind="stable")
     cols = np.ascontiguousarray(Wx[:, order].T)
     suffix = np.zeros((T + 1, d), dtype=cols.dtype)

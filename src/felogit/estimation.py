@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import AR, STATIC, ModelSpec, all_paths, path_index
-from .sufficiency import arp_statistic_key, canonicalize_design
+from .model import (AR, STATIC, all_paths, exact_key, lag_features, path_index,
+                    path_states)
+from .sufficiency import _canonical_spec, arp_statistic_key
 
 
 class NoInformationError(RuntimeError):
@@ -263,9 +264,8 @@ def _static_objective(sample):
     """Core over the static classes; returns (core, blocks, n_informative)."""
     spec = sample.spec
     paths = all_paths(spec.T)
-    stats = np.round(paths @ spec.W.T, 9)
-    _, cls, size = np.unique(stats, axis=0, return_inverse=True,
-                             return_counts=True)
+    _, cls, size = np.unique(exact_key(paths @ spec.W.T), axis=0,
+                             return_inverse=True, return_counts=True)
     cls = cls.ravel()
     # members of each class in path order, and each path's rank in its class
     order = np.argsort(cls, kind="stable")
@@ -358,13 +358,8 @@ def cmle_pairwise(sample, Wperp, init=None, tol=1e-8, max_iter=100):
 
 def _ar_transition_stats(spec, Y, Y0):
     """s_r(y) = sum_t y_t y_{t-r}, r = 1..p, with lags read from y0."""
-    n, T = Y.shape
-    full = np.concatenate([Y0, Y], axis=1).astype(np.int64)
-    p = spec.p
-    out = np.empty((n, p), dtype=np.int64)
-    for r in range(1, p + 1):
-        out[:, r - 1] = np.sum(full[:, p:] * full[:, p - r: p - r + T], axis=1)
-    return out
+    Z = lag_features(spec, path_states(spec, Y, Y0)).reshape(*Y.shape, spec.p)
+    return np.einsum("nt,ntr->nr", Y.astype(np.int64), Z)
 
 
 def _dynamic_core(sample):
@@ -372,30 +367,24 @@ def _dynamic_core(sample):
     per (y0, y) cell of the count table weighted by its count; profiles
     are the transition statistics of every path in the class."""
     spec = sample.spec
-    work = spec
-    if not spec.binary_design:
-        work = ModelSpec(AR, spec.T, canonicalize_design(spec.W)[0], d_x=0,
-                         p=spec.p)
+    work = _canonical_spec(spec)
     cells, counts, _ = _count_table(sample)
     paths = all_paths(spec.T)
     cell_path = path_index(cells.Y)
     rows = {}  # class size -> lists of profiles, observed members, counts
     n_info = 0
     for y0 in np.unique(cells.Y0, axis=0):
-        keys = [arp_statistic_key(work, y, y0) for y in paths]
-        classes = {}
-        for ipath, key in enumerate(keys):
-            classes.setdefault(key, []).append(ipath)
-        stats = _ar_transition_stats(
-            spec, paths, np.broadcast_to(y0, (len(paths), spec.p))
-        ).astype(float)
+        _, cls = np.unique(arp_statistic_key(work, paths, y0), axis=0,
+                           return_inverse=True)
+        cls = cls.ravel()
+        stats = _ar_transition_stats(spec, paths, y0).astype(float)
         for c in np.flatnonzero(np.all(cells.Y0 == y0, axis=1)):
-            members = classes[keys[cell_path[c]]]
+            members = np.flatnonzero(cls == cls[cell_path[c]])  # path order
             if len(members) < 2:
                 continue
             G, own, w = rows.setdefault(len(members), ([], [], []))
             G.append(stats[members])
-            own.append(members.index(cell_path[c]))
+            own.append(np.searchsorted(members, cell_path[c]))
             w.append(counts[c])
             n_info += int(counts[c])
     core = _CondLogit(spec.p)

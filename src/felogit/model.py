@@ -23,6 +23,17 @@ Network observations are ordered time-major with lexicographic dyads
 chronological order, so ``y0[-1]`` is always the outcome immediately
 preceding period 1.
 
+One index kernel serves every family.  Observations come in steps of
+``step_width`` (one period of dyads for networks, one observation
+otherwise), and the state feeding a step is the ``y0_len`` outcomes
+before it.  ``lag_features`` reads the integer features pi uses from a
+state (the last p outcomes; each dyad's previous link and shared-friend
+count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta.
+Path indices, one-step probabilities, the simulator, the index-value
+tables and the sufficiency keys all go through it.  One exact key,
+``exact_key``, turns design columns W and loadings W y into values that
+compare exactly.
+
 All probability computations are exact and carried out in log space;
 functions in this module are pure and safe to call concurrently.
 """
@@ -33,6 +44,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 STATIC = "static"
@@ -116,6 +128,11 @@ class ModelSpec:
         return 0
 
     @property
+    def step_width(self):
+        """Observations per step of the index kernel."""
+        return self.n_dyads if self.family == NETWORK else 1
+
+    @property
     def theta_dim(self):
         if self.family == STATIC:
             return self.d_x
@@ -144,11 +161,6 @@ class ModelSpec:
         if self.family == AR:
             return theta[: self.p], theta[self.p:]
         return theta[:2], theta[2:]
-
-    def dyad_of_obs(self, t):
-        """Map a 1-based network observation index to (dyad, period)."""
-        d = self.n_dyads
-        return (t - 1) % d, (t - 1) // d + 1
 
     # -- serialization ----------------------------------------------------
 
@@ -258,19 +270,72 @@ def shared_friends(spec, nets):
 
     Parameters
     ----------
-    nets : array, shape (m, n_dyads)
+    nets : array, shape (..., n_dyads)
         Link indicators, dyads in lexicographic order.
 
     Returns
     -------
-    array, shape (m, n_dyads) of integers.
+    array, shape (..., n_dyads) of integers.
     """
-    nets = np.atleast_2d(np.asarray(nets)).astype(np.int64)
+    nets = np.asarray(nets, dtype=np.int64)
     R = np.zeros(nets.shape, dtype=np.int64)
     for d, pairs in enumerate(_shared_friend_slots(spec.n)):
         for a, b in pairs:
-            R[:, d] += nets[:, a] * nets[:, b]
+            R[..., d] += nets[..., a] * nets[..., b]
     return R
+
+
+def exact_key(values):
+    """Exact comparison key of design columns W or loadings W y.
+
+    int64 when every entry is integral within 1e-9, otherwise the
+    values rounded to 9 digits, so that float noise (0.1 + 0.2 against
+    0.3) gives one key.
+    """
+    values = np.asarray(values, dtype=float)
+    ints = np.rint(values)
+    if np.all(np.abs(values - ints) < 1e-9):
+        return ints.astype(np.int64)
+    return np.round(values, 9)
+
+
+def lag_features(spec, states):
+    """Integer features that pi reads from states, (..., step_width, k).
+
+    A state (last axis) holds the ``y0_len`` outcomes preceding one
+    step.  The features of its observation are (y_{t-1}, ..., y_{t-p})
+    for ``ar``; for ``network``, each dyad's previous-period link and
+    shared-friend count; ``static`` has none (k = 0).
+    """
+    states = np.asarray(states)
+    if spec.family == NETWORK:
+        return np.stack([states, shared_friends(spec, states)], axis=-1)
+    return states[..., None, ::-1]
+
+
+def step_index(spec, states, x, theta):
+    """The index kernel pi = sum_k dyn_k Z_k + x'beta over one step.
+
+    ``states`` is (..., y0_len) and ``x`` holds the step's covariates
+    as (..., d_x, step_width), or None without covariates.  Returns
+    pi, (..., step_width), excluding the w_t'A term.
+    """
+    dyn, beta = spec.split_theta(theta)
+    Z = lag_features(spec, states)
+    pi = np.zeros(Z.shape[:-1])
+    for k, coef in enumerate(dyn):
+        pi += coef * Z[..., k]
+    if spec.d_x:
+        pi += np.einsum("...dw,d->...w", np.asarray(x, dtype=float), beta)
+    return pi
+
+
+def path_states(spec, paths, y0):
+    """The state feeding each step of each path, (m, T/step_width, y0_len)."""
+    paths = np.atleast_2d(np.asarray(paths))
+    L0 = spec.y0_len
+    full = np.concatenate([np.broadcast_to(y0, (len(paths), L0)), paths], axis=1)
+    return sliding_window_view(full, L0, axis=1)[:, : spec.T: spec.step_width]
 
 
 def index_matrix(spec, paths, y0, X, theta):
@@ -297,25 +362,9 @@ def index_matrix(spec, paths, y0, X, theta):
         raise ValueError(f"paths must have T={spec.T} columns")
     y0 = _check_y0(spec, y0)
     X = _check_X(spec, X)
-    dyn, beta = spec.split_theta(theta)
-    pi = np.zeros((m, T))
-    if spec.family == AR:
-        full = np.concatenate(
-            [np.broadcast_to(y0, (m, spec.p)), paths], axis=1
-        ).astype(np.int64)
-        for r in range(1, spec.p + 1):
-            pi += dyn[r - 1] * full[:, spec.p - r: spec.p - r + T]
-    elif spec.family == NETWORK:
-        gamma, delta = dyn
-        D = spec.n_dyads
-        full = np.concatenate([np.broadcast_to(y0, (m, D)), paths], axis=1)
-        for per in range(1, spec.tau + 1):
-            prev = full[:, (per - 1) * D: per * D]
-            R = shared_friends(spec, prev)
-            pi[:, (per - 1) * D: per * D] = gamma * prev + delta * R
-    if spec.d_x:
-        pi += beta @ X
-    return pi
+    w = spec.step_width
+    x = None if X is None else X.reshape(spec.d_x, T // w, w).swapaxes(0, 1)
+    return step_index(spec, path_states(spec, paths, y0), x, theta).reshape(m, T)
 
 
 def index_pi(spec, t, history, x_t, theta):
@@ -331,21 +380,10 @@ def index_pi(spec, t, history, x_t, theta):
     need = spec.y0_len + t - 1
     if history.shape != (need,):
         raise ValueError(f"history must have length {need}, got {history.shape}")
-    dyn, beta = spec.split_theta(theta)
-    val = 0.0
-    if spec.family == AR:
-        for r in range(1, spec.p + 1):
-            val += dyn[r - 1] * history[need - r]
-    elif spec.family == NETWORK:
-        gamma, delta = dyn
-        D = spec.n_dyads
-        d, per = spec.dyad_of_obs(t)
-        prev = history[(per - 1) * D: per * D]
-        val = gamma * prev[d] + delta * float(shared_friends(spec, prev)[0, d])
-    if spec.d_x:
-        x_t = np.asarray(x_t, dtype=float)
-        val += float(beta @ x_t)
-    return float(val)
+    step, j = divmod(t - 1, spec.step_width)
+    start = step * spec.step_width
+    x = np.asarray(x_t, dtype=float)[:, None] if spec.d_x else None
+    return float(step_index(spec, history[start: start + spec.y0_len], x, theta)[j])
 
 
 def log_path_distribution(spec, y0, X, theta, A, paths=None):

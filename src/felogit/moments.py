@@ -34,13 +34,12 @@ from itertools import product
 import numpy as np
 
 from .model import (
-    AR,
     NETWORK,
-    STATIC,
     all_paths,
+    exact_key,
     index_matrix,
     path_index,
-    shared_friends,
+    step_index,
 )
 
 _VALUE_TOL = 1e-12
@@ -74,34 +73,26 @@ def _q_index(values, pi):
 def index_value_tables(spec, y0, X, theta):
     """Per-period tables of achievable index values.
 
-    Lag patterns are enumerated exhaustively; values that coincide
-    numerically (theta coincidences such as gamma1 = gamma2) are
-    collapsed at absolute tolerance 1e-12, matching the convention that
-    Q_t counts distinct values, not distinct histories.
+    Every state that can feed a step is enumerated (outcomes before
+    period 1 pinned to y0, later ones free) and passed through the
+    index kernel; values that coincide numerically (theta coincidences
+    such as gamma1 = gamma2) are collapsed at absolute tolerance 1e-12,
+    matching the convention that Q_t counts distinct values, not
+    distinct histories.
     """
-    dyn, beta = spec.split_theta(theta)
+    L0, w = spec.y0_len, spec.step_width
     y0 = np.zeros(0, dtype=np.int64) if y0 is None else np.asarray(y0, dtype=np.int64)
-    xb = np.zeros(spec.T) if spec.d_x == 0 else beta @ np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float) if spec.d_x else None
     tables = []
-    for t in range(1, spec.T + 1):
-        if spec.family == STATIC:
-            vals = [xb[t - 1]]
-        elif spec.family == AR:
-            free = min(spec.p, t - 1)
-            # lags r > t-1 reach into the initial block: y_{t-r} = y0[p-1+t-r]
-            pinned = [int(y0[spec.p - 1 + t - r]) for r in range(free + 1, spec.p + 1)]
-            vals = [float(np.dot(dyn, list(bits) + pinned)) + xb[t - 1]
-                    for bits in product((0, 1), repeat=free)]
-        else:
-            # network: the index reads (lagged link, shared friends)
-            gamma, delta = dyn
-            d, per = spec.dyad_of_obs(t)
-            if per == 1:
-                pairs = [(int(y0[d]), int(shared_friends(spec, y0)[0, d]))]
-            else:
-                pairs = product((0, 1), range(spec.n - 1))
-            vals = [gamma * link + delta * R + xb[t - 1] for link, R in pairs]
-        tables.append(PeriodTable(_collapse(vals)))
+    for step in range(spec.T // w):
+        window = np.arange(step * w, step * w + L0)  # positions in (y0, y)
+        free = window >= L0
+        states = np.empty((2 ** int(free.sum()), L0), dtype=np.int64)
+        states[:, ~free] = y0[window[~free]]
+        states[:, free] = all_paths(int(free.sum()))
+        x = None if X is None else X[:, step * w: (step + 1) * w]
+        pi = step_index(spec, states, x, theta)
+        tables += [PeriodTable(_collapse(vals)) for vals in pi.T]
     return tables
 
 
@@ -121,15 +112,6 @@ class DSet:
     caps: tuple
     cardinality: int
     elements: frozenset | None = None  # None when only counted structurally
-
-
-def _exact_cols(W):
-    """W as exact exponent steps, d_w x T: integers when W is
-    integer-valued, floats rounded to 9 digits otherwise."""
-    Wr = np.rint(W)
-    if np.max(np.abs(W - Wr)) < 1e-9:
-        return Wr.astype(np.int64)
-    return np.array([[round(float(v), 9) for v in row] for row in W])
 
 
 def _extend(ds, w, q):
@@ -158,7 +140,7 @@ def build_dset(spec, Q, element_limit=200_000):
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
         raise ValueError("need one cap per period")
-    cols = _exact_cols(spec.W)
+    cols = exact_key(spec.W)
     d_w = spec.d_w
 
     if np.all(cols == cols[:, :1]):
@@ -167,9 +149,8 @@ def build_dset(spec, Q, element_limit=200_000):
         return DSet(Q, smax + 1, elems)
 
     if spec.binary_design:
-        rows = [int(np.flatnonzero(np.rint(spec.W[:, t]))[0]) for t in range(spec.T)]
         rowcap = [0] * d_w
-        for t, r in enumerate(rows):
+        for t, r in enumerate(np.argmax(cols, axis=0)):
             rowcap[r] += Q[t]
         card = 1
         for c in rowcap:
@@ -253,7 +234,7 @@ def _expand(spec, tables, polys, paths, pi):
     coefficient of exp(ds[i]'A) for path j; rows that are zero for
     every path are dropped.
     """
-    cols = _exact_cols(spec.W)
+    cols = exact_key(spec.W)
     S = np.ones((1, 1))
     ds = np.zeros((1, spec.d_w), dtype=cols.dtype)
     node = np.zeros(paths.shape[0], dtype=np.int64)
@@ -548,32 +529,26 @@ def closed_form_quarterly_T6(theta, y0, X):
 
 
 def network_moment_value(spec, y_ref, Y, y0, X, theta):
-    """Vectorized transition moment m_y for a reference network y_ref."""
+    """Vectorized transition moment m_y for a reference network y_ref.
+
+    With pi_s(z) the period-s index fed by the network z,
+    m_y = 1{Y2 = y} exp(sum (Y3 - y)(pi_2(Y1) - pi_3(y))
+    - sum (Y1 - y)(pi_1(y0) - pi_3(y))) - 1{Y1 = y}, sums over dyads.
+    """
     if spec.family != NETWORK or spec.tau != 3:
         raise ValueError("network transition moments require tau = 3")
     D = spec.n_dyads
     Y = np.atleast_2d(np.asarray(Y, dtype=np.int64))
     y_ref = np.asarray(y_ref, dtype=np.int64)
-    y0 = np.asarray(y0, dtype=np.int64)
-    (gamma, delta), beta = spec.split_theta(theta)
-    r_ref = shared_friends(spec, y_ref)[0]
-    R0 = shared_friends(spec, y0)[0]
     Y1, Y2, Y3 = Y[:, :D], Y[:, D: 2 * D], Y[:, 2 * D:]
-    R1 = shared_friends(spec, Y1)
-    if spec.d_x:
-        X = np.asarray(X, dtype=float)
-        x32 = beta @ (X[:, 2 * D: 3 * D] - X[:, D: 2 * D])
-        x31 = beta @ (X[:, 2 * D: 3 * D] - X[:, :D])
-    else:
-        x32 = x31 = np.zeros(D)
-    e1 = np.sum(
-        (Y3 - y_ref) * (gamma * (Y1 - y_ref) + delta * (R1 - r_ref) - x32),
-        axis=1,
-    )
-    e2 = -np.sum(
-        (Y1 - y_ref) * (gamma * (y0 - y_ref) + delta * (R0 - r_ref) - x31),
-        axis=1,
-    )
+
+    def pi(states, per):
+        x = np.asarray(X, dtype=float)[:, (per - 1) * D: per * D] if spec.d_x else None
+        return step_index(spec, states, x, theta)
+
+    pi_ref = pi(y_ref, 3)
+    e1 = np.sum((Y3 - y_ref) * (pi(Y1, 2) - pi_ref), axis=1)
+    e2 = -np.sum((Y1 - y_ref) * (pi(y0, 1) - pi_ref), axis=1)
     ind2 = np.all(Y2 == y_ref, axis=1)
     ind1 = np.all(Y1 == y_ref, axis=1)
     return ind2 * np.exp(e1 + e2) - ind1

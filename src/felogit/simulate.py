@@ -2,8 +2,8 @@
 
 The generator draws covariates, fixed effects (optionally correlated
 with the covariates, which the estimators must tolerate), and initial
-conditions, then rolls outcomes forward through the model's one-step
-logistic kernel.  A config's seed fully determines the sample.
+conditions, then rolls outcomes forward step by step through the
+model's index kernel.  A config's seed fully determines the sample.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .estimation import NoInformationError, Sample
-from .model import AR, NETWORK, shared_friends
+from .model import step_index
 
 
 @dataclass
@@ -29,6 +29,10 @@ class DGPConfig:
     * x_law: ``iid_normal`` (scale), ``ar`` (phi, scale), ``constant``
       (scale).
     * y0_law: ``fixed`` (value), ``stationary`` (burn_in, default 50).
+      The burn-in rolls the model forward from an all-zero state over
+      burn_in steps; step b uses the effects and covariates of step
+      b mod (number of steps), i.e. period b mod T of an AR panel and
+      period b mod tau of a network.
     """
 
     spec: object
@@ -87,6 +91,26 @@ def _draw_A(cfg, X, rng):
     raise ValueError(f"unknown a_law {kind!r}")
 
 
+def _roll(spec, state, steps, X, A, theta, rng):
+    """Draw the outcomes of ``steps`` in turn through the index kernel.
+
+    The state feeding each step is the y0_len outcomes before it, taken
+    from ``state`` and the draws so far; step s loads the effects and
+    covariates of observations s*w .. (s+1)*w - 1, w = step_width.
+    Returns ``state`` followed by every draw.
+    """
+    L0, w = spec.y0_len, spec.step_width
+    full = np.zeros((len(state), L0 + len(steps) * w), dtype=np.int8)
+    full[:, :L0] = state
+    for i, s in enumerate(steps):
+        cols = slice(s * w, (s + 1) * w)
+        x = None if X is None else X[:, :, cols]
+        eta = step_index(spec, full[:, i * w: i * w + L0], x, theta)
+        eta = eta + A @ spec.W[:, cols]
+        full[:, L0 + i * w: L0 + (i + 1) * w] = rng.random(eta.shape) < expit(eta)
+    return full
+
+
 def _draw_y0(cfg, X, A, rng):
     spec = cfg.spec
     n = cfg.n
@@ -99,31 +123,12 @@ def _draw_y0(cfg, X, A, rng):
         return np.broadcast_to(value, (n, L0)).copy()
     if law["kind"] != "stationary":
         raise ValueError(f"unknown y0_law {law['kind']!r}")
-    burn = int(law.get("burn_in", 50))
-    if spec.family == AR:
-        state = np.zeros((n, spec.p), dtype=np.int8)
-        for b in range(burn):
-            t = b % spec.T + 1
-            dyn, beta = spec.split_theta(cfg.theta)
-            eta = state @ dyn[::-1] + A @ spec.W[:, t - 1]
-            if spec.d_x:
-                eta = eta + X[:, :, t - 1] @ beta
-            y = (rng.random(n) < expit(eta)).astype(np.int8)
-            state = np.concatenate([state[:, 1:], y[:, None]], axis=1)
-        return state
-    if spec.family == NETWORK:
-        D = spec.n_dyads
-        state = np.zeros((n, D), dtype=np.int8)
-        dyn, _ = spec.split_theta(cfg.theta)
-        gamma, delta = dyn
-        for b in range(burn):
-            per = b % spec.tau
-            eta = gamma * state + delta * shared_friends(spec, state)
-            eta = eta + A @ spec.W[:, per * D: (per + 1) * D]
-            draw = rng.random((n, D)) < expit(eta)
-            state = draw.astype(np.int8)
-        return state
-    return np.zeros((n, 0), dtype=np.int8)
+    # a static model has no state to burn in, and draws nothing
+    burn = int(law.get("burn_in", 50)) if L0 else 0
+    state, w = np.zeros((n, L0), dtype=np.int8), spec.step_width
+    for b in range(burn):  # one step at a time: hold only the last L0 outcomes
+        state = _roll(spec, state, [b % (spec.T // w)], X, A, cfg.theta, rng)[:, w:]
+    return state
 
 
 def generate(cfg):
@@ -136,41 +141,8 @@ def generate(cfg):
     X = _draw_X(cfg, rng)
     A = _draw_A(cfg, X, rng)
     Y0 = _draw_y0(cfg, X, A, rng)
-    n, T = cfg.n, spec.T
-    Y = np.zeros((n, T), dtype=np.int8)
-
-    if spec.family == AR:
-        state = Y0.astype(np.int8).copy()
-        dyn, beta = spec.split_theta(theta)
-        for t in range(1, T + 1):
-            eta = state @ dyn[::-1] + A @ spec.W[:, t - 1]
-            if spec.d_x:
-                eta = eta + X[:, :, t - 1] @ beta
-            y = (rng.random(n) < expit(eta)).astype(np.int8)
-            Y[:, t - 1] = y
-            state = np.concatenate([state[:, 1:], y[:, None]], axis=1)
-    elif spec.family == NETWORK:
-        D = spec.n_dyads
-        dyn, beta = spec.split_theta(theta)
-        gamma, delta = dyn
-        prev = Y0.astype(np.int8).copy()
-        for per in range(1, spec.tau + 1):
-            cols = slice((per - 1) * D, per * D)
-            eta = gamma * prev + delta * shared_friends(spec, prev)
-            eta = eta + A @ spec.W[:, cols]
-            if spec.d_x:
-                eta = eta + np.einsum("ndk,d->nk", X[:, :, cols], beta)
-            draw = (rng.random((n, D)) < expit(eta)).astype(np.int8)
-            Y[:, (per - 1) * D: per * D] = draw
-            prev = draw
-    else:
-        for t in range(1, T + 1):
-            eta = A @ spec.W[:, t - 1]
-            if spec.d_x:
-                _, beta = spec.split_theta(theta)
-                eta = eta + X[:, :, t - 1] @ beta
-            Y[:, t - 1] = rng.random(n) < expit(eta)
-    return Sample(spec=spec, Y=Y, Y0=Y0, X=X)
+    full = _roll(spec, Y0, range(spec.T // spec.step_width), X, A, theta, rng)
+    return Sample(spec=spec, Y=full[:, spec.y0_len:], Y0=Y0, X=X)
 
 
 def _rep_seed(seed, rep):

@@ -21,18 +21,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import model
-from .model import AR, NETWORK, ModelSpec, all_paths, index_matrix, shared_friends
-
-
-@dataclass
-class SuffStatAR1:
-    """The pair (W y, W y_lag) that is sufficient for the fixed effect."""
-
-    s_y: np.ndarray
-    s_lag: np.ndarray
-
-    def key(self):
-        return tuple(self.s_y.tolist()), tuple(self.s_lag.tolist())
+from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
+                    lag_features, path_states)
 
 
 @dataclass
@@ -66,35 +56,19 @@ class ConditioningSet:
         return any(np.array_equal(y, m) for m in self.members)
 
 
-def _column_keys(W):
-    Wr = np.rint(W)
-    if np.max(np.abs(W - Wr)) < 1e-9:
-        return [tuple(int(v) for v in Wr[:, t]) for t in range(W.shape[1])]
-    return [tuple(float(v) for v in W[:, t]) for t in range(W.shape[1])]
-
-
 def _require_dynamic(spec):
     if spec.family not in (AR, NETWORK):
         raise ValueError("operation requires a dynamic (ar or network) spec")
 
 
-def _lag_key(spec, full, t):
-    # exact integer encoding of the lag pattern feeding pi_t; floating
-    # pi values would spuriously match when theta has coincidental sums
-    L0 = spec.y0_len
-    if spec.family == AR:
-        return tuple(int(full[L0 + t - 1 - r]) for r in range(1, spec.p + 1))
-    d, per = spec.dyad_of_obs(t)
-    D = spec.n_dyads
-    prev = full[(per - 1) * D: per * D]
-    return int(prev[d]), int(shared_friends(spec, prev)[0, d])
-
-
 def _pair_multiset(spec, y, y0):
-    full = np.concatenate([y0, y]).astype(np.int64)
-    wkeys = _column_keys(spec.W)
+    # exact keys of (w_t, the lag features feeding pi_t) for t = 2..T;
+    # floating pi values would spuriously match when theta has
+    # coincidental sums
+    Z = lag_features(spec, path_states(spec, y, y0)).reshape(spec.T, -1).tolist()
+    wkeys = exact_key(spec.W).T.tolist()
     return Counter(
-        (wkeys[t - 1], _lag_key(spec, full, t)) for t in range(2, spec.T + 1)
+        (tuple(wkeys[t]), tuple(Z[t])) for t in range(1, spec.T)
     )
 
 
@@ -122,8 +96,8 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
     y = np.asarray(y, dtype=np.int64)
     y_tilde = np.asarray(y_tilde, dtype=np.int64)
     y0 = np.asarray(y0, dtype=np.int64)
-    diff = spec.W @ (y - y_tilde).astype(float)
-    cond_i = bool(np.max(np.abs(diff)) < 1e-9) if diff.size else True
+    s_y = exact_key(np.stack([y, y_tilde]) @ spec.W.T)
+    cond_i = bool(np.array_equal(s_y[0], s_y[1]))
     cond_ii = _pair_multiset(spec, y, y0) == _pair_multiset(spec, y_tilde, y0)
     gap = (
         transition_count(y, y0) - transition_count(y_tilde, y0)
@@ -141,8 +115,9 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
 
 
 def ar1_sufficient_stat(spec, y, y0):
-    """The pair (W y, W y_lag) that absorbs the fixed effects in AR(1)
-    models with basis-vector designs."""
+    """The statistic (W y, W y_lag), as one key row, that absorbs the
+    fixed effects in AR(1) models with basis-vector designs: the p = 1
+    case of ``arp_statistic_key``."""
     if spec.family != AR or spec.p != 1:
         raise ValueError("ar1_sufficient_stat requires an AR(1) spec")
     if not spec.binary_design:
@@ -150,33 +125,23 @@ def ar1_sufficient_stat(spec, y, y0):
             "sufficiency requires basis-vector columns; "
             "canonicalize_design maps a general W to this form"
         )
-    y = np.asarray(y, dtype=np.int64)
-    y_lag = np.concatenate([[int(y0[-1])], y[:-1]])
-    Wi = np.rint(spec.W).astype(np.int64)
-    return SuffStatAR1(s_y=Wi @ y, s_lag=Wi @ y_lag)
+    return arp_statistic_key(spec, y, y0)[0]
 
 
 def canonicalize_design(W):
     """Map arbitrary design columns to indicator columns (W*, Omega).
 
-    Omega collects the distinct column values in first-appearance
-    order; column t of W* is the basis vector marking which member of
-    Omega the original w_t equals, so that w_t'A = (W*_t)'A* with
-    A* = Omega'A.
+    Omega collects the distinct columns (equal when their ``exact_key``
+    values are) in first-appearance order; column t of W* is the basis
+    vector marking which member of Omega the original w_t equals, so
+    that w_t'A = (W*_t)'A* with A* = Omega'A.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     seen = {}
-    labels = []
-    for t in range(W.shape[1]):
-        key = tuple(W[:, t])
-        if key not in seen:
-            seen[key] = len(seen)
-        labels.append(seen[key])
-    d_omega = len(seen)
-    Omega = np.empty((W.shape[0], d_omega))
-    for key, k in seen.items():
-        Omega[:, k] = key
-    W_star = np.zeros((d_omega, W.shape[1]))
+    labels = [seen.setdefault(tuple(key), len(seen))
+              for key in exact_key(W).T.tolist()]
+    Omega = W[:, [labels.index(k) for k in range(len(seen))]]
+    W_star = np.zeros((len(seen), W.shape[1]))
     W_star[labels, np.arange(W.shape[1])] = 1.0
     return W_star, Omega
 
@@ -213,17 +178,13 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
         theta = np.zeros(spec.theta_dim)
     y0 = np.asarray(y0, dtype=np.int64)
     paths = all_paths(spec.T).astype(np.int64)
-    Wi = np.rint(spec.W).astype(np.int64)
-    lag = np.concatenate(
-        [np.full((paths.shape[0], 1), y0[-1], dtype=np.int64), paths[:, :-1]],
-        axis=1,
-    )
+    lag = lag_features(spec, path_states(spec, paths, y0))[:, :, 0, 0]  # y_{t-1}
     _, inverse, sizes = np.unique(
-        np.hstack([paths @ Wi.T, lag @ Wi.T]), axis=0,
+        arp_statistic_key(spec, paths, y0), axis=0,
         return_inverse=True, return_counts=True,
     )
     # periods t = 2..T of a basis-vector design, one column per design row
-    E = Wi[:, 1:].T
+    E = exact_key(spec.W)[:, 1:].T
     perm_key = np.hstack([lag[:, 1:] @ E, (1 - lag[:, 1:]) @ E])
     transitions = np.sum(paths * lag, axis=1)
     g = np.sum(paths * index_matrix(spec, paths, y0, None, theta), axis=1)
@@ -251,19 +212,21 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     ]
 
 
-def arp_statistic_key(spec, y, y0):
-    """Hashable encoding of the AR(p) condition-system statistics."""
-    full = np.concatenate([y0, y]).astype(np.int64)
-    Wi = np.rint(spec.W).astype(np.int64)
-    T, p, L0 = spec.T, spec.p, spec.y0_len
-    parts = [tuple(int(v) for v in Wi @ full[L0:])]
-    for l in range(1, p + 1):
-        for comb in combinations(range(1, p + 1), l):
-            prod = np.ones(T, dtype=np.int64)
-            for r in comb:
-                prod *= full[L0 - r: L0 - r + T]
-            parts.append(tuple(int(v) for v in Wi @ prod))
-    return tuple(parts)
+def arp_statistic_key(spec, paths, y0):
+    """Exact keys of the AR(p) condition-system statistics, one row per
+    path of ``paths`` (m, T; a single path is one row).
+
+    A row holds W y and then, for every nonempty subset i of the lags
+    {1..p} in ``combinations`` order, W (prod_{r in i} y_{t-r})_t, all
+    through ``exact_key``.  Paths share a row exactly when they share
+    every statistic.
+    """
+    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    m, T, p = len(paths), spec.T, spec.p
+    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(m, T, p)
+    parts = [paths] + [Z[:, :, list(c)].prod(axis=2) for l in range(1, p + 1)
+                       for c in combinations(range(p), l)]
+    return exact_key(np.stack(parts, axis=1) @ spec.W.T).reshape(m, -1)
 
 
 def arp_condition_check(spec, y, y_tilde, y0, theta=None):
@@ -283,25 +246,19 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
     y = np.asarray(y, dtype=np.int64)
     y_tilde = np.asarray(y_tilde, dtype=np.int64)
     y0 = np.asarray(y0, dtype=np.int64)
-    key = arp_statistic_key(spec, y, y0)
-    key_t = arp_statistic_key(spec, y_tilde, y0)
+    key, key_t = arp_statistic_key(spec, np.stack([y, y_tilde]), y0)
+    d = spec.d_w  # the key row starts with W y
     return PairCertificate(
         y=y,
         y_tilde=y_tilde,
-        cond_linear=key[0] == key_t[0],
-        cond_permutation=key[1:] == key_t[1:],
+        cond_linear=bool(np.array_equal(key[:d], key_t[:d])),
+        cond_permutation=bool(np.array_equal(key[d:], key_t[d:])),
         transition_gap=transition_count(y, y0) - transition_count(y_tilde, y0),
         log_ratio=_log_ratio(spec, y, y_tilde, y0, None, theta),
     )
 
 
 # -- dynamic network conditioning ------------------------------------------
-
-
-def _period_slices(spec, y):
-    D = spec.n_dyads
-    y = np.asarray(y, dtype=np.int64)
-    return [y[(per - 1) * D: per * D] for per in range(1, spec.tau + 1)]
 
 
 def _require_t3(spec):
@@ -314,8 +271,8 @@ def _require_t3(spec):
 def network_cond_star(spec, y):
     """Two-element conditioning set: y and its period-1/2 swap."""
     _require_t3(spec)
-    p1, p2, p3 = _period_slices(spec, y)
     y = np.asarray(y, dtype=np.int64)
+    p1, p2, p3 = y.reshape(3, spec.step_width)
     if np.array_equal(p1, p2):
         return ConditioningSet("network_star", (y,))
     swapped = np.concatenate([p2, p1, p3])
@@ -324,23 +281,12 @@ def network_cond_star(spec, y):
 
 
 @lru_cache(maxsize=None)
-def _z_tables(n):
-    # Z(net)[d] = (link, shared friends); one row per network id
-    spec = model.network_design(n, 1)
-    nets = all_paths(spec.n_dyads)
-    return nets.astype(np.int64), shared_friends(spec, nets)
-
-
-@lru_cache(maxsize=None)
 def _z_equal(n):
-    links, R = _z_tables(n)
-    D = links.shape[1]
-    E = np.empty((D, links.shape[0], links.shape[0]), dtype=bool)
-    for d in range(D):
-        E[d] = (links[:, d][:, None] == links[:, d][None, :]) & (
-            R[:, d][:, None] == R[:, d][None, :]
-        )
-    return E
+    # E[d, a, b]: networks a and b (by id) give dyad d the same lag
+    # features (link, shared friends) for the next period
+    Z = lag_features(model.network_design(n, 1), all_paths(n * (n - 1) // 2))
+    same = np.all(Z[:, None] == Z[None], axis=3)  # indexed (a, b, d)
+    return np.ascontiguousarray(same.transpose(2, 0, 1))
 
 
 def network_cond_full(spec, y):
@@ -358,7 +304,7 @@ def network_cond_full(spec, y):
         raise ValueError(
             f"full conditioning set needs a scan of {est} candidates; n <= 4 only"
         )
-    p1, p2, p3 = _period_slices(spec, y)
+    p1, p2, p3 = np.asarray(y, dtype=np.int64).reshape(3, spec.step_width)
     n1 = int(model.path_index(p1))
     n2 = int(model.path_index(p2))
     E = _z_equal(spec.n)

@@ -99,7 +99,7 @@ def test_criterion_3_dynamic_sufficiency_oracle():
             y0 = np.array([y0v])
             groups = {}
             for y in model.all_paths(T):
-                key = fl.ar1_sufficient_stat(spec, y, y0).key()
+                key = tuple(fl.ar1_sufficient_stat(spec, y, y0).tolist())
                 groups.setdefault(key, []).append(y)
             reference = {}
             for A in rng.normal(size=(20, 1)) * 2:
@@ -131,7 +131,7 @@ def test_criterion_4_ar2_gamma1_dropout():
             groups = {}
             for i, y in enumerate(paths):
                 groups.setdefault(
-                    sufficiency.arp_statistic_key(spec, y, y0), []
+                    tuple(sufficiency.arp_statistic_key(spec, y, y0)[0].tolist()), []
                 ).append(i)
             for key, members in groups.items():
                 if len(members) < 2:

@@ -393,8 +393,8 @@ def test_cmle_objectives_match_unit_by_unit_reference():
     want = 0.0
     for y, y0 in zip(ar.Y, ar.Y0):
         key = sufficiency.arp_statistic_key(ar.spec, y, y0)
-        members = [q for q in all_y
-                   if sufficiency.arp_statistic_key(ar.spec, q, y0) == key]
+        members = [q for q in all_y if np.array_equal(
+            sufficiency.arp_statistic_key(ar.spec, q, y0), key)]
         if len(members) > 1:
             prof = estimation._ar_transition_stats(
                 ar.spec, np.array(members), np.tile(y0, (len(members), 1)))

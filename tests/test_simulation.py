@@ -164,6 +164,20 @@ def test_stationary_burn_in_reaches_invariant_start():
     assert abs(s.Y0.mean() - 0.5) < 0.01
 
 
+def test_network_stationary_burn_in_uses_covariates():
+    # with beta = 4 the last burn-in step (period 2 of tau = 2, as 50 is
+    # even) draws each link mostly from its own covariate
+    spec = fl.network_design(3, 2, d_x=1)
+    cfg = DGPConfig(
+        spec=spec, theta=np.array([0.5, 0.3, 4.0]), n=5_000, seed=8,
+        y0_law={"kind": "stationary", "burn_in": 50},
+    )
+    s = generate(cfg)
+    for d in range(spec.n_dyads):
+        x_last = s.X[:, 0, spec.n_dyads + d]
+        assert np.corrcoef(s.Y0[:, d], x_last)[0, 1] > 0.5
+
+
 def test_correlated_effects_track_covariates():
     spec = fl.build_design("panel_fe", T=4, d_x=1)
     cfg = DGPConfig(

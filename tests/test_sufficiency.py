@@ -1,10 +1,13 @@
 import itertools
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import felogit as fl
-from felogit import model, sufficiency
+from felogit import estimation, model, moments, sufficiency
+from felogit.simulate import DGPConfig, generate
 from oracles import naive_path_prob
 
 
@@ -76,8 +79,9 @@ def test_permutation_network_detects_swap_members():
 def test_ar1_sufficient_stat_counts():
     spec = fl.panel_ar(1, 3)
     stat = fl.ar1_sufficient_stat(spec, np.array([1, 0, 1]), np.array([0]))
-    assert stat.s_y.tolist() == [2]
-    assert stat.s_lag.tolist() == [1]
+    # the key row is (W y, W y_lag)
+    assert stat[:1].tolist() == [2]
+    assert stat[1:].tolist() == [1]
 
 
 def test_ar1_sufficient_stat_quarterly_counts():
@@ -85,8 +89,8 @@ def test_ar1_sufficient_stat_quarterly_counts():
     y, y0 = np.array([1, 0, 1, 1, 1, 0]), np.array([1])
     stat = fl.ar1_sufficient_stat(spec, y, y0)
     # quarters of t=1..6 are (1,2,3,4,1,2); y_lag = (1,1,0,1,1,1)
-    assert stat.s_y.tolist() == [2, 0, 1, 1]
-    assert stat.s_lag.tolist() == [2, 2, 0, 1]
+    assert stat[:4].tolist() == [2, 0, 1, 1]
+    assert stat[4:].tolist() == [2, 2, 0, 1]
 
 
 def test_ar1_sufficient_stat_refuses_general_design():
@@ -103,7 +107,7 @@ def test_ar1_conditional_distribution_free_of_A():
     rng = np.random.default_rng(4)
     groups = {}
     for y in model.all_paths(5):
-        key = fl.ar1_sufficient_stat(spec, y, y0).key()
+        key = tuple(fl.ar1_sufficient_stat(spec, y, y0).tolist())
         groups.setdefault(key, []).append(y)
     reference = {}
     for A in rng.normal(size=(10, 4)) * 2:
@@ -155,7 +159,7 @@ def test_relabeled_basis_groups_paths_identically():
     for spec in specs:
         groups = {}
         for y in model.all_paths(4):
-            key = fl.ar1_sufficient_stat(spec, y, y0).key()
+            key = tuple(fl.ar1_sufficient_stat(spec, y, y0).tolist())
             groups.setdefault(key, set()).add(tuple(y))
         partitions.append(sorted(map(sorted, groups.values())))
     assert partitions[0] == partitions[1]
@@ -201,7 +205,7 @@ def pairs_oracle(spec, y0, theta):
     paths = model.all_paths(spec.T)
     groups = {}
     for i, y in enumerate(paths):
-        groups.setdefault(fl.ar1_sufficient_stat(spec, y, y0).key(), []).append(i)
+        groups.setdefault(tuple(fl.ar1_sufficient_stat(spec, y, y0).tolist()), []).append(i)
     return [
         fl.permutation_check(spec, paths[a], paths[b], y0, theta)
         for key in sorted(groups)
@@ -363,3 +367,110 @@ def test_network_conditional_likelihood_requires_membership():
     with pytest.raises(ValueError):
         fl.network_cond_likelihood(spec, [0.1, 0.1], outsider,
                                    np.zeros(3, int), cond)
+
+
+@pytest.mark.parametrize("odd", [0, 2])
+def test_float_noise_in_W_gives_one_set_of_classes(odd):
+    # 0.1 + 0.2 exceeds 0.3 by 5.6e-17; every module must key both alike
+    noisy = np.full((1, 5), 0.3)
+    noisy[0, odd] = 0.1 + 0.2
+    specs = [fl.ModelSpec("ar", 5, W, p=1) for W in (np.full((1, 5), 0.3), noisy)]
+    y0, theta = np.array([0]), [0.4]
+    sample = generate(DGPConfig(spec=specs[0], theta=np.array([0.5]), n=3000,
+                                seed=1))
+    paths = model.all_paths(5)
+    seen = []
+    for spec in specs:
+        pairs = fl.enumerate_pairs_ar1(spec, y0, require_gap=True, theta=theta)
+        checks = [fl.permutation_check(spec, paths[a], paths[b], y0, theta)
+                  for a, b in itertools.combinations(range(32), 2)]
+        fit = estimation.cmle_dynamic_ar(
+            estimation.Sample(spec=spec, Y=sample.Y, Y0=sample.Y0))
+        W_star, Omega = fl.canonicalize_design(spec.W)
+        Q = moments.qt_values(spec, y0, None, theta)
+        dset = fl.build_dset(spec, Q)
+        seen.append((
+            [(c.y.tolist(), c.y_tilde.tolist(), c.passed, c.log_ratio) for c in pairs],
+            [(c.cond_linear, c.cond_permutation) for c in checks],
+            fit.theta.tolist(), fit.diagnostics["n_informative"],
+            W_star.tolist(), dset.cardinality, dset.elements,
+        ))
+        assert np.allclose(Omega @ W_star, spec.W, rtol=0, atol=1e-15)
+    assert seen[0] == seen[1]
+    assert len(seen[0][0]) == 28
+
+
+def _class_log_ratios(lp, cls):
+    """log Pr(y) - log Pr(first member of y's class), per path."""
+    first = {}
+    base = np.array([lp[first.setdefault(c, i)] for i, c in enumerate(cls)])
+    return lp - base
+
+
+def _draw_A_rows(data, spec, k=3):
+    vals = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k * spec.d_w,
+                              max_size=k * spec.d_w))
+    return np.array(vals).reshape(k, spec.d_w)
+
+
+def _draw_floats(data, n, bound=2.0):
+    return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=n,
+                                       max_size=n)))
+
+
+def _assert_free_of_A(spec, y0, X, theta, A_rows, paths, cls):
+    ratios = [
+        _class_log_ratios(
+            model.log_path_distribution(spec, y0, X, theta, A, paths), cls)
+        for A in A_rows
+    ]
+    for r in ratios[1:]:
+        # equal log ratios: the ratios agree to 1e-10 relative
+        np.testing.assert_allclose(r, ratios[0], rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_static_class_ratios_are_free_of_A(data):
+    spec = data.draw(st.sampled_from([
+        fl.build_design("two_way", n=2, tau=3, d_x=1),
+        fl.build_design("dyadic", n=4, d_x=2),
+        fl.build_design("poly_trend", p=1, T=6, d_x=1),
+    ]))
+    theta = _draw_floats(data, spec.theta_dim)
+    X = _draw_floats(data, spec.d_x * spec.T).reshape(spec.d_x, spec.T)
+    paths = model.all_paths(spec.T)
+    _, cls = np.unique(model.exact_key(paths @ spec.W.T), axis=0,
+                       return_inverse=True)
+    _assert_free_of_A(spec, None, X, theta, _draw_A_rows(data, spec), paths,
+                      cls.ravel())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_arp_class_ratios_are_free_of_A(data):
+    spec = data.draw(st.sampled_from([
+        fl.panel_ar(1, 5), fl.quarterly_ar(1, 6), fl.panel_ar(2, 5),
+        fl.quarterly_ar(2, 7),
+    ]))
+    theta = _draw_floats(data, spec.theta_dim)
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.p,
+                                     max_size=spec.p)))
+    paths = model.all_paths(spec.T)
+    _, cls = np.unique(sufficiency.arp_statistic_key(spec, paths, y0), axis=0,
+                       return_inverse=True)
+    assert len(np.unique(cls)) < len(paths)  # some class has two members
+    _assert_free_of_A(spec, y0, None, theta, _draw_A_rows(data, spec), paths,
+                      cls.ravel())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_network_full_class_ratios_are_free_of_A(data):
+    spec = fl.network_design(3, 3)
+    theta = _draw_floats(data, 2)
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=3, max_size=3)))
+    y = model.all_paths(9)[data.draw(st.integers(0, 511))]
+    members = np.vstack(fl.network_cond_full(spec, y).members)
+    _assert_free_of_A(spec, y0, None, theta, _draw_A_rows(data, spec), members,
+                      np.zeros(len(members), dtype=int))
