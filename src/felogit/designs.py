@@ -204,23 +204,23 @@ def find_wperp(W, max_solutions=None, require_nonzero=True):
     return list(out[np.lexsort(out.T[::-1])])
 
 
-def minimal_T_polytrend(p, allow_long_run=False, T_max=40):
+def minimal_T_polytrend(p, allow_long_run=False):
     """Smallest T admitting a differencing vector for the degree-p trend.
 
     Returns (T, w) with w the lexicographically least canonical
     solution.  Minimality is certified by exhausting the search tree at
-    every shorter horizon.  p = 6 scans up to T = 31 and is gated
-    behind ``allow_long_run``.
+    every shorter horizon; the search stops at T = 40.  p = 6 scans up
+    to T = 31 and is gated behind ``allow_long_run``.
     """
     if p > 6:
         raise ValueError("polynomial trends supported up to p = 6")
     if p == 6 and not allow_long_run:
         raise ValueError("p = 6 is a long run; pass allow_long_run=True")
-    for T in range(p + 2, T_max + 1):
+    for T in range(p + 2, 41):
         sols = find_wperp(poly_trend_matrix(p, T))
         if sols:
             return T, sols[0]
-    raise RuntimeError(f"no solution up to T = {T_max}")
+    raise RuntimeError("no solution up to T = 40")
 
 
 def trend_symmetry(w):

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import (AR, STATIC, all_paths, exact_key, lag_features, path_index,
-                    path_states)
-from .sufficiency import _canonical_spec, arp_statistic_key
+from .model import AR, STATIC, all_paths, exact_key, path_index
+from .sufficiency import _canonical_spec, arp_statistic_key, transition_stats
 
 
 class NoInformationError(RuntimeError):
@@ -190,8 +189,9 @@ class _CondLogit:
         return S
 
 
-def _newton(objective, start, tol=1e-8, max_iter=200):
-    """Damped Newton ascent for concave objectives.
+def _newton(objective, start, max_iter=200):
+    """Damped Newton ascent for concave objectives, until the largest
+    gradient entry is below 1e-8.
 
     ``objective`` returns (value, gradient, hessian); steps are halved
     until the value does not decrease.  Returns (x, value, gradient,
@@ -203,7 +203,7 @@ def _newton(objective, start, tol=1e-8, max_iter=200):
     val, g, H = objective(x)
     it = 0
     for it in range(1, max_iter + 1):
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) < 1e-8:
             return x, val, g, H, it, "converged"
         try:
             step = np.linalg.solve(H, -g)
@@ -219,11 +219,11 @@ def _newton(objective, start, tol=1e-8, max_iter=200):
             lam *= 0.5
         else:
             return x, val, g, H, it, "line_search_failed"
-    stop = "converged" if np.max(np.abs(g)) < tol else "max_iter"
+    stop = "converged" if np.max(np.abs(g)) < 1e-8 else "max_iter"
     return x, val, g, H, it, stop
 
 
-def _fit(core, spec, init, tol, max_iter, diagnostics, free=None):
+def _fit(core, spec, init, max_iter, diagnostics, free=None):
     """Newton ascent of ``core`` from ``init`` (zeros if None) over the
     coordinates ``free`` (all by default), the others held, with
     sandwich standard errors; held coordinates get NaN."""
@@ -237,8 +237,7 @@ def _fit(core, spec, init, tol, max_iter, diagnostics, free=None):
         val, g, H = core(theta)
         return val, g[free], H[block]
 
-    x, val, g, H, it, stop = _newton(objective, start[free], tol=tol,
-                                     max_iter=max_iter)
+    x, val, g, H, it, stop = _newton(objective, start[free], max_iter=max_iter)
     theta = start.copy()
     theta[free] = x
     Hinv = np.linalg.pinv(-H)
@@ -285,7 +284,7 @@ def _static_objective(sample):
     return core, core.blocks, int(np.sum(unit_size > 1))
 
 
-def cmle_static(sample, init=None, tol=1e-8, max_iter=100):
+def cmle_static(sample, init=None, max_iter=100):
     """Conditional MLE of beta over the classes S(W y).
 
     Units whose class is a singleton carry no information and are
@@ -306,7 +305,7 @@ def cmle_static(sample, init=None, tol=1e-8, max_iter=100):
         raise NoInformationError(
             "differenced covariates vanish on every conditioning class"
         )
-    return _fit(core, spec, init, tol, max_iter,
+    return _fit(core, spec, init, max_iter,
                 {"n_informative": n_info, "n_units": sample.n})
 
 
@@ -334,7 +333,7 @@ def _pairwise_objective(sample, Wperp):
     return core, V, z, units
 
 
-def cmle_pairwise(sample, Wperp, init=None, tol=1e-8, max_iter=100):
+def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
     """Pairwise conditional logit on the differenced covariates X w_perp.
 
     For each column w of Wperp, a unit contributes when its outcomes on
@@ -348,18 +347,12 @@ def cmle_pairwise(sample, Wperp, init=None, tol=1e-8, max_iter=100):
     core, _, z, units = _pairwise_objective(sample, Wperp)
     if len(z) == 0:
         raise NoInformationError("no unit lands in any conditioning pair")
-    return _fit(core, spec, init, tol, max_iter,
+    return _fit(core, spec, init, max_iter,
                 {"n_rows": int(len(z)),
                  "n_contributing_units": int(len(np.unique(units)))})
 
 
 # -- dynamic AR sufficiency classes ------------------------------------------
-
-
-def _ar_transition_stats(spec, Y, Y0):
-    """s_r(y) = sum_t y_t y_{t-r}, r = 1..p, with lags read from y0."""
-    Z = lag_features(spec, path_states(spec, Y, Y0)).reshape(*Y.shape, spec.p)
-    return np.einsum("nt,ntr->nr", Y.astype(np.int64), Z)
 
 
 def _dynamic_core(sample):
@@ -377,7 +370,7 @@ def _dynamic_core(sample):
         _, cls = np.unique(arp_statistic_key(work, paths, y0), axis=0,
                            return_inverse=True)
         cls = cls.ravel()
-        stats = _ar_transition_stats(spec, paths, y0).astype(float)
+        stats = transition_stats(spec, paths, y0).astype(float)
         for c in np.flatnonzero(np.all(cells.Y0 == y0, axis=1)):
             members = np.flatnonzero(cls == cls[cell_path[c]])  # path order
             if len(members) < 2:
@@ -404,7 +397,7 @@ def _dynamic_loglik(sample):
     return loglik, n_info
 
 
-def cmle_dynamic_ar(sample, init=None, tol=1e-8, max_iter=100):
+def cmle_dynamic_ar(sample, init=None, max_iter=100):
     """Conditional MLE of the AR coefficients over sufficiency classes.
 
     Paths are grouped by initial condition and the exact condition
@@ -423,7 +416,7 @@ def cmle_dynamic_ar(sample, init=None, tol=1e-8, max_iter=100):
             "no conditioning class with multiple members is occupied"
         )
     p = spec.p
-    return _fit(core, spec, init, tol, max_iter,
+    return _fit(core, spec, init, max_iter,
                 {"n_informative": n_info, "n_units": sample.n,
                  "not_identified": spec.theta_names()[: p - 1]},
                 free=[p - 1])
@@ -432,11 +425,11 @@ def cmle_dynamic_ar(sample, init=None, tol=1e-8, max_iter=100):
 # -- GMM ---------------------------------------------------------------------
 
 
-def _central_diff(fn, theta, base_step=1e-6):
+def _central_diff(fn, theta):
     theta = np.asarray(theta, dtype=float)
     cols = []
     for j in range(theta.size):
-        h = base_step * (1.0 + abs(theta[j]))
+        h = 1e-6 * (1.0 + abs(theta[j]))
         up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
@@ -444,13 +437,13 @@ def _central_diff(fn, theta, base_step=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
-        restarts=2, tol=1e-9):
+def gmm(sample, moments, init, weighting="two-step"):
     """GMM on stacked fixed-effect-free moment evaluators.
 
     Minimizes n * gbar(theta)' W gbar(theta) by BFGS with central-
-    difference gradients; ``two-step`` re-minimizes with the inverse
-    sample covariance of the moments (ridge-regularized when needed).
+    difference gradients, from ``init`` and from two perturbed restarts;
+    ``two-step`` re-minimizes with the inverse sample covariance of the
+    moments plus a 1e-10 ridge.
     Moments are evaluated once per cell of the sample's count table.
     The rank of the moment Jacobian is reported as an identification
     diagnostic.
@@ -464,9 +457,7 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
     def stacked(theta):
         return moments.stacked(cells.Y, cells.Y0, cells.X, theta)
 
-    k = getattr(moments, "k", None)
-    k = int(k) if k is not None else np.asarray(stacked(init)).shape[1]
-
+    k = moments.k
     weights = counts / counts.sum()
 
     def gbar(theta):
@@ -485,12 +476,12 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
 
         best = None
         rng = np.random.default_rng(12345)
-        for trial in range(restarts + 1):
+        for trial in range(3):
             x0 = start if trial == 0 else start + rng.normal(
                 scale=0.25, size=start.shape
             )
             res = minimize(obj, x0, jac=grad, method="BFGS",
-                           options={"gtol": tol * sample.n, "maxiter": 500})
+                           options={"gtol": 1e-9 * sample.n, "maxiter": 500})
             if best is None or res.fun < best.fun:
                 best = res
         return best
@@ -499,7 +490,7 @@ def gmm(sample, moments, init, weighting="two-step", ridge=1e-10,
     res = solve(Wmat, init)
     flagged_singular = False
     if weighting == "two-step":
-        S_r = cov(res.x) + ridge * np.eye(k)
+        S_r = cov(res.x) + 1e-10 * np.eye(k)
         try:
             Wmat = np.linalg.inv(S_r)
         except np.linalg.LinAlgError:

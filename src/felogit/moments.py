@@ -23,7 +23,9 @@ This module counts the Q_t, builds the exponent set D and the bound,
 expands the phi polynomials, extracts the null space numerically, and
 provides the closed-form moment libraries for the AR(2) three-period
 model, the quarterly-effects six-period model, and the dyadic network
-transition model, together with vectorized evaluators for GMM.
+transition model.  Each library has one definition, a vectorized
+evaluator of many units at once (the one GMM calls); its table over all
+2^T paths at one (y0, X) is that evaluator run on every path.
 """
 
 from __future__ import annotations
@@ -127,15 +129,15 @@ def _extend(ds, w, q):
     return nxt, trans.reshape(len(ds), q + 1)
 
 
-def build_dset(spec, Q, element_limit=200_000):
+def build_dset(spec, Q):
     """Construct the exponent set D for caps Q = (Q_1..Q_T).
 
     Constant-column and indicator designs use exact counting formulas;
     other designs are enumerated by the running set of distinct partial
     sums that ``coefficient_matrix`` also walks.  Sets whose enumeration
     cannot fit desk-scale memory are refused with a size estimate, and
-    very large structured sets report the cardinality without
-    materializing the elements.
+    structured sets above 200,000 elements report the cardinality
+    without materializing the elements.
     """
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
@@ -155,7 +157,7 @@ def build_dset(spec, Q, element_limit=200_000):
         card = 1
         for c in rowcap:
             card *= c + 1
-        if card > element_limit:
+        if card > 200_000:
             return DSet(Q, card, None)
         elems = frozenset(
             tuple(combo) for combo in product(*[range(c + 1) for c in rowcap])
@@ -316,13 +318,6 @@ class MomentFunction:
     def __call__(self, y):
         return float(self.values[path_index(np.asarray(y))])
 
-    @classmethod
-    def from_table(cls, T, table, provenance):
-        values = np.zeros(2**T)
-        for y, v in table.items():
-            values[path_index(np.asarray(y))] = v
-        return cls(T=T, values=values, provenance=provenance)
-
 
 @dataclass
 class NullspaceReport:
@@ -333,28 +328,28 @@ class NullspaceReport:
     weak_separation: bool
 
 
-def _svd_rank(M, rel_tol):
+def _svd_rank(M):
     """Singular values, right factor Vt (all 2^T rows) and numerical rank
     of M with its rows max-normalized (row scaling keeps the null space)."""
     scale = np.abs(M).max(axis=1, keepdims=True)
     Mn = M / np.where(scale == 0, 1.0, scale)
     # with at least as many rows as columns the thin Vt is already square
     _, s, Vt = np.linalg.svd(Mn, full_matrices=M.shape[0] < M.shape[1])
-    return s, Vt, int(np.sum(s > rel_tol * s[0])) if s.size else 0
+    return s, Vt, int(np.sum(s > 1e-9 * s[0])) if s.size else 0
 
 
-def nullspace_moments(spec, y0, X, theta, rel_tol=1e-9):
+def nullspace_moments(spec, y0, X, theta):
     """Orthonormal basis of the fixed-effect-free moment space.
 
     The basis spans the null space of the coefficient matrix
-    [chat_d(y)], determined by singular value decomposition with a
-    relative threshold.  Rows are max-normalized first (row scaling
+    [chat_d(y)], determined by singular value decomposition with the
+    relative threshold 1e-9.  Rows are max-normalized first (row scaling
     leaves the null space unchanged).  ``weak_separation`` flags a
     retained/discarded singular-value gap below 10x.
     """
     if 2**spec.T > 16384:
         raise ValueError("null-space extraction limited to 2^T <= 16384")
-    s, Vt, rank = _svd_rank(coefficient_matrix(spec, y0, X, theta)[0], rel_tol)
+    s, Vt, rank = _svd_rank(coefficient_matrix(spec, y0, X, theta)[0])
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     basis = Vt[rank:]
     moments = [MomentFunction(spec.T, row.copy(), "nullspace") for row in basis]
@@ -414,7 +409,7 @@ def probability_matrix(spec, y0, X, theta, A_rows):
     return P
 
 
-def nullspace_from_probabilities(spec, y0, X, theta, A_rows, rel_tol=1e-9):
+def nullspace_from_probabilities(spec, y0, X, theta, A_rows):
     """Null-space basis of the sampled-probability matrix.
 
     An independent construction of the same space as
@@ -422,7 +417,7 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows, rel_tol=1e-9):
     of the exp(d'A) profiles, so the two null spaces coincide for
     well-spread draws.
     """
-    _, Vt, rank = _svd_rank(probability_matrix(spec, y0, X, theta, A_rows), rel_tol)
+    _, Vt, rank = _svd_rank(probability_matrix(spec, y0, X, theta, A_rows))
     return Vt[rank:]
 
 
@@ -438,90 +433,120 @@ def verify_moment(m, spec, y0, X, theta, A_grid):
     return float(np.max(np.abs(P @ vec), initial=0.0))
 
 
-# -- closed-form moment libraries -------------------------------------------
+# -- moment evaluators for GMM and the closed-form libraries -----------------
+#
+# An evaluator maps (Y, Y0, X, theta) to the (n, k) moments of n units.
 
 
-def _ar2_gammas(theta):
-    theta = np.asarray(theta, dtype=float)
-    return float(theta[0]), float(theta[1])
+class CallableMoments:
+    """Adapter turning fn(Y, Y0, X, theta) -> (n, k) into an evaluator."""
+
+    def __init__(self, fn, k):
+        self.fn = fn
+        self.k = k
+
+    def stacked(self, Y, Y0, X, theta):
+        out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
+        return out.reshape(len(Y), self.k)
 
 
-def ar2_t3_table(y0, theta):
-    """Closed-form AR(2), T=3 moment table for initial block (y_{-1}, y_0).
+def _all_path_moments(ev, T, y0, X, theta):
+    """The (k, 2^T) values of evaluator ``ev`` on every path at one
+    initial block y0 and one covariate block X (or None)."""
+    Y0 = np.broadcast_to(np.asarray(y0), (2**T, np.size(y0)))
+    X = None if X is None else np.broadcast_to(X, (2**T,) + np.shape(X))
+    return np.ascontiguousarray(ev.stacked(all_paths(T), Y0, X, theta).T)
 
-    The two printed cases are (0,0) and (0,1); the remaining initial
-    conditions follow from the outcome-flip symmetry Y -> 1-Y,
-    A -> -A - gamma1 - gamma2, which maps the model onto itself.
+
+class Ar2T3Moments:
+    """Stacked AR(2), T=3 closed-form moments, one slot per initial block.
+
+    The printed cases are (0,0) and (0,1); the others follow from the
+    outcome-flip symmetry Y -> 1-Y, A -> -A - gamma1 - gamma2, which
+    maps the model onto itself.
     """
-    g1, g2 = _ar2_gammas(theta)
+
+    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+    k = 4
+
+    def stacked(self, Y, Y0, X, theta):
+        g1, g2 = np.asarray(theta, dtype=float)[:2]
+        # rows: the printed cases by y_0; columns: the paths (0,1,1),
+        # (0,1,0), (1,0,0), (1,0,1) in ``all_paths`` order
+        rows = np.zeros((2, 8))
+        rows[:, [3, 2, 4, 5]] = [[np.exp(-g1), 1.0, -1.0, -1.0],
+                                 [-1.0, -1.0, np.exp(g2 - g1), np.exp(g2)]]
+        Y = np.asarray(Y, dtype=np.int64)
+        Y0 = np.asarray(Y0, dtype=np.int64)
+        flip = Y0[:, :1]  # a unit with y_{-1} = 1 reads its flipped case
+        out = np.zeros((Y.shape[0], self.k))
+        out[np.arange(Y.shape[0]), 2 * Y0[:, 0] + Y0[:, 1]] = rows[
+            Y0[:, 1] ^ flip[:, 0], path_index(Y ^ flip)]
+        return out
+
+
+def closed_form_ar2_T3(y0, theta):
+    """Closed-form AR(2), T=3 moment table for initial block (y_{-1}, y_0)."""
     y0 = tuple(int(v) for v in y0)
-    if y0 == (0, 0):
-        return {
-            (0, 1, 1): np.exp(-g1),
-            (0, 1, 0): 1.0,
-            (1, 0, 0): -1.0,
-            (1, 0, 1): -1.0,
-        }
-    if y0 == (0, 1):
-        return {
-            (1, 0, 0): np.exp(g2 - g1),
-            (1, 0, 1): np.exp(g2),
-            (0, 1, 0): -1.0,
-            (0, 1, 1): -1.0,
-        }
-    flipped = ar2_t3_table(tuple(1 - v for v in y0), theta)
-    return {tuple(1 - v for v in y): c for y, c in flipped.items()}
+    values = _all_path_moments(Ar2T3Moments(), 3, y0, None, theta)
+    return MomentFunction(3, values[Ar2T3Moments.cells.index(y0)],
+                          f"closed_form(ar2_t3,y0={y0})")
 
 
-def closed_form_ar2_T3(y0, theta, allow_symmetry=True):
-    y0 = tuple(int(v) for v in y0)
-    if y0 not in ((0, 0), (0, 1)) and not allow_symmetry:
-        raise ValueError("printed cases cover y0 in {(0,0),(0,1)} only")
-    return MomentFunction.from_table(
-        3, ar2_t3_table(y0, theta), f"closed_form(ar2_t3,y0={y0})"
-    )
+class QuarterlyT6Moments:
+    """Stacked quarterly moments (m1, m2), evaluated per unit.
 
+    m1 is the thirteen-case table of the quarterly T=6 model written as
+    one product of exponentials; m2 is m1 after the symmetry Y -> 1-Y,
+    y0 -> 1-y0, X -> -X.  X holds per-unit covariates (n, d_x, 6), or is
+    None; without X or without beta the covariate terms drop out.
 
-def _quarterly_xdiff(X, t, s, beta):
-    if X is None or beta.size == 0:
-        return 0.0
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 3:  # per-unit covariates (n, d_x, T)
-        return (X[:, :, t - 1] - X[:, :, s - 1]) @ beta
-    return (X[:, t - 1] - X[:, s - 1]) @ beta
-
-
-def quarterly_m1_value(Y, y0, X, theta, flip=False):
-    """Vectorized first quarterly moment; ``flip`` applies the symmetry
-    transformation that yields the second one.
-
-    X may be a single d_x x 6 block shared across rows of Y, or an
-    (n, d_x, 6) array of per-unit covariates.
+    With ``instruments=True`` (the default when covariates are
+    present), each moment is also interacted with the covariate
+    differences x_2 - x_6 and x_5 - x_1 entering its exponents; the
+    interactions are valid moments because the originals have zero
+    conditional expectation given (Y0, X, A), and they separate the
+    weakly-identified near-roots of the plain just-identified system.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    gamma = float(np.asarray(theta, dtype=float)[0])
-    beta = np.asarray(theta, dtype=float)[1:]
-    if flip:
-        Y = 1.0 - Y
-        y0 = 1.0 - y0
-    sgn = -1.0 if flip else 1.0
-    y1, y2, y4, y5, y6 = (Y[:, k] for k in (0, 1, 3, 4, 5))
-    x26 = sgn * _quarterly_xdiff(X, 2, 6, beta)
-    x62 = -x26
-    x51 = sgn * _quarterly_xdiff(X, 5, 1, beta)
-    phi_a = (1 - y2) * (1 - y5) * np.exp(y6 * (gamma * y1 + x26))
-    phi_b = y2 * (1 - y5) * np.exp((1 - y6) * (-gamma * y1 + x62))
-    w = 1.0 - np.exp(-gamma * y0 + gamma * y4 + x51)
-    return (phi_a + phi_b) * (1.0 - w * y1) - (1.0 - y1)
+
+    def __init__(self, d_x=0, instruments=True):
+        self.d_x = int(d_x)
+        self.instruments = bool(instruments) and self.d_x > 0
+        self.k = 2 * (1 + 2 * self.d_x) if self.instruments else 2
+
+    @staticmethod
+    def _m1(Y, y0, gamma, x26, x51):
+        y1, y2, y4, y5, y6 = (Y[:, k] for k in (0, 1, 3, 4, 5))
+        phi_a = (1 - y2) * (1 - y5) * np.exp(y6 * (gamma * y1 + x26))
+        phi_b = y2 * (1 - y5) * np.exp((1 - y6) * (-gamma * y1 - x26))
+        w = 1.0 - np.exp(-gamma * y0 + gamma * y4 + x51)
+        return (phi_a + phi_b) * (1.0 - w * y1) - (1.0 - y1)
+
+    def stacked(self, Y, Y0, X, theta):
+        Y = np.asarray(Y, dtype=float)
+        y0 = np.asarray(Y0, dtype=float).reshape(-1)
+        theta = np.asarray(theta, dtype=float)
+        gamma, beta = theta[0], theta[1:]
+        x26 = x51 = 0.0
+        if X is not None:
+            X = np.asarray(X, dtype=float)
+            d26, d51 = X[:, :, 1] - X[:, :, 5], X[:, :, 4] - X[:, :, 0]
+            if beta.size:
+                x26, x51 = d26 @ beta, d51 @ beta
+        m1 = self._m1(Y, y0, gamma, x26, x51)
+        m2 = self._m1(1.0 - Y, 1.0 - y0, gamma, -x26, -x51)
+        cols = [m1, m2]
+        if self.instruments:
+            for d in range(self.d_x):
+                cols += [m1 * d26[:, d], m2 * d26[:, d],
+                         m1 * d51[:, d], m2 * d51[:, d]]
+        return np.column_stack(cols)
 
 
 def closed_form_quarterly_T6(theta, y0, X):
-    """The pair (m1, m2) of quarterly-effects moment functions at T=6."""
-    paths = all_paths(6)
-    y0v = np.full(paths.shape[0], int(y0))
-    m1 = quarterly_m1_value(paths, y0v, X, theta)
-    m2 = quarterly_m1_value(paths, y0v, X, theta, flip=True)
+    """The pair (m1, m2) of quarterly-effects moment functions at T=6,
+    at initial outcome y0 and the d_x x 6 covariates X (or None)."""
+    m1, m2 = _all_path_moments(QuarterlyT6Moments(), 6, [int(y0)], X, theta)
     return (
         MomentFunction(6, m1, "closed_form(quarterly_t6,m1)"),
         MomentFunction(6, m2, "closed_form(quarterly_t6,m2)"),
@@ -559,68 +584,3 @@ def closed_form_network_transition(spec, y_ref, theta, y0, X=None):
     vals = network_moment_value(spec, y_ref, paths, y0, X, theta)
     ref = tuple(int(v) for v in np.asarray(y_ref).ravel())
     return MomentFunction(spec.T, vals, f"closed_form(network_t3,y={ref})")
-
-
-# -- vectorized evaluators for GMM -------------------------------------------
-
-
-class CallableMoments:
-    """Adapter turning fn(Y, Y0, X, theta) -> (n, k) into an evaluator."""
-
-    def __init__(self, fn, k):
-        self.fn = fn
-        self.k = k
-
-    def stacked(self, Y, Y0, X, theta):
-        out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
-        return out.reshape(len(Y), self.k)
-
-
-class Ar2T3Moments:
-    """Stacked AR(2), T=3 closed-form moments, one slot per initial block."""
-
-    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-    k = 4
-
-    def stacked(self, Y, Y0, X, theta):
-        Y = np.asarray(Y, dtype=np.int64)
-        Y0 = np.asarray(Y0, dtype=np.int64)
-        out = np.zeros((Y.shape[0], self.k))
-        idx = path_index(Y)
-        for c, cell in enumerate(self.cells):
-            hit = np.all(Y0 == np.array(cell), axis=1)
-            if not np.any(hit):
-                continue
-            table = closed_form_ar2_T3(cell, theta)
-            out[hit, c] = table.values[idx[hit]]
-        return out
-
-
-class QuarterlyT6Moments:
-    """Stacked quarterly moments (m1, m2), evaluated per unit.
-
-    With ``instruments=True`` (the default when covariates are
-    present), each moment is also interacted with the covariate
-    differences x_2 - x_6 and x_5 - x_1 entering its exponents; the
-    interactions are valid moments because the originals have zero
-    conditional expectation given (Y0, X, A), and they separate the
-    weakly-identified near-roots of the plain just-identified system.
-    """
-
-    def __init__(self, d_x=0, instruments=True):
-        self.d_x = int(d_x)
-        self.instruments = bool(instruments) and self.d_x > 0
-        self.k = 2 * (1 + 2 * self.d_x) if self.instruments else 2
-
-    def stacked(self, Y, Y0, X, theta):
-        y0 = np.asarray(Y0, dtype=float).reshape(-1)
-        m1 = quarterly_m1_value(Y, y0, X, theta)
-        m2 = quarterly_m1_value(Y, y0, X, theta, flip=True)
-        cols = [m1, m2]
-        if self.instruments:
-            X = np.asarray(X, dtype=float)
-            for d in range(self.d_x):
-                x26 = X[:, d, 1] - X[:, d, 5]
-                x51 = X[:, d, 4] - X[:, d, 0]
-                cols += [m1 * x26, m2 * x26, m1 * x51, m2 * x51]
-        return np.column_stack(cols)

@@ -125,10 +125,10 @@ def _draw_y0(cfg, X, A, rng):
         raise ValueError(f"unknown y0_law {law['kind']!r}")
     # a static model has no state to burn in, and draws nothing
     burn = int(law.get("burn_in", 50)) if L0 else 0
-    state, w = np.zeros((n, L0), dtype=np.int8), spec.step_width
-    for b in range(burn):  # one step at a time: hold only the last L0 outcomes
-        state = _roll(spec, state, [b % (spec.T // w)], X, A, cfg.theta, rng)[:, w:]
-    return state
+    steps = [b % (spec.T // spec.step_width) for b in range(burn)]
+    full = _roll(spec, np.zeros((n, L0), dtype=np.int8), steps, X, A, cfg.theta, rng)
+    # the last L0 outcomes; a slice from -L0 would keep all of them at L0 = 0
+    return full[:, full.shape[1] - L0:]
 
 
 def generate(cfg):

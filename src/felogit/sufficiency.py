@@ -72,11 +72,13 @@ def _pair_multiset(spec, y, y0):
     )
 
 
-def transition_count(y, y0):
-    """Number of 1->1 transitions sum_t y_t y_{t-1}, reading y_0 from y0."""
-    y = np.asarray(y, dtype=np.int64)
-    prev = np.concatenate([[int(y0[-1])], y[:-1]])
-    return int(np.sum(y * prev))
+def transition_stats(spec, paths, y0):
+    """The AR transition statistics s_r(y) = sum_t y_t y_{t-r}, r = 1..p,
+    one row per path of ``paths`` (m, T), lags before period 1 read from
+    y0 (one block, or one per path)."""
+    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(*paths.shape, spec.p)
+    return np.einsum("nt,ntr->nr", paths, Z)
 
 
 def _log_ratio(spec, y, y_tilde, y0, X, theta):
@@ -99,11 +101,10 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
     s_y = exact_key(np.stack([y, y_tilde]) @ spec.W.T)
     cond_i = bool(np.array_equal(s_y[0], s_y[1]))
     cond_ii = _pair_multiset(spec, y, y0) == _pair_multiset(spec, y_tilde, y0)
-    gap = (
-        transition_count(y, y0) - transition_count(y_tilde, y0)
-        if spec.family == AR
-        else None
-    )
+    gap = None
+    if spec.family == AR:
+        s1 = transition_stats(spec, np.stack([y, y_tilde]), y0)[:, 0]
+        gap = int(s1[0] - s1[1])
     return PairCertificate(
         y=y,
         y_tilde=y_tilde,
@@ -186,7 +187,7 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     # periods t = 2..T of a basis-vector design, one column per design row
     E = exact_key(spec.W)[:, 1:].T
     perm_key = np.hstack([lag[:, 1:] @ E, (1 - lag[:, 1:]) @ E])
-    transitions = np.sum(paths * lag, axis=1)
+    transitions = transition_stats(spec, paths, y0)[:, 0]
     g = np.sum(paths * index_matrix(spec, paths, y0, None, theta), axis=1)
 
     members = np.argsort(inverse.ravel(), kind="stable")
@@ -246,14 +247,16 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
     y = np.asarray(y, dtype=np.int64)
     y_tilde = np.asarray(y_tilde, dtype=np.int64)
     y0 = np.asarray(y0, dtype=np.int64)
-    key, key_t = arp_statistic_key(spec, np.stack([y, y_tilde]), y0)
+    pair = np.stack([y, y_tilde])
+    key, key_t = arp_statistic_key(spec, pair, y0)
+    s1 = transition_stats(spec, pair, y0)[:, 0]
     d = spec.d_w  # the key row starts with W y
     return PairCertificate(
         y=y,
         y_tilde=y_tilde,
         cond_linear=bool(np.array_equal(key[:d], key_t[:d])),
         cond_permutation=bool(np.array_equal(key[d:], key_t[d:])),
-        transition_gap=transition_count(y, y0) - transition_count(y_tilde, y0),
+        transition_gap=int(s1[0] - s1[1]),
         log_ratio=_log_ratio(spec, y, y_tilde, y0, None, theta),
     )
 

@@ -136,9 +136,8 @@ def test_criterion_4_ar2_gamma1_dropout():
             for key, members in groups.items():
                 if len(members) < 2:
                     continue
-                s1 = {
-                    sufficiency.transition_count(paths[i], y0) for i in members
-                }
+                s1 = set(sufficiency.transition_stats(
+                    spec, paths[members], y0)[:, 0].tolist())
                 assert len(s1) == 1, (T, y0_bits)
                 checked_pairs += len(members) * (len(members) - 1) // 2
     # flatness of the conditional log likelihood in gamma1

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import felogit as fl
 from felogit import model, moments
@@ -173,9 +173,9 @@ PROPERTY_SPECS = [
 ]
 
 
-def _draw_inputs(data):
+def _draw_inputs(data, specs=PROPERTY_SPECS):
     """A spec with random (theta, X, y0) and a few fixed-effect draws."""
-    spec = data.draw(st.sampled_from(PROPERTY_SPECS))
+    spec = data.draw(st.sampled_from(specs))
 
     def floats(n, bound):
         return np.array(data.draw(st.lists(st.floats(-bound, bound),
@@ -314,19 +314,38 @@ def test_ar2_closed_form_zero_gamma_fair_model():
     assert val == pytest.approx(0.0, abs=1e-15)
 
 
-def test_ar2_closed_form_has_zero_expectation_all_cells():
-    spec = fl.panel_ar(2, 3)
-    rng = np.random.default_rng(51)
-    for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        theta = rng.uniform(-1.5, 1.5, 2)
-        m = fl.closed_form_ar2_T3(cell, theta)
-        for A in rng.uniform(-5, 5, (25, 1)):
-            val = naive_expectation(
-                lambda y: m(y), spec, np.array(cell), None, theta, A
-            )
-            assert abs(val) < 1e-12
-    with pytest.raises(ValueError):
-        fl.closed_form_ar2_T3((1, 1), [0.1, 0.1], allow_symmetry=False)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ar2_closed_form_has_zero_expectation_all_cells(data):
+    spec, theta, _, y0, A_rows = _draw_inputs(data, [fl.panel_ar(2, 3)])
+    m = fl.closed_form_ar2_T3(y0, theta)
+    for A in A_rows:
+        val = naive_expectation(lambda y: m(y), spec, y0, None, theta, A)
+        assert abs(val) < 1e-12
+
+
+CLOSED_FORM_SPECS = [
+    fl.panel_ar(2, 3),
+    fl.quarterly_ar(1, 6, d_x=1),
+    fl.network_design(3, 3),
+    fl.network_design(3, 3, d_x=1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_moments_have_zero_mean(data):
+    # every closed-form library, at random (theta, X, y0) and fixed effects
+    spec, theta, X, y0, A_rows = _draw_inputs(data, CLOSED_FORM_SPECS)
+    if spec.family == model.NETWORK:
+        ref = np.array(data.draw(st.lists(st.integers(0, 1), min_size=3, max_size=3)))
+        found = [fl.closed_form_network_transition(spec, ref, theta, y0, X)]
+    elif spec.T == 6:
+        found = fl.closed_form_quarterly_T6(theta, int(y0[0]), X)
+    else:
+        found = [fl.closed_form_ar2_T3(y0, theta)]
+    for m in found:
+        assert fl.verify_moment(m, spec, y0, X, theta, A_rows) < 1e-8
 
 
 def quarterly_display_m1(y, y0, x, theta):
@@ -366,48 +385,72 @@ def quarterly_display_m1(y, y0, x, theta):
     return 0.0
 
 
-def test_quarterly_m1_matches_piecewise_display():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        theta = rng.uniform(-1, 1, 2)
-        X = rng.normal(size=(1, 6))
-        y0 = int(rng.integers(0, 2))
-        m1, _ = fl.closed_form_quarterly_T6(theta, y0, X)
+QUARTERLY = [fl.quarterly_ar(1, 6, d_x=1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quarterly_m1_matches_piecewise_display(data):
+    _, theta, X, y0, _ = _draw_inputs(data, QUARTERLY)
+    m1, _ = fl.closed_form_quarterly_T6(theta, int(y0[0]), X)
+    for y in model.all_paths(6):
+        assert m1(y) == pytest.approx(
+            quarterly_display_m1(y, int(y0[0]), X, theta), rel=1e-12, abs=1e-12
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quarterly_m2_is_flip_of_m1(data):
+    _, theta, X, y0, _ = _draw_inputs(data, QUARTERLY)
+    _, m2 = fl.closed_form_quarterly_T6(theta, int(y0[0]), X)
+    m1_flip, _ = fl.closed_form_quarterly_T6(theta, 1 - int(y0[0]), -X)
+    for y in model.all_paths(6):
+        assert m2(y) == pytest.approx(m1_flip(1 - y), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quarterly_moments_zero_expectation_and_independent(data):
+    spec, theta, X, y0, A_rows = _draw_inputs(data, QUARTERLY)
+    m1, m2 = fl.closed_form_quarterly_T6(theta, int(y0[0]), X)
+    for m in (m1, m2):
+        assert fl.verify_moment(m, spec, y0, X, theta, A_rows) < 1e-8
+    # at gamma = 0 without covariate terms m2 = -m1
+    assume(abs(theta[0]) > 1e-3)
+    assert np.linalg.matrix_rank(np.vstack([m1.values, m2.values])) == 2
+
+
+def test_quarterly_closed_form_without_covariates():
+    # theta = (gamma,) and no X: the display table with an empty beta
+    for gamma, y0 in [(0.7, 0), (-1.3, 1), (0.0, 1)]:
+        m1, m2 = fl.closed_form_quarterly_T6([gamma], y0, None)
         for y in model.all_paths(6):
             assert m1(y) == pytest.approx(
-                quarterly_display_m1(y, y0, X, theta), rel=1e-12, abs=1e-12
-            )
+                quarterly_display_m1(y, y0, np.zeros((0, 6)), [gamma]),
+                rel=1e-12, abs=1e-12)
+            assert m2(y) == pytest.approx(
+                quarterly_display_m1(1 - y, 1 - y0, np.zeros((0, 6)), [gamma]),
+                rel=1e-12, abs=1e-12)
 
 
-def test_quarterly_m2_is_flip_of_m1():
-    rng = np.random.default_rng(71)
-    theta = rng.uniform(-1, 1, 2)
-    X = rng.normal(size=(1, 6))
-    for y0 in (0, 1):
-        _, m2 = fl.closed_form_quarterly_T6(theta, y0, X)
-        m1_flip, _ = fl.closed_form_quarterly_T6(theta, 1 - y0, -X)
-        for y in model.all_paths(6):
-            assert m2(y) == pytest.approx(m1_flip(1 - y), rel=1e-12, abs=1e-12)
-
-
-def test_quarterly_moments_zero_expectation_and_independent():
-    spec = fl.quarterly_ar(1, 6, d_x=1)
-    rng = np.random.default_rng(81)
-    worst = 0.0
-    for _ in range(10):
-        theta = rng.uniform(-1, 1, 2)
-        X = rng.normal(size=(1, 6))
-        y0 = int(rng.integers(0, 2))
-        m1, m2 = fl.closed_form_quarterly_T6(theta, y0, X)
-        grid = rng.uniform(-3, 3, (20, 4))
-        worst = max(
-            worst,
-            fl.verify_moment(m1, spec, np.array([y0]), X, theta, grid),
-            fl.verify_moment(m2, spec, np.array([y0]), X, theta, grid),
-        )
-        stacked = np.vstack([m1.values, m2.values])
-        assert np.linalg.matrix_rank(stacked) == 2
-    assert worst < 1e-8
+def test_quarterly_evaluator_matches_display_unit_by_unit():
+    # units with distinct covariates, so no unit can borrow another's X
+    rng = np.random.default_rng(62)
+    n = 200
+    theta = np.array([0.6, -0.9])
+    Y = rng.integers(0, 2, (n, 6))
+    Y0 = rng.integers(0, 2, (n, 1))
+    X = rng.normal(size=(n, 1, 6))
+    out = moments.QuarterlyT6Moments(d_x=1).stacked(Y, Y0, X, theta)
+    assert out.shape == (n, 6)
+    for u in range(n):
+        x, y0 = X[u], int(Y0[u, 0])
+        m1 = quarterly_display_m1(Y[u], y0, x, theta)
+        m2 = quarterly_display_m1(1 - Y[u], 1 - y0, -x, theta)
+        x26, x51 = x[0, 1] - x[0, 5], x[0, 4] - x[0, 0]
+        want = [m1, m2, m1 * x26, m2 * x26, m1 * x51, m2 * x51]
+        np.testing.assert_allclose(out[u], want, rtol=1e-12, atol=1e-12)
 
 
 def test_network_moment_zero_parameters_reduces_to_indicators():
