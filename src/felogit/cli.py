@@ -642,7 +642,6 @@ def build_parser():
     p.add_argument("--weighting", choices=["identity", "two-step"])
     p.add_argument("--init")
     p.add_argument("--wperp")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="draw a sample CSV from a DGP config")

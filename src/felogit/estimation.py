@@ -15,7 +15,8 @@ paths in a row's conditioning class, G_own is the observed path's and
 w counts identical rows.  The profiles are X_u P' over the static
 classes S(W y), (X w_perp, 0) over the pairwise classes of two, and
 the transition statistics over the dynamic AR classes (for p >= 2 only
-the last lag coefficient moves the objective).  ``_CondLogit`` holds
+the last lag coefficient moves the objective).  Every class comes from
+``sufficiency.key_classes`` on its key.  ``_CondLogit`` holds
 one block per class size and gives the value, its analytic gradient
 and Hessian, and the sandwich meat with scores clustered by unit.
 """
@@ -28,7 +29,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import AR, STATIC, all_paths, exact_key, path_index
-from .sufficiency import _canonical_spec, arp_statistic_key, transition_stats
+from .sufficiency import (_canonical_spec, arp_statistic_key, key_classes,
+                          transition_stats)
 
 
 class NoInformationError(RuntimeError):
@@ -260,28 +262,20 @@ def _fit(core, spec, init, max_iter, diagnostics, free=None):
 
 
 def _static_objective(sample):
-    """Core over the static classes; returns (core, blocks, n_informative)."""
+    """Core over the static classes; returns (core, n_informative)."""
     spec = sample.spec
     paths = all_paths(spec.T)
-    _, cls, size = np.unique(exact_key(paths @ spec.W.T), axis=0,
-                             return_inverse=True, return_counts=True)
-    cls = cls.ravel()
-    # members of each class in path order, and each path's rank in its class
-    order = np.argsort(cls, kind="stable")
-    first = np.cumsum(size) - size
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - first[cls[order]]
-
+    classes = key_classes(exact_key(paths @ spec.W.T))
     unit_path = path_index(sample.Y)
-    unit_cls = cls[unit_path]
-    unit_size = size[unit_cls]
+    unit_cls = classes.cls[unit_path]
+    unit_size = classes.sizes[unit_cls]
     core = _CondLogit(spec.d_x)
     for m in np.unique(unit_size[unit_size > 1]):
         units = np.flatnonzero(unit_size == m)
-        members = order[first[unit_cls[units]][:, None] + np.arange(m)]
+        members = classes.members(unit_cls[units], m)
         G = np.einsum("udt,umt->umd", sample.X[units], paths[members])
-        core.add(G, rank[unit_path[units]])
-    return core, core.blocks, int(np.sum(unit_size > 1))
+        core.add(G, classes.rank[unit_path[units]])
+    return core, int(np.sum(unit_size > 1))
 
 
 def cmle_static(sample, init=None, max_iter=100):
@@ -296,7 +290,7 @@ def cmle_static(sample, init=None, max_iter=100):
         raise ValueError("cmle_static requires a static spec")
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    core, _, n_info = _static_objective(sample)
+    core, n_info = _static_objective(sample)
     if n_info == 0:
         raise NoInformationError("every conditioning class is a singleton")
     _, _, H0 = core(np.zeros(spec.d_x) if init is None else init)
@@ -358,7 +352,8 @@ def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
 def _dynamic_core(sample):
     """Core over the occupied multi-member sufficiency classes, one row
     per (y0, y) cell of the count table weighted by its count; profiles
-    are the transition statistics of every path in the class."""
+    are the transition statistics of every path in the class.  Returns
+    (core, n_informative)."""
     spec = sample.spec
     work = _canonical_spec(spec)
     cells, counts, _ = _count_table(sample)
@@ -367,34 +362,22 @@ def _dynamic_core(sample):
     rows = {}  # class size -> lists of profiles, observed members, counts
     n_info = 0
     for y0 in np.unique(cells.Y0, axis=0):
-        _, cls = np.unique(arp_statistic_key(work, paths, y0), axis=0,
-                           return_inverse=True)
-        cls = cls.ravel()
+        classes = key_classes(arp_statistic_key(work, paths, y0))
         stats = transition_stats(spec, paths, y0).astype(float)
-        for c in np.flatnonzero(np.all(cells.Y0 == y0, axis=1)):
-            members = np.flatnonzero(cls == cls[cell_path[c]])  # path order
-            if len(members) < 2:
-                continue
-            G, own, w = rows.setdefault(len(members), ([], [], []))
-            G.append(stats[members])
-            own.append(np.searchsorted(members, cell_path[c]))
-            w.append(counts[c])
-            n_info += int(counts[c])
+        at_y0 = np.flatnonzero(np.all(cells.Y0 == y0, axis=1))
+        cls = classes.cls[cell_path[at_y0]]
+        size = classes.sizes[cls]
+        for m in np.unique(size[size > 1]):
+            at = size == m
+            G, own, w = rows.setdefault(m, ([], [], []))
+            G.append(stats[classes.members(cls[at], m)])
+            own.append(classes.rank[cell_path[at_y0[at]]])
+            w.append(counts[at_y0[at]])
+        n_info += int(counts[at_y0[size > 1]].sum())
     core = _CondLogit(spec.p)
     for G, own, w in rows.values():
-        core.add(np.stack(G), np.array(own), np.array(w))
+        core.add(np.concatenate(G), np.concatenate(own), np.concatenate(w))
     return core, n_info
-
-
-def _dynamic_loglik(sample):
-    """The conditional log likelihood as a function of the full gamma
-    vector (flat in every lag but the last one)."""
-    core, n_info = _dynamic_core(sample)
-
-    def loglik(gam):
-        return core(np.asarray(gam, dtype=float))[0]
-
-    return loglik, n_info
 
 
 def cmle_dynamic_ar(sample, init=None, max_iter=100):

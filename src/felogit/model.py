@@ -288,15 +288,19 @@ def shared_friends(spec, nets):
 def exact_key(values):
     """Exact comparison key of design columns W or loadings W y.
 
-    int64 when every entry is integral within 1e-9, otherwise the
-    values rounded to 9 digits, so that float noise (0.1 + 0.2 against
-    0.3) gives one key.
+    int64 when every entry is integral within 1e-9.  Otherwise the
+    sorted values split into clusters wherever a gap exceeds 1e-9 and
+    each value maps to the start of its cluster, so that float noise
+    (0.1 + 0.2 against 0.3) gives one key even across a rounding
+    boundary.  Keys compare within one call only.
     """
     values = np.asarray(values, dtype=float)
     ints = np.rint(values)
     if np.all(np.abs(values - ints) < 1e-9):
         return ints.astype(np.int64)
-    return np.round(values, 9)
+    ranked, inverse = np.unique(values, return_inverse=True)
+    start = np.concatenate([[True], np.diff(ranked) > 1e-9])
+    return ranked[start][np.cumsum(start) - 1][inverse].reshape(values.shape)
 
 
 def lag_features(spec, states):

@@ -8,14 +8,19 @@ permutation of the other's.  This module checks those conditions on
 exact integer keys, enumerates identifying pairs for AR(1) designs,
 verifies the AR(p) condition systems, and builds the conditioning sets
 and conditional likelihood of the dynamic dyadic network model.
+
+Every conditioning class is a set of rows sharing one key, built by one
+helper, ``key_classes``: the static S(W y) and dynamic AR classes, the
+AR(1) pair groups, the network classes and the design-column ids of
+``permutation_key``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -23,6 +28,31 @@ from scipy.special import logsumexp
 from . import model
 from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
                     lag_features, path_states)
+
+
+class KeyClasses(NamedTuple):
+    """Rows grouped by equal key rows, classes in ``np.unique`` key order."""
+
+    cls: np.ndarray  # each row's class
+    sizes: np.ndarray  # rows per class
+    order: np.ndarray  # rows class by class, each class in row order
+    rank: np.ndarray  # each row's position among its class's members
+
+    def members(self, classes, m):
+        """Member rows, (..., m), of classes that all have m rows."""
+        start = np.cumsum(self.sizes) - self.sizes
+        return self.order[start[classes][..., None] + np.arange(m)]
+
+
+def key_classes(keys):
+    """Group the rows of ``keys`` (n, k) by equal key rows."""
+    _, cls, sizes = np.unique(keys, axis=0, return_inverse=True,
+                              return_counts=True)
+    cls = cls.ravel()
+    order = np.argsort(cls, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[cls[order]]
+    return KeyClasses(cls, sizes, order, rank)
 
 
 @dataclass
@@ -61,15 +91,22 @@ def _require_dynamic(spec):
         raise ValueError("operation requires a dynamic (ar or network) spec")
 
 
-def _pair_multiset(spec, y, y0):
-    # exact keys of (w_t, the lag features feeding pi_t) for t = 2..T;
-    # floating pi values would spuriously match when theta has
-    # coincidental sums
-    Z = lag_features(spec, path_states(spec, y, y0)).reshape(spec.T, -1).tolist()
-    wkeys = exact_key(spec.W).T.tolist()
-    return Counter(
-        (tuple(wkeys[t]), tuple(Z[t])) for t in range(1, spec.T)
-    )
+def permutation_key(spec, paths, y0):
+    """Per path of ``paths`` (m, T), the sorted ids of the pairs
+    (exact w_t key, integer lag features Z_t feeding pi_t), t = 2..T.
+
+    Two paths of one call satisfy the permutation condition against
+    each other exactly when their rows are equal.  (Floating pi values
+    would spuriously match when theta has coincidental sums.)
+    """
+    _require_dynamic(spec)
+    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    m, T = paths.shape
+    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(m, T, -1)[:, 1:]
+    w = key_classes(exact_key(spec.W).T[1:]).cls
+    base = Z.max(initial=0) + 1  # Z holds small nonnegative integers
+    ids = w * base ** Z.shape[2] + Z @ base ** np.arange(Z.shape[2])
+    return np.sort(ids, axis=1)
 
 
 def transition_stats(spec, paths, y0):
@@ -81,11 +118,15 @@ def transition_stats(spec, paths, y0):
     return np.einsum("nt,ntr->nr", paths, Z)
 
 
-def _log_ratio(spec, y, y_tilde, y0, X, theta):
-    paths = np.vstack([y, y_tilde])
-    pi = index_matrix(spec, paths, y0, X, theta)
-    vals = np.sum(paths * pi, axis=1)
-    return float(vals[0] - vals[1])
+def _certificate(spec, pair, y0, X, theta, cond_linear, cond_permutation):
+    """PairCertificate of ``pair`` (2, T) with the given conditions."""
+    gap = None
+    if spec.family == AR:
+        s1 = transition_stats(spec, pair, y0)[:, 0]
+        gap = int(s1[0] - s1[1])
+    g = np.sum(pair * index_matrix(spec, pair, y0, X, theta), axis=1)
+    return PairCertificate(pair[0], pair[1], cond_linear, cond_permutation,
+                           gap, float(g[0] - g[1]))
 
 
 def permutation_check(spec, y, y_tilde, y0, theta, X=None):
@@ -95,24 +136,12 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
     exp(log_ratio) for every A.
     """
     _require_dynamic(spec)
-    y = np.asarray(y, dtype=np.int64)
-    y_tilde = np.asarray(y_tilde, dtype=np.int64)
+    pair = np.stack([y, y_tilde]).astype(np.int64)
     y0 = np.asarray(y0, dtype=np.int64)
-    s_y = exact_key(np.stack([y, y_tilde]) @ spec.W.T)
-    cond_i = bool(np.array_equal(s_y[0], s_y[1]))
-    cond_ii = _pair_multiset(spec, y, y0) == _pair_multiset(spec, y_tilde, y0)
-    gap = None
-    if spec.family == AR:
-        s1 = transition_stats(spec, np.stack([y, y_tilde]), y0)[:, 0]
-        gap = int(s1[0] - s1[1])
-    return PairCertificate(
-        y=y,
-        y_tilde=y_tilde,
-        cond_linear=cond_i,
-        cond_permutation=cond_ii,
-        transition_gap=gap,
-        log_ratio=_log_ratio(spec, y, y_tilde, y0, X, theta),
-    )
+    s_y = exact_key(pair @ spec.W.T)
+    perm = permutation_key(spec, pair, y0)
+    return _certificate(spec, pair, y0, X, theta, np.array_equal(*s_y),
+                        np.array_equal(*perm))
 
 
 def ar1_sufficient_stat(spec, y, y0):
@@ -164,8 +193,7 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     meaningful outcome: designs with per-period effects admit no pairs.
 
     Every per-path statistic is computed once over all 2^T paths: the
-    group key, the permutation key (the count of periods t = 2..T per
-    design column and y_{t-1}), the transition count and
+    group key, ``permutation_key``, the transition count and
     g(y) = sum_t y_t pi_t.  A pair's certificate is then a lookup, with
     log_ratio = g(y) - g(y~).  Groups come in increasing key order and
     pairs within a group in increasing path order.
@@ -179,26 +207,20 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
         theta = np.zeros(spec.theta_dim)
     y0 = np.asarray(y0, dtype=np.int64)
     paths = all_paths(spec.T).astype(np.int64)
-    lag = lag_features(spec, path_states(spec, paths, y0))[:, :, 0, 0]  # y_{t-1}
-    _, inverse, sizes = np.unique(
-        arp_statistic_key(spec, paths, y0), axis=0,
-        return_inverse=True, return_counts=True,
-    )
-    # periods t = 2..T of a basis-vector design, one column per design row
-    E = exact_key(spec.W)[:, 1:].T
-    perm_key = np.hstack([lag[:, 1:] @ E, (1 - lag[:, 1:]) @ E])
+    groups = key_classes(arp_statistic_key(spec, paths, y0))
+    perm_key = permutation_key(spec, paths, y0)
     transitions = transition_stats(spec, paths, y0)[:, 0]
     g = np.sum(paths * index_matrix(spec, paths, y0, None, theta), axis=1)
 
-    members = np.argsort(inverse.ravel(), kind="stable")
     a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
-        if size < 2:
-            continue
-        i, j = np.triu_indices(size, 1)
-        a.append(members[start + i])
-        b.append(members[start + j])
+    for m in np.unique(groups.sizes[groups.sizes > 1]):
+        members = groups.members(np.flatnonzero(groups.sizes == m), m)
+        i, j = np.triu_indices(m, 1)
+        a.append(members[:, i].ravel())
+        b.append(members[:, j].ravel())
     a, b = np.concatenate(a), np.concatenate(b)
+    by_group = np.argsort(groups.cls[a], kind="stable")
+    a, b = a[by_group], b[by_group]
     gap = transitions[a] - transitions[b]
     if require_gap:
         a, b, gap = a[gap != 0], b[gap != 0], gap[gap != 0]
@@ -244,21 +266,13 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
         raise ValueError("sufficiency requires basis-vector columns")
     if theta is None:
         theta = np.zeros(spec.theta_dim)
-    y = np.asarray(y, dtype=np.int64)
-    y_tilde = np.asarray(y_tilde, dtype=np.int64)
+    pair = np.stack([y, y_tilde]).astype(np.int64)
     y0 = np.asarray(y0, dtype=np.int64)
-    pair = np.stack([y, y_tilde])
     key, key_t = arp_statistic_key(spec, pair, y0)
-    s1 = transition_stats(spec, pair, y0)[:, 0]
     d = spec.d_w  # the key row starts with W y
-    return PairCertificate(
-        y=y,
-        y_tilde=y_tilde,
-        cond_linear=bool(np.array_equal(key[:d], key_t[:d])),
-        cond_permutation=bool(np.array_equal(key[d:], key_t[d:])),
-        transition_gap=int(s1[0] - s1[1]),
-        log_ratio=_log_ratio(spec, y, y_tilde, y0, None, theta),
-    )
+    return _certificate(spec, pair, y0, None, theta,
+                        np.array_equal(key[:d], key_t[:d]),
+                        np.array_equal(key[d:], key_t[d:]))
 
 
 # -- dynamic network conditioning ------------------------------------------
@@ -284,12 +298,18 @@ def network_cond_star(spec, y):
 
 
 @lru_cache(maxsize=None)
-def _z_equal(n):
-    # E[d, a, b]: networks a and b (by id) give dyad d the same lag
-    # features (link, shared friends) for the next period
+def _network_classes(n):
+    # classes of (period-1, period-2) network pairs, row a * 2^D + b for
+    # networks a, b by id; the key holds, per dyad, the unordered pair
+    # of the two networks' (link, shared friends) codes
+    if n > 4:
+        raise ValueError(f"network conditioning classes need a scan of "
+                         f"{2 ** (n * (n - 1))} candidates; n <= 4 only")
     Z = lag_features(model.network_design(n, 1), all_paths(n * (n - 1) // 2))
-    same = np.all(Z[:, None] == Z[None], axis=3)  # indexed (a, b, d)
-    return np.ascontiguousarray(same.transpose(2, 0, 1))
+    code = Z[..., 0] + 2 * Z[..., 1]
+    a, b = code[:, None], code[None, :]
+    key = np.concatenate([np.minimum(a, b), np.maximum(a, b)], axis=2)
+    return key_classes(key.reshape(len(code) ** 2, -1))
 
 
 def network_cond_full(spec, y):
@@ -300,41 +320,22 @@ def network_cond_full(spec, y):
     and 2 must match y's pair up to swapping the two periods.  Every
     member then satisfies the permutation condition against y, so
     likelihood ratios within the set are free of the fixed effects.
+    Members come in path order.
     """
     _require_t3(spec)
-    if spec.n > 4:
-        est = 2 ** (2 * spec.n_dyads)
-        raise ValueError(
-            f"full conditioning set needs a scan of {est} candidates; n <= 4 only"
-        )
+    classes = _network_classes(spec.n)
     p1, p2, p3 = np.asarray(y, dtype=np.int64).reshape(3, spec.step_width)
-    n1 = int(model.path_index(p1))
-    n2 = int(model.path_index(p2))
-    E = _z_equal(spec.n)
-    D = spec.n_dyads
-    m = 2**D
-    mask = np.ones((m, m), dtype=bool)
-    for d in range(D):
-        # grid axis 0 = candidate period-1 network, axis 1 = period-2
-        keep = E[d][n1][:, None] & E[d][n2][None, :]
-        swap = E[d][n2][:, None] & E[d][n1][None, :]
-        mask &= keep | swap
-    nets = all_paths(D)
-    members = [
-        np.concatenate([nets[a], nets[b], p3])
-        for a, b in np.argwhere(mask)
-    ]
-    members.sort(key=lambda v: tuple(v.tolist()))
+    nets = all_paths(spec.n_dyads)
+    c = classes.cls[model.path_index(p1) * len(nets) + model.path_index(p2)]
+    a, b = np.divmod(classes.members(c, classes.sizes[c]), len(nets))
+    members = np.hstack([nets[a], nets[b], np.tile(p3, (len(a), 1))])
     return ConditioningSet("network_full", tuple(members))
 
 
 def network_star_equals_full(spec, y):
-    """Whether the two-element set exhausts the full conditioning set."""
-    full = network_cond_full(spec, y)
-    star = network_cond_star(spec, y)
-    if len(full) != len(star):
-        return False
-    return all(np.array_equal(a, b) for a, b in zip(full.members, star.members))
+    """Whether the two-element set exhausts the full conditioning set,
+    which always contains it."""
+    return len(network_cond_full(spec, y)) == len(network_cond_star(spec, y))
 
 
 def network_star_equality_fraction(spec):
@@ -346,18 +347,9 @@ def network_star_equality_fraction(spec):
     networks and initial conditions do not enter.
     """
     _require_t3(spec)
-    if spec.n > 4:
-        raise ValueError("exhaustive equality count supported for n <= 4")
-    E = _z_equal(spec.n)
-    m = E.shape[1]
-    sizes = np.empty((m, m), dtype=np.int64)
-    for a in range(m):  # one period-1 network at a time: m^3 booleans, not m^4
-        ok = np.ones((m, m, m), dtype=bool)
-        for e in E:  # keep: (a, c) and (b, d) match; swap: (b, c) and (a, d)
-            ok &= (e[a][None, :, None] & e[:, None, :]) | (e[:, :, None] & e[a][None, None, :])
-        sizes[a] = ok.sum(axis=(1, 2))
-    star = np.where(np.eye(m, dtype=bool), 1, 2)
-    return float(np.mean(sizes == star))
+    classes = _network_classes(spec.n)
+    star = np.where(np.eye(2**spec.n_dyads, dtype=bool), 1, 2).ravel()
+    return float(np.mean(classes.sizes[classes.cls] == star))
 
 
 def network_cond_likelihood(spec, theta, y, y0, cond):

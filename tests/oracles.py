@@ -3,10 +3,15 @@
 These recompute probabilities, indices and null spaces from the model
 definition with naive loops (or arbitrary precision where float64
 cannot certify a rank), and exist so the tests never compare the
-library against itself.
+library against itself.  The exceptions are two earlier library
+implementations kept as references for the key-based code that replaced
+them: the ``Counter`` permutation multiset and the mask-based network
+conditioning set.  They share only the lag features and the exact key
+with the code they check.
 """
 
 import itertools
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -193,3 +198,48 @@ def per_path_coefficients(spec, tables, y0, X, theta):
         for d, c in acc.items():
             rows.setdefault(d, np.zeros(len(paths)))[j] = c
     return rows
+
+
+def counter_pair_multiset(spec, y, y0):
+    """Multiset of the pairs (exact w_t key, lag features feeding pi_t)
+    for t = 2..T of path y: the permutation condition holds for two
+    paths exactly when their multisets are equal."""
+    from felogit.model import exact_key, lag_features, path_states
+
+    Z = lag_features(spec, path_states(spec, y, y0)).reshape(spec.T, -1).tolist()
+    wkeys = exact_key(spec.W).T.tolist()
+    return Counter(
+        (tuple(wkeys[t]), tuple(Z[t])) for t in range(1, spec.T)
+    )
+
+
+def _z_equal(n):
+    # E[d, a, b]: networks a and b (by id) give dyad d the same lag
+    # features (link, shared friends) for the next period
+    from felogit.model import all_paths, lag_features, network_design
+
+    Z = lag_features(network_design(n, 1), all_paths(n * (n - 1) // 2))
+    same = np.all(Z[:, None] == Z[None], axis=3)  # indexed (a, b, d)
+    return np.ascontiguousarray(same.transpose(2, 0, 1))
+
+
+def mask_network_cond_full(spec, y):
+    """Members of the tau = 3 network conditioning set of y, sorted,
+    from a per-dyad mask over every (period-1, period-2) candidate."""
+    from felogit.model import all_paths, path_index
+
+    D = spec.n_dyads
+    p1, p2, p3 = np.asarray(y, dtype=np.int64).reshape(3, D)
+    n1, n2 = int(path_index(p1)), int(path_index(p2))
+    E = _z_equal(spec.n)
+    m = 2**D
+    mask = np.ones((m, m), dtype=bool)
+    for d in range(D):
+        # grid axis 0 = candidate period-1 network, axis 1 = period-2
+        keep = E[d][n1][:, None] & E[d][n2][None, :]
+        swap = E[d][n2][:, None] & E[d][n1][None, :]
+        mask &= keep | swap
+    nets = all_paths(D)
+    members = [np.concatenate([nets[a], nets[b], p3]) for a, b in np.argwhere(mask)]
+    members.sort(key=lambda v: tuple(v.tolist()))
+    return members

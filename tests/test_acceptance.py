@@ -149,9 +149,9 @@ def test_criterion_4_ar2_gamma1_dropout():
             np.array(list(itertools.product((0, 1), repeat=2))), len(paths), 0
         )
         sample = estimation.Sample(spec=spec, Y=Y, Y0=Y0)
-        loglik, n_info = estimation._dynamic_loglik(sample)
+        core, n_info = estimation._dynamic_core(sample)
         assert n_info > 0
-        vals = [loglik(np.array([g1, -0.4])) for g1 in np.linspace(-3, 3, 13)]
+        vals = [core(np.array([g1, -0.4]))[0] for g1 in np.linspace(-3, 3, 13)]
         assert max(vals) - min(vals) < 1e-10
     _ok(f"criterion 4: all {checked_pairs} qualifying AR(2) pairs (T <= 7) "
         "share the 1->1 transition count; conditional loglik flat in gamma1")

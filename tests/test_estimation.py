@@ -12,7 +12,7 @@ from felogit import estimation, moments, simulate
 from felogit.estimation import (
     NoInformationError,
     Sample,
-    _dynamic_loglik,
+    _dynamic_core,
     _pairwise_objective,
     _static_objective,
     cmle_dynamic_ar,
@@ -81,7 +81,7 @@ def test_twoway_cmle_equals_pairwise_regression():
 
 def test_static_objective_concave():
     s = _static_sample(n=300, T=3, beta=(0.5, -0.5), seed=3)
-    objective, _, _ = _static_objective(s)
+    objective, _ = _static_objective(s)
     rng = np.random.default_rng(4)
     for _ in range(5):
         _, _, H = objective(rng.normal(size=2))
@@ -90,7 +90,7 @@ def test_static_objective_concave():
 
 def test_analytic_gradients_match_finite_differences():
     s = _static_sample(n=200, T=3, beta=(0.4, -0.2), seed=6)
-    objective, _, _ = _static_objective(s)
+    objective, _ = _static_objective(s)
     pobjective, _, _, _ = _pairwise_objective(s, np.array([[1], [-1], [0]]))
     rng = np.random.default_rng(7)
     h = 1e-6
@@ -176,9 +176,9 @@ def test_dynamic_cmle_recovers_ar1():
     assert rep.converged
     assert abs(rep.theta[0] - 0.8) < 4 * rep.std_errors[0]
     # first-order condition holds on the exposed log likelihood
-    loglik, _ = _dynamic_loglik(s)
+    core, _ = _dynamic_core(s)
     h = 1e-6
-    fd = (loglik(rep.theta + h) - loglik(rep.theta - h)) / (2 * h)
+    fd = (core(rep.theta + h)[0] - core(rep.theta - h)[0]) / (2 * h)
     assert abs(fd) < 1e-4
 
 
@@ -198,10 +198,10 @@ def test_dynamic_cmle_trend_design_has_no_information():
 
 def test_ar2_conditional_likelihood_flat_in_gamma1():
     s = _ar_sample(2, 4, [0.5, -0.3], n=3000, seed=15, stationary=True)
-    loglik, n_info = _dynamic_loglik(s)
+    core, n_info = _dynamic_core(s)
     assert n_info > 0
-    base = loglik(np.array([0.0, -0.3]))
-    vals = [loglik(np.array([g1, -0.3])) for g1 in np.linspace(-2, 2, 11)]
+    base = core(np.array([0.0, -0.3]))[0]
+    vals = [core(np.array([g1, -0.3]))[0] for g1 in np.linspace(-2, 2, 11)]
     assert max(vals) - min(vals) < 1e-10
     # the GMM objective over gamma1 is not flat
     ev = moments.Ar2T3Moments()
@@ -376,7 +376,7 @@ def test_cmle_objectives_match_unit_by_unit_reference():
     s = _static_sample(n=150, T=3, beta=(0.4, -0.2), seed=41)
     paths = model.all_paths(3).astype(float)
     stats = paths @ s.spec.W.T
-    objective, _, _ = _static_objective(s)
+    objective, _ = _static_objective(s)
     beta = np.array([0.3, -0.6])
     want = 0.0
     for y, x in zip(s.Y, s.X):
@@ -387,7 +387,7 @@ def test_cmle_objectives_match_unit_by_unit_reference():
     assert objective(beta)[0] == pytest.approx(want, rel=1e-12)
 
     ar = _ar_sample(2, 4, [0.5, -0.3], n=150, seed=42, stationary=True)
-    loglik, _ = _dynamic_loglik(ar)
+    core, _ = _dynamic_core(ar)
     gam = np.array([0.2, 0.7])
     all_y = model.all_paths(4)
     want = 0.0
@@ -400,12 +400,12 @@ def test_cmle_objectives_match_unit_by_unit_reference():
                 ar.spec, np.array(members), np.tile(y0, (len(members), 1)))
             own = sufficiency.transition_stats(ar.spec, y[None], y0[None])
             want += float(own[0] @ gam) - logsumexp(prof @ gam)
-    assert loglik(gam) == pytest.approx(want, rel=1e-12)
+    assert core(gam)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_analytic_hessians_match_finite_differences():
     s = _static_sample(n=200, T=3, beta=(0.4, -0.2), seed=43)
-    static, _, _ = _static_objective(s)
+    static, _ = _static_objective(s)
     pairwise, _, _, _ = _pairwise_objective(s, np.array([[1], [-1], [0]]))
     beta, h = np.array([0.5, -0.7]), 1e-6
     for fn in (static, pairwise):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import felogit as fl
 from felogit import estimation, model, moments, sufficiency
 from felogit.simulate import DGPConfig, generate
-from oracles import naive_path_prob
+from oracles import counter_pair_multiset, mask_network_cond_full, naive_path_prob
 
 
 def test_permutation_identical_paths():
@@ -143,6 +143,16 @@ def test_canonicalize_indicator_design_idempotent():
     regroup, _ = fl.canonicalize_design(W_star)
     assert np.array_equal(W_star, regroup)
     assert np.array_equal(Omega @ W_star, spec.W)
+
+
+def test_canonicalize_joins_values_straddling_a_rounding_boundary():
+    # the two values are one float apart, on either side of a 9-digit
+    # rounding boundary
+    W = [[0.3000000015, 0.30000000149999995, 0.3000000015,
+          0.30000000149999995, 0.3000000015]]
+    W_star, Omega = fl.canonicalize_design(W)
+    assert np.array_equal(W_star, np.ones((1, 5)))
+    assert Omega.shape == (1, 1)
 
 
 def test_relabeled_basis_groups_paths_identically():
@@ -474,3 +484,87 @@ def test_network_full_class_ratios_are_free_of_A(data):
     members = np.vstack(fl.network_cond_full(spec, y).members)
     _assert_free_of_A(spec, y0, None, theta, _draw_A_rows(data, spec), members,
                       np.zeros(len(members), dtype=int))
+
+
+def _dict_classes(rows):
+    """Reference grouping of key rows: classes in sorted key order,
+    members in row order."""
+    groups = {}
+    for i, row in enumerate(map(tuple, rows)):
+        groups.setdefault(row, []).append(i)
+    return [groups[key] for key in sorted(groups)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_key_classes_match_dict_grouping(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 3))
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=n * k,
+                                max_size=n * k))
+    rows = np.array(values, dtype=np.int64).reshape(n, k)
+    got = sufficiency.key_classes(rows)
+    want = _dict_classes(rows.tolist())
+    assert got.sizes.tolist() == [len(g) for g in want]
+    for c, members in enumerate(want):
+        assert got.members(c, len(members)).tolist() == members
+        for r, i in enumerate(members):
+            assert got.cls[i] == c and got.rank[i] == r
+    # one batched lookup per class size, as the CMLEs use it
+    for m in set(got.sizes.tolist()):
+        classes = np.flatnonzero(got.sizes == m)
+        assert got.members(classes, m).tolist() == [want[c] for c in classes]
+
+
+@pytest.mark.parametrize("spec", [
+    fl.panel_ar(1, 6),
+    fl.panel_ar(2, 6),
+    fl.quarterly_ar(1, 8),
+    fl.trend_ar(6),
+    fl.ModelSpec("ar", 8, 2.0 * fl.quarterly_ar(1, 8).W, p=1),
+    fl.network_design(3, 3),
+], ids=["ar1", "ar2", "quarterly", "trend", "quarterly_x2", "network"])
+def test_permutation_key_matches_counter_oracle(spec):
+    # equal partitions of the paths: the flags agree on every pair
+    paths = model.all_paths(spec.T)
+    rng = np.random.default_rng(spec.T)
+    for y0 in (np.zeros(spec.y0_len, int), rng.integers(0, 2, spec.y0_len)):
+        multisets = {}
+        want = [multisets.setdefault(frozenset(
+            counter_pair_multiset(spec, y, y0).items()), len(multisets))
+            for y in paths]
+        got = sufficiency.key_classes(
+            sufficiency.permutation_key(spec, paths, y0)).cls
+        joint = len(set(zip(want, got.tolist())))
+        assert joint == len(set(want)) == len(set(got.tolist()))
+        theta = np.zeros(spec.theta_dim)
+        for a, b in rng.integers(0, len(paths), (40, 2)):
+            cert = fl.permutation_check(spec, paths[a], paths[b], y0, theta)
+            assert cert.cond_permutation == (want[a] == want[b])
+
+
+def _assert_same_members(spec, y):
+    got = fl.network_cond_full(spec, y).members
+    want = mask_network_cond_full(spec, y)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_network_cond_full_matches_mask_oracle():
+    spec3 = fl.network_design(3, 3)
+    for y in model.all_paths(9):
+        _assert_same_members(spec3, y)
+    spec4 = fl.network_design(4, 3)
+    rng = np.random.default_rng(2024)
+    for y in rng.integers(0, 2, (200, spec4.T)):
+        _assert_same_members(spec4, y)
+        assert sufficiency.network_star_equals_full(spec4, y) == (
+            len(mask_network_cond_full(spec4, y))
+            == len(fl.network_cond_star(spec4, y)))
+
+
+def test_network_star_equality_fraction_exact_values():
+    assert sufficiency.network_star_equality_fraction(fl.network_design(3, 3)) == 1.0
+    assert sufficiency.network_star_equality_fraction(
+        fl.network_design(4, 3)) == 0.953125
