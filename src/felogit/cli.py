@@ -481,6 +481,8 @@ def cmd_simulate(args):
 def _build_estimator(doc, spec):
     method = doc["method"]
     init = np.asarray(doc["init"], dtype=float) if "init" in doc else None
+    if init is not None and init.shape != (spec.theta_dim,):
+        raise DataError(f"init must have length {spec.theta_dim}, found {init.size}")
 
     if method == "cmle":
         if spec.family == model.STATIC:

@@ -420,21 +420,39 @@ def _central_diff(fn, theta):
     return np.stack(cols, axis=-1)
 
 
+def _exact_moments(moments, cells, weights):
+    """gbar = K'exp(A theta) and its exact Jacobian K'(exp(A theta) * A)
+    from the evaluator's term table, the cell weights folded into K."""
+    tab = moments.terms(cells.Y, cells.Y0, cells.X)
+    tab.coef *= weights[tab.cell, None]
+    const = ~tab.A.any(axis=1)  # terms with a = 0 add up once
+    g0, K, A = tab.coef[const].sum(axis=0), tab.coef[~const], tab.A[~const]
+
+    def moment_jac(theta):
+        e = np.exp(A @ theta)
+        return g0 + e @ K, K.T @ (e[:, None] * A)
+    return moment_jac
+
+
 def gmm(sample, moments, init, weighting="two-step"):
     """GMM on stacked fixed-effect-free moment evaluators.
 
-    Minimizes n * gbar(theta)' W gbar(theta) by BFGS with central-
-    difference gradients, from ``init`` and from two perturbed restarts;
-    ``two-step`` re-minimizes with the inverse sample covariance of the
-    moments plus a 1e-10 ridge.
+    Minimizes n * gbar(theta)' W gbar(theta) by BFGS, from ``init`` and
+    from two perturbed restarts; ``two-step`` re-minimizes with the
+    inverse sample covariance of the moments plus a 1e-10 ridge.
     Moments are evaluated once per cell of the sample's count table.
-    The rank of the moment Jacobian is reported as an identification
-    diagnostic.
+    An evaluator with a ``terms`` table gives gbar and its exact
+    Jacobian G from one exp(A theta), so each BFGS evaluation returns
+    the value and the gradient 2n G'W gbar together; for one that only
+    has ``stacked``, G comes from central differences.  G enters the
+    sandwich and the rank reported as an identification diagnostic.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     spec = sample.spec
     init = np.asarray(init, dtype=float)
+    if init.shape != (spec.theta_dim,):
+        raise ValueError(f"init has length {init.size}, theta has {spec.theta_dim}")
     cells, counts, _ = _count_table(sample)
 
     def stacked(theta):
@@ -446,29 +464,29 @@ def gmm(sample, moments, init, weighting="two-step"):
     def gbar(theta):
         return weights @ stacked(theta)
 
+    exact = hasattr(moments, "terms")
+    moment_jac = _exact_moments(moments, cells, weights) if exact else (
+        lambda theta: (gbar(theta), _central_diff(gbar, theta)))
+
     def cov(theta):
         return np.cov(stacked(theta).T, fweights=counts, bias=True).reshape(k, k)
 
     def solve(Wmat, start):
         def obj(theta):
-            g = gbar(theta)
-            return float(sample.n * g @ Wmat @ g)
+            g, G = moment_jac(theta)
+            Wg = sample.n * Wmat @ g
+            return float(g @ Wg), 2.0 * G.T @ Wg
 
-        def grad(theta):
-            return _central_diff(obj, theta)
-
-        best = None
         rng = np.random.default_rng(12345)
-        for trial in range(3):
-            x0 = start if trial == 0 else start + rng.normal(
-                scale=0.25, size=start.shape
-            )
-            res = minimize(obj, x0, jac=grad, method="BFGS",
-                           options={"gtol": 1e-9 * sample.n, "maxiter": 500})
-            if best is None or res.fun < best.fun:
-                best = res
-        return best
+        starts = [start] + [start + rng.normal(scale=0.25, size=start.shape)
+                            for _ in range(2)]
+        runs = [minimize(obj, x0, jac=True, method="BFGS",
+                         options={"gtol": 1e-9 * sample.n, "maxiter": 500})
+                for x0 in starts]
+        stages.append(runs)
+        return min(runs, key=lambda r: r.fun)
 
+    stages = []  # the BFGS runs of each stage
     Wmat = np.eye(k)
     res = solve(Wmat, init)
     flagged_singular = False
@@ -483,7 +501,7 @@ def gmm(sample, moments, init, weighting="two-step"):
 
     theta = res.x
     S = cov(theta)
-    G = _central_diff(gbar, theta)
+    G = moment_jac(theta)[1]
     sv = np.linalg.svd(G, compute_uv=False) if G.size else np.zeros(0)
     rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300))) if sv.size else 0
     bread = np.linalg.pinv(G.T @ Wmat @ G)
@@ -491,9 +509,7 @@ def gmm(sample, moments, init, weighting="two-step"):
     ses = np.sqrt(np.maximum(np.diag(V), 0.0))
     return EstimateReport(
         theta=theta,
-        names=sample.spec.theta_names()[: theta.size]
-        if theta.size <= len(spec.theta_names())
-        else [f"theta{j}" for j in range(theta.size)],
+        names=spec.theta_names(),
         std_errors=ses,
         objective=float(res.fun),
         converged=bool(res.success),
@@ -505,5 +521,9 @@ def gmm(sample, moments, init, weighting="two-step"):
             "n_cells": cells.n,
             "weighting": weighting,
             "singular_weighting": flagged_singular,
+            "jacobian": "exact" if exact else "central_difference",
+            "n_evaluations": sum(r.nfev for runs in stages for r in runs),
+            "restart_objectives": [[float(r.fun) for r in rs] for rs in stages],
+            "message": str(res.message),
         },
     )

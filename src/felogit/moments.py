@@ -435,7 +435,8 @@ def verify_moment(m, spec, y0, X, theta, A_grid):
 
 # -- moment evaluators for GMM and the closed-form libraries -----------------
 #
-# An evaluator maps (Y, Y0, X, theta) to the (n, k) moments of n units.
+# An evaluator maps (Y, Y0, X, theta) to the (n, k) moments of n units;
+# the closed-form libraries also compile units into a MomentTerms table.
 
 
 class CallableMoments:
@@ -448,6 +449,16 @@ class CallableMoments:
     def stacked(self, Y, Y0, X, theta):
         out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
         return out.reshape(len(Y), self.k)
+
+
+@dataclass
+class MomentTerms:
+    """Moments as sums of exp-affine terms: term i adds
+    coef[i, k] * exp(A[i] @ theta) to moment column k of unit cell[i]."""
+
+    cell: np.ndarray   # (terms,) unit rows
+    coef: np.ndarray   # (terms, k), instruments folded in
+    A: np.ndarray      # (terms, dim theta) exponent rows
 
 
 def _all_path_moments(ev, T, y0, X, theta):
@@ -468,21 +479,29 @@ class Ar2T3Moments:
 
     cells = ((0, 0), (0, 1), (1, 0), (1, 1))
     k = 4
+    # entries c * exp(a'(gamma1, gamma2)), rows: the printed cases by y_0,
+    # columns: paths (0,1,1), (0,1,0), (1,0,0), (1,0,1) in all_paths order
+    _coef = np.zeros((2, 8))
+    _coef[:, [3, 2, 4, 5]] = [[1, 1, -1, -1], [-1, -1, 1, 1]]
+    _expo = np.zeros((2, 8, 2))
+    _expo[[0, 1, 1], [3, 4, 5]] = [[-1, 0], [-1, 1], [0, 1]]
 
     def stacked(self, Y, Y0, X, theta):
-        g1, g2 = np.asarray(theta, dtype=float)[:2]
-        # rows: the printed cases by y_0; columns: the paths (0,1,1),
-        # (0,1,0), (1,0,0), (1,0,1) in ``all_paths`` order
-        rows = np.zeros((2, 8))
-        rows[:, [3, 2, 4, 5]] = [[np.exp(-g1), 1.0, -1.0, -1.0],
-                                 [-1.0, -1.0, np.exp(g2 - g1), np.exp(g2)]]
+        tab = self.terms(Y, Y0, X)
+        out = np.zeros((len(Y), self.k))
+        e = np.exp(tab.A @ np.asarray(theta, dtype=float)[:2])
+        out[tab.cell] = tab.coef * e[:, None]
+        return out
+
+    def terms(self, Y, Y0, X):
         Y = np.asarray(Y, dtype=np.int64)
         Y0 = np.asarray(Y0, dtype=np.int64)
         flip = Y0[:, :1]  # a unit with y_{-1} = 1 reads its flipped case
-        out = np.zeros((Y.shape[0], self.k))
-        out[np.arange(Y.shape[0]), 2 * Y0[:, 0] + Y0[:, 1]] = rows[
-            Y0[:, 1] ^ flip[:, 0], path_index(Y ^ flip)]
-        return out
+        row, path = Y0[:, 1] ^ flip[:, 0], path_index(Y ^ flip)
+        u = np.flatnonzero(self._coef[row, path])
+        coef = np.zeros((u.size, self.k))
+        coef[np.arange(u.size), 2 * Y0[u, 0] + Y0[u, 1]] = self._coef[row[u], path[u]]
+        return MomentTerms(u, coef, self._expo[row[u], path[u]])
 
 
 def closed_form_ar2_T3(y0, theta):
@@ -497,9 +516,10 @@ class QuarterlyT6Moments:
     """Stacked quarterly moments (m1, m2), evaluated per unit.
 
     m1 is the thirteen-case table of the quarterly T=6 model written as
-    one product of exponentials; m2 is m1 after the symmetry Y -> 1-Y,
-    y0 -> 1-y0, X -> -X.  X holds per-unit covariates (n, d_x, 6), or is
-    None; without X or without beta the covariate terms drop out.
+    one exp-affine term plus a constant; m2 is m1 after the symmetry
+    Y -> 1-Y, y0 -> 1-y0, X -> -X.  X holds per-unit covariates
+    (n, d_x, 6), or is None; without X or without beta the covariate
+    terms drop out.
 
     With ``instruments=True`` (the default when covariates are
     present), each moment is also interacted with the covariate
@@ -515,32 +535,50 @@ class QuarterlyT6Moments:
         self.k = 2 * (1 + 2 * self.d_x) if self.instruments else 2
 
     @staticmethod
-    def _m1(Y, y0, gamma, x26, x51):
+    def _m1(Y, y0, d26, d51):
+        """m1 = c * exp(a'theta) + b per unit, as (c, a, b): the table
+        (phi_a + phi_b)(1 - w y1) - (1 - y1), phi_a = (1-y2)(1-y5) exp(y6 e),
+        phi_b = y2(1-y5) exp(-(1-y6) e), e = gamma y1 + beta'(x2 - x6), and
+        for binary y1, 1 - w y1 = exp(y1 (gamma (y4 - y0) + beta'(x5 - x1)))."""
         y1, y2, y4, y5, y6 = (Y[:, k] for k in (0, 1, 3, 4, 5))
-        phi_a = (1 - y2) * (1 - y5) * np.exp(y6 * (gamma * y1 + x26))
-        phi_b = y2 * (1 - y5) * np.exp((1 - y6) * (-gamma * y1 - x26))
-        w = 1.0 - np.exp(-gamma * y0 + gamma * y4 + x51)
-        return (phi_a + phi_b) * (1.0 - w * y1) - (1.0 - y1)
+        s = (1 - y2) * y6 - y2 * (1 - y6)
+        a = np.column_stack([y1 * (s + y4 - y0),
+                             s[:, None] * d26 + y1[:, None] * d51])
+        return 1 - y5, a, y1 - 1
 
-    def stacked(self, Y, Y0, X, theta):
+    def _parts(self, Y, Y0, X):
+        """(c, a, b) of m1 and of m2, and the instruments z: column
+        2i + j of the moments is m_j * z_i."""
         Y = np.asarray(Y, dtype=float)
         y0 = np.asarray(Y0, dtype=float).reshape(-1)
-        theta = np.asarray(theta, dtype=float)
-        gamma, beta = theta[0], theta[1:]
-        x26 = x51 = 0.0
+        d26 = d51 = np.zeros((len(y0), 0))
         if X is not None:
             X = np.asarray(X, dtype=float)
             d26, d51 = X[:, :, 1] - X[:, :, 5], X[:, :, 4] - X[:, :, 0]
-            if beta.size:
-                x26, x51 = d26 @ beta, d51 @ beta
-        m1 = self._m1(Y, y0, gamma, x26, x51)
-        m2 = self._m1(1.0 - Y, 1.0 - y0, gamma, -x26, -x51)
-        cols = [m1, m2]
-        if self.instruments:
-            for d in range(self.d_x):
-                cols += [m1 * d26[:, d], m2 * d26[:, d],
-                         m1 * d51[:, d], m2 * d51[:, d]]
-        return np.column_stack(cols)
+        inst = range(self.d_x if self.instruments else 0)
+        z = [np.ones(len(y0))] + [v[:, d] for d in inst for v in (d26, d51)]
+        parts = [self._m1(Y, y0, d26, d51),
+                 self._m1(1.0 - Y, 1.0 - y0, -d26, -d51)]
+        return parts, np.column_stack(z)
+
+    def stacked(self, Y, Y0, X, theta):
+        theta = np.asarray(theta, dtype=float)
+        parts, z = self._parts(Y, Y0, X)
+        m = np.column_stack([c * np.exp(a[:, :theta.size] @ theta[:a.shape[1]]) + b
+                             for c, a, b in parts])
+        return (z[:, :, None] * m[:, None, :]).reshape(len(z), -1)
+
+    def terms(self, Y, Y0, X):
+        parts, z = self._parts(Y, Y0, X)
+        cell, coef, A = [], [], []
+        for j, (c, a, b) in enumerate(parts):
+            for cj, aj in ((c, a), (b, np.zeros_like(a))):
+                u = np.flatnonzero(cj)
+                cell.append(u)
+                coef.append(np.zeros((u.size, self.k)))
+                coef[-1][:, j::2] = cj[u, None] * z[u]
+                A.append(aj[u])
+        return MomentTerms(np.concatenate(cell), np.vstack(coef), np.vstack(A))
 
 
 def closed_form_quarterly_T6(theta, y0, X):

@@ -141,6 +141,22 @@ def test_bad_init_exits_2(tmp_path, capsys):
     assert code == 2 and "error: --init must be a list of numbers" in err
 
 
+@pytest.mark.parametrize("estimator, found", [
+    ({"method": "gmm", "init": [0.0]}, 1),
+    ({"method": "cmle", "init": [0.5, -0.3, 0.1]}, 3),
+])
+def test_bad_config_init_exits_2(tmp_path, capsys, estimator, found):
+    # a config-file init is held to the spec's theta length, as --init is
+    cfg = {"dgp": {"design": {"design": "ar", "p": 2, "T": 3},
+                   "theta": [0.5, -0.3], "n": 50, "seed": 3},
+           "estimator": estimator, "replications": 2}
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "mc", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert f"error: init must have length 2, found {found}\n" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("estimate", "--design", "ar", "--p", "1", "--T", "3", "--method", "cmle",
      "--data"),

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,6 +256,105 @@ def test_gmm_rejects_unknown_weighting():
     s = _ar_sample(1, 3, [0.5], n=50, seed=24)
     with pytest.raises(ValueError):
         gmm(s, moments.Ar2T3Moments(), np.zeros(2), weighting="optimal")
+
+
+def _quarterly_sample(n, seed):
+    cfg = simulate.DGPConfig(
+        spec=fl.quarterly_ar(1, 6, d_x=1), theta=np.array([0.5, 1.0]), n=n,
+        seed=seed, a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7},
+        y0_law={"kind": "fixed", "value": 0},
+    )
+    return simulate.generate(cfg)
+
+
+GMM_CASES = {
+    "ar2_t3": (lambda: _ar_sample(2, 3, [0.5, -0.3], n=8000, seed=25,
+                                  stationary=True), moments.Ar2T3Moments()),
+    "quarterly_t6": (lambda: _quarterly_sample(4000, seed=26),
+                     moments.QuarterlyT6Moments(d_x=1)),
+}
+
+
+@pytest.mark.parametrize("init, found", [([0.0, 0.0, 0.0], 3), ([0.0], 1)])
+def test_gmm_rejects_init_of_wrong_length(init, found):
+    # a short init would drop beta, a long one add a phantom parameter
+    s = _ar_sample(2, 3, [0.5, -0.3], n=50, seed=24)
+    q = _quarterly_sample(50, seed=24)
+    for sample, ev in ((s, moments.Ar2T3Moments()),
+                       (q, moments.QuarterlyT6Moments(d_x=1))):
+        with pytest.raises(ValueError, match=f"init has length {found}, "
+                           "theta has 2"):
+            gmm(sample, ev, np.array(init))
+
+
+@pytest.mark.parametrize("name", sorted(GMM_CASES))
+def test_gmm_closed_forms_take_exact_jacobians(name, monkeypatch):
+    make, ev = GMM_CASES[name]
+
+    def forbidden(fn, theta):
+        raise AssertionError("central differences on a term-table evaluator")
+
+    monkeypatch.setattr(estimation, "_central_diff", forbidden)
+    for weighting, stages in (("two-step", 2), ("identity", 1)):
+        rep = gmm(make(), ev, np.zeros(2), weighting=weighting)
+        d = rep.diagnostics
+        assert rep.converged and d["jacobian"] == "exact"
+        assert [len(r) for r in d["restart_objectives"]] == [3] * stages
+        assert rep.objective == min(d["restart_objectives"][-1])
+        assert d["n_evaluations"] >= 3 * stages
+        assert isinstance(d["message"], str) and d["message"]
+
+
+@pytest.mark.parametrize("name", sorted(GMM_CASES))
+def test_gmm_fallback_matches_exact_path(name):
+    # an evaluator with only ``stacked`` takes central differences and
+    # lands on the same estimate
+    make, ev = GMM_CASES[name]
+    s = make()
+    exact = gmm(s, ev, np.zeros(2))
+    fallback = gmm(s, moments.CallableMoments(ev.stacked, ev.k), np.zeros(2))
+    assert fallback.diagnostics["jacobian"] == "central_difference"
+    np.testing.assert_allclose(fallback.theta, exact.theta, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(fallback.std_errors, exact.std_errors, rtol=1e-5)
+
+
+def _term_library(data):
+    """A closed-form evaluator and units (Y, Y0, X) for it."""
+    n = data.draw(st.integers(1, 25))
+    bits = st.integers(0, 1)
+    if data.draw(st.booleans()):
+        ev, T, L0, d_x = moments.Ar2T3Moments(), 3, 2, 0
+    else:
+        d_x = data.draw(st.integers(0, 2))
+        ev = moments.QuarterlyT6Moments(d_x=d_x, instruments=data.draw(st.booleans()))
+        T, L0 = 6, 1
+    Y = data.draw(hnp.arrays(np.int64, (n, T), elements=bits))
+    Y0 = data.draw(hnp.arrays(np.int64, (n, L0), elements=bits))
+    X = data.draw(hnp.arrays(float, (n, d_x, T), elements=st.floats(-2, 2))) \
+        if d_x else None
+    dim = 2 if T == 3 else 1 + d_x
+    theta = data.draw(hnp.arrays(float, dim, elements=st.floats(-1.5, 1.5)))
+    return ev, Y, Y0, X, theta
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_term_table_reproduces_stacked_with_exact_jacobian(data):
+    ev, Y, Y0, X, theta = _term_library(data)
+    tab = ev.terms(Y, Y0, X)
+    assert np.all(np.any(tab.coef != 0, axis=1))  # zero terms are dropped
+    out = np.zeros((len(Y), ev.k))
+    np.add.at(out, tab.cell, tab.coef * np.exp(tab.A @ theta)[:, None])
+    np.testing.assert_allclose(out, ev.stacked(Y, Y0, X, theta),
+                               rtol=1e-12, atol=1e-12)
+
+    w = data.draw(hnp.arrays(float, len(Y), elements=st.floats(0.1, 1.0)))
+    cells = SimpleNamespace(Y=Y, Y0=Y0, X=X)
+    moment_jac = estimation._exact_moments(ev, cells, w / w.sum())
+    gbar, G = moment_jac(theta)
+    np.testing.assert_allclose(gbar, w @ out / w.sum(), rtol=1e-12, atol=1e-12)
+    fd = estimation._central_diff(lambda t: moment_jac(t)[0], theta)
+    np.testing.assert_allclose(G, fd, rtol=1e-6, atol=1e-6 * np.abs(G).max())
 
 
 def test_sample_shape_validation():
