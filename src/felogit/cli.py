@@ -10,16 +10,17 @@ File schemas (versioned in the emitted ``schema`` comment):
 
 * model JSON: ``{"schema_version": 1, "family", "T", "d_x", "W", "p",
   "n", "tau"}`` with W row-major.
-* sample CSV: columns ``unit,t,y,x1..xd``, one row per unit and t in
-  1-L0..T; rows with t <= 0 hold the L0 initial outcomes (covariates
-  ignored there).
-* network edge list CSV: columns ``unit,tau,i,j,y,x1..xd``, one row per
-  unit, tau in 0..tau and dyad i != j (the unit column may be omitted
-  for a single network); tau = 0 rows hold the initial network.
+* sample CSV: header exactly ``unit,t,y,x1..xd`` (d = d_x, covariates
+  in order), one row per unit and t in 1-L0..T; rows with t <= 0 hold
+  the L0 initial outcomes (covariates ignored there).
+* network edge list CSV: header exactly ``unit,tau,i,j,y,x1..xd``, one
+  row per unit, tau in 0..tau and dyad i != j (the unit column may be
+  omitted for a single network); tau = 0 rows hold the initial network.
 
-Rows may come in any order.  y is 0 or 1 and covariates are finite.  A
-malformed file is a usage error: it exits 2 with a message naming the
-data row, or the unit and the period missing or given twice.
+Rows may come in any order, with blank and "#" lines anywhere.  y is 0
+or 1 and covariates are finite.  A malformed file is a usage error: it
+exits 2 with a message naming the data row (counted from 1 after the
+header), or the unit and the period missing or given twice.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -74,11 +76,8 @@ def _echo_config(args):
 
 
 def _emit(text, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def _json_out(doc, output):
@@ -167,18 +166,20 @@ def _layout(spec, kind):
 
 
 def _write_long(sample, fh, kind):
-    spec, d_x, n = sample.spec, sample.spec.d_x, sample.n
+    spec, n, d_x, L0 = sample.spec, sample.n, sample.spec.d_x, sample.spec.y0_len
     keys, slots, _ = _layout(spec, kind)
     header = ["unit", *keys, "y"] + [f"x{k + 1}" for k in range(d_x)]
     fh.write(f"# schema: {SCHEMA[kind]}\n{','.join(header)}\r\n")
-    tails = np.full((n, len(slots)), "," * d_x, dtype=object)
-    if d_x:  # summing objects concatenates a period's ",x1,x2,..." text
-        xs = [f",{v:.12g}" for v in sample.X.transpose(0, 2, 1).ravel().tolist()]
-        tails[:, spec.y0_len:] = np.array(xs, dtype=object).reshape(
-            n, spec.T, d_x).sum(axis=2)
-    fh.write("".join(f"{u},{key},{y}{x}\r\n" for u, key, y, x in zip(
-        np.repeat(np.arange(1, n + 1), len(slots)).tolist(), slots * n,
-        np.hstack([sample.Y0, sample.Y]).ravel().tolist(), tails.ravel().tolist())))
+    # One %-template per unit, filled in one call with each slot's unit,
+    # y and covariates ('%.12g' % v is f"{v:.12g}"; "" for the y0 slots).
+    unit = "".join(f"%s,{key},%s{(',%.12g' if s >= L0 else ',%s') * d_x}\r\n"
+                   for s, key in enumerate(slots))
+    V = np.full((n, len(slots), 2 + d_x), "", dtype=object)
+    V[..., 0] = np.array(list(map(str, range(1, n + 1))), dtype=object)[:, None]
+    V[..., 1] = np.array(["0", "1"], dtype=object)[np.hstack([sample.Y0, sample.Y])]
+    if d_x:
+        V[:, L0:, 2:] = sample.X.transpose(0, 2, 1)
+    fh.write((unit * n) % tuple(V.ravel().tolist()))
 
 
 def _columns(what, lines, rows, cols, dtype):
@@ -211,13 +212,22 @@ def _read_long(fh, spec, kind):
     keys, slots, slot_of = _layout(spec, kind)
     what = "sample CSV" if kind == "sample" else "edge CSV"
     big = np.finfo(float).max
-    lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    head = lines[0].strip().split(",") if lines else []
+    text = fh.read()
+    lines = np.array(text.split("\n"), dtype=object)
+    # A blank or comment line is empty (its first byte below is "\n") or
+    # starts with whitespace, "#" or a non-ASCII character: test only those.
+    b = np.frombuffer(f"\n{text}\n".encode(), dtype=np.uint8)
+    first = b[1:][b[:-1] == 10]
+    odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
+    lines = np.delete(lines, [k for k in odd if not lines[k].strip()
+                              or lines[k].startswith("#")])
+    head = lines[0].strip().split(",") if len(lines) else []
     bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
     if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
         del bounds["unit"]
-    if head[:len(bounds)] != list(bounds) or len(lines) < 2:
-        raise DataError(f"{what} must start with columns {','.join(bounds)} "
+    columns = [*bounds, *(f"x{k + 1}" for k in range(spec.d_x))]
+    if head != columns or len(lines) < 2:
+        raise DataError(f"{what} must start with columns {','.join(columns)} "
                         "and hold data rows")
     body, L0, S = lines[1:], spec.y0_len, len(slots)
     K = _columns(what, body, range(len(body)), {
@@ -243,17 +253,19 @@ def _read_long(fh, spec, kind):
         rows = np.flatnonzero(slot >= L0)
         X = np.empty((len(units), spec.d_x, spec.T))
         X[unit[rows], :, slot[rows] - L0] = _columns(
-            what, [body[r] for r in rows], rows,
+            what, body[rows], rows,
             {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
              for k in range(spec.d_x)}, float)
     return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 
 def write_sample_csv(sample, fh):
+    """Write ``sample`` to the text file ``fh`` as a sample CSV."""
     _write_long(sample, fh, "sample")
 
 
 def read_sample_csv(fh, spec):
+    """The Sample in the sample CSV ``fh``; bad input raises DataError."""
     return _read_long(fh, spec, "sample")
 
 
@@ -471,10 +483,9 @@ def cmd_simulate(args):
     if args.seed is not None:
         cfg.seed = args.seed
     sample = simulate.generate(cfg)
-    buf = io.StringIO()
-    _write_long(sample, buf,
-                "edges" if cfg.spec.family == model.NETWORK else "sample")
-    _emit(buf.getvalue(), args.output)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+        _write_long(sample, fh,
+                    "edges" if cfg.spec.family == model.NETWORK else "sample")
     return 0
 
 

@@ -3,11 +3,13 @@
 These recompute probabilities, indices and null spaces from the model
 definition with naive loops (or arbitrary precision where float64
 cannot certify a rank), and exist so the tests never compare the
-library against itself.  The exceptions are two earlier library
-implementations kept as references for the key-based code that replaced
-them: the ``Counter`` permutation multiset and the mask-based network
-conditioning set.  They share only the lag features and the exact key
-with the code they check.
+library against itself.  The exceptions are three earlier library
+implementations kept as references for the code that replaced them: the
+``Counter`` permutation multiset and the mask-based network
+conditioning set, which share only the lag features and the exact key
+with the key-based code they check, and the per-row f-string writer of
+the sample CSV and edge list, which shares nothing with the template
+writer it checks.
 """
 
 import itertools
@@ -243,3 +245,24 @@ def mask_network_cond_full(spec, y):
     members = [np.concatenate([nets[a], nets[b], p3]) for a, b in np.argwhere(mask)]
     members.sort(key=lambda v: tuple(v.tolist()))
     return members
+
+
+def write_long_csv(sample, fh, kind):
+    """The sample CSV (``kind`` "sample") or network edge list ("edges")
+    of ``sample``, one f-string per row and one per covariate."""
+    spec, d_x, n, L0 = sample.spec, sample.spec.d_x, sample.n, sample.spec.y0_len
+    if kind == "sample":
+        keys, slots = ["t"], [str(t) for t in range(1 - L0, spec.T + 1)]
+    else:
+        keys = ["tau", "i", "j"]
+        slots = [f"{tau},{i + 1},{j + 1}" for tau in range(spec.tau + 1)
+                 for i, j in dyad_list(spec.n)]
+    header = ["unit", *keys, "y"] + [f"x{k + 1}" for k in range(d_x)]
+    fh.write(f"# schema: felogit.{kind}.v1\n{','.join(header)}\r\n")
+    tails = np.full((n, len(slots)), "," * d_x, dtype=object)
+    if d_x:  # summing objects concatenates a period's ",x1,x2,..." text
+        xs = [f",{v:.12g}" for v in sample.X.transpose(0, 2, 1).ravel().tolist()]
+        tails[:, L0:] = np.array(xs, dtype=object).reshape(n, spec.T, d_x).sum(axis=2)
+    fh.write("".join(f"{u},{key},{y}{x}\r\n" for u, key, y, x in zip(
+        np.repeat(np.arange(1, n + 1), len(slots)).tolist(), slots * n,
+        np.hstack([sample.Y0, sample.Y]).ravel().tolist(), tails.ravel().tolist())))

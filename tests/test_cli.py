@@ -234,6 +234,12 @@ def test_simulate_golden_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text().startswith("# schema: felogit.sample.v1")
+    # the file, and stdout without --output, hold write_sample_csv's bytes
+    buf = io.StringIO(newline="")
+    write_sample_csv(simulate.generate(cli._dgp_from_doc(cfg)), buf)
+    assert out1.read_bytes() == buf.getvalue().encode()
+    code, out, _ = run(capsys, "simulate", "--config", str(cfg_path))
+    assert code == 0 and out == buf.getvalue()
 
 
 def test_simulate_then_estimate_round_trip(tmp_path, capsys):

@@ -13,6 +13,7 @@ import felogit as fl
 from felogit.cli import (DataError, read_edge_csv, read_sample_csv,
                          write_edge_csv, write_sample_csv)
 from felogit.estimation import Sample
+from oracles import write_long_csv
 
 # Edge values for the {:.12g} formatting: signed zero, the smallest
 # subnormal, a magnitude beyond 12 digits and one that rounds.
@@ -49,8 +50,9 @@ def test_writer_bytes_are_pinned():
 # -- round trips --------------------------------------------------------------
 
 FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e15, -1e15]),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e15, -1e15, *SPECIAL_X]),
     st.floats(-1e15, 1e15, allow_subnormal=True),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -92,6 +94,47 @@ def test_round_trip_in_any_row_order(writer, reader, network, data):
         else:
             want = np.array([float(f"{x:.12g}") for x in s.X.ravel()])
             assert back.X.tobytes() == want.reshape(s.X.shape).tobytes()
+
+
+@pytest.mark.parametrize("writer, kind", [(write_sample_csv, "sample"),
+                                          (write_edge_csv, "edges")])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_writer_bytes_match_the_row_by_row_oracle(writer, kind, data):
+    s = data.draw(samples(kind == "edges"))
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    writer(s, got)
+    write_long_csv(s, want, kind)
+    assert got.getvalue() == want.getvalue()
+
+
+# Lines that are not data rows: blank (also when only whitespace,
+# ASCII or not) or starting with "#".
+SKIPPED = ["", "   ", "\t", "\u3000", "#", "# note, 1,2,3", "#é"]
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_blank_and_comment_lines_are_skipped_anywhere(end, final_newline):
+    s = _fixed_sample(fl.panel_ar(2, 4, d_x=2), 3, 1)
+    buf = io.StringIO()
+    write_sample_csv(s, buf)
+    lines = buf.getvalue().splitlines()
+    mixed = []
+    for k, line in enumerate(lines):
+        mixed += [line, SKIPPED[k % len(SKIPPED)]]
+    text = end.join(mixed[:-1]) + (end if final_newline else "")
+    back = read_sample_csv(io.StringIO(text), s.spec)
+    assert np.array_equal(back.Y, s.Y) and np.array_equal(back.Y0, s.Y0)
+    want = np.array([float(f"{x:.12g}") for x in s.X.ravel()])
+    assert back.X.tobytes() == want.reshape(s.X.shape).tobytes()
+    # data rows are counted without the skipped lines: data row 7 is
+    # lines[8] (after the schema and the header), which is mixed[16]
+    fields = mixed[16].split(",")
+    fields[2] = "7"
+    mixed[16] = ",".join(fields)
+    with pytest.raises(DataError, match=r"data row 7: y must be 0 or 1, found '7'$"):
+        read_sample_csv(io.StringIO(end.join(mixed)), s.spec)
 
 
 # -- rejections ---------------------------------------------------------------
@@ -184,3 +227,25 @@ def test_malformed_rows_are_named(case):
 def test_files_without_header_or_rows_are_rejected(text):
     with pytest.raises(DataError, match="must start with columns unit,t,y"):
         read_sample_csv(io.StringIO(text), fl.panel_ar(1, 2))
+
+
+@pytest.mark.parametrize("spec, header, columns", [
+    (fl.panel_ar(2, 4, d_x=2), "unit,t,y,x2,x1", "unit,t,y,x1,x2"),
+    (fl.panel_ar(2, 4, d_x=2), "unit,t,y,age,income", "unit,t,y,x1,x2"),
+    (fl.panel_ar(2, 4, d_x=2), "unit,t,y,x1", "unit,t,y,x1,x2"),
+    (fl.panel_ar(2, 4), "unit,t,y,x1,x2", "unit,t,y"),
+    (fl.network_design(3, 3, d_x=1), "tau,i,j,y", "tau,i,j,y,x1"),
+    (fl.network_design(3, 3, d_x=1), "unit,tau,i,j,y,x1,x2", "unit,tau,i,j,y,x1"),
+])
+def test_header_must_name_the_covariates_in_order(spec, header, columns):
+    network = spec.family == "network"
+    s = _fixed_sample(fl.panel_ar(2, 4, d_x=2) if not network else
+                      fl.network_design(3, 3, d_x=1), 2, 3)
+    buf = io.StringIO()
+    (write_edge_csv if network else write_sample_csv)(s, buf)
+    lines = buf.getvalue().splitlines()
+    text = "\n".join([lines[0], header] + lines[2:])
+    what = "edge CSV" if network else "sample CSV"
+    with pytest.raises(DataError, match=f"^{what} must start with columns "
+                                        f"{columns} and hold data rows$"):
+        (read_edge_csv if network else read_sample_csv)(io.StringIO(text), spec)
