@@ -24,7 +24,6 @@ from .model import (
     STATIC,
     ModelSpec,
     all_paths,
-    index_pi,
     likelihood_ratio,
     network_design,
     path_distribution,

@@ -31,7 +31,8 @@ import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -112,37 +113,33 @@ def _parse_bits(text, flag, length):
     return np.array([int(b) for b in bits], dtype=np.int8)
 
 
+@contextmanager
+def _rejected_as(what):
+    """Report a KeyError, TypeError or ValueError raised while reading a
+    document or a design as a DataError that names ``what``."""
+    try:
+        yield
+    except DataError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"{what} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what}: {exc}") from None
+
+
 def _load_spec(args):
-    if getattr(args, "model", None):
-        with open(args.model) as fh:
+    """The spec in --model FILE, or the catalogued --design NAME built
+    from the design flags that it takes."""
+    path, name = getattr(args, "model", None), getattr(args, "design", None)
+    if path:
+        with open(path) as fh, _rejected_as(f"model JSON {path}"):
             return model.ModelSpec.from_json(fh.read())
-    design = getattr(args, "design", None)
-    if design is None:
-        raise ValueError("provide --model FILE or --design NAME")
-    d_x = getattr(args, "d_x", 0) or 0
-    if design in ("panel", "panel_fe"):
-        return designs.build_design("panel_fe", T=args.T, d_x=d_x)
-    if design in ("poly", "poly_trend"):
-        return designs.build_design("poly_trend", p=args.p, T=args.T, d_x=d_x)
-    if design == "overlapping":
-        return designs.build_design("overlapping", d_x=d_x)
-    if design in ("twoway", "two_way"):
-        return designs.build_design("two_way", n=args.n, tau=args.tau, d_x=d_x)
-    if design == "dyadic":
-        return designs.build_design("dyadic", n=args.n, d_x=d_x)
-    if design == "triadic":
-        return designs.build_design(
-            "triadic", n1=args.n1, n2=args.n2, n3=args.n3, d_x=d_x
-        )
-    if design == "ar":
-        return designs.panel_ar(args.p, args.T, d_x=d_x)
-    if design == "quarterly":
-        return designs.quarterly_ar(args.p, args.T, d_x=d_x)
-    if design == "trend-ar":
-        return designs.trend_ar(args.T, d_x=d_x)
-    if design == "network":
-        return model.network_design(args.n, args.tau, d_x=d_x)
-    raise ValueError(f"unknown design {design!r}")
+    if name is None:
+        raise DataError("provide --model FILE or --design NAME")
+    sizes = designs.DESIGNS[name][1] if name in designs.DESIGNS else {}
+    with _rejected_as("--design"):
+        return designs.build_design(name, d_x=getattr(args, "d_x", None) or 0,
+                                    **{k: getattr(args, k, None) for k in sizes})
 
 
 # -- sample CSV and network edge list -----------------------------------------
@@ -208,19 +205,27 @@ def _columns(what, lines, rows, cols, dtype):
     raise DataError(f"{what}: cannot parse the data rows")
 
 
-def _read_long(fh, spec, kind):
-    keys, slots, slot_of = _layout(spec, kind)
-    what = "sample CSV" if kind == "sample" else "edge CSV"
-    big = np.finfo(float).max
-    text = fh.read()
+def _lines(text):
+    """The lines of ``text`` other than blank and comment lines, and the
+    number of fields in each.  A function of its own, so that the text
+    and its bytes are freed before the columns are parsed."""
     lines = np.array(text.split("\n"), dtype=object)
     # A blank or comment line is empty (its first byte below is "\n") or
     # starts with whitespace, "#" or a non-ASCII character: test only those.
     b = np.frombuffer(f"\n{text}\n".encode(), dtype=np.uint8)
-    first = b[1:][b[:-1] == 10]
+    ends = np.flatnonzero(b == 10)  # line k lies between ends[k] and ends[k + 1]
+    first = b[ends[:-1] + 1]
     odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
-    lines = np.delete(lines, [k for k in odd if not lines[k].strip()
-                              or lines[k].startswith("#")])
+    skip = [k for k in odd if not lines[k].strip() or lines[k].startswith("#")]
+    fields = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends)) + 1
+    return np.delete(lines, skip), np.delete(fields, skip)
+
+
+def _read_long(fh, spec, kind):
+    keys, slots, slot_of = _layout(spec, kind)
+    what = "sample CSV" if kind == "sample" else "edge CSV"
+    big = np.finfo(float).max
+    lines, fields = _lines(fh.read())
     head = lines[0].strip().split(",") if len(lines) else []
     bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
     if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
@@ -256,6 +261,11 @@ def _read_long(fh, spec, kind):
             what, body[rows], rows,
             {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
              for k in range(spec.d_x)}, float)
+    # counted last, so that a short row names its missing field first
+    bad = np.flatnonzero(fields[1:] != len(columns))
+    if bad.size:
+        raise DataError(f"{what} data row {bad[0] + 1}: expected {len(columns)} "
+                        f"fields, found {fields[bad[0] + 1]}")
     return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 
@@ -323,7 +333,8 @@ def cmd_pairs(args):
 
 
 def cmd_netcond(args):
-    spec = model.network_design(args.n, 3)
+    with _rejected_as("--n"):
+        spec = designs.build_design("network", d_x=0, n=args.n, tau=3)
     y = _parse_bits(args.path, "--path", spec.T)
     y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
     cond = (
@@ -353,10 +364,8 @@ def _theta_or_zero(spec, text):
 def _load_X(spec, path):
     if path is None:
         return None
-    try:
+    with _rejected_as("covariate CSV"):
         X = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"covariate CSV: {exc}") from None
     if X.shape != (spec.d_x, spec.T):
         raise DataError(f"covariate CSV must be d_x x T = {(spec.d_x, spec.T)}, "
                         f"found {X.shape}")
@@ -457,31 +466,26 @@ def cmd_verify(args):
 
 
 def _dgp_from_doc(doc):
-    if "model" in doc:
-        spec = model.ModelSpec.from_json(json.dumps(doc["model"]))
-    else:
-        ns = argparse.Namespace(model=None, **doc["design"])
-        for k in ("T", "p", "n", "tau", "n1", "n2", "n3", "d_x"):
-            if not hasattr(ns, k):
-                setattr(ns, k, None)
-        spec = _load_spec(ns)
-    cfg = simulate.DGPConfig(
-        spec=spec,
-        theta=np.asarray(doc["theta"], dtype=float),
-        n=int(doc["n"]),
-        seed=int(doc.get("seed", 0)),
-    )
-    for key in ("a_law", "x_law", "y0_law"):
-        if key in doc:
-            setattr(cfg, key, doc[key])
-    return cfg
+    """The DGPConfig of a config's ``design`` or ``model``, ``theta``,
+    ``n``, ``seed`` and laws."""
+    with _rejected_as("DGP config"):
+        if "model" in doc:
+            spec = model.ModelSpec.from_json(json.dumps(doc["model"]))
+        else:
+            design = {"d_x": 0, **doc["design"]}
+            spec = designs.build_design(design.pop("design", None), **design)
+        return simulate.DGPConfig(
+            spec=spec, theta=doc["theta"], n=doc["n"], seed=doc.get("seed", 0),
+            **{key: doc[key] for key in simulate.LAWS if key in doc})
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        cfg = _dgp_from_doc(json.load(fh))
+    with open(args.config) as fh, _rejected_as(f"{args.config} is not JSON"):
+        doc = json.load(fh)
+    cfg = _dgp_from_doc(doc)
     if args.seed is not None:
-        cfg.seed = args.seed
+        with _rejected_as("--seed"):
+            cfg = replace(cfg, seed=args.seed)
     sample = simulate.generate(cfg)
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
         _write_long(sample, fh,
@@ -517,11 +521,11 @@ def _build_estimator(doc, spec):
                 d_x=spec.d_x, instruments=doc.get("instruments", True)
             )
         else:
-            raise ValueError(f"unknown moment set {name!r}")
+            raise DataError(f"unknown moment set {name!r}")
         start = np.zeros(spec.theta_dim) if init is None else init
         weighting = doc.get("weighting", "two-step")
         return lambda s: estimation.gmm(s, ev, start, weighting=weighting)
-    raise ValueError(f"unknown method {method!r}")
+    raise DataError(f"unknown method {method!r}")
 
 
 def cmd_estimate(args):
@@ -544,14 +548,14 @@ def cmd_estimate(args):
 
 
 def cmd_mc(args):
-    with open(args.config) as fh:
+    with open(args.config) as fh, _rejected_as(f"{args.config} is not JSON"):
         doc = json.load(fh)
-    cfg = _dgp_from_doc(doc["dgp"])
-    estimator = _build_estimator(doc["estimator"], cfg.spec)
-    threads = args.threads or int(doc.get("threads", 1))
-    rows, summary = simulate.monte_carlo(
-        cfg, estimator, int(doc["replications"]), threads=threads
-    )
+    with _rejected_as("mc config"):
+        cfg = _dgp_from_doc(doc["dgp"])
+        estimator = _build_estimator(doc["estimator"], cfg.spec)
+        reps = model.checked_int("replications", doc.get("replications"), 1)
+        threads = args.threads or model.checked_int("threads", doc.get("threads", 1), 1)
+    rows, summary = simulate.monte_carlo(cfg, estimator, reps, threads=threads)
     buf = io.StringIO()
     buf.write(f"# schema: {SCHEMA['mc']}\n")
     w = csv.writer(buf)

@@ -3,12 +3,21 @@
 A differencing vector w_perp in {-1,0,1}^T with W w_perp = 0 is the
 difference of two binary outcome paths sharing the sufficient statistic
 W Y; every such vector yields an identifying outcome pair for the
-static logit model.  This module builds the standard design matrices
-(panel intercepts, polynomial trends, overlapping effects, two-way
-panels, dyadic and triadic networks), enumerates differencing vectors
-by an exhaustive frontier search with branch-and-bound pruning, and
-provides the rank diagnostic that turns a set of vectors into an
-identification check for the covariate coefficients.
+static logit model.  This module holds the design catalogue, enumerates
+differencing vectors by an exhaustive frontier search with
+branch-and-bound pruning, and provides the rank diagnostic that turns a
+set of vectors into an identification check for the covariate
+coefficients.
+
+The catalogue ``DESIGNS`` maps each design name to its spec builder and
+the sizes it takes; ``build_design`` is the one way from a name to a
+ModelSpec:
+
+* static: ``panel_fe`` (T), ``poly_trend`` (p, T), ``overlapping``,
+  ``two_way`` (n, tau), ``dyadic`` (n), ``triadic`` (n1, n2, n3);
+* dynamic: ``ar`` (p, T), ``quarterly`` (p, T), ``trend-ar`` (T) and
+  ``network`` (n, tau);
+* aliases: ``panel``, ``poly`` and ``twoway``.
 """
 
 from __future__ import annotations
@@ -17,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AR, STATIC, ModelSpec, dyads, exact_key
-
-PANEL_FE = "panel_fe"
-POLY_TREND = "poly_trend"
-OVERLAPPING = "overlapping"
-TWO_WAY = "two_way"
-DYADIC = "dyadic"
-TRIADIC = "triadic"
+from .model import (AR, STATIC, ModelSpec, checked_int, exact_key, incidence,
+                    network_design)
 
 
 def panel_fe_matrix(T):
@@ -43,68 +46,21 @@ def overlapping_matrix():
 
 def two_way_matrix(n, tau):
     """Unit and time indicators; observations unit-major, t = (i, tau)."""
-    T = n * tau
-    W = np.zeros((n + tau, T))
-    for i in range(n):
-        for s in range(tau):
-            t = i * tau + s
-            W[i, t] = 1.0
-            W[n + s, t] = 1.0
-    return W
+    t = np.arange(n * tau)
+    return incidence([t // tau, n + t % tau], n + tau)
+
 
 def dyadic_matrix(n):
     """Unit-selection columns w_ij over lexicographic dyads i < j."""
-    ds = dyads(n)
-    W = np.zeros((n, len(ds)))
-    for t, (i, j) in enumerate(ds):
-        W[i, t] = 1.0
-        W[j, t] = 1.0
-    return W
+    return incidence(np.triu_indices(n, 1), n)
 
 
 def triadic_matrix(n1, n2, n3):
     """Pairwise-effect rows A_ij, B_jk, C_ik over lexicographic triads."""
-    T = n1 * n2 * n3
-    W = np.zeros((n1 * n2 + n2 * n3 + n1 * n3, T))
-    for i in range(n1):
-        for j in range(n2):
-            for k in range(n3):
-                t = (i * n2 + j) * n3 + k
-                W[i * n2 + j, t] = 1.0
-                W[n1 * n2 + j * n3 + k, t] = 1.0
-                W[n1 * n2 + n2 * n3 + i * n3 + k, t] = 1.0
-    return W
-
-
-def build_design(family, d_x=1, **params):
-    """Construct the ModelSpec of one of the catalogued static designs.
-
-    family is one of ``panel_fe`` (T), ``poly_trend`` (p, T),
-    ``overlapping`` (no parameters), ``two_way`` (n, tau), ``dyadic``
-    (n), ``triadic`` (n1, n2, n3); keyword arguments carry the family
-    parameters.
-    """
-    if family == PANEL_FE:
-        W = panel_fe_matrix(params["T"])
-    elif family == POLY_TREND:
-        W = poly_trend_matrix(params["p"], params["T"])
-    elif family == OVERLAPPING:
-        W = overlapping_matrix()
-    elif family == TWO_WAY:
-        if params["n"] < 2 or params["tau"] < 2:
-            raise ValueError("two_way design needs n >= 2 and tau >= 2")
-        W = two_way_matrix(params["n"], params["tau"])
-    elif family == DYADIC:
-        if params["n"] < 2:
-            raise ValueError("dyadic design needs n >= 2")
-        W = dyadic_matrix(params["n"])
-    elif family == TRIADIC:
-        W = triadic_matrix(params["n1"], params["n2"], params["n3"])
-    else:
-        raise ValueError(f"unknown design family {family!r}")
-    if W.shape[1] == 0:
-        raise ValueError("design has no observations")
-    return ModelSpec(STATIC, W.shape[1], W, d_x=d_x)
+    i, j, k = np.indices((n1, n2, n3)).reshape(3, -1)
+    ab = n1 * n2 + n2 * n3
+    return incidence([i * n2 + j, n1 * n2 + j * n3 + k, ab + i * n3 + k],
+                     ab + n1 * n3)
 
 
 def panel_ar(p, T, d_x=0):
@@ -115,15 +71,50 @@ def panel_ar(p, T, d_x=0):
 def quarterly_ar(p, T, d_x=0):
     """AR(p) with quarter-specific effects; period t falls in quarter
     ((t-1) mod 4) + 1."""
-    W = np.zeros((4, T))
-    for t in range(1, T + 1):
-        W[(t - 1) % 4, t - 1] = 1.0
-    return ModelSpec(AR, T, W, d_x=d_x, p=p)
+    return ModelSpec(AR, T, incidence(np.arange(T) % 4, 4), d_x=d_x, p=p)
 
 
 def trend_ar(T, d_x=0):
     """AR(1) with heterogeneous linear trend, w_t = (1, t)'."""
     return ModelSpec(AR, T, poly_trend_matrix(1, T), d_x=d_x, p=1)
+
+
+def _static(matrix):
+    """Spec builder of the static design whose W is matrix(**sizes)."""
+    def build(d_x, **sizes):
+        W = matrix(**sizes)
+        return ModelSpec(STATIC, W.shape[1], W, d_x=d_x)
+    return build
+
+
+DESIGNS = {  # name: (spec builder, least value of each size it takes)
+    "panel_fe": (_static(panel_fe_matrix), {"T": 1}),
+    "poly_trend": (_static(poly_trend_matrix), {"p": 0, "T": 1}),
+    "overlapping": (_static(overlapping_matrix), {}),
+    "two_way": (_static(two_way_matrix), {"n": 2, "tau": 2}),
+    "dyadic": (_static(dyadic_matrix), {"n": 2}),
+    "triadic": (_static(triadic_matrix), {"n1": 1, "n2": 1, "n3": 1}),
+    "ar": (panel_ar, {"p": 1, "T": 1}),
+    "quarterly": (quarterly_ar, {"p": 1, "T": 1}),
+    "trend-ar": (trend_ar, {"T": 1}),
+    "network": (network_design, {"n": 2, "tau": 1}),
+}
+DESIGNS.update(panel=DESIGNS["panel_fe"], poly=DESIGNS["poly_trend"],
+               twoway=DESIGNS["two_way"])
+
+
+def build_design(name, d_x=1, **params):
+    """The ModelSpec of design ``name`` with d_x covariates and the sizes
+    ``DESIGNS`` lists for it; a bad name or size raises ValueError."""
+    if name not in DESIGNS:
+        raise ValueError(f"unknown design {name!r}; known: {', '.join(DESIGNS)}")
+    build, least = DESIGNS[name]
+    extra = sorted(params.keys() - least.keys())
+    if extra:
+        raise ValueError(f"{name} design takes no parameter {extra[0]!r}")
+    return build(d_x=checked_int(f"{name} design d_x", d_x, 0), **{
+        key: checked_int(f"{name} design parameter {key}", params.get(key), lo)
+        for key, lo in least.items()})
 
 
 # -- differencing-vector search -------------------------------------------
@@ -221,17 +212,6 @@ def minimal_T_polytrend(p, allow_long_run=False):
         if sols:
             return T, sols[0]
     raise RuntimeError("no solution up to T = 40")
-
-
-def trend_symmetry(w):
-    """Classify a weight vector as 'symmetric', 'antisymmetric' or None."""
-    w = np.asarray(w)
-    r = w[::-1]
-    if np.array_equal(w, r):
-        return "symmetric"
-    if np.array_equal(w, -r):
-        return "antisymmetric"
-    return None
 
 
 def pair_from_wperp(wperp, fill=None):

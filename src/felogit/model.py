@@ -29,10 +29,9 @@ otherwise), and the state feeding a step is the ``y0_len`` outcomes
 before it.  ``lag_features`` reads the integer features pi uses from a
 state (the last p outcomes; each dyad's previous link and shared-friend
 count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta.
-Path indices, one-step probabilities, the simulator, the index-value
-tables and the sufficiency keys all go through it.  One exact key,
-``exact_key``, turns design columns W and loadings W y into values that
-compare exactly.
+Path indices, the simulator, the index-value tables and the sufficiency
+keys all go through it.  One exact key, ``exact_key``, turns design
+columns W and loadings W y into values that compare exactly.
 
 All probability computations are exact and carried out in log space;
 functions in this module are pure and safe to call concurrently.
@@ -45,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 STATIC = "static"
 AR = "ar"
@@ -57,6 +55,25 @@ _FAMILIES = (STATIC, AR, NETWORK)
 def dyads(n):
     """Lexicographic list of 0-based dyads (i, j), i < j, of n agents."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def incidence(rows, d):
+    """The 0/1 design (d x T) with W[r, t] = 1 for each r in rows[..., t]."""
+    rows = np.atleast_2d(rows)
+    W = np.zeros((d, rows.shape[1]))
+    W[rows, np.arange(rows.shape[1])] = 1.0
+    return W
+
+
+def checked_int(what, value, lo):
+    """``value`` as an int when it is an integer >= lo; otherwise a
+    ValueError that names ``what``."""
+    if value is None:
+        raise ValueError(f"{what} is missing")
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < lo:
+        raise ValueError(f"{what} must be an integer >= {lo}, found {value!r}")
+    return int(value)
 
 
 class ModelSpec:
@@ -98,10 +115,10 @@ class ModelSpec:
         self.family = family
         self.T = int(T)
         self.W = W
-        self.d_x = int(d_x)
-        self.p = int(p)
-        self.n = int(n)
-        self.tau = int(tau)
+        self.d_x = checked_int("d_x", d_x, 0)
+        self.p = checked_int("p", p, 0)
+        self.n = checked_int("n", n, 0)
+        self.tau = checked_int("tau", tau, 0)
 
     @property
     def d_w(self):
@@ -205,11 +222,8 @@ class ModelSpec:
 def network_design(n, tau, d_x=0):
     """NetworkTransition spec: dyad-indicator W, time-major observations."""
     D = n * (n - 1) // 2
-    T = D * tau
-    W = np.zeros((D, T))
-    for t in range(T):
-        W[t % D, t] = 1.0
-    return ModelSpec(NETWORK, T, W, d_x=d_x, n=n, tau=tau)
+    return ModelSpec(NETWORK, D * tau, incidence(np.arange(D * tau) % D, D),
+                     d_x=d_x, n=n, tau=tau)
 
 
 def all_paths(T):
@@ -371,25 +385,6 @@ def index_matrix(spec, paths, y0, X, theta):
     return step_index(spec, path_states(spec, paths, y0), x, theta).reshape(m, T)
 
 
-def index_pi(spec, t, history, x_t, theta):
-    """Index pi_t at a single observation.
-
-    ``history`` concatenates the initial-condition block with the
-    outcomes of observations 1..t-1; it must supply every lag that the
-    index reads (for networks, the complete previous-period graph).
-    """
-    if not 1 <= t <= spec.T:
-        raise ValueError(f"t must lie in 1..{spec.T}")
-    history = np.asarray(history)
-    need = spec.y0_len + t - 1
-    if history.shape != (need,):
-        raise ValueError(f"history must have length {need}, got {history.shape}")
-    step, j = divmod(t - 1, spec.step_width)
-    start = step * spec.step_width
-    x = np.asarray(x_t, dtype=float)[:, None] if spec.d_x else None
-    return float(step_index(spec, history[start: start + spec.y0_len], x, theta)[j])
-
-
 def log_path_distribution(spec, y0, X, theta, A, paths=None):
     """Log probability of each path in a batch (all 2^T paths by default)."""
     if paths is None:
@@ -414,12 +409,6 @@ def path_probability(spec, y, y0, X, theta, A):
     return float(
         np.exp(log_path_distribution(spec, y0, X, theta, A, np.atleast_2d(y))[0])
     )
-
-
-def step_probability(spec, t, history, x_t, theta, A):
-    """One-step transition kernel Pr(Y_t = 1 | history, x_t, A)."""
-    eta = index_pi(spec, t, history, x_t, theta) + float(spec.W[:, t - 1] @ A)
-    return float(expit(eta))
 
 
 def likelihood_ratio(spec, y1, y2, y0, X, theta, A):

@@ -132,12 +132,12 @@ def _extend(ds, w, q):
 def build_dset(spec, Q):
     """Construct the exponent set D for caps Q = (Q_1..Q_T).
 
-    Constant-column and indicator designs use exact counting formulas;
-    other designs are enumerated by the running set of distinct partial
-    sums that ``coefficient_matrix`` also walks.  Sets whose enumeration
-    cannot fit desk-scale memory are refused with a size estimate, and
-    structured sets above 200,000 elements report the cardinality
-    without materializing the elements.
+    Nonzero constant-column and indicator designs use exact counting
+    formulas; other designs are enumerated by the running set of
+    distinct partial sums that ``coefficient_matrix`` also walks.  Sets
+    whose enumeration cannot fit desk-scale memory are refused with a
+    size estimate, and structured sets above 200,000 elements report
+    the cardinality without materializing the elements.
     """
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
@@ -145,7 +145,7 @@ def build_dset(spec, Q):
     cols = exact_key(spec.W)
     d_w = spec.d_w
 
-    if np.all(cols == cols[:, :1]):
+    if np.all(cols == cols[:, :1]) and np.any(cols[:, 0]):
         smax = sum(Q)
         elems = frozenset(tuple((k * cols[:, 0]).tolist()) for k in range(smax + 1))
         return DSet(Q, smax + 1, elems)

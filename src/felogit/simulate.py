@@ -15,7 +15,13 @@ import numpy as np
 from scipy.special import expit
 
 from .estimation import NoInformationError, Sample
-from .model import step_index
+from .model import checked_int, step_index
+
+# The kinds each law may take.  DGPConfig checks them, so each draw
+# below takes its last kind untested.
+LAWS = {"a_law": ("normal", "correlated", "two_point"),
+        "x_law": ("iid_normal", "ar", "constant"),
+        "y0_law": ("fixed", "stationary")}
 
 
 @dataclass
@@ -43,6 +49,21 @@ class DGPConfig:
     x_law: dict = field(default_factory=lambda: {"kind": "iid_normal", "scale": 1.0})
     y0_law: dict = field(default_factory=lambda: {"kind": "fixed", "value": 0})
 
+    def __post_init__(self):
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.shape != (self.spec.theta_dim,):
+            raise ValueError(f"theta must have length {self.spec.theta_dim}, "
+                             f"found {self.theta.size}")
+        self.n = checked_int("n", self.n, 1)
+        self.seed = checked_int("seed", self.seed, 0)
+        for key, kinds in LAWS.items():
+            law = getattr(self, key)
+            if not isinstance(law, dict) or law.get("kind") not in kinds:
+                raise ValueError(f"{key} must have kind {' or '.join(kinds)}, "
+                                 f"found {law!r}")
+        if self.a_law["kind"] == "correlated" and self.spec.d_x == 0:
+            raise ValueError("correlated a_law needs at least one covariate")
+
 
 def _draw_X(cfg, rng):
     spec = cfg.spec
@@ -62,10 +83,8 @@ def _draw_X(cfg, rng):
                 1 - phi**2
             ) * rng.standard_normal((n, d_x))
         return X
-    if law["kind"] == "constant":
-        base = scale * rng.standard_normal((n, d_x, 1))
-        return np.repeat(base, T, axis=2)
-    raise ValueError(f"unknown x_law {law['kind']!r}")
+    base = scale * rng.standard_normal((n, d_x, 1))  # "constant"
+    return np.repeat(base, T, axis=2)
 
 
 def _draw_A(cfg, X, rng):
@@ -78,17 +97,13 @@ def _draw_A(cfg, X, rng):
             law.get("scale", 1.0)
         ) * rng.standard_normal((n, d_w))
     if kind == "correlated":
-        if X is None:
-            raise ValueError("correlated a_law needs at least one covariate")
         rho = float(law.get("rho", 0.5))
         scale = float(law.get("scale", 1.0))
         base = rho * X[:, 0, :].mean(axis=1)
         return base[:, None] + scale * rng.standard_normal((n, d_w))
-    if kind == "two_point":
-        lo, hi = float(law.get("lo", -1.0)), float(law.get("hi", 1.0))
-        p = float(law.get("p", 0.5))
-        return np.where(rng.random((n, d_w)) < p, hi, lo)
-    raise ValueError(f"unknown a_law {kind!r}")
+    lo, hi = float(law.get("lo", -1.0)), float(law.get("hi", 1.0))  # "two_point"
+    p = float(law.get("p", 0.5))
+    return np.where(rng.random((n, d_w)) < p, hi, lo)
 
 
 def _roll(spec, state, steps, X, A, theta, rng):
@@ -121,8 +136,6 @@ def _draw_y0(cfg, X, A, rng):
         if value.ndim == 0:
             value = np.full(L0, int(value), dtype=np.int8)
         return np.broadcast_to(value, (n, L0)).copy()
-    if law["kind"] != "stationary":
-        raise ValueError(f"unknown y0_law {law['kind']!r}")
     # a static model has no state to burn in, and draws nothing
     burn = int(law.get("burn_in", 50)) if L0 else 0
     steps = [b % (spec.T // spec.step_width) for b in range(burn)]
@@ -135,13 +148,10 @@ def generate(cfg):
     """Draw a Sample from the configured process; bit-reproducible."""
     spec = cfg.spec
     rng = np.random.default_rng(cfg.seed)
-    theta = np.asarray(cfg.theta, dtype=float)
-    if theta.shape != (spec.theta_dim,):
-        raise ValueError(f"theta must have length {spec.theta_dim}")
     X = _draw_X(cfg, rng)
     A = _draw_A(cfg, X, rng)
     Y0 = _draw_y0(cfg, X, A, rng)
-    full = _roll(spec, Y0, range(spec.T // spec.step_width), X, A, theta, rng)
+    full = _roll(spec, Y0, range(spec.T // spec.step_width), X, A, cfg.theta, rng)
     return Sample(spec=spec, Y=full[:, spec.y0_len:], Y0=Y0, X=X)
 
 
@@ -162,7 +172,7 @@ def monte_carlo(cfg, estimator, replications, threads=1):
     if replications < 1:
         raise ValueError("need at least one replication")
     spec = cfg.spec
-    truth = dict(zip(spec.theta_names(), np.asarray(cfg.theta, dtype=float)))
+    truth = dict(zip(spec.theta_names(), cfg.theta))
 
     def run(rep):
         sub = replace(cfg, seed=_rep_seed(cfg.seed, rep))

@@ -3,13 +3,16 @@
 These recompute probabilities, indices and null spaces from the model
 definition with naive loops (or arbitrary precision where float64
 cannot certify a rank), and exist so the tests never compare the
-library against itself.  The exceptions are three earlier library
+library against itself.  The exceptions are earlier library
 implementations kept as references for the code that replaced them: the
 ``Counter`` permutation multiset and the mask-based network
 conditioning set, which share only the lag features and the exact key
-with the key-based code they check, and the per-row f-string writer of
+with the key-based code they check; the per-row f-string writer of
 the sample CSV and edge list, which shares nothing with the template
-writer it checks.
+writer it checks; and the loop builders of the two-way, dyadic,
+triadic, quarterly and network designs.  ``index_pi`` and
+``step_probability`` read one observation through the library's index
+kernel; they are test helpers, not oracles.
 """
 
 import itertools
@@ -266,3 +269,73 @@ def write_long_csv(sample, fh, kind):
     fh.write("".join(f"{u},{key},{y}{x}\r\n" for u, key, y, x in zip(
         np.repeat(np.arange(1, n + 1), len(slots)).tolist(), slots * n,
         np.hstack([sample.Y0, sample.Y]).ravel().tolist(), tails.ravel().tolist())))
+
+
+def index_pi(spec, t, history, x_t, theta):
+    """Index pi_t at a single observation, through the library kernel.
+
+    ``history`` concatenates the initial-condition block with the
+    outcomes of observations 1..t-1; it must supply every lag that the
+    index reads (for networks, the complete previous-period graph).
+    """
+    from felogit.model import step_index
+
+    if not 1 <= t <= spec.T:
+        raise ValueError(f"t must lie in 1..{spec.T}")
+    history = np.asarray(history)
+    need = spec.y0_len + t - 1
+    if history.shape != (need,):
+        raise ValueError(f"history must have length {need}, got {history.shape}")
+    step, j = divmod(t - 1, spec.step_width)
+    start = step * spec.step_width
+    x = np.asarray(x_t, dtype=float)[:, None] if spec.d_x else None
+    return float(step_index(spec, history[start: start + spec.y0_len], x, theta)[j])
+
+
+def step_probability(spec, t, history, x_t, theta, A):
+    """One-step transition kernel Pr(Y_t = 1 | history, x_t, A)."""
+    eta = index_pi(spec, t, history, x_t, theta) + float(spec.W[:, t - 1] @ A)
+    return float(expit(eta))
+
+
+# -- the loop builders of the indicator designs, one 1 per (row, t) -----------
+
+
+def loop_two_way(n, tau):
+    W = np.zeros((n + tau, n * tau))
+    for i in range(n):
+        for s in range(tau):
+            W[i, i * tau + s] = W[n + s, i * tau + s] = 1.0
+    return W
+
+
+def loop_dyadic(n):
+    pairs = dyad_list(n)
+    W = np.zeros((n, len(pairs)))
+    for t, (i, j) in enumerate(pairs):
+        W[i, t] = W[j, t] = 1.0
+    return W
+
+
+def loop_triadic(n1, n2, n3):
+    W = np.zeros((n1 * n2 + n2 * n3 + n1 * n3, n1 * n2 * n3))
+    for i, j, k in itertools.product(range(n1), range(n2), range(n3)):
+        t = (i * n2 + j) * n3 + k
+        W[i * n2 + j, t] = W[n1 * n2 + j * n3 + k, t] = 1.0
+        W[n1 * n2 + n2 * n3 + i * n3 + k, t] = 1.0
+    return W
+
+
+def loop_quarterly(T):
+    W = np.zeros((4, T))
+    for t in range(1, T + 1):
+        W[(t - 1) % 4, t - 1] = 1.0
+    return W
+
+
+def loop_network(n, tau):
+    D = n * (n - 1) // 2
+    W = np.zeros((D, D * tau))
+    for t in range(D * tau):
+        W[t % D, t] = 1.0
+    return W

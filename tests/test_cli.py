@@ -214,9 +214,101 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_internal_error_exits_1(capsys):
-    code, _, err = run(capsys, "wperp", "--design", "nonsense", "--T", "3")
-    assert code == 1 and "error:" in err
+DGP = {"design": {"design": "ar", "p": 1, "T": 3}, "theta": [0.5], "n": 5}
+
+
+def _dgp(**change):
+    return {**DGP, **change}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    pytest.param(("wperp", "--design", "ar", "--T", "3"), None,
+                 "--design: ar design parameter p is missing", id="ar without --p"),
+    pytest.param(("wperp", "--design", "poly", "--T", "3"), None,
+                 "poly design parameter p is missing", id="poly without --p"),
+    pytest.param(("wperp", "--design", "triadic", "--n1", "1", "--n2", "1"), None,
+                 "triadic design parameter n3 is missing", id="triadic without --n3"),
+    pytest.param(("wperp", "--design", "network", "--n", "3"), None,
+                 "network design parameter tau is missing", id="network without --tau"),
+    pytest.param(("wperp", "--design", "nonsense", "--T", "3"), None,
+                 "unknown design 'nonsense'", id="unknown design"),
+    pytest.param(("wperp", "--design", "dyadic", "--n", "1"), None,
+                 "dyadic design parameter n must be an integer >= 2, found 1",
+                 id="dyadic n=1"),
+    pytest.param(("wperp", "--design", "panel", "--T", "0"), None,
+                 "panel design parameter T must be an integer >= 1, found 0",
+                 id="panel T=0"),
+    pytest.param(("wperp",), None, "provide --model FILE or --design NAME",
+                 id="no design"),
+    pytest.param(("simulate", "--config"), {"theta": [0.5], "n": 5},
+                 "DGP config lacks key 'design'", id="config without design"),
+    pytest.param(("simulate", "--config"), "{'design': 'ar'}", "is not JSON",
+                 id="config not JSON"),
+    pytest.param(("simulate", "--config"), _dgp(n=-5),
+                 "DGP config: n must be an integer >= 1, found -5", id="n negative"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "cauchy"}),
+                 "DGP config: a_law must have kind normal or correlated or "
+                 "two_point, found {'kind': 'cauchy'}", id="unknown a_law"),
+    pytest.param(("simulate", "--config"), _dgp(x_law={"kind": "t"}),
+                 "DGP config: x_law must have kind", id="unknown x_law"),
+    pytest.param(("simulate", "--config"), _dgp(y0_law={"burn_in": 5}),
+                 "DGP config: y0_law must have kind", id="y0_law without kind"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "correlated"}),
+                 "DGP config: correlated a_law needs at least one covariate",
+                 id="correlated a_law without covariates"),
+    pytest.param(("simulate", "--config"), _dgp(theta=[0.5, 0.1]),
+                 "DGP config: theta must have length 1, found 2", id="theta length"),
+    pytest.param(("simulate", "--config"),
+                 _dgp(design={"design": "ar", "p": 1, "T": 3, "q": 4}),
+                 "DGP config: ar design takes no parameter 'q'", id="design extra key"),
+    pytest.param(("simulate", "--seed", "-1", "--config"), DGP,
+                 "--seed: seed must be an integer >= 0, found -1", id="negative --seed"),
+    pytest.param(("mc", "--config"), {"dgp": DGP, "estimator": {"method": "cmle"}},
+                 "mc config: replications is missing", id="mc without replications"),
+    pytest.param(("mc", "--config"), {"dgp": DGP, "replications": 2},
+                 "mc config lacks key 'estimator'", id="mc without estimator"),
+    pytest.param(("mc", "--config"),
+                 {"dgp": DGP, "estimator": {"method": "ols"}, "replications": 2},
+                 "error: unknown method 'ols'", id="mc unknown method"),
+    pytest.param(("wperp", "--model"), {"family": "ar", "T": 3, "p": 1},
+                 "lacks key 'W'", id="model without W"),
+    pytest.param(("wperp", "--model"), {"family": "ar", "T": 3, "p": 1, "W": [[1, 1]]},
+                 "W must be d_w x T, got (1, 2) with T=3", id="model W shape"),
+    pytest.param(("wperp", "--model"),
+                 {"family": "ar", "T": 3, "p": 1, "W": [["a"] * 3]},
+                 "model JSON", id="model W not numeric"),
+    pytest.param(("wperp", "--model"),
+                 {"family": "ar", "T": 3, "p": 1, "d_x": 1.5, "W": [[1, 1, 1]]},
+                 "d_x must be an integer >= 0, found 1.5", id="model d_x not integer"),
+])
+def test_bad_design_or_document_exits_2(tmp_path, capsys, argv, doc, message):
+    # a design, a config or a model file that is wrong is a usage error
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = (*argv, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and message in err
+
+
+def test_csv_row_with_extra_fields_exits_2(tmp_path, capsys):
+    data = tmp_path / "extra.csv"
+    data.write_text("unit,t,y\n1,0,1,99\n1,1,0,abc\n1,2,1\n")
+    code, out, err = run(capsys, "estimate", "--design", "ar", "--p", "1", "--T", "2",
+                         "--method", "cmle", "--data", str(data))
+    assert code == 2 and out == ""
+    assert "error: sample CSV data row 1: expected 3 fields, found 4\n" in err
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    # a plain ValueError from inside a command is an internal error
+    def fail(args):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "cmd_wperp", fail)
+    code, _, err = run(capsys, "wperp", "--design", "panel", "--T", "3")
+    assert code == 1 and "error: an internal fault\n" in err
 
 
 def test_simulate_golden_bytes(tmp_path, capsys):

@@ -200,6 +200,14 @@ REJECTIONS = {
         r"data row 16: tau must be an integer in 0\.\.3, found '4'$"),
     "missing dyad row": (
         "edges", _drop(17), r"edge CSV: unit 2 has no rows for tau,i,j = 1,1,3$"),
+    "extra field": (
+        "sample", _set(5, 4, "0.5,9"),
+        r"sample CSV data row 5: expected 5 fields, found 6$"),
+    "initial row short of fields": (
+        "sample", _cut(1, 3), r"sample CSV data row 1: expected 5 fields, found 3$"),
+    "edge extra field": (
+        "edges", _set(4, 5, "0.5,"),
+        r"edge CSV data row 4: expected 6 fields, found 7$"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 import felogit as fl
-from felogit import designs
+import oracles
+from felogit import cli, designs, model
 
 TABLE1 = {
     0: (2, (1, -1)),
@@ -49,6 +51,54 @@ def test_bad_design_parameters():
         fl.build_design("dyadic", n=1)
     with pytest.raises(ValueError):
         fl.build_design("nonsense", T=3)
+    with pytest.raises(ValueError, match="ar design parameter p is missing"):
+        fl.build_design("ar", T=3)
+    with pytest.raises(ValueError, match="panel_fe design parameter T must be "
+                                         "an integer >= 1, found 0"):
+        fl.build_design("panel_fe", T=0)
+
+
+SIZE_FLAGS = ("T", "p", "n", "tau", "n1", "n2", "n3")
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(designs.DESIGNS)) | st.text(max_size=12),
+       flags=st.fixed_dictionaries({}, optional={
+           k: st.none() | st.integers(-2, 5) for k in SIZE_FLAGS}))
+def test_catalogue_builds_a_spec_or_rejects_the_design(name, flags):
+    # Specs only: a w_perp search here could meet two_way at n = tau = 5,
+    # a 3^25 tree.  Flags a design does not take are ignored.
+    least = designs.DESIGNS[name][1] if name in designs.DESIGNS else None
+    valid = least is not None and all(
+        flags.get(k) is not None and flags[k] >= lo for k, lo in least.items())
+    try:
+        spec = cli._load_spec(SimpleNamespace(design=name, **flags))
+    except cli.DataError as exc:
+        assert not valid
+        assert ("unknown design" if least is None else f"{name} design") in str(exc)
+        return
+    assert valid and isinstance(spec, model.ModelSpec)
+    assert spec.d_x == 0 and spec.W.shape[1] == spec.T
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+def test_indicator_designs_match_loop_builders(s):
+    # bit for bit, so every downstream table and hash is unchanged
+    for W, ref in [
+        (fl.build_design("two_way", n=s + 1, tau=s + 1).W,
+         oracles.loop_two_way(s + 1, s + 1)),
+        (fl.build_design("twoway", n=2, tau=s + 1).W, oracles.loop_two_way(2, s + 1)),
+        (fl.build_design("dyadic", n=s + 1).W, oracles.loop_dyadic(s + 1)),
+        (designs.dyadic_matrix(6), oracles.loop_dyadic(6)),
+        (fl.build_design("triadic", n1=s, n2=2, n3=3).W, oracles.loop_triadic(s, 2, 3)),
+        (designs.triadic_matrix(3, s, 1), oracles.loop_triadic(3, s, 1)),
+        (designs.quarterly_ar(1, 4 * s + 1).W, oracles.loop_quarterly(4 * s + 1)),
+        (fl.build_design("quarterly", p=2, T=s + 2).W, oracles.loop_quarterly(s + 2)),
+        (fl.network_design(s + 1, s).W, oracles.loop_network(s + 1, s)),
+        (fl.build_design("network", n=3, tau=s).W, oracles.loop_network(3, s)),
+    ]:
+        assert W.dtype == ref.dtype and W.shape == ref.shape
+        assert W.tobytes() == ref.tobytes()
 
 
 def test_find_wperp_simplest_difference():
@@ -169,8 +219,8 @@ def test_table1_symmetry_pattern():
     # even degrees produce antisymmetric vectors, odd degrees symmetric;
     # the recursive construction is only checked, not used for search
     for p, (_, w) in TABLE1.items():
-        expected = "antisymmetric" if p % 2 == 0 else "symmetric"
-        assert designs.trend_symmetry(np.array(w)) == expected
+        w = np.array(w)
+        assert np.array_equal(w, -w[::-1] if p % 2 == 0 else w[::-1])
 
 
 def test_pair_from_wperp_forced_positions():

