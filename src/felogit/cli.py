@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: wperp, table1, pairs, netcond, dset, moments, verify,
-estimate, simulate, mc.  Exit codes: 0 success, 2 usage error, 3
-degenerate outcome (no differencing vector, no identifying
+estimate, simulate, mc.  Exit codes: 0 success, 2 usage error or size
+refusal, 3 degenerate outcome (no differencing vector, no identifying
 information), 1 internal error.  Every run echoes its resolved
 configuration to stderr; numeric output carries 12 significant digits.
 
@@ -688,7 +688,7 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # every file the command reads is named by the user
-        return 2 if isinstance(exc, (DataError, FileNotFoundError)) else 1
+        return 2 if isinstance(exc, (DataError, FileNotFoundError, model.TooLarge)) else 1
 
 
 if __name__ == "__main__":

@@ -65,6 +65,10 @@ def incidence(rows, d):
     return W
 
 
+class TooLarge(ValueError):
+    """A problem refused before it is built; the message states its size."""
+
+
 def checked_int(what, value, lo):
     """``value`` as an int when it is an integer >= lo; otherwise a
     ValueError that names ``what``."""

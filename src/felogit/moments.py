@@ -37,6 +37,7 @@ import numpy as np
 
 from .model import (
     NETWORK,
+    TooLarge,
     all_paths,
     exact_key,
     index_matrix,
@@ -103,10 +104,6 @@ def qt_values(spec, y0, X, theta):
     return tuple(tab.Q for tab in index_value_tables(spec, y0, X, theta))
 
 
-class DSetTooLarge(ValueError):
-    pass
-
-
 @dataclass
 class DSet:
     """Exponent vectors d = sum_t k_t w_t with 0 <= k_t <= Q_t."""
@@ -168,16 +165,12 @@ def build_dset(spec, Q):
     for q in Q:
         size *= q + 1
     if size > 1e8:
-        raise DSetTooLarge(
-            f"exact enumeration would scan ~{size:.3g} combinations"
-        )
+        raise TooLarge(f"exact enumeration would scan ~{size:.3g} combinations")
     ds = np.zeros((1, d_w), dtype=cols.dtype)
     for t in range(spec.T):
         ds, _ = _extend(ds, cols[:, t], Q[t])
         if len(ds) > 5_000_000:
-            raise DSetTooLarge(
-                f"running element set exceeded 5e6 entries at period {t + 1}"
-            )
+            raise TooLarge(f"running element set exceeded 5e6 entries at period {t + 1}")
     return DSet(Q, len(ds), frozenset(map(tuple, ds.tolist())))
 
 
@@ -328,31 +321,62 @@ class NullspaceReport:
     weak_separation: bool
 
 
-def _svd_rank(M):
-    """Singular values, right factor Vt (all 2^T rows) and numerical rank
-    of M with its rows max-normalized (row scaling keeps the null space)."""
-    scale = np.abs(M).max(axis=1, keepdims=True)
-    Mn = M / np.where(scale == 0, 1.0, scale)
-    # with at least as many rows as columns the thin Vt is already square
-    _, s, Vt = np.linalg.svd(Mn, full_matrices=M.shape[0] < M.shape[1])
-    return s, Vt, int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+def _column_groups(M):
+    """Group id of each column of M, numbered by first appearance; two
+    columns share a group only when their bytes are identical."""
+    keys = {}
+    return np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
+
+
+def _null_space(M):
+    """Singular values, rank and orthonormal null-space basis (rows) of M
+    with its rows max-normalized, built as ``nullspace_moments`` says."""
+    n, label = M.shape[1], _column_groups(M)
+    count = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    start = np.cumsum(count) - count
+    B = M[:, order[start]]
+    scale = np.abs(B).max(axis=1, keepdims=True)
+    B = B / np.where(scale == 0, 1.0, scale) * np.sqrt(count)
+    if B.shape[0] > B.shape[1]:
+        B = np.linalg.qr(B, mode="r")
+    _, s, Vt = np.linalg.svd(B)
+    rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+    Z = Vt[rank:] / np.sqrt(count)  # B's null vectors, per path of a group
+    basis = np.zeros((n - rank, n))
+    # mode="clip" writes straight into out; the default "raise" buffers
+    np.take(Z, label, axis=1, out=basis[:len(Z)], mode="clip")
+    # the path at place k >= 1 of its group against the k before it
+    pos = np.arange(n) - np.repeat(start, count)
+    at = np.flatnonzero(pos)
+    k, rows = pos[at], np.arange(len(Z), n - rank)
+    basis[rows, order[at]] = -np.sqrt(k / (k + 1))
+    before = order[np.arange(k.sum()) + np.repeat(at - np.cumsum(k), k)]
+    basis[np.repeat(rows, k), before] = np.repeat(1 / np.sqrt(k * (k + 1)), k)
+    return np.concatenate([s, np.zeros(min(M.shape) - s.size)]), rank, basis
 
 
 def nullspace_moments(spec, y0, X, theta):
     """Orthonormal basis of the fixed-effect-free moment space.
 
     The basis spans the null space of the coefficient matrix
-    [chat_d(y)], determined by singular value decomposition with the
-    relative threshold 1e-9.  Rows are max-normalized first (row scaling
-    leaves the null space unchanged).  ``weak_separation`` flags a
-    retained/discarded singular-value gap below 10x.
+    [chat_d(y)] with its rows max-normalized (row scaling leaves the
+    null space unchanged), at the relative singular-value threshold
+    1e-9.  Byte-identical columns (paths equally likely at every A) are
+    grouped: the G distinct columns, each times sqrt(count), have the
+    matrix's nonzero singular values, so only they are decomposed, via
+    their QR factor when |D| > G.  The basis is their null vectors
+    spread over each group / sqrt(count), then the Helmert contrasts
+    within each group.  ``weak_separation`` flags a retained/discarded
+    singular-value gap below 10x.
     """
     if 2**spec.T > 16384:
-        raise ValueError("null-space extraction limited to 2^T <= 16384")
-    s, Vt, rank = _svd_rank(coefficient_matrix(spec, y0, X, theta)[0])
+        raise TooLarge(f"an explicit null-space basis over 2^{spec.T} paths would "
+                       f"need up to {8 * 4**spec.T:,} bytes (limit 2^T <= 16384)")
+    s, rank, basis = _null_space(coefficient_matrix(spec, y0, X, theta)[0])
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
-    basis = Vt[rank:]
-    moments = [MomentFunction(spec.T, row.copy(), "nullspace") for row in basis]
+    # each moment is a view of its row: the basis is allocated once
+    moments = [MomentFunction(spec.T, row, "nullspace") for row in basis]
     return NullspaceReport(dimension=basis.shape[0], moments=moments, rank=rank,
                            singular_values=s, weak_separation=weak)
 
@@ -417,8 +441,7 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows):
     of the exp(d'A) profiles, so the two null spaces coincide for
     well-spread draws.
     """
-    _, Vt, rank = _svd_rank(probability_matrix(spec, y0, X, theta, A_rows))
-    return Vt[rank:]
+    return _null_space(probability_matrix(spec, y0, X, theta, A_rows))[2]
 
 
 def verify_moment(m, spec, y0, X, theta, A_grid):

@@ -34,11 +34,11 @@ class DGPConfig:
       rho * mean_t x_1t + noise), ``two_point`` (lo, hi, p).
     * x_law: ``iid_normal`` (scale), ``ar`` (phi, scale), ``constant``
       (scale).
-    * y0_law: ``fixed`` (value), ``stationary`` (burn_in, default 50).
-      The burn-in rolls the model forward from an all-zero state over
-      burn_in steps; step b uses the effects and covariates of step
-      b mod (number of steps), i.e. period b mod T of an AR panel and
-      period b mod tau of a network.
+    * y0_law: ``fixed`` (value: 0, 1 or y0_len outcomes of 0/1),
+      ``stationary`` (burn_in, default 50).  The burn-in rolls the model
+      forward from an all-zero state over burn_in steps; step b uses the
+      effects and covariates of step b mod (number of steps), i.e.
+      period b mod T of an AR panel and period b mod tau of a network.
     """
 
     spec: object
@@ -63,6 +63,11 @@ class DGPConfig:
                                  f"found {law!r}")
         if self.a_law["kind"] == "correlated" and self.spec.d_x == 0:
             raise ValueError("correlated a_law needs at least one covariate")
+        if self.y0_law["kind"] == "fixed":
+            value = np.asarray(self.y0_law.get("value", 0))
+            if value.shape not in ((), (self.spec.y0_len,)) or not set(value.flat) <= {0, 1}:
+                raise ValueError(f"fixed y0_law value must be 0, 1 or a 0/1 list of "
+                                 f"length {self.spec.y0_len}, found {value.tolist()!r}")
 
 
 def _draw_X(cfg, rng):
@@ -133,8 +138,6 @@ def _draw_y0(cfg, X, A, rng):
     law = cfg.y0_law
     if law["kind"] == "fixed":
         value = np.asarray(law.get("value", 0), dtype=np.int8)
-        if value.ndim == 0:
-            value = np.full(L0, int(value), dtype=np.int8)
         return np.broadcast_to(value, (n, L0)).copy()
     # a static model has no state to burn in, and draws nothing
     burn = int(law.get("burn_in", 50)) if L0 else 0

@@ -201,7 +201,7 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     if spec.family != AR or spec.p != 1:
         raise ValueError("enumerate_pairs_ar1 requires an AR(1) spec")
     if spec.T > 20:
-        raise ValueError("path enumeration limited to T <= 20")
+        raise model.TooLarge(f"pairs would enumerate {2**spec.T:,} paths (limit 2^20)")
     spec = _canonical_spec(spec)
     if theta is None:
         theta = np.zeros(spec.theta_dim)

@@ -9,8 +9,10 @@ implementations kept as references for the code that replaced them: the
 conditioning set, which share only the lag features and the exact key
 with the key-based code they check; the per-row f-string writer of
 the sample CSV and edge list, which shares nothing with the template
-writer it checks; and the loop builders of the two-way, dyadic,
-triadic, quarterly and network designs.  ``index_pi`` and
+writer it checks; the loop builders of the two-way, dyadic,
+triadic, quarterly and network designs; and ``svd_null_space``, the
+full SVD of the row-normalized matrix that the grouped null space of
+``moments._null_space`` replaced.  ``index_pi`` and
 ``step_probability`` read one observation through the library's index
 kernel; they are test helpers, not oracles.
 """
@@ -146,6 +148,17 @@ def mp_null_basis(P, rtol="1e-25", dps=40):
             [[float(V[i, j]) for j in range(n)] for i in range(rank, n)]
         )
         return basis, rank
+
+
+def svd_null_space(M):
+    """Singular values, numerical rank and null-space basis (rows) of M
+    with its rows max-normalized, from one SVD of the whole matrix."""
+    scale = np.abs(M).max(axis=1, keepdims=True)
+    Mn = M / np.where(scale == 0, 1.0, scale)
+    # with at least as many rows as columns the thin Vt is already square
+    _, s, Vt = np.linalg.svd(Mn, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+    return s, rank, Vt[rank:]
 
 
 def subspace_residual(V1, V2):

@@ -280,6 +280,13 @@ def _dgp(**change):
     pytest.param(("wperp", "--model"),
                  {"family": "ar", "T": 3, "p": 1, "d_x": 1.5, "W": [[1, 1, 1]]},
                  "d_x must be an integer >= 0, found 1.5", id="model d_x not integer"),
+    pytest.param(("simulate", "--config"),
+                 _dgp(y0_law={"kind": "fixed", "value": [0, 1, 1]}),
+                 "DGP config: fixed y0_law value must be 0, 1 or a 0/1 list of length 1, "
+                 "found [0, 1, 1]", id="fixed y0_law value of the wrong length"),
+    pytest.param(("simulate", "--config"), _dgp(y0_law={"kind": "fixed", "value": 7}),
+                 "DGP config: fixed y0_law value must be 0, 1 or a 0/1 list of length 1, "
+                 "found 7", id="fixed y0_law value not binary"),
 ])
 def test_bad_design_or_document_exits_2(tmp_path, capsys, argv, doc, message):
     # a design, a config or a model file that is wrong is a usage error
@@ -290,6 +297,18 @@ def test_bad_design_or_document_exits_2(tmp_path, capsys, argv, doc, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("moments", "--T", "15"), "error: an explicit null-space basis over "
+                 "2^15 paths would need up to 8,589,934,592 bytes", id="moments T=15"),
+    pytest.param(("pairs", "--T", "30", "--y0", "0"),
+                 "error: pairs would enumerate 1,073,741,824 paths", id="pairs T=30"),
+])
+def test_size_refusal_exits_2_with_its_size(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--design", "ar", "--p", "1")
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_csv_row_with_extra_fields_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from oracles import (
     naive_expectation,
     per_path_coefficients,
     subspace_residual,
+    svd_null_space,
 )
 
 
@@ -91,7 +92,7 @@ def test_dset_refuses_oversized_general_design():
     rng = np.random.default_rng(0)
     W = rng.normal(size=(3, 30))
     spec = fl.ModelSpec("static", 30, W, d_x=1)
-    with pytest.raises(moments.DSetTooLarge):
+    with pytest.raises(moments.TooLarge):
         fl.build_dset(spec, tuple([8] * 30))
 
 
@@ -218,6 +219,48 @@ def test_nullspace_moments_have_zero_mean(data):
     rep = fl.nullspace_moments(spec, y0, X, theta)
     for m in rep.moments:
         assert fl.verify_moment(m, spec, y0, X, theta, A_rows) < 1e-8
+
+
+ORACLE_FAMILIES = {
+    "ar1": (lambda T, d_x: fl.panel_ar(1, T, d_x=d_x), 2),
+    "ar2": (lambda T, d_x: fl.panel_ar(2, T, d_x=d_x), 3),
+    "quarterly": (lambda T, d_x: fl.quarterly_ar(1, T, d_x=d_x), 4),
+    "trend-ar": (lambda T, d_x: fl.trend_ar(T, d_x=d_x), 3),
+}
+
+
+def _weak(s, rank):
+    return bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_grouped_null_space_matches_full_svd_oracle(data):
+    build, least_T = ORACLE_FAMILIES[data.draw(st.sampled_from(sorted(ORACLE_FAMILIES)))]
+    spec = build(data.draw(st.integers(least_T, 9)), data.draw(st.integers(0, 1)))
+    theta, X, y0, _ = _draw_inputs(data, [spec])[1:]
+    C = moments.coefficient_matrix(spec, y0, X, theta)[0]
+    s0, rank0, V0 = svd_null_space(C)
+    rep = fl.nullspace_moments(spec, y0, X, theta)
+    assert (rep.rank, rep.dimension) == (rank0, V0.shape[0])
+    assert rep.weak_separation == _weak(s0, rank0)
+    np.testing.assert_allclose(rep.singular_values, s0, rtol=0, atol=1e-12 * s0[0])
+    V = np.vstack([m.values for m in rep.moments]) if rep.moments else np.zeros((0, 2**spec.T))
+    assert np.max(np.abs(V @ V.T - np.eye(len(V))), initial=0.0) < 1e-12
+    # a null space is fixed only to about eps * s_1 / s_rank (Wedin), and
+    # the rank threshold lets that ratio reach 1e9
+    gap = s0[0] / s0[rank0 - 1] if rank0 else 1.0
+    assert subspace_residual(V, V0) < max(1e-10, 1e-15 * gap)
+
+
+def test_columns_one_ulp_apart_stay_two_groups():
+    c = np.array([0.3, 1.0, 2.5])
+    M = np.column_stack([c, c, c + [0.0, np.spacing(1.0), 0.0], c.copy(), 2 * c])
+    assert moments._column_groups(M).tolist() == [0, 0, 1, 0, 2]
+    s, rank, V = moments._null_space(M)
+    s0, rank0, V0 = svd_null_space(M)
+    assert rank == rank0 == 1 and V.shape == V0.shape == (4, 5)
+    assert subspace_residual(V, V0) < 1e-12
 
 
 def test_nullspace_dimension_ar1_t3():
