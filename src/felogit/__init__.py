@@ -44,6 +44,7 @@ from .moments import (
 )
 from .sufficiency import (
     ConditioningSet,
+    Pair,
     PairCertificate,
     arp_condition_check,
     ar1_sufficient_stat,

@@ -301,6 +301,10 @@ def cmd_wperp(args):
 
 
 def cmd_table1(args):
+    if args.max_p > 6:
+        raise DataError(f"--max-p must be at most 6, found {args.max_p}")
+    if args.max_p == 6 and not args.long_run:
+        raise DataError("--max-p 6 scans horizons up to T = 31; pass --long-run")
     buf = io.StringIO()
     buf.write(f"# schema: {SCHEMA['table1']}\n")
     w = csv.writer(buf)
@@ -314,21 +318,15 @@ def cmd_table1(args):
 
 def cmd_pairs(args):
     spec = _load_spec(args)
+    if spec.family != model.AR or spec.p != 1:
+        raise DataError(f"pairs needs an AR(1) design (--p 1), found {spec!r}")
     y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
     theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
-    certs = sufficiency.enumerate_pairs_ar1(
-        spec, y0, require_gap=args.require_gap, theta=theta
-    )
-    doc = [
-        {
-            "y": [int(v) for v in c.y],
-            "y_tilde": [int(v) for v in c.y_tilde],
-            "transition_gap": c.transition_gap,
-            "log_ratio": c.log_ratio,
-        }
-        for c in certs
-    ]
-    _json_out(doc, args.output)
+    certs = sufficiency.enumerate_pairs_ar1(spec, y0, require_gap=args.require_gap,
+                                            theta=theta)
+    cols = {k: getattr(certs, k).tolist()
+            for k in ("y", "y_tilde", "transition_gap", "log_ratio")}
+    _json_out([dict(zip(cols, row)) for row in zip(*cols.values())], args.output)
     return 0 if certs else 3
 
 
@@ -337,16 +335,9 @@ def cmd_netcond(args):
         spec = designs.build_design("network", d_x=0, n=args.n, tau=3)
     y = _parse_bits(args.path, "--path", spec.T)
     y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
-    cond = (
-        sufficiency.network_cond_full(spec, y)
-        if args.set == "full"
-        else sufficiency.network_cond_star(spec, y)
-    )
-    doc = {
-        "kind": cond.kind,
-        "size": len(cond),
-        "members": [[int(v) for v in m] for m in cond.members],
-    }
+    cond = (sufficiency.network_cond_full if args.set == "full"
+            else sufficiency.network_cond_star)(spec, y)
+    doc = {"kind": cond.kind, "size": len(cond), "members": cond.members.tolist()}
     if args.theta is not None:
         theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
         doc["likelihood"] = sufficiency.network_cond_likelihood(
@@ -374,33 +365,26 @@ def _load_X(spec, path):
     return X
 
 
-def cmd_dset(args):
+def _exponent_set(args):
+    """The spec, theta, y0 and X of the flags, the caps Q and the DSet."""
     spec = _load_spec(args)
     theta = _theta_or_zero(spec, args.theta)
     y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
           else np.zeros(spec.y0_len, dtype=np.int8))
     X = _load_X(spec, args.x)
     Q = moments.qt_values(spec, y0, X, theta)
-    ds = moments.build_dset(spec, Q)
-    _json_out(
-        {
-            "Q": list(Q),
-            "cardinality": ds.cardinality,
-            "bound": 2**spec.T - ds.cardinality,
-        },
-        args.output,
-    )
+    return spec, theta, y0, X, Q, moments.build_dset(spec, Q)
+
+
+def cmd_dset(args):
+    spec, _, _, _, Q, ds = _exponent_set(args)
+    _json_out({"Q": list(Q), "cardinality": ds.cardinality,
+               "bound": 2**spec.T - ds.cardinality}, args.output)
     return 0
 
 
 def cmd_moments(args):
-    spec = _load_spec(args)
-    theta = _theta_or_zero(spec, args.theta)
-    y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
-          else np.zeros(spec.y0_len, dtype=np.int8))
-    X = _load_X(spec, args.x)
-    Q = moments.qt_values(spec, y0, X, theta)
-    ds = moments.build_dset(spec, Q)
+    spec, theta, y0, X, Q, ds = _exponent_set(args)
     rep = moments.nullspace_moments(spec, y0, X, theta)
     rng = np.random.default_rng(args.seed)
     grid = rng.uniform(-3, 3, (args.draws, spec.d_w))

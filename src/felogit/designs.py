@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AR, STATIC, ModelSpec, checked_int, exact_key, incidence,
-                    network_design)
+from .model import (AR, STATIC, ModelSpec, TooLarge, checked_int, exact_key,
+                    incidence, network_design)
 
 
 def panel_fe_matrix(T):
@@ -151,7 +151,8 @@ def find_wperp(W, max_solutions=None, require_nonzero=True):
     W = np.atleast_2d(W)
     d, T = W.shape
     if T > 40:
-        raise ValueError("exhaustive search limited to T <= 40")
+        raise TooLarge(f"exhaustive search over 3^{T} = {3**T:.3g} sign vectors "
+                       "is limited to T <= 40")
     Wx = exact_key(W)
     exact = Wx.dtype.kind == "i"
     Wx = Wx if exact else np.asarray(W, dtype=float)  # tolerance path: raw W

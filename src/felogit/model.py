@@ -237,7 +237,8 @@ def all_paths(T):
     bit, so rows are sorted lexicographically.
     """
     if T > 24:
-        raise ValueError("path enumeration limited to T <= 24")
+        raise TooLarge(f"path enumeration over 2^{T} = {2**T:,} paths is "
+                       "limited to T <= 24")
     idx = np.arange(2**T, dtype=np.int64)
     return ((idx[:, None] >> np.arange(T - 1, -1, -1)) & 1).astype(np.int8)
 

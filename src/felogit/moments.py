@@ -30,8 +30,8 @@ evaluator of many units at once (the one GMM calls); its table over all
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -106,11 +106,10 @@ def qt_values(spec, y0, X, theta):
 
 @dataclass
 class DSet:
-    """Exponent vectors d = sum_t k_t w_t with 0 <= k_t <= Q_t."""
+    """Count of the exponent vectors d = sum_t k_t w_t, 0 <= k_t <= Q_t."""
 
     caps: tuple
     cardinality: int
-    elements: frozenset | None = None  # None when only counted structurally
 
 
 def _extend(ds, w, q):
@@ -126,52 +125,38 @@ def _extend(ds, w, q):
     return nxt, trans.reshape(len(ds), q + 1)
 
 
-def build_dset(spec, Q):
-    """Construct the exponent set D for caps Q = (Q_1..Q_T).
-
-    Nonzero constant-column and indicator designs use exact counting
-    formulas; other designs are enumerated by the running set of
+def _walk(cols, Q):
+    """|D| for exact design columns ``cols`` by the running set of
     distinct partial sums that ``coefficient_matrix`` also walks.  Sets
-    whose enumeration cannot fit desk-scale memory are refused with a
-    size estimate, and structured sets above 200,000 elements report
-    the cardinality without materializing the elements.
+    that cannot fit desk-scale memory are refused with a size estimate."""
+    size = math.prod(q + 1 for q in Q)
+    if size > 1e8:
+        raise TooLarge(f"exact enumeration would scan ~{size:.3g} combinations")
+    ds = np.zeros((1, len(cols)), dtype=cols.dtype)
+    for t, q in enumerate(Q):
+        ds, _ = _extend(ds, cols[:, t], q)
+        if len(ds) > 5_000_000:
+            raise TooLarge(f"running element set exceeded 5e6 entries at period {t + 1}")
+    return len(ds)
+
+
+def build_dset(spec, Q):
+    """Count the exponent set D for caps Q = (Q_1..Q_T).
+
+    When every column is c_r e_r with one nonzero scale c_r per row r
+    (indicator designs, nonzero constant columns), the rows of d vary
+    freely and |D| = prod_r (rowcap_r + 1), rowcap_r summing the Q_t of
+    the columns on row r.  Other designs are counted by ``_walk``.
     """
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
         raise ValueError("need one cap per period")
     cols = exact_key(spec.W)
-    d_w = spec.d_w
-
-    if np.all(cols == cols[:, :1]) and np.any(cols[:, 0]):
-        smax = sum(Q)
-        elems = frozenset(tuple((k * cols[:, 0]).tolist()) for k in range(smax + 1))
-        return DSet(Q, smax + 1, elems)
-
-    if spec.binary_design:
-        rowcap = [0] * d_w
-        for t, r in enumerate(np.argmax(cols, axis=0)):
-            rowcap[r] += Q[t]
-        card = 1
-        for c in rowcap:
-            card *= c + 1
-        if card > 200_000:
-            return DSet(Q, card, None)
-        elems = frozenset(
-            tuple(combo) for combo in product(*[range(c + 1) for c in rowcap])
-        )
-        return DSet(Q, card, elems)
-
-    size = 1.0
-    for q in Q:
-        size *= q + 1
-    if size > 1e8:
-        raise TooLarge(f"exact enumeration would scan ~{size:.3g} combinations")
-    ds = np.zeros((1, d_w), dtype=cols.dtype)
-    for t in range(spec.T):
-        ds, _ = _extend(ds, cols[:, t], Q[t])
-        if len(ds) > 5_000_000:
-            raise TooLarge(f"running element set exceeded 5e6 entries at period {t + 1}")
-    return DSet(Q, len(ds), frozenset(map(tuple, ds.tolist())))
+    distinct = np.unique(cols, axis=1) != 0
+    if np.all(distinct.sum(axis=0) == 1) and np.all(distinct.sum(axis=1) <= 1):
+        rowcap = (cols != 0) @ np.array(Q)
+        return DSet(Q, math.prod(int(c) + 1 for c in rowcap))
+    return DSet(Q, _walk(cols, Q))
 
 
 def moment_bound(spec, y0, X, theta):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -55,20 +56,48 @@ def key_classes(keys):
     return KeyClasses(cls, sizes, order, rank)
 
 
-@dataclass
-class PairCertificate:
-    """Outcome of a permutation check on a candidate identifying pair."""
+class Pair(NamedTuple):
+    """One certified pair (y, y~), a row of a ``PairCertificate``."""
 
     y: np.ndarray
     y_tilde: np.ndarray
     cond_linear: bool
     cond_permutation: bool
-    transition_gap: int | None
+    transition_gap: int | None  # None outside AR
     log_ratio: float
+    passed = property(lambda self: self.cond_linear & self.cond_permutation)
 
-    @property
-    def passed(self):
-        return self.cond_linear and self.cond_permutation
+
+@dataclass
+class PairCertificate:
+    """Certified pairs as a table: the fields of ``Pair`` as columns, y
+    and y_tilde (m, T), the others (m,) or transition_gap None.  A mask
+    or slice gives a table, an integer one ``Pair``, iteration every
+    ``Pair`` in order."""
+
+    y: np.ndarray
+    y_tilde: np.ndarray
+    cond_linear: np.ndarray
+    cond_permutation: np.ndarray
+    transition_gap: np.ndarray | None
+    log_ratio: np.ndarray
+    passed = Pair.passed
+
+    def __len__(self):
+        return len(self.log_ratio)
+
+    def __iter__(self):
+        gap = self.transition_gap
+        return starmap(Pair, zip(self.y, self.y_tilde, self.cond_linear.tolist(),
+                                 self.cond_permutation.tolist(),
+                                 [None] * len(self) if gap is None else gap.tolist(),
+                                 self.log_ratio.tolist()))
+
+    def __getitem__(self, k):
+        if isinstance(k, Integral):
+            k = range(len(self))[k]
+            return next(iter(self[k:k + 1]))
+        return type(self)(*(None if v is None else v[k] for v in vars(self).values()))
 
 
 @dataclass
@@ -76,14 +105,13 @@ class ConditioningSet:
     """A set of outcome paths sharing one statistic value."""
 
     kind: str  # "network_star" | "network_full"
-    members: tuple
+    members: np.ndarray  # (m, T) int64, in path order
 
     def __len__(self):
         return len(self.members)
 
     def __contains__(self, y):
-        y = np.asarray(y)
-        return any(np.array_equal(y, m) for m in self.members)
+        return bool(np.any(np.all(self.members == np.asarray(y), axis=1)))
 
 
 def _require_dynamic(spec):
@@ -118,15 +146,17 @@ def transition_stats(spec, paths, y0):
     return np.einsum("nt,ntr->nr", paths, Z)
 
 
-def _certificate(spec, pair, y0, X, theta, cond_linear, cond_permutation):
-    """PairCertificate of ``pair`` (2, T) with the given conditions."""
+def _certify(spec, paths, y0, X, theta, a, b, cond_linear, cond_permutation):
+    """The PairCertificate of the pairs (paths[a], paths[b]) with the
+    given condition flags.  The transition count and g(y) = sum_t y_t
+    pi_t are computed once per path; log_ratio = g(y) - g(y~)."""
     gap = None
     if spec.family == AR:
-        s1 = transition_stats(spec, pair, y0)[:, 0]
-        gap = int(s1[0] - s1[1])
-    g = np.sum(pair * index_matrix(spec, pair, y0, X, theta), axis=1)
-    return PairCertificate(pair[0], pair[1], cond_linear, cond_permutation,
-                           gap, float(g[0] - g[1]))
+        s1 = transition_stats(spec, paths, y0)[:, 0]
+        gap = s1[a] - s1[b]
+    g = np.sum(paths * index_matrix(spec, paths, y0, X, theta), axis=1)
+    return PairCertificate(paths[a], paths[b], cond_linear, cond_permutation,
+                           gap, g[a] - g[b])
 
 
 def permutation_check(spec, y, y_tilde, y0, theta, X=None):
@@ -140,8 +170,9 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
     y0 = np.asarray(y0, dtype=np.int64)
     s_y = exact_key(pair @ spec.W.T)
     perm = permutation_key(spec, pair, y0)
-    return _certificate(spec, pair, y0, X, theta, np.array_equal(*s_y),
-                        np.array_equal(*perm))
+    return _certify(spec, pair, y0, X, theta, [0], [1],
+                    np.array([np.array_equal(*s_y)]),
+                    np.array([np.array_equal(*perm)]))[0]
 
 
 def ar1_sufficient_stat(spec, y, y0):
@@ -189,14 +220,13 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
 
     Paths are grouped by (W y, W y_lag); within a group every pair is
     certified.  With ``require_gap`` only pairs whose transition counts
-    differ (the ones that identify gamma) are kept.  An empty list is a
+    differ (the ones that identify gamma) are kept.  An empty table is a
     meaningful outcome: designs with per-period effects admit no pairs.
 
     Every per-path statistic is computed once over all 2^T paths: the
-    group key, ``permutation_key``, the transition count and
-    g(y) = sum_t y_t pi_t.  A pair's certificate is then a lookup, with
-    log_ratio = g(y) - g(y~).  Groups come in increasing key order and
-    pairs within a group in increasing path order.
+    group key and ``permutation_key`` here, the transition count and
+    g(y) in ``_certify``.  Groups come in increasing key order and pairs
+    within a group in increasing path order.
     """
     if spec.family != AR or spec.p != 1:
         raise ValueError("enumerate_pairs_ar1 requires an AR(1) spec")
@@ -209,9 +239,6 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     paths = all_paths(spec.T).astype(np.int64)
     groups = key_classes(arp_statistic_key(spec, paths, y0))
     perm_key = permutation_key(spec, paths, y0)
-    transitions = transition_stats(spec, paths, y0)[:, 0]
-    g = np.sum(paths * index_matrix(spec, paths, y0, None, theta), axis=1)
-
     a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for m in np.unique(groups.sizes[groups.sizes > 1]):
         members = groups.members(np.flatnonzero(groups.sizes == m), m)
@@ -221,18 +248,10 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     a, b = np.concatenate(a), np.concatenate(b)
     by_group = np.argsort(groups.cls[a], kind="stable")
     a, b = a[by_group], b[by_group]
-    gap = transitions[a] - transitions[b]
-    if require_gap:
-        a, b, gap = a[gap != 0], b[gap != 0], gap[gap != 0]
-    same_perm = np.all(perm_key[a] == perm_key[b], axis=1)
-    log_ratio = g[a] - g[b]
-    Y, Y_tilde = paths[a], paths[b]
     # cond_linear holds by construction: both paths share W y
-    return [
-        PairCertificate(Y[k], Y_tilde[k], True, bool(same_perm[k]),
-                        int(gap[k]), float(log_ratio[k]))
-        for k in range(len(a))
-    ]
+    certs = _certify(spec, paths, y0, None, theta, a, b, np.ones(len(a), bool),
+                     np.all(perm_key[a] == perm_key[b], axis=1))
+    return certs[certs.transition_gap != 0] if require_gap else certs
 
 
 def arp_statistic_key(spec, paths, y0):
@@ -270,9 +289,9 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
     y0 = np.asarray(y0, dtype=np.int64)
     key, key_t = arp_statistic_key(spec, pair, y0)
     d = spec.d_w  # the key row starts with W y
-    return _certificate(spec, pair, y0, None, theta,
-                        np.array_equal(key[:d], key_t[:d]),
-                        np.array_equal(key[d:], key_t[d:]))
+    return _certify(spec, pair, y0, None, theta, [0], [1],
+                    np.array([np.array_equal(key[:d], key_t[:d])]),
+                    np.array([np.array_equal(key[d:], key_t[d:])]))[0]
 
 
 # -- dynamic network conditioning ------------------------------------------
@@ -286,15 +305,13 @@ def _require_t3(spec):
 
 
 def network_cond_star(spec, y):
-    """Two-element conditioning set: y and its period-1/2 swap."""
+    """Conditioning set of y and its period-1/2 swap (one member when
+    the two periods agree)."""
     _require_t3(spec)
     y = np.asarray(y, dtype=np.int64)
     p1, p2, p3 = y.reshape(3, spec.step_width)
-    if np.array_equal(p1, p2):
-        return ConditioningSet("network_star", (y,))
-    swapped = np.concatenate([p2, p1, p3])
-    members = sorted([y, swapped], key=lambda m: tuple(m.tolist()))
-    return ConditioningSet("network_star", tuple(members))
+    return ConditioningSet("network_star",
+                           np.unique([y, np.concatenate([p2, p1, p3])], axis=0))
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +320,8 @@ def _network_classes(n):
     # networks a, b by id; the key holds, per dyad, the unordered pair
     # of the two networks' (link, shared friends) codes
     if n > 4:
-        raise ValueError(f"network conditioning classes need a scan of "
-                         f"{2 ** (n * (n - 1))} candidates; n <= 4 only")
+        raise model.TooLarge(f"network conditioning classes need a scan of "
+                             f"{2 ** (n * (n - 1)):,} candidates; n <= 4 only")
     Z = lag_features(model.network_design(n, 1), all_paths(n * (n - 1) // 2))
     code = Z[..., 0] + 2 * Z[..., 1]
     a, b = code[:, None], code[None, :]
@@ -329,7 +346,7 @@ def network_cond_full(spec, y):
     c = classes.cls[model.path_index(p1) * len(nets) + model.path_index(p2)]
     a, b = np.divmod(classes.members(c, classes.sizes[c]), len(nets))
     members = np.hstack([nets[a], nets[b], np.tile(p3, (len(a), 1))])
-    return ConditioningSet("network_full", tuple(members))
+    return ConditioningSet("network_full", members)
 
 
 def network_star_equals_full(spec, y):
@@ -361,13 +378,8 @@ def network_cond_likelihood(spec, theta, y, y0, cond):
     _require_t3(spec)
     if spec.d_x:
         raise ValueError("network conditional likelihood is covariate-free")
-    y = np.asarray(y, dtype=np.int64)
-    if y not in cond:
+    mine = np.all(cond.members == np.asarray(y), axis=1)
+    if not mine.any():
         raise ValueError("y must belong to the conditioning set")
-    members = np.vstack(cond.members)
-    pi = index_matrix(spec, members, y0, None, theta)
-    g = np.sum(members * pi, axis=1)
-    mine = next(
-        i for i, mem in enumerate(cond.members) if np.array_equal(mem, y)
-    )
-    return float(np.exp(g[mine] - logsumexp(g)))
+    g = np.sum(cond.members * index_matrix(spec, cond.members, y0, None, theta), axis=1)
+    return float(np.exp(g[mine][0] - logsumexp(g)))

@@ -116,7 +116,7 @@ def test_criterion_3_dynamic_sufficiency_oracle():
                     assert np.max(np.abs(cond - base)) < 1e-10
     for T in range(2, 11):
         spec = fl.trend_ar(T)
-        assert fl.enumerate_pairs_ar1(spec, np.array([0])) == []
+        assert len(fl.enumerate_pairs_ar1(spec, np.array([0]))) == 0
     _ok("criterion 3: AR(1) conditional law is A-invariant for T <= 8; "
         "trend design has zero identifying pairs for T <= 10")
 

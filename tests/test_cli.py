@@ -65,6 +65,18 @@ def test_dset_quarterly(capsys):
     assert doc["Q"] == [1, 2, 2, 2, 2, 2]
 
 
+def test_dset_constant_column_design_is_counted_at_T30(tmp_path, capsys):
+    # W = 2 ones: d = 2k for k = 0..sum(Q), counted in closed form where
+    # the walk over (Q_t + 1) choices per period would be refused
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"schema_version": 1, "family": "ar", "T": 30,
+                                "d_x": 0, "W": [[2.0] * 30], "p": 1}))
+    code, out, _ = run(capsys, "dset", "--model", str(path), "--theta", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["Q"] == [1] + [2] * 29 and doc["cardinality"] == 60
+
+
 def test_pairs_standard_and_degenerate(capsys):
     code, out, _ = run(
         capsys, "pairs", "--design", "ar", "--p", "1", "--T", "3",
@@ -307,6 +319,51 @@ def test_bad_design_or_document_exits_2(tmp_path, capsys, argv, doc, message):
 ])
 def test_size_refusal_exits_2_with_its_size(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--design", "ar", "--p", "1")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("netcond", "--n", "5", "--y0", "0" * 10, "--path", "0" * 30,
+                  "--set", "full"),
+                 "error: network conditioning classes need a scan of 1,048,576 "
+                 "candidates", id="netcond full n=5"),
+    pytest.param(("wperp", "--design", "poly", "--p", "1", "--T", "41"),
+                 "error: exhaustive search over 3^41 = 3.65e+19 sign vectors",
+                 id="wperp poly T=41"),
+    pytest.param(("wperp", "--design", "dyadic", "--n", "12"),
+                 "error: exhaustive search over 3^66 = 3.09e+31 sign vectors",
+                 id="wperp dyadic n=12"),
+])
+def test_search_size_refusal_exits_2_with_its_size(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
+    spec = fl.build_design("panel", T=25, d_x=1)
+    sample = simulate.generate(simulate.DGPConfig(spec=spec, theta=[0.5], n=20, seed=1))
+    data = tmp_path / "panel25.csv"
+    with open(data, "w") as fh:
+        write_sample_csv(sample, fh)
+    code, out, err = run(capsys, "estimate", "--design", "panel", "--T", "25",
+                         "--d-x", "1", "--method", "cmle", "--data", str(data))
+    assert code == 2 and out == ""
+    assert "error: path enumeration over 2^25 = 33,554,432 paths" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("pairs", "--design", "quarterly", "--p", "2", "--T", "5", "--y0", "00"),
+                 "error: pairs needs an AR(1) design (--p 1)", id="pairs AR(2)"),
+    pytest.param(("table1", "--max-p", "6"),
+                 "error: --max-p 6 scans horizons up to T = 31; pass --long-run",
+                 id="table1 p=6 without --long-run"),
+    pytest.param(("table1", "--max-p", "7", "--long-run"),
+                 "error: --max-p must be at most 6, found 7", id="table1 p=7"),
+])
+def test_flag_outside_its_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
 

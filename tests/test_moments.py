@@ -48,7 +48,7 @@ def test_dset_ar_formula():
         Q = fl.qt_values(spec, np.zeros(p, int), None, theta)
         ds = fl.build_dset(spec, Q)
         assert ds.cardinality == 2**p * (T + 1 - p)
-        assert ds.cardinality == len(ds.elements)
+        assert ds.cardinality == moments._walk(model.exact_key(spec.W), Q)
 
 
 def test_dset_quarterly_floor_formula():
@@ -75,7 +75,7 @@ def test_dset_network_count():
 def test_dset_zero_caps():
     spec = fl.panel_ar(1, 4)
     ds = fl.build_dset(spec, (0, 0, 0, 0))
-    assert ds.cardinality == 1 and ds.elements == {(0,)}
+    assert ds.cardinality == moments._walk(model.exact_key(spec.W), ds.caps) == 1
 
 
 def test_dset_all_zero_design_counts_its_one_element():
@@ -85,7 +85,25 @@ def test_dset_all_zero_design_counts_its_one_element():
     y0, theta = np.array([0]), np.array([0.5])
     ds = fl.build_dset(spec, fl.qt_values(spec, y0, None, theta))
     C, _, _ = moments.coefficient_matrix(spec, y0, None, theta)
-    assert ds.cardinality == len(ds.elements) == C.shape[0] == 1
+    assert ds.cardinality == C.shape[0] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dset_closed_form_matches_walk_on_scaled_indicator_designs(data):
+    # columns c_r e_r with one nonzero scale c_r per row r; with a scale
+    # per column instead, a row may mix scales and only the walk applies
+    T = data.draw(st.integers(1, 8))
+    d_w = data.draw(st.integers(1, 4))
+    row = np.array(data.draw(st.lists(st.integers(0, d_w - 1), min_size=T, max_size=T)))
+    per_column = data.draw(st.booleans())
+    scale = np.array(data.draw(st.lists(
+        st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0]), min_size=8, max_size=8)))
+    W = np.zeros((d_w, T))
+    W[row, np.arange(T)] = scale[:T] if per_column else scale[row]
+    Q = tuple(data.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)))
+    spec = fl.ModelSpec("static", T, W, d_x=1)
+    assert fl.build_dset(spec, Q).cardinality == moments._walk(model.exact_key(W), Q)
 
 
 def test_dset_refuses_oversized_general_design():

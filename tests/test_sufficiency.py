@@ -178,7 +178,7 @@ def test_relabeled_basis_groups_paths_identically():
 def test_enumerate_pairs_T2_has_no_identifying_pair():
     spec = fl.panel_ar(1, 2)
     certs = fl.enumerate_pairs_ar1(spec, np.array([0]), require_gap=True)
-    assert certs == []
+    assert len(certs) == 0
 
 
 def test_enumerate_pairs_T3_contains_standard_pair():
@@ -195,7 +195,7 @@ def test_enumerate_pairs_quarterly_threshold():
     short = fl.enumerate_pairs_ar1(
         fl.quarterly_ar(1, 5), np.array([0]), require_gap=True
     )
-    assert short == []
+    assert len(short) == 0
     certs = fl.enumerate_pairs_ar1(
         fl.quarterly_ar(1, 6), np.array([0]), require_gap=True
     )
@@ -249,10 +249,33 @@ def test_enumerate_pairs_matches_per_pair_oracle(design, T):
                 assert abs(g.log_ratio - w.log_ratio) <= 1e-12
 
 
+def test_pair_table_rows_agree_by_iteration_index_and_mask():
+    certs = fl.enumerate_pairs_ar1(fl.quarterly_ar(1, 7), np.array([1]), theta=[0.6])
+    rows = list(certs)
+    assert len(rows) == len(certs) > 0
+    for k in (0, 5, len(certs) - 1, -1):
+        got = certs[k]
+        assert isinstance(got.transition_gap, int) and isinstance(got.log_ratio, float)
+        assert np.array_equal(got.y, rows[k].y)
+        assert got[2:] == rows[k][2:] and got.passed == rows[k].passed
+    mask = certs.transition_gap != 0
+    assert 0 < mask.sum() < len(certs)
+    kept = certs[mask]
+    assert len(kept) == int(mask.sum()) == len(certs[np.flatnonzero(mask)])
+    want = [r for r in rows if r.transition_gap != 0]
+    for g, w in zip(kept, want):
+        assert np.array_equal(g.y, w.y) and np.array_equal(g.y_tilde, w.y_tilde)
+        assert g[2:] == w[2:]
+    assert kept.passed.tolist() == [w.passed for w in want]
+    assert len(certs[:3]) == 3 and np.array_equal(certs[:3].y, certs.y[:3])
+    with pytest.raises(IndexError):
+        certs[len(certs)]
+
+
 def test_enumerate_pairs_trend_design_negative_result():
     for T in range(2, 7):
         spec = fl.trend_ar(T)
-        assert fl.enumerate_pairs_ar1(spec, np.array([0])) == []
+        assert len(fl.enumerate_pairs_ar1(spec, np.array([0]))) == 0
 
 
 def test_arp_example_pairs():
@@ -403,7 +426,7 @@ def test_float_noise_in_W_gives_one_set_of_classes(odd):
             [(c.y.tolist(), c.y_tilde.tolist(), c.passed, c.log_ratio) for c in pairs],
             [(c.cond_linear, c.cond_permutation) for c in checks],
             fit.theta.tolist(), fit.diagnostics["n_informative"],
-            W_star.tolist(), dset.cardinality, dset.elements,
+            W_star.tolist(), dset.cardinality,
         ))
         assert np.allclose(Omega @ W_star, spec.W, rtol=0, atol=1e-15)
     assert seen[0] == seen[1]
