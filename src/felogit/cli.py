@@ -145,26 +145,27 @@ def _load_spec(args):
 # -- sample CSV and network edge list -----------------------------------------
 
 
-def _layout(spec, kind):
-    """Both files are long tables with one row per unit and slot: its
-    initial-condition outcomes, then its T periods.  Returns the key
-    columns after ``unit`` with their (lo, hi) ranges, each slot's key
-    fields as written, and the map from key values to slots."""
+def _layout(spec):
+    """A network spec's file is an edge list, any other's a sample CSV: a
+    long table, one row per unit and slot (its initial outcomes, then its
+    T periods).  Returns the kind, the key columns after ``unit`` with
+    their (lo, hi) ranges, each slot's key fields and the key-to-slot map."""
     L0, n, S = spec.y0_len, spec.n, spec.y0_len + spec.T
-    if kind == "sample":
-        return ({"t": (1 - L0, spec.T)}, [str(s - L0 + 1) for s in range(S)],
-                lambda t: t + L0 - 1)
+    if spec.family != model.NETWORK:
+        return ("sample", {"t": (1 - L0, spec.T)},
+                [str(s - L0 + 1) for s in range(S)], lambda t: t + L0 - 1)
     ds, dyad = model.dyads(n), np.full((n + 1, n + 1), -S)
     for d, (i, j) in enumerate(ds):
         dyad[i + 1, j + 1] = dyad[j + 1, i + 1] = d
-    return ({"tau": (0, spec.tau), "i": (1, n), "j": (1, n)},
+    return ("edges", {"tau": (0, spec.tau), "i": (1, n), "j": (1, n)},
             [f"{s // L0},{ds[s % L0][0] + 1},{ds[s % L0][1] + 1}"
              for s in range(S)], lambda tau, i, j: tau * L0 + dyad[i, j])
 
 
-def _write_long(sample, fh, kind):
+def write_sample_csv(sample, fh):
+    """Write ``sample`` to ``fh`` as its spec's file (see ``_layout``)."""
     spec, n, d_x, L0 = sample.spec, sample.n, sample.spec.d_x, sample.spec.y0_len
-    keys, slots, _ = _layout(spec, kind)
+    kind, keys, slots, _ = _layout(spec)
     header = ["unit", *keys, "y"] + [f"x{k + 1}" for k in range(d_x)]
     fh.write(f"# schema: {SCHEMA[kind]}\n{','.join(header)}\r\n")
     # One %-template per unit, filled in one call with each slot's unit,
@@ -221,8 +222,9 @@ def _lines(text):
     return np.delete(lines, skip), np.delete(fields, skip)
 
 
-def _read_long(fh, spec, kind):
-    keys, slots, slot_of = _layout(spec, kind)
+def read_sample_csv(fh, spec):
+    """The Sample in ``fh``, read as ``spec``'s file; bad input raises DataError."""
+    kind, keys, slots, slot_of = _layout(spec)
     what = "sample CSV" if kind == "sample" else "edge CSV"
     big = np.finfo(float).max
     lines, fields = _lines(fh.read())
@@ -269,24 +271,6 @@ def _read_long(fh, spec, kind):
     return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 
-def write_sample_csv(sample, fh):
-    """Write ``sample`` to the text file ``fh`` as a sample CSV."""
-    _write_long(sample, fh, "sample")
-
-
-def read_sample_csv(fh, spec):
-    """The Sample in the sample CSV ``fh``; bad input raises DataError."""
-    return _read_long(fh, spec, "sample")
-
-
-def write_edge_csv(sample, fh):
-    _write_long(sample, fh, "edges")
-
-
-def read_edge_csv(fh, spec):
-    return _read_long(fh, spec, "edges")
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -320,6 +304,8 @@ def cmd_pairs(args):
     spec = _load_spec(args)
     if spec.family != model.AR or spec.p != 1:
         raise DataError(f"pairs needs an AR(1) design (--p 1), found {spec!r}")
+    if spec.d_x:
+        raise DataError(f"pairs is covariate-free (--d-x 0), found d_x = {spec.d_x}")
     y0 = _parse_bits(args.y0, "--y0", spec.y0_len)
     theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
     certs = sufficiency.enumerate_pairs_ar1(spec, y0, require_gap=args.require_gap,
@@ -472,8 +458,7 @@ def cmd_simulate(args):
             cfg = replace(cfg, seed=args.seed)
     sample = simulate.generate(cfg)
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
-        _write_long(sample, fh,
-                    "edges" if cfg.spec.family == model.NETWORK else "sample")
+        write_sample_csv(sample, fh)
     return 0
 
 
@@ -515,8 +500,7 @@ def _build_estimator(doc, spec):
 def cmd_estimate(args):
     spec = _load_spec(args)
     with open(args.data) as fh:
-        sample = _read_long(
-            fh, spec, "edges" if spec.family == model.NETWORK else "sample")
+        sample = read_sample_csv(fh, spec)
     doc = {"method": args.method}
     if args.moments:
         doc["moments"] = args.moments

@@ -1,13 +1,12 @@
 """Conditional maximum likelihood and GMM estimators.
 
-A sample enters through its count table: ``_count_table`` reduces it,
-with one ``np.unique`` over the unit records (Y0, Y, X), to the distinct
-records, their counts and each unit's record.  It applies whenever
-records repeat, as in covariate-free samples; with continuous
-covariates every record is distinct and the sample is used as it is.
-``gmm`` evaluates the moments on the cells only and takes the mean, the
-two-step weight matrix and the sandwich as count-weighted sums; the
-dynamic CMLE builds its classes from the same table.
+A sample enters through its count table: ``_count_table`` groups the
+unit records (Y0, Y, X) byte for byte with ``sufficiency.key_classes``
+into the distinct records, their counts and each unit's record.  With
+continuous covariates every record is distinct and the sample is used
+as it is.  ``gmm`` evaluates the moments on the cells only and takes the
+mean, the two-step weight matrix and the sandwich as count-weighted
+sums; the dynamic CMLE builds its classes from the same table.
 
 The three CMLEs maximize one conditional logit, the sum over rows of
 w * (G_own' theta - logsumexp(G theta)): G stacks the profiles of the
@@ -15,10 +14,11 @@ paths in a row's conditioning class, G_own is the observed path's and
 w counts identical rows.  The profiles are X_u P' over the static
 classes S(W y), (X w_perp, 0) over the pairwise classes of two, and
 the transition statistics over the dynamic AR classes (for p >= 2 only
-the last lag coefficient moves the objective).  Every class comes from
-``sufficiency.key_classes`` on its key.  ``_CondLogit`` holds
-one block per class size and gives the value, its analytic gradient
-and Hessian, and the sandwich meat with scores clustered by unit.
+the last lag coefficient moves the objective).  Each class comes from
+``sufficiency.key_classes`` on its key, the dynamic ones from one call
+over every path at every distinct y0; ``KeyClasses.blocks`` walks them
+one size at a time into ``_CondLogit``, which gives the value, analytic
+gradient and Hessian, and the sandwich meat clustered by unit.
 """
 
 from __future__ import annotations
@@ -84,20 +84,15 @@ def _count_table(sample):
     """
     n = sample.n
     parts = [sample.Y0, sample.Y] + ([] if sample.X is None else [sample.X])
-    rec = np.concatenate(
-        [np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in parts],
-        axis=1,
-    )
-    keys = np.ascontiguousarray(rec).view(np.dtype((np.void, rec.shape[1])))
-    _, first, inverse, counts = np.unique(
-        keys.ravel(), return_index=True, return_inverse=True,
-        return_counts=True,
-    )
-    if first.size == n:
+    rec = np.hstack([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8)
+                     for a in parts])
+    records = key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
+    if records.sizes.size == n:
         return sample, np.ones(n, dtype=np.int64), np.arange(n)
+    first = records.first
     cells = Sample(spec=sample.spec, Y=sample.Y[first], Y0=sample.Y0[first],
                    X=None if sample.X is None else sample.X[first])
-    return cells, counts, inverse
+    return cells, records.sizes, records.cls
 
 
 @dataclass
@@ -268,14 +263,11 @@ def _static_objective(sample):
     classes = key_classes(exact_key(paths @ spec.W.T))
     unit_path = path_index(sample.Y)
     unit_cls = classes.cls[unit_path]
-    unit_size = classes.sizes[unit_cls]
     core = _CondLogit(spec.d_x)
-    for m in np.unique(unit_size[unit_size > 1]):
-        units = np.flatnonzero(unit_size == m)
-        members = classes.members(unit_cls[units], m)
-        G = np.einsum("udt,umt->umd", sample.X[units], paths[members])
-        core.add(G, classes.rank[unit_path[units]])
-    return core, int(np.sum(unit_size > 1))
+    for units, members in classes.blocks(unit_cls):
+        core.add(np.einsum("udt,umt->umd", sample.X[units], paths[members]),
+                 classes.rank[unit_path[units]])
+    return core, int(np.sum(classes.sizes[unit_cls] > 1))
 
 
 def cmle_static(sample, init=None, max_iter=100):
@@ -355,29 +347,22 @@ def _dynamic_core(sample):
     are the transition statistics of every path in the class.  Returns
     (core, n_informative)."""
     spec = sample.spec
-    work = _canonical_spec(spec)
     cells, counts, _ = _count_table(sample)
-    paths = all_paths(spec.T)
-    cell_path = path_index(cells.Y)
-    rows = {}  # class size -> lists of profiles, observed members, counts
-    n_info = 0
-    for y0 in np.unique(cells.Y0, axis=0):
-        classes = key_classes(arp_statistic_key(work, paths, y0))
-        stats = transition_stats(spec, paths, y0).astype(float)
-        at_y0 = np.flatnonzero(np.all(cells.Y0 == y0, axis=1))
-        cls = classes.cls[cell_path[at_y0]]
-        size = classes.sizes[cls]
-        for m in np.unique(size[size > 1]):
-            at = size == m
-            G, own, w = rows.setdefault(m, ([], [], []))
-            G.append(stats[classes.members(cls[at], m)])
-            own.append(classes.rank[cell_path[at_y0[at]]])
-            w.append(counts[at_y0[at]])
-        n_info += int(counts[at_y0[size > 1]].sum())
+    y0s, y0_id = np.unique(cells.Y0, axis=0, return_inverse=True)
+    # every path at every distinct y0: row y0_id * 2^T + path_index(y)
+    paths = np.tile(all_paths(spec.T), (len(y0s), 1))
+    path_y0 = np.repeat(y0s, 2**spec.T, axis=0)
+    key = arp_statistic_key(_canonical_spec(spec), paths, path_y0)
+    classes = key_classes(np.hstack([path_y0, key]))
+    stats = transition_stats(spec, paths, path_y0).astype(float)
+    # cells y0 by y0, so that a block's rows come in (y0, cell) order
+    by_y0 = np.argsort(y0_id.ravel(), kind="stable")
+    row = (y0_id.ravel() * 2**spec.T + path_index(cells.Y))[by_y0]
+    counts, cls = counts[by_y0], classes.cls[row]
     core = _CondLogit(spec.p)
-    for G, own, w in rows.values():
-        core.add(np.concatenate(G), np.concatenate(own), np.concatenate(w))
-    return core, n_info
+    for at, members in classes.blocks(cls):
+        core.add(stats[members], classes.rank[row[at]], counts[at])
+    return core, int(counts[classes.sizes[cls] > 1].sum())
 
 
 def cmle_dynamic_ar(sample, init=None, max_iter=100):

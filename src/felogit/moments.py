@@ -44,19 +44,9 @@ from .model import (
     path_index,
     step_index,
 )
+from .sufficiency import column_groups, key_classes
 
 _VALUE_TOL = 1e-12
-
-
-@dataclass
-class PeriodTable:
-    """Distinct index values at one period."""
-
-    values: np.ndarray            # sorted distinct pi values, length Q_t
-
-    @property
-    def Q(self):
-        return len(self.values)
 
 
 def _collapse(vals):
@@ -74,7 +64,7 @@ def _q_index(values, pi):
 
 
 def index_value_tables(spec, y0, X, theta):
-    """Per-period tables of achievable index values.
+    """Per-period tables of achievable index values, sorted arrays.
 
     Every state that can feed a step is enumerated (outcomes before
     period 1 pinned to y0, later ones free) and passed through the
@@ -95,13 +85,13 @@ def index_value_tables(spec, y0, X, theta):
         states[:, free] = all_paths(int(free.sum()))
         x = None if X is None else X[:, step * w: (step + 1) * w]
         pi = step_index(spec, states, x, theta)
-        tables += [PeriodTable(_collapse(vals)) for vals in pi.T]
+        tables += [_collapse(vals) for vals in pi.T]
     return tables
 
 
 def qt_values(spec, y0, X, theta):
     """The counts Q_t of distinct index values across outcome histories."""
-    return tuple(tab.Q for tab in index_value_tables(spec, y0, X, theta))
+    return tuple(len(tab) for tab in index_value_tables(spec, y0, X, theta))
 
 
 @dataclass
@@ -184,12 +174,12 @@ def _poly_cache(tables):
     period indexed by (q(history), y_t, power of a_t)."""
     cache = []
     for tab in tables:
-        b = np.exp(tab.values)
-        coef = np.zeros((tab.Q, 2, tab.Q + 1))
-        for q in range(tab.Q):
+        b, Q = np.exp(tab), len(tab)
+        coef = np.zeros((Q, 2, Q + 1))
+        for q in range(Q):
             for yt in (0, 1):
                 poly = np.array([1.0]) if yt == 0 else np.array([0.0, b[q]])
-                for qq in range(tab.Q):
+                for qq in range(Q):
                     if qq != q:
                         poly = np.convolve(poly, np.array([1.0, b[qq]]))
                 coef[q, yt, :poly.size] = poly
@@ -221,14 +211,14 @@ def _expand(spec, tables, polys, paths, pi):
     for t, tab in enumerate(tables):
         keys = path_index(paths[:, : t + 1])
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        coef = polys[t][_q_index(tab.values, pi[first, t]), paths[first, t]]
-        ds, trans = _extend(ds, cols[:, t], tab.Q)
+        coef = polys[t][_q_index(tab, pi[first, t]), paths[first, t]]
+        ds, trans = _extend(ds, cols[:, t], len(tab))
         parent = S[:, node[first]]
         S = np.zeros((ds.shape[0], first.size))
         # descending k adds each entry's terms from the source
         # d - Q_t*w_t up to d, as a per-path expansion over ascending
         # exponents does, so both round alike
-        for k in range(tab.Q, -1, -1):
+        for k in range(len(tab), -1, -1):
             S[trans[:, k]] += parent * coef[:, k]
         node = inverse.reshape(-1)
     keep = np.any(S != 0.0, axis=1)
@@ -247,7 +237,7 @@ def phi_expand(spec, y, y0, X, theta):
     pi = index_matrix(spec, paths, y0, X, theta)
     polys = _poly_cache(tables)
     C, ds = _expand(spec, tables, polys, paths, pi)
-    per_period = [polys[t][_q_index(tab.values, pi[0, t: t + 1])[0], y, : tab.Q + y]
+    per_period = [polys[t][_q_index(tab, pi[0, t: t + 1])[0], y, : len(tab) + y]
                   for t, (tab, y) in enumerate(zip(tables, paths[0]))]
     grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
     return PhiExpansion(per_period=per_period, grouped=grouped)
@@ -259,7 +249,7 @@ def phi_kappa(spec, tables, A):
     a = np.exp(spec.W.T @ A)
     out = 0.0
     for t, tab in enumerate(tables):
-        out -= np.sum(np.log1p(np.exp(tab.values) * a[t]))
+        out -= np.sum(np.log1p(np.exp(tab) * a[t]))
     return float(np.exp(out))
 
 
@@ -306,21 +296,11 @@ class NullspaceReport:
     weak_separation: bool
 
 
-def _column_groups(M):
-    """Group id of each column of M, numbered by first appearance; two
-    columns share a group only when their bytes are identical."""
-    keys = {}
-    return np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
-
-
 def _null_space(M):
     """Singular values, rank and orthonormal null-space basis (rows) of M
     with its rows max-normalized, built as ``nullspace_moments`` says."""
-    n, label = M.shape[1], _column_groups(M)
-    count = np.bincount(label)
-    order = np.argsort(label, kind="stable")
-    start = np.cumsum(count) - count
-    B = M[:, order[start]]
+    n, groups = M.shape[1], key_classes(column_groups(M))
+    count, B = groups.sizes, M[:, groups.first]
     scale = np.abs(B).max(axis=1, keepdims=True)
     B = B / np.where(scale == 0, 1.0, scale) * np.sqrt(count)
     if B.shape[0] > B.shape[1]:
@@ -330,14 +310,17 @@ def _null_space(M):
     Z = Vt[rank:] / np.sqrt(count)  # B's null vectors, per path of a group
     basis = np.zeros((n - rank, n))
     # mode="clip" writes straight into out; the default "raise" buffers
-    np.take(Z, label, axis=1, out=basis[:len(Z)], mode="clip")
-    # the path at place k >= 1 of its group against the k before it
-    pos = np.arange(n) - np.repeat(start, count)
-    at = np.flatnonzero(pos)
-    k, rows = pos[at], np.arange(len(Z), n - rank)
-    basis[rows, order[at]] = -np.sqrt(k / (k + 1))
-    before = order[np.arange(k.sum()) + np.repeat(at - np.cumsum(k), k)]
-    basis[np.repeat(rows, k), before] = np.repeat(1 / np.sqrt(k * (k + 1)), k)
+    np.take(Z, groups.cls, axis=1, out=basis[:len(Z)], mode="clip")
+    # the path at place k >= 1 of its group against the k before it, one
+    # row per such path, group by group
+    at = groups.order[groups.rank[groups.order] > 0]
+    row = np.zeros(n, dtype=np.intp)
+    row[at] = np.arange(len(Z), n - rank)
+    k = groups.rank[at]
+    basis[row[at], at] = -np.sqrt(k / (k + 1))
+    for _, members in groups.blocks(np.arange(count.size)):
+        i, k = np.triu_indices(members.shape[1], 1)
+        basis[row[members[:, k]], members[:, i]] = 1 / np.sqrt(k * (k + 1))
     return np.concatenate([s, np.zeros(min(M.shape) - s.size)]), rank, basis
 
 

@@ -12,7 +12,9 @@ and conditional likelihood of the dynamic dyadic network model.
 Every conditioning class is a set of rows sharing one key, built by one
 helper, ``key_classes``: the static S(W y) and dynamic AR classes, the
 AR(1) pair groups, the network classes and the design-column ids of
-``permutation_key``.
+``permutation_key``, walked one class size at a time by
+``KeyClasses.blocks``.  ``column_groups`` numbers distinct columns by
+first appearance, for ``canonicalize_design`` and the moment null space.
 """
 
 from __future__ import annotations
@@ -32,28 +34,48 @@ from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
 
 
 class KeyClasses(NamedTuple):
-    """Rows grouped by equal key rows, classes in ``np.unique`` key order."""
+    """Rows grouped by equal keys, classes in ``np.unique`` key order."""
 
     cls: np.ndarray  # each row's class
     sizes: np.ndarray  # rows per class
     order: np.ndarray  # rows class by class, each class in row order
     rank: np.ndarray  # each row's position among its class's members
 
+    @property
+    def first(self):
+        """Each class's first row."""
+        return self.order[np.cumsum(self.sizes) - self.sizes]
+
     def members(self, classes, m):
         """Member rows, (..., m), of classes that all have m rows."""
         start = np.cumsum(self.sizes) - self.sizes
         return self.order[start[classes][..., None] + np.arange(m)]
 
+    def blocks(self, classes):
+        """Per class size m > 1 among ``classes``, m increasing, the
+        positions ``at`` with that size and their members, (len(at), m)."""
+        size = self.sizes[classes]
+        for m in np.unique(size[size > 1]):
+            at = np.flatnonzero(size == m)
+            yield at, self.members(classes[at], m)
+
 
 def key_classes(keys):
-    """Group the rows of ``keys`` (n, k) by equal key rows."""
-    _, cls, sizes = np.unique(keys, axis=0, return_inverse=True,
-                              return_counts=True)
+    """Group the rows of ``keys`` (n, k), or its entries if 1-D, by value."""
+    _, cls, sizes = np.unique(keys, axis=0 if keys.ndim > 1 else None,
+                              return_inverse=True, return_counts=True)
     cls = cls.ravel()
     order = np.argsort(cls, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[cls[order]]
     return KeyClasses(cls, sizes, order, rank)
+
+
+def column_groups(M):
+    """Group id of each column of M, numbered by first appearance; columns
+    share a group only when byte-identical (hashing beats ``np.unique``)."""
+    keys = {}
+    return np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
 
 
 class Pair(NamedTuple):
@@ -198,13 +220,9 @@ def canonicalize_design(W):
     that w_t'A = (W*_t)'A* with A* = Omega'A.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    seen = {}
-    labels = [seen.setdefault(tuple(key), len(seen))
-              for key in exact_key(W).T.tolist()]
-    Omega = W[:, [labels.index(k) for k in range(len(seen))]]
-    W_star = np.zeros((len(seen), W.shape[1]))
-    W_star[labels, np.arange(W.shape[1])] = 1.0
-    return W_star, Omega
+    labels = column_groups(exact_key(W))
+    first = key_classes(labels).first
+    return model.incidence(labels, len(first)), W[:, first]
 
 
 def _canonical_spec(spec):
@@ -228,8 +246,8 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     g(y) in ``_certify``.  Groups come in increasing key order and pairs
     within a group in increasing path order.
     """
-    if spec.family != AR or spec.p != 1:
-        raise ValueError("enumerate_pairs_ar1 requires an AR(1) spec")
+    if spec.family != AR or spec.p != 1 or spec.d_x:
+        raise ValueError("enumerate_pairs_ar1 requires a covariate-free AR(1) spec")
     if spec.T > 20:
         raise model.TooLarge(f"pairs would enumerate {2**spec.T:,} paths (limit 2^20)")
     spec = _canonical_spec(spec)
@@ -240,9 +258,8 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     groups = key_classes(arp_statistic_key(spec, paths, y0))
     perm_key = permutation_key(spec, paths, y0)
     a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for m in np.unique(groups.sizes[groups.sizes > 1]):
-        members = groups.members(np.flatnonzero(groups.sizes == m), m)
-        i, j = np.triu_indices(m, 1)
+    for _, members in groups.blocks(np.arange(groups.sizes.size)):
+        i, j = np.triu_indices(members.shape[1], 1)
         a.append(members[:, i].ravel())
         b.append(members[:, j].ravel())
     a, b = np.concatenate(a), np.concatenate(b)

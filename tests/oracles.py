@@ -199,7 +199,7 @@ def per_path_coefficients(spec, tables, y0, X, theta):
         full = [int(v) for v in (y0 if y0 is not None else [])]
         acc = {(0,) * spec.d_w: 1.0}
         for t in range(1, spec.T + 1):
-            values = tables[t - 1].values
+            values = tables[t - 1]
             pi = naive_index(spec, t, full, X, theta)
             q = int(np.argmin(np.abs(values - pi)))
             poly = _phi_poly(values, q, int(y[t - 1]))

@@ -11,7 +11,7 @@ import pytest
 
 import felogit as fl
 from felogit import cli, simulate
-from felogit.cli import main, read_edge_csv, read_sample_csv, write_edge_csv, write_sample_csv
+from felogit.cli import main, read_sample_csv, write_sample_csv
 
 
 def run(capsys, *argv):
@@ -356,6 +356,10 @@ def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("pairs", "--design", "quarterly", "--p", "2", "--T", "5", "--y0", "00"),
                  "error: pairs needs an AR(1) design (--p 1)", id="pairs AR(2)"),
+    pytest.param(("pairs", "--design", "quarterly", "--p", "1", "--T", "6", "--d-x", "1",
+                  "--y0", "0", "--theta", "0.3,0.2"),
+                 "error: pairs is covariate-free (--d-x 0), found d_x = 1",
+                 id="pairs with covariates"),
     pytest.param(("table1", "--max-p", "6"),
                  "error: --max-p 6 scans horizons up to T = 31; pass --long-run",
                  id="table1 p=6 without --long-run"),
@@ -482,9 +486,9 @@ def test_edge_csv_round_trip():
     )
     s = simulate.generate(cfg)
     buf = io.StringIO()
-    write_edge_csv(s, buf)
+    write_sample_csv(s, buf)
     buf.seek(0)
-    back = read_edge_csv(buf, spec)
+    back = read_sample_csv(buf, spec)
     assert np.array_equal(back.Y, s.Y)
     assert np.array_equal(back.Y0, s.Y0)
     assert np.allclose(back.X, s.X)
@@ -493,7 +497,7 @@ def test_edge_csv_round_trip():
 def test_edge_csv_accepts_unitless_single_network():
     spec = fl.network_design(3, 1)
     text = "tau,i,j,y\n0,1,2,1\n0,1,3,0\n0,2,3,1\n1,1,2,0\n1,1,3,1\n1,2,3,1\n"
-    back = read_edge_csv(io.StringIO(text), spec)
+    back = read_sample_csv(io.StringIO(text), spec)
     assert back.n == 1
     assert back.Y0.tolist() == [[1, 0, 1]]
     assert back.Y.tolist() == [[0, 1, 1]]
@@ -567,7 +571,7 @@ def test_estimate_malformed_data_exits_2(tmp_path, capsys, design, prefix, row,
     s = simulate.generate(simulate.DGPConfig(
         spec=spec, theta=np.full(spec.theta_dim, 0.5), n=4, seed=2))
     buf = io.StringIO()
-    (write_sample_csv if design == "ar" else write_edge_csv)(s, buf)
+    write_sample_csv(s, buf)
     data = tmp_path / "data.csv"
     data.write_text(_replace_row(buf.getvalue(), prefix, row))
     code, _, err = run(capsys, "estimate", "--design", design, "--p", "1",

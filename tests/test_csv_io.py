@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import felogit as fl
-from felogit.cli import (DataError, read_edge_csv, read_sample_csv,
-                         write_edge_csv, write_sample_csv)
+from felogit.cli import DataError, read_sample_csv, write_sample_csv
 from felogit.estimation import Sample
 from oracles import write_long_csv
 
@@ -43,7 +42,7 @@ def test_writer_bytes_are_pinned():
     edges = _fixed_sample(fl.network_design(3, 3, d_x=1), n=4, seed=12)
     assert _sha256(write_sample_csv, sample) == (
         "9dac16df1900712fa449fc8d0dc3daae0ab43adb7bd1e3e6726e4ec465bfb198")
-    assert _sha256(write_edge_csv, edges) == (
+    assert _sha256(write_sample_csv, edges) == (
         "4a0b39a6bbc22c0b5a315c367c036fded52f38ec77ce6976cfee0387924ca39e")
 
 
@@ -76,7 +75,7 @@ def samples(draw, network):
 
 @pytest.mark.parametrize("writer, reader, network", [
     (write_sample_csv, read_sample_csv, False),
-    (write_edge_csv, read_edge_csv, True),
+    (write_sample_csv, read_sample_csv, True),
 ])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -97,7 +96,7 @@ def test_round_trip_in_any_row_order(writer, reader, network, data):
 
 
 @pytest.mark.parametrize("writer, kind", [(write_sample_csv, "sample"),
-                                          (write_edge_csv, "edges")])
+                                          (write_sample_csv, "edges")])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_writer_bytes_match_the_row_by_row_oracle(writer, kind, data):
@@ -219,7 +218,7 @@ def test_malformed_rows_are_named(case):
                           write_sample_csv, read_sample_csv)
     else:
         s, write, read = (_fixed_sample(fl.network_design(3, 3, d_x=1), 2, 2),
-                          write_edge_csv, read_edge_csv)
+                          write_sample_csv, read_sample_csv)
     buf = io.StringIO()
     write(s, buf)
     lines = buf.getvalue().splitlines()
@@ -250,10 +249,10 @@ def test_header_must_name_the_covariates_in_order(spec, header, columns):
     s = _fixed_sample(fl.panel_ar(2, 4, d_x=2) if not network else
                       fl.network_design(3, 3, d_x=1), 2, 3)
     buf = io.StringIO()
-    (write_edge_csv if network else write_sample_csv)(s, buf)
+    write_sample_csv(s, buf)
     lines = buf.getvalue().splitlines()
     text = "\n".join([lines[0], header] + lines[2:])
     what = "edge CSV" if network else "sample CSV"
     with pytest.raises(DataError, match=f"^{what} must start with columns "
                                         f"{columns} and hold data rows$"):
-        (read_edge_csv if network else read_sample_csv)(io.StringIO(text), spec)
+        read_sample_csv(io.StringIO(text), spec)

@@ -145,6 +145,14 @@ def test_canonicalize_indicator_design_idempotent():
     assert np.array_equal(Omega @ W_star, spec.W)
 
 
+def test_canonicalize_numbers_columns_by_first_appearance():
+    # key order would label the columns 1, 0, 1, 2
+    W_star, Omega = fl.canonicalize_design([[2, 1, 2, 3]])
+    assert W_star.argmax(axis=0).tolist() == [0, 1, 0, 2]
+    assert np.array_equal(W_star, model.incidence([0, 1, 0, 2], 3))
+    assert Omega.tolist() == [[2, 1, 3]]
+
+
 def test_canonicalize_joins_values_straddling_a_rounding_boundary():
     # the two values are one float apart, on either side of a 9-digit
     # rounding boundary
@@ -179,6 +187,11 @@ def test_enumerate_pairs_T2_has_no_identifying_pair():
     spec = fl.panel_ar(1, 2)
     certs = fl.enumerate_pairs_ar1(spec, np.array([0]), require_gap=True)
     assert len(certs) == 0
+
+
+def test_enumerate_pairs_refuses_covariates():
+    with pytest.raises(ValueError, match="covariate-free AR"):
+        fl.enumerate_pairs_ar1(fl.quarterly_ar(1, 6, d_x=1), np.array([0]))
 
 
 def test_enumerate_pairs_T3_contains_standard_pair():
@@ -537,6 +550,25 @@ def test_key_classes_match_dict_grouping(data):
     for m in set(got.sizes.tolist()):
         classes = np.flatnonzero(got.sizes == m)
         assert got.members(classes, m).tolist() == [want[c] for c in classes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_key_class_blocks_cover_each_multi_member_row_once(data):
+    n = data.draw(st.integers(1, 40))
+    keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                       max_size=n)))
+    got = sufficiency.key_classes(keys)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=30)),
+                    dtype=np.int64)
+    seen, sizes = np.zeros(len(rows), dtype=int), []
+    for at, members in got.blocks(got.cls[rows]):
+        sizes.append(members.shape[1])
+        seen[at] += 1
+        assert np.all(keys[members] == keys[rows[at], None])
+        assert np.all(members[np.arange(len(at)), got.rank[rows[at]]] == rows[at])
+    assert sizes == sorted(set(sizes))
+    assert seen.tolist() == (got.sizes[got.cls[rows]] > 1).astype(int).tolist()
 
 
 @pytest.mark.parametrize("spec", [
