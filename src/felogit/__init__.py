@@ -27,7 +27,6 @@ from .model import (
     likelihood_ratio,
     network_design,
     path_distribution,
-    path_probability,
 )
 from .moments import (
     DSet,

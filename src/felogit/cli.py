@@ -43,7 +43,7 @@ SCHEMA = {
     "table1": "felogit.table1.v1",
     "sample": "felogit.sample.v1",
     "edges": "felogit.edges.v1",
-    "mc": "felogit.mc.v1",
+    "mc": "felogit.mc.v2",
     "verify": "felogit.verify.v1",
 }
 
@@ -528,7 +528,7 @@ def cmd_mc(args):
     buf.write(f"# schema: {SCHEMA['mc']}\n")
     w = csv.writer(buf)
     w.writerow(["kind", "rep", "seed", "name", "estimate", "se",
-                "converged", "error", "bias", "rmse", "coverage", "n_ok"])
+                "converged", "error", "bias", "rmse", "coverage", "n_ok", "elapsed_s"])
     names = [k for k in summary if k != "n_failed"]
     for r in rows:
         for name in names:
@@ -536,15 +536,15 @@ def cmd_mc(args):
                 continue
             w.writerow(["rep", r["rep"], r["seed"], name, _fmt(r[name]),
                         _fmt(r[f"se_{name}"]), r.get("converged", ""),
-                        "", "", "", "", ""])
+                        "", "", "", "", "", _fmt(r["elapsed_s"])])
         if "error" in r:
             w.writerow(["rep", r["rep"], r["seed"], "", "", "", "",
-                        r["error"], "", "", "", ""])
+                        r["error"], "", "", "", "", _fmt(r["elapsed_s"])])
     for name in names:
         s = summary[name]
         w.writerow(["summary", "", "", name, "", "", "", "",
                     _fmt(s["bias"]), _fmt(s["rmse"]), _fmt(s["coverage"]),
-                    s["n_ok"]])
+                    s["n_ok"], ""])
     _emit(buf.getvalue(), args.output)
     return 0
 

@@ -28,7 +28,8 @@ One index kernel serves every family.  Observations come in steps of
 otherwise), and the state feeding a step is the ``y0_len`` outcomes
 before it.  ``lag_features`` reads the integer features pi uses from a
 state (the last p outcomes; each dyad's previous link and shared-friend
-count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta.
+count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta
+(``feature_index`` from the features themselves).
 Path indices, the simulator, the index-value tables and the sufficiency
 keys all go through it.  One exact key, ``exact_key``, turns design
 columns W and loadings W y into values that compare exactly.
@@ -343,13 +344,18 @@ def step_index(spec, states, x, theta):
     as (..., d_x, step_width), or None without covariates.  Returns
     pi, (..., step_width), excluding the w_t'A term.
     """
+    return feature_index(spec, lag_features(spec, states), x, theta)
+
+
+def feature_index(spec, Z, x, theta):
+    """``step_index`` from lag features Z, (..., step_width, k); the
+    leading axes of Z and of x broadcast against each other."""
     dyn, beta = spec.split_theta(theta)
-    Z = lag_features(spec, states)
     pi = np.zeros(Z.shape[:-1])
     for k, coef in enumerate(dyn):
         pi += coef * Z[..., k]
     if spec.d_x:
-        pi += np.einsum("...dw,d->...w", np.asarray(x, dtype=float), beta)
+        pi = pi + np.einsum("...dw,d->...w", np.asarray(x, dtype=float), beta)
     return pi
 
 
@@ -407,13 +413,6 @@ def log_path_distribution(spec, y0, X, theta, A, paths=None):
 
 def path_distribution(spec, y0, X, theta, A, paths=None):
     return np.exp(log_path_distribution(spec, y0, X, theta, A, paths))
-
-
-def path_probability(spec, y, y0, X, theta, A):
-    """Exact probability of a single outcome path, computed in log space."""
-    return float(
-        np.exp(log_path_distribution(spec, y0, X, theta, A, np.atleast_2d(y))[0])
-    )
 
 
 def likelihood_ratio(spec, y1, y2, y0, X, theta, A):

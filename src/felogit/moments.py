@@ -229,8 +229,9 @@ def phi_expand(spec, y, y0, X, theta):
     """Expand the path probability of y into exponent-grouped coefficients.
 
     The grouping is the forward pass of ``coefficient_matrix`` run on
-    the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) =
-    phi_kappa(tables, A) * sum_d grouped[d] * exp(d'A).
+    the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) = kappa(A) *
+    sum_d grouped[d] * exp(d'A), where kappa(A) = prod_t prod_q
+    (1 + exp(b_{t,q} + w_t'A))^{-1} over the index-value tables b_t.
     """
     tables = index_value_tables(spec, y0, X, theta)
     paths = np.atleast_2d(np.asarray(y, dtype=np.int64))
@@ -241,16 +242,6 @@ def phi_expand(spec, y, y0, X, theta):
                   for t, (tab, y) in enumerate(zip(tables, paths[0]))]
     grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
     return PhiExpansion(per_period=per_period, grouped=grouped)
-
-
-def phi_kappa(spec, tables, A):
-    """The common factor kappa(a) = prod_t prod_q (1 + b_{t,q} a_t)^{-1}."""
-    A = np.asarray(A, dtype=float)
-    a = np.exp(spec.W.T @ A)
-    out = 0.0
-    for t, tab in enumerate(tables):
-        out -= np.sum(np.log1p(np.exp(tab) * a[t]))
-    return float(np.exp(out))
 
 
 def coefficient_matrix(spec, y0, X, theta):

@@ -2,20 +2,22 @@
 
 The generator draws covariates, fixed effects (optionally correlated
 with the covariates, which the estimators must tolerate), and initial
-conditions, then rolls outcomes forward step by step through the
-model's index kernel.  A config's seed fully determines the sample.
+conditions, then rolls outcomes forward from one probability table per
+sample: the index kernel is evaluated once per (step-period, lag
+state), not once per step.  A config's seed fully determines the sample.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 from scipy.special import expit
 
 from .estimation import NoInformationError, Sample
-from .model import checked_int, step_index
+from .model import checked_int, feature_index, lag_features
 
 # The kinds each law may take.  DGPConfig checks them, so each draw
 # below takes its last kind untested.
@@ -112,50 +114,56 @@ def _draw_A(cfg, X, rng):
 
 
 def _roll(spec, state, steps, X, A, theta, rng):
-    """Draw the outcomes of ``steps`` in turn through the index kernel.
+    """Draw the outcomes of ``steps`` (step-periods) in turn from one table.
 
-    The state feeding each step is the y0_len outcomes before it, taken
-    from ``state`` and the draws so far; step s loads the effects and
-    covariates of observations s*w .. (s+1)*w - 1, w = step_width.
-    Returns ``state`` followed by every draw.
+    prob[s, c] holds Pr(y = 1) of each unit's observations in period s
+    from lag state c, with eta formed by the float operations of a
+    step-by-step roll (``feature_index`` + A @ W), so draws keep their
+    bytes.  A state's code is Z @ radix over its lag features Z, feature
+    k running over 0..top_k - 1 (top read off the all-ones state).  Each
+    step draws a uniform below the probability at its state's code; the
+    uniforms come in step order, in blocks of whole steps of at most
+    2^18 numbers (or one step).  Returns ``state`` followed by every
+    draw, time-major: (L0 + len(steps) * step_width, n).
     """
-    L0, w = spec.y0_len, spec.step_width
-    full = np.zeros((len(state), L0 + len(steps) * w), dtype=np.int8)
-    full[:, :L0] = state
-    for i, s in enumerate(steps):
+    (n, L0), w = state.shape, spec.step_width
+    top = lag_features(spec, np.ones(L0, dtype=np.int64)).max(axis=0) + 1
+    radix = np.cumprod(top) // top
+    Z = (np.arange(np.prod(top))[:, None] // radix % top)[:, None, None, :]
+    prob = np.empty((spec.T // w, len(Z), n, w))
+    for s in range(len(prob)):
         cols = slice(s * w, (s + 1) * w)
         x = None if X is None else X[:, :, cols]
-        eta = step_index(spec, full[:, i * w: i * w + L0], x, theta)
-        eta = eta + A @ spec.W[:, cols]
-        full[:, L0 + i * w: L0 + (i + 1) * w] = rng.random(eta.shape) < expit(eta)
+        expit(feature_index(spec, Z, x, theta) + A @ spec.W[:, cols], out=prob[s])
+    full = np.empty((L0 + len(steps) * w, n), dtype=np.int8)
+    full[:L0] = state.T
+    slot, block = np.arange(n * w).reshape(n, w), max(1, (1 << 18) // (n * w))
+    for i, s in enumerate(steps):
+        if i % block == 0:
+            u = rng.random((min(block, len(steps) - i), n, w))
+        Z = lag_features(spec, full[i * w: i * w + L0].T)
+        # flat table positions; a sum of products beats an integer matmul
+        at = sum((Z[..., k] * r for k, r in enumerate(radix * (n * w))), slot)
+        full[L0 + i * w: L0 + (i + 1) * w] = (u[i % block] < np.take(prob[s], at)).T
     return full
 
 
-def _draw_y0(cfg, X, A, rng):
-    spec = cfg.spec
-    n = cfg.n
-    L0 = spec.y0_len
-    law = cfg.y0_law
-    if law["kind"] == "fixed":
-        value = np.asarray(law.get("value", 0), dtype=np.int8)
-        return np.broadcast_to(value, (n, L0)).copy()
-    # a static model has no state to burn in, and draws nothing
-    burn = int(law.get("burn_in", 50)) if L0 else 0
-    steps = [b % (spec.T // spec.step_width) for b in range(burn)]
-    full = _roll(spec, np.zeros((n, L0), dtype=np.int8), steps, X, A, cfg.theta, rng)
-    # the last L0 outcomes; a slice from -L0 would keep all of them at L0 = 0
-    return full[:, full.shape[1] - L0:]
-
-
 def generate(cfg):
-    """Draw a Sample from the configured process; bit-reproducible."""
-    spec = cfg.spec
+    """Draw a Sample from the configured process; bit-reproducible.  A
+    stationary y0 ends a burn-in from the all-zero state, rolled together
+    with the sample's steps; a static model has no state to burn in."""
+    spec, law, L0, w = cfg.spec, cfg.y0_law, cfg.spec.y0_len, cfg.spec.step_width
     rng = np.random.default_rng(cfg.seed)
     X = _draw_X(cfg, rng)
     A = _draw_A(cfg, X, rng)
-    Y0 = _draw_y0(cfg, X, A, rng)
-    full = _roll(spec, Y0, range(spec.T // spec.step_width), X, A, cfg.theta, rng)
-    return Sample(spec=spec, Y=full[:, spec.y0_len:], Y0=Y0, X=X)
+    state, burn = np.zeros((cfg.n, L0), dtype=np.int8), 0
+    if law["kind"] == "fixed":
+        state[:] = np.asarray(law.get("value", 0), dtype=np.int8)
+    elif L0:
+        burn = max(int(law.get("burn_in", 50)), 0)
+    steps = np.concatenate([np.arange(burn) % (spec.T // w), np.arange(spec.T // w)])
+    full = np.ascontiguousarray(_roll(spec, state, steps, X, A, cfg.theta, rng)[burn * w:].T)
+    return Sample(spec=spec, Y=full[:, L0:], Y0=full[:, :L0], X=X)
 
 
 def _rep_seed(seed, rep):
@@ -168,7 +176,8 @@ def monte_carlo(cfg, estimator, replications, threads=1):
     ``estimator`` maps a Sample to an EstimateReport.  Estimation
     failures (``NoInformationError``, ``LinAlgError``) are recorded per
     replication with their ``error_type`` and excluded from the summary;
-    any other exception propagates.  Each
+    any other exception propagates.  Every row, failed ones included,
+    holds the wall time of its generate + estimate as ``elapsed_s``.  Each
     replication draws from an independently derived seed, so results do
     not depend on execution order.
     """
@@ -179,7 +188,7 @@ def monte_carlo(cfg, estimator, replications, threads=1):
 
     def run(rep):
         sub = replace(cfg, seed=_rep_seed(cfg.seed, rep))
-        row = {"rep": rep, "seed": sub.seed}
+        row, start = {"rep": rep, "seed": sub.seed}, perf_counter()
         try:
             report = estimator(generate(sub))
             for name, est, se in zip(
@@ -191,6 +200,7 @@ def monte_carlo(cfg, estimator, replications, threads=1):
         except (NoInformationError, np.linalg.LinAlgError) as exc:
             row["error_type"] = type(exc).__name__
             row["error"] = f"{type(exc).__name__}: {exc}"
+        row["elapsed_s"] = perf_counter() - start
         return row
 
     if threads > 1:

@@ -20,7 +20,7 @@ first appearance, for ``canonicalize_design`` and the moment null space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, starmap
 from numbers import Integral
 from typing import NamedTuple
@@ -33,18 +33,26 @@ from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
                     lag_features, path_states)
 
 
-class KeyClasses(NamedTuple):
-    """Rows grouped by equal keys, classes in ``np.unique`` key order."""
+class KeyClasses:
+    """Rows grouped by equal keys, classes in ``np.unique`` key order:
+    each row's class ``cls``, rows per class ``sizes`` and each class's
+    first row ``first``.  ``order`` and ``rank`` are built when read."""
 
-    cls: np.ndarray  # each row's class
-    sizes: np.ndarray  # rows per class
-    order: np.ndarray  # rows class by class, each class in row order
-    rank: np.ndarray  # each row's position among its class's members
+    def __init__(self, cls, sizes, first):
+        self.cls, self.sizes, self.first = cls, sizes, first
 
-    @property
-    def first(self):
-        """Each class's first row."""
-        return self.order[np.cumsum(self.sizes) - self.sizes]
+    @cached_property
+    def order(self):
+        """Rows class by class, each class in row order."""
+        return np.argsort(self.cls, kind="stable")
+
+    @cached_property
+    def rank(self):
+        """Each row's position among its class's members."""
+        rank = np.empty_like(self.order)
+        start = np.cumsum(self.sizes) - self.sizes
+        rank[self.order] = np.arange(self.order.size) - start[self.cls[self.order]]
+        return rank
 
     def members(self, classes, m):
         """Member rows, (..., m), of classes that all have m rows."""
@@ -62,13 +70,10 @@ class KeyClasses(NamedTuple):
 
 def key_classes(keys):
     """Group the rows of ``keys`` (n, k), or its entries if 1-D, by value."""
-    _, cls, sizes = np.unique(keys, axis=0 if keys.ndim > 1 else None,
-                              return_inverse=True, return_counts=True)
-    cls = cls.ravel()
-    order = np.argsort(cls, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[cls[order]]
-    return KeyClasses(cls, sizes, order, rank)
+    _, first, cls, sizes = np.unique(keys, axis=0 if keys.ndim > 1 else None,
+                                     return_index=True, return_inverse=True,
+                                     return_counts=True)
+    return KeyClasses(cls.ravel(), sizes, first)
 
 
 def column_groups(M):
@@ -364,12 +369,6 @@ def network_cond_full(spec, y):
     a, b = np.divmod(classes.members(c, classes.sizes[c]), len(nets))
     members = np.hstack([nets[a], nets[b], np.tile(p3, (len(a), 1))])
     return ConditioningSet("network_full", members)
-
-
-def network_star_equals_full(spec, y):
-    """Whether the two-element set exhausts the full conditioning set,
-    which always contains it."""
-    return len(network_cond_full(spec, y)) == len(network_cond_star(spec, y))
 
 
 def network_star_equality_fraction(spec):

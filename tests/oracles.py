@@ -10,11 +10,14 @@ conditioning set, which share only the lag features and the exact key
 with the key-based code they check; the per-row f-string writer of
 the sample CSV and edge list, which shares nothing with the template
 writer it checks; the loop builders of the two-way, dyadic,
-triadic, quarterly and network designs; and ``svd_null_space``, the
+triadic, quarterly and network designs; ``svd_null_space``, the
 full SVD of the row-normalized matrix that the grouped null space of
-``moments._null_space`` replaced.  ``index_pi`` and
-``step_probability`` read one observation through the library's index
-kernel; they are test helpers, not oracles.
+``moments._null_space`` replaced; ``step_roll``/``step_generate``,
+the step-by-step simulator that the probability table of
+``simulate._roll`` replaced.  ``index_pi``, ``step_probability``,
+``path_probability``, ``phi_kappa`` and ``network_star_equals_full``
+read the library through its own kernels; they are test helpers, not
+oracles.
 """
 
 import itertools
@@ -309,6 +312,75 @@ def step_probability(spec, t, history, x_t, theta, A):
     """One-step transition kernel Pr(Y_t = 1 | history, x_t, A)."""
     eta = index_pi(spec, t, history, x_t, theta) + float(spec.W[:, t - 1] @ A)
     return float(expit(eta))
+
+
+def step_roll(spec, state, steps, X, A, theta, rng):
+    """The step-by-step roll that the simulator's probability table
+    replaced: every step evaluates the index kernel and expit on its own
+    states and draws its own uniforms.  Returns ``state`` followed by
+    every draw, unit-major."""
+    from felogit.model import step_index
+
+    L0, w = spec.y0_len, spec.step_width
+    full = np.zeros((len(state), L0 + len(steps) * w), dtype=np.int8)
+    full[:, :L0] = state
+    for i, s in enumerate(steps):
+        cols = slice(s * w, (s + 1) * w)
+        x = None if X is None else X[:, :, cols]
+        eta = step_index(spec, full[:, i * w: i * w + L0], x, theta)
+        eta = eta + A @ spec.W[:, cols]
+        full[:, L0 + i * w: L0 + (i + 1) * w] = rng.random(eta.shape) < expit(eta)
+    return full
+
+
+def step_generate(cfg):
+    """``simulate.generate`` through ``step_roll``: a stationary y0 is a
+    separate burn-in roll from the all-zero state, step b at period
+    b mod (number of steps); the sample is a second roll from y0."""
+    from felogit import simulate
+    from felogit.estimation import Sample
+
+    spec, law, L0 = cfg.spec, cfg.y0_law, cfg.spec.y0_len
+    periods = spec.T // spec.step_width
+    rng = np.random.default_rng(cfg.seed)
+    X = simulate._draw_X(cfg, rng)
+    A = simulate._draw_A(cfg, X, rng)
+    if law["kind"] == "fixed":
+        value = np.asarray(law.get("value", 0), dtype=np.int8)
+        Y0 = np.broadcast_to(value, (cfg.n, L0)).copy()
+    else:
+        burn = int(law.get("burn_in", 50)) if L0 else 0
+        full = step_roll(spec, np.zeros((cfg.n, L0), dtype=np.int8),
+                         [b % periods for b in range(burn)], X, A, cfg.theta, rng)
+        Y0 = full[:, full.shape[1] - L0:]
+    full = step_roll(spec, Y0, range(periods), X, A, cfg.theta, rng)
+    return Sample(spec=spec, Y=full[:, L0:], Y0=Y0, X=X)
+
+
+def path_probability(spec, y, y0, X, theta, A):
+    """Exact probability of a single outcome path, through the library's
+    log-space path distribution."""
+    from felogit.model import log_path_distribution
+
+    return float(np.exp(log_path_distribution(spec, y0, X, theta, A, np.atleast_2d(y))[0]))
+
+
+def phi_kappa(spec, tables, A):
+    """The common factor kappa(a) = prod_t prod_q (1 + b_{t,q} a_t)^{-1}
+    of the exponent-grouped expansion of ``moments.phi_expand``."""
+    a = np.exp(spec.W.T @ np.asarray(A, dtype=float))
+    out = 0.0
+    for t, tab in enumerate(tables):
+        out -= np.sum(np.log1p(np.exp(tab) * a[t]))
+    return float(np.exp(out))
+
+
+def network_star_equals_full(spec, y):
+    """Whether the two-element swap set exhausts the full network
+    conditioning set, which always contains it."""
+    from felogit.sufficiency import network_cond_full, network_cond_star
+
+    return len(network_cond_full(spec, y)) == len(network_cond_star(spec, y))
 
 
 # -- the loop builders of the indicator designs, one 1 per (row, t) -----------

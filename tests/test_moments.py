@@ -9,7 +9,9 @@ from oracles import (
     mp_null_basis,
     mp_probability_matrix,
     naive_expectation,
+    path_probability,
     per_path_coefficients,
+    phi_kappa,
     subspace_residual,
     svd_null_space,
 )
@@ -154,10 +156,10 @@ def test_phi_reconstruction_and_mass():
     for y in model.all_paths(10):
         exp_ = fl.phi_expand(spec, y, y0, X, theta)
         for A in A_draws:
-            val = moments.phi_kappa(spec, tables, A) * sum(
+            val = phi_kappa(spec, tables, A) * sum(
                 c * np.exp(np.dot(d, A)) for d, c in exp_.grouped.items()
             )
-            ref = fl.path_probability(spec, y, y0, X, theta, A)
+            ref = path_probability(spec, y, y0, X, theta, A)
             assert abs(val - ref) / ref < 1e-9
             total[tuple(A)] += val
     for A in A_draws:  # sum over y of the grouped mass is 1/kappa rearranged
@@ -224,9 +226,9 @@ def test_coefficient_matrix_reconstructs_path_probabilities(data):
     spec, theta, X, y0, A_rows = _draw_inputs(data)
     C, ds, tables = moments.coefficient_matrix(spec, y0, X, theta)
     for A in A_rows:
-        recon = moments.phi_kappa(spec, tables, A) * (np.exp(ds @ A) @ C)
+        recon = phi_kappa(spec, tables, A) * (np.exp(ds @ A) @ C)
         for y, value in zip(model.all_paths(spec.T), recon):
-            ref = fl.path_probability(spec, y, y0, X, theta, A)
+            ref = path_probability(spec, y, y0, X, theta, A)
             assert value == pytest.approx(ref, rel=1e-9)
 
 

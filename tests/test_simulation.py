@@ -1,14 +1,16 @@
 import hashlib
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import expit
 from scipy.stats import chisquare
 
 import felogit as fl
 from felogit import estimation, model, simulate
 from felogit.simulate import DGPConfig, generate, monte_carlo
-from oracles import step_probability
+from oracles import step_generate, step_probability
 
 
 def test_identical_configs_identical_bytes():
@@ -62,6 +64,51 @@ def test_generate_bytes_are_pinned(case):
     s = generate(DGPConfig(n=300, **{**kw, "theta": np.array(kw["theta"])}))
     parts = [s.Y, s.Y0] + ([] if s.X is None else [s.X])
     assert hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest() == digest
+
+
+_D_X = st.integers(0, 2)
+KERNEL_SPECS = st.one_of(
+    st.builds(lambda T, d_x: fl.build_design("panel_fe", T=T, d_x=d_x),
+              st.integers(1, 4), _D_X),
+    st.builds(fl.panel_ar, st.integers(1, 3), st.integers(1, 5), _D_X),
+    st.builds(fl.quarterly_ar, st.just(1), st.integers(1, 7), _D_X),
+    st.builds(fl.trend_ar, st.integers(1, 5), _D_X),
+    st.builds(fl.network_design, st.integers(3, 4), st.integers(1, 3), _D_X),
+)
+
+
+@st.composite
+def kernel_configs(draw):
+    spec = draw(KERNEL_SPECS)
+    coef = st.floats(-2.5, 2.5, allow_nan=False)
+    a_kinds = ["normal", "two_point"] + (["correlated"] if spec.d_x else [])
+    a_law = {"kind": draw(st.sampled_from(a_kinds)), "loc": draw(coef),
+             "scale": draw(st.floats(0.0, 2.0)), "rho": draw(coef),
+             "lo": draw(coef), "hi": draw(coef), "p": draw(st.floats(0.0, 1.0))}
+    x_law = {"kind": draw(st.sampled_from(simulate.LAWS["x_law"])),
+             "phi": draw(st.floats(-0.9, 0.9)), "scale": draw(st.floats(0.0, 2.0))}
+    fixed = st.sampled_from([0, 1]) | st.lists(st.sampled_from([0, 1]),
+                                               min_size=spec.y0_len,
+                                               max_size=spec.y0_len)
+    y0_law = draw(st.fixed_dictionaries({"kind": st.just("fixed"), "value": fixed})
+                  | st.fixed_dictionaries({"kind": st.just("stationary"),
+                                           "burn_in": st.integers(0, 60)}))
+    return DGPConfig(spec=spec, theta=np.array(draw(st.lists(
+                         coef, min_size=spec.theta_dim, max_size=spec.theta_dim))),
+                     n=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**32)),
+                     a_law=a_law, x_law=x_law, y0_law=y0_law)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=kernel_configs())
+def test_probability_table_matches_step_by_step_roll(cfg):
+    # the table-driven kernel draws the bytes of the step-by-step roll
+    # for every family, covariate and law, burn-ins shorter than a cycle
+    # of step-periods included
+    got, want = generate(cfg), step_generate(cfg)
+    for a, b in ((got.Y, want.Y), (got.Y0, want.Y0), (got.X, want.X)):
+        assert (a is None and b is None) or (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 def test_fair_coin_mean():
@@ -245,6 +292,7 @@ def test_monte_carlo_records_failures():
     assert summary["gamma1"]["n_ok"] == 3
     failed = [r for r in rows if "error" in r]
     assert [r["error_type"] for r in failed] == ["NoInformationError"] * 3
+    assert all(r["elapsed_s"] >= 0 for r in rows)
     assert failed[0]["error"] == "NoInformationError: synthetic failure"
 
 
@@ -277,6 +325,8 @@ def test_monte_carlo_thread_pool_is_order_independent():
     rows1, sum1 = monte_carlo(cfg, est, replications=6, threads=1)
     rows2, sum2 = monte_carlo(cfg, est, replications=6, threads=3)
     for r1, r2 in zip(rows1, rows2):
+        # only the wall time of a replication may differ between runs
+        assert r1.pop("elapsed_s") >= 0 and r2.pop("elapsed_s") >= 0
         assert r1 == r2
     assert sum1 == sum2
 
