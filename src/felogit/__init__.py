@@ -12,7 +12,6 @@ from .designs import (
     build_design,
     find_wperp,
     minimal_T_polytrend,
-    pair_from_wperp,
     panel_ar,
     quarterly_ar,
     rank_condition,
@@ -35,9 +34,7 @@ from .moments import (
     closed_form_ar2_T3,
     closed_form_network_transition,
     closed_form_quarterly_T6,
-    moment_bound,
     nullspace_moments,
-    phi_expand,
     qt_values,
     verify_moment,
 )

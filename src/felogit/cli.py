@@ -31,7 +31,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -168,23 +168,34 @@ def write_sample_csv(sample, fh):
     kind, keys, slots, _ = _layout(spec)
     header = ["unit", *keys, "y"] + [f"x{k + 1}" for k in range(d_x)]
     fh.write(f"# schema: {SCHEMA[kind]}\n{','.join(header)}\r\n")
-    # One %-template per unit, filled in one call with each slot's unit,
-    # y and covariates ('%.12g' % v is f"{v:.12g}"; "" for the y0 slots).
-    unit = "".join(f"%s,{key},%s{(',%.12g' if s >= L0 else ',%s') * d_x}\r\n"
-                   for s, key in enumerate(slots))
-    V = np.full((n, len(slots), 2 + d_x), "", dtype=object)
-    V[..., 0] = np.array(list(map(str, range(1, n + 1))), dtype=object)[:, None]
-    V[..., 1] = np.array(["0", "1"], dtype=object)[np.hstack([sample.Y0, sample.Y])]
-    if d_x:
-        V[:, L0:, 2:] = sample.X.transpose(0, 2, 1)
-    fh.write((unit * n) % tuple(V.ravel().tolist()))
+    # One uint8 row per file row: the bytes of its unit, ",key," and y, then
+    # its tail, the covariates and "\r\n" from one %-template ('%.12g' % v
+    # is f"{v:.12g}"; empty for the y0 slots); the NUL padding is dropped.
+    key = np.array([f",{s}," for s in slots], "S").view(np.uint8).reshape(len(slots), -1)
+    Y, wu, wk, S = np.hstack([sample.Y0, sample.Y]), len(str(n)), key.shape[1], len(slots)
+    for u in range(0, n, 4096):  # blocks of units bound the buffers
+        m = min(n - u, 4096)
+        X = [] if sample.X is None else sample.X[u:u + m].swapaxes(1, 2).ravel().tolist()
+        tails = np.frombuffer(((("," * d_x + "\r\n") * L0 + (",%.12g" * d_x + "\r\n")
+                                * spec.T) * m % tuple(X)).encode(), dtype=np.uint8)
+        width = np.diff(np.flatnonzero(tails == 10), prepend=-1).reshape(m, S, 1)
+        rows = np.zeros((m, S, wu + wk + 1 + width.max()), dtype=np.uint8)
+        rows[..., :wu] = np.arange(u + 1, u + m + 1).astype(f"S{wu}").view(
+            np.uint8).reshape(m, 1, wu)
+        rows[..., wu:wu + wk] = key
+        rows[..., wu + wk] = 48 + Y[u:u + m]
+        rows[..., wu + wk + 1:][np.arange(rows.shape[2] - wu - wk - 1) < width] = tails
+        fh.write(rows[rows != 0].tobytes().decode())
 
 
-def _columns(what, lines, rows, cols, dtype):
-    """Parse the columns ``{index: (name, lo, hi, expected)}`` of all
-    ``lines`` in one call and check lo <= value <= hi.  On failure, name
-    the first bad field and its data row (line k holds row rows[k])."""
+def _columns(what, parsed, lines, rows, cols, dtype):
+    """The columns ``{index: (name, lo, hi, expected)}``, ``parsed`` (or
+    None) if lo <= value <= hi, else from ``lines()`` in one np.loadtxt
+    call; on failure, name the first bad field and its data row."""
     lo, hi = np.array([c[1:3] for c in cols.values()]).T
+    if parsed is not None and np.all((parsed >= lo) & (parsed <= hi)):
+        return parsed
+    lines = lines()
     try:
         A = np.loadtxt(lines, delimiter=",", usecols=list(cols), dtype=dtype,
                        ndmin=2, comments=None)
@@ -206,20 +217,72 @@ def _columns(what, lines, rows, cols, dtype):
     raise DataError(f"{what}: cannot parse the data rows")
 
 
-def _lines(text):
-    """The lines of ``text`` other than blank and comment lines, and the
-    number of fields in each.  A function of its own, so that the text
-    and its bytes are freed before the columns are parsed."""
-    lines = np.array(text.split("\n"), dtype=object)
-    # A blank or comment line is empty (its first byte below is "\n") or
-    # starts with whitespace, "#" or a non-ASCII character: test only those.
-    b = np.frombuffer(f"\n{text}\n".encode(), dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)  # line k lies between ends[k] and ends[k + 1]
-    first = b[ends[:-1] + 1]
-    odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
-    skip = [k for k in odd if not lines[k].strip() or lines[k].startswith("#")]
-    fields = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends)) + 1
-    return np.delete(lines, skip), np.delete(fields, skip)
+class _Lines:
+    """A text's lines but blank and comment lines, from one scan of its
+    bytes ``b``: the first, ``head``, as str (None if none), and data line
+    k, each other one, from byte ``start[k]`` to the newline at ``stop[k]``,
+    with ``fields[k]`` fields and its first comma at ``commas[first[k]]``."""
+
+    def __init__(self, text):
+        raw = self.raw = f"\n{text}\n".encode()
+        b = self.b = np.frombuffer(raw, dtype=np.uint8)
+        pos = np.int32 if len(b) < 2**31 else np.int64  # byte positions
+        ends, self.commas = (np.flatnonzero(b == c).astype(pos) for c in (10, 44))
+        # A blank or comment line is empty (its first byte below is "\n") or
+        # starts with whitespace, "#" or a non-ASCII character: test only those.
+        first = b[ends[:-1] + 1]
+        odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
+        keep = np.delete(np.arange(len(ends) - 1), [k for k in odd if not (
+            line := raw[ends[k] + 1:ends[k + 1]].decode()).strip() or line[0] == "#"])
+        self.head = raw[ends[keep[0]] + 1:ends[keep[0] + 1]].decode() if len(keep) else None
+        at, keep = np.searchsorted(self.commas, ends).astype(pos), keep[1:]
+        self.start, self.stop, self.line = ends[keep] + 1, ends[keep + 1], keep + 1
+        self.first, self.fields = at[keep], at[keep + 1] - at[keep] + 1
+
+    def strings(self, rows):
+        """Data lines ``rows`` as str, a "\r" ending kept."""
+        return np.array(self.raw.decode().split("\n"), dtype=object)[self.line[rows]]
+
+    def integers(self, n):
+        """The first n fields of each data line as (lines, n) int64, None unless
+        all are -?[0-9]{1,18} and each "\r" ends a line (np.loadtxt fails else)."""
+        b, first, last = self.b, self.first, self.fields - 1
+        commas = np.append(self.commas, 0)  # a line's commas end by len(commas)
+        if (not len(first) or last.min() < n - 1
+                or np.any(b[np.flatnonzero(b == 13) + 1] != 10)):
+            return None
+        K = np.zeros((n, len(first)), dtype=np.int64)
+        for c, value in enumerate(K):
+            lo = self.start if c == 0 else commas[first + c - 1] + 1
+            hi = np.where(last == c, self.stop - (b[self.stop - 1] == 13), commas[first + c])
+            neg = b[lo] == 45
+            width = hi - lo - neg
+            if width.min() < 1 or width.max() > 18:
+                return None
+            for k in range(width.max(), 0, -1):  # the byte k places before hi
+                digit = b[hi - k] - 48  # uint8: bytes below "0" wrap past 9
+                digit[width < k] = 0
+                if digit.max() > 9:
+                    return None
+                value[:] = value * 10 + digit
+            value[neg] *= -1
+        return K.T
+
+    def floats(self, rows, skip, d):
+        """Fields skip.. of the data lines ``rows``, (len(rows), d), if each has
+        skip + d fields and one np.fromstring call reads them all."""
+        if np.any(self.fields[rows] != skip + d):
+            return None
+        # one ",x1,...,xd" piece per line: from the comma before field ``skip``
+        # up to the line's "\r\n" or "\n"
+        stop = self.stop[rows]
+        cuts = np.column_stack([self.commas[self.first[rows] + skip - 1],
+                                stop - (self.b[stop - 1] == 13)]).ravel()
+        text = self.b[np.repeat(np.arange(cuts.size + 1) % 2 == 1,
+                                np.diff(cuts, prepend=0, append=len(self.b)))]
+        with suppress(ValueError):
+            X = np.fromstring(text[1:].tobytes(), sep=",")
+            return X.reshape(len(stop), d) if X.size == len(stop) * d else None
 
 
 def read_sample_csv(fh, spec):
@@ -227,21 +290,24 @@ def read_sample_csv(fh, spec):
     kind, keys, slots, slot_of = _layout(spec)
     what = "sample CSV" if kind == "sample" else "edge CSV"
     big = np.finfo(float).max
-    lines, fields = _lines(fh.read())
-    head = lines[0].strip().split(",") if len(lines) else []
+    lines = _Lines(fh.read())
+    head = lines.head.strip().split(",") if lines.head is not None else []
     bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
     if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
         del bounds["unit"]
     columns = [*bounds, *(f"x{k + 1}" for k in range(spec.d_x))]
-    if head != columns or len(lines) < 2:
+    if head != columns or not len(lines.start):
         raise DataError(f"{what} must start with columns {','.join(columns)} "
                         "and hold data rows")
-    body, L0, S = lines[1:], spec.y0_len, len(slots)
-    K = _columns(what, body, range(len(body)), {
+    L0, S = spec.y0_len, len(slots)
+    K = _columns(what, lines.integers(len(bounds)), lambda: lines.strings(slice(None)),
+                 range(len(lines.start)), {
         c: (m, lo, hi, "0 or 1" if m == "y" else "an integer" if m == "unit"
             else f"an integer in {lo}..{hi}")
         for c, (m, (lo, hi)) in enumerate(bounds.items())}, np.int64)
     slot = slot_of(*K[:, -len(keys) - 1:-1].T)
+    rows = np.flatnonzero(slot >= L0)  # parsed before the unit arrays: a lower peak
+    parsed = lines.floats(rows, len(bounds), spec.d_x) if spec.d_x else None
     bad = np.flatnonzero(slot < 0)  # an edge with i == j
     if bad.size:
         raise DataError(f"{what} data row {bad[0] + 1}: i and j must differ")
@@ -257,17 +323,16 @@ def read_sample_csv(fh, spec):
     Y, X = np.empty((len(units), S), dtype=np.int8), None
     np.put(Y, key, K[:, -1])
     if spec.d_x:
-        rows = np.flatnonzero(slot >= L0)
         X = np.empty((len(units), spec.d_x, spec.T))
         X[unit[rows], :, slot[rows] - L0] = _columns(
-            what, body[rows], rows,
+            what, parsed, lambda: lines.strings(rows), rows,
             {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
              for k in range(spec.d_x)}, float)
     # counted last, so that a short row names its missing field first
-    bad = np.flatnonzero(fields[1:] != len(columns))
+    bad = np.flatnonzero(lines.fields != len(columns))
     if bad.size:
         raise DataError(f"{what} data row {bad[0] + 1}: expected {len(columns)} "
-                        f"fields, found {fields[bad[0] + 1]}")
+                        f"fields, found {lines.fields[bad[0]]}")
     return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 

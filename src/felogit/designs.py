@@ -215,28 +215,6 @@ def minimal_T_polytrend(p, allow_long_run=False):
     raise RuntimeError("no solution up to T = 40")
 
 
-def pair_from_wperp(wperp, fill=None):
-    """Outcome pair (y1, y2) with y1 - y2 = wperp.
-
-    Positions where wperp is zero receive the shared ``fill`` values
-    (zeros by default).
-    """
-    wperp = np.asarray(wperp, dtype=np.int64)
-    if not np.all(np.isin(wperp, (-1, 0, 1))):
-        raise ValueError("wperp entries must lie in {-1,0,1}")
-    zeros = np.flatnonzero(wperp == 0)
-    if fill is None:
-        fill = np.zeros(len(zeros), dtype=np.int8)
-    fill = np.asarray(fill, dtype=np.int8)
-    if fill.shape != (len(zeros),):
-        raise ValueError(f"fill must cover the {len(zeros)} zero positions")
-    y1 = (wperp == 1).astype(np.int8)
-    y2 = (wperp == -1).astype(np.int8)
-    y1[zeros] = fill
-    y2[zeros] = fill
-    return y1, y2
-
-
 @dataclass
 class RankDiagnostic:
     min_eigenvalue: float

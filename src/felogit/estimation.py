@@ -16,9 +16,10 @@ classes S(W y), (X w_perp, 0) over the pairwise classes of two, and
 the transition statistics over the dynamic AR classes (for p >= 2 only
 the last lag coefficient moves the objective).  Each class comes from
 ``sufficiency.key_classes`` on its key, the dynamic ones from one call
-over every path at every distinct y0; ``KeyClasses.blocks`` walks them
-one size at a time into ``_CondLogit``, which gives the value, analytic
-gradient and Hessian, and the sandwich meat clustered by unit.
+over every path at every distinct y0; ``KeyClasses.segments`` lays the
+members of the informative classes out one after the other for
+``_CondLogit``, which gives the value, analytic gradient and Hessian,
+and the sandwich meat clustered by unit, in one pass over the segments.
 """
 
 from __future__ import annotations
@@ -79,15 +80,21 @@ def _count_table(sample):
 
     Returns (cells, counts, inverse) with ``cells`` a Sample of the
     distinct (Y0, Y, X) records and ``cells`` row ``inverse[i]`` equal
-    to unit i.  Records are compared byte for byte.  When no record
-    repeats, ``cells`` is the sample itself and every count is one.
+    to unit i.  Records are compared byte for byte, covariate-free ones
+    by the ``path_index`` of their 0/1 bytes, which sorts alike.  When
+    no record repeats (certain if the first covariate's bit patterns
+    do not), ``cells`` is the sample itself and every count is one.
     """
-    n = sample.n
-    parts = [sample.Y0, sample.Y] + ([] if sample.X is None else [sample.X])
-    rec = np.hstack([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8)
-                     for a in parts])
-    records = key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
-    if records.sizes.size == n:
+    n, YY = sample.n, np.hstack([sample.Y0, sample.Y])
+    if sample.X is None and YY.shape[1] <= 62:
+        records = key_classes(path_index(YY))
+    elif sample.X is not None and np.unique(sample.X[:, 0, 0].view(np.uint64)).size == n:
+        records = None
+    else:
+        parts = [YY] + ([] if sample.X is None else [np.ascontiguousarray(sample.X)])
+        rec = np.hstack([a.reshape(n, -1).view(np.uint8) for a in parts])
+        records = key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
+    if records is None or records.sizes.size == n:
         return sample, np.ones(n, dtype=np.int64), np.arange(n)
     first = records.first
     cells = Sample(spec=sample.spec, Y=sample.Y[first], Y0=sample.Y0[first],
@@ -124,69 +131,52 @@ class EstimateReport:
 # -- the conditional-logit core ----------------------------------------------
 
 
-def _block_terms(G, own, theta):
-    """Per-row log likelihood, class probabilities, profile deviations
-    from the class mean and score of one block."""
-    logits = G @ theta
-    top = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - top)
-    total = e.sum(axis=1, keepdims=True)
-    prob = e / total
-    rows = np.arange(len(own))
-    loglik = logits[rows, own] - (top + np.log(total))[:, 0]
-    dev = G - np.einsum("umd,um->ud", G, prob)[:, None, :]
-    return loglik, prob, dev, dev[rows, own]
-
-
 class _CondLogit:
-    """sum_rows w * (G_own' theta - logsumexp(G theta)) over blocks.
+    """sum_rows w * (G_own' theta - logsumexp(G theta)) in one pass.
 
-    A block stacks the rows whose classes have the same size m: profiles
-    G (u, m, d), the observed member ``own`` (u,), the row weights ``w``
-    (u,) and, when one unit contributes several rows, each row's
-    ``unit`` (otherwise None, and every counted row is its own unit).
+    The profiles G (R, d) hold the members of every row's class, class
+    after class: row r's class starts at ``start[r]`` and its observed
+    member is G[own[r]].  ``w`` weighs the rows; ``unit``, when one unit
+    contributes several rows, names each row's unit (otherwise None,
+    and every counted row is its own unit).  Class maxima and sums are
+    taken over every segment at once.
     """
 
-    def __init__(self, d):
-        self.d = d
-        self.blocks = []
+    def __init__(self, G, start, own, w=None, unit=None):
+        self.G, self.own, self.unit, self.d, self.C = G, own, unit, G.shape[1], len(start)
+        self.w = np.ones(self.C) if w is None else np.asarray(w, dtype=float)
+        self.seg = np.repeat(np.arange(self.C), np.diff(start, append=len(G)))
 
-    def add(self, G, own, w=None, unit=None):
-        w = np.ones(len(own)) if w is None else np.asarray(w, dtype=float)
-        self.blocks.append((G, own, w, unit))
+    def _terms(self, theta):
+        """Per-row log likelihood, member probabilities and profile
+        deviations from the class mean."""
+        seg, C = self.seg, self.C
+        logits = self.G.dot(theta)  # G @ theta takes a slow loop at d = 1
+        top = np.full(C, -np.inf)
+        np.maximum.at(top, seg, logits)
+        e = np.exp(logits - top[seg])
+        total = np.bincount(seg, e, C)
+        prob = e / total[seg]
+        mean = np.column_stack([np.bincount(seg, g * prob, C) for g in self.G.T])
+        return logits[self.own] - (top + np.log(total)), prob, self.G - mean[seg]
 
     def __call__(self, theta):
         """Value, gradient and Hessian at theta."""
-        d = self.d
-        val, g, H = 0.0, np.zeros(d), np.zeros((d, d))
-        for G, own, w, _ in self.blocks:
-            loglik, prob, dev, score = _block_terms(G, own, theta)
-            val += float(w @ loglik)
-            g += w @ score
-            wdev = dev * (prob * w[:, None])[:, :, None]
-            H -= wdev.reshape(-1, d).T @ dev.reshape(-1, d)
-        return val, g, H
+        loglik, prob, dev = self._terms(theta)
+        wdev = dev * (prob * self.w[self.seg])[:, None]
+        return float(self.w @ loglik), self.w @ dev[self.own], -(wdev.T @ dev)
 
     def meat(self, theta):
         """Outer products of the unit scores at theta."""
-        S = np.zeros((self.d, self.d))
-        units, scores = [], []
-        for G, own, w, unit in self.blocks:
-            score = _block_terms(G, own, theta)[3]
-            if unit is None:
-                S += (score * w[:, None]).T @ score
-            else:
-                units.append(unit)
-                scores.append(score * w[:, None])
-        if units:
-            units = np.concatenate(units)
-            by_unit = np.zeros((units.max() + 1, self.d))
-            np.add.at(by_unit, units, np.concatenate(scores))
-            S += by_unit.T @ by_unit
-        return S
+        score = self._terms(theta)[2][self.own]
+        if self.unit is None:
+            return (score * self.w[:, None]).T @ score
+        by_unit = np.zeros((self.unit.max() + 1, self.d))
+        np.add.at(by_unit, self.unit, score * self.w[:, None])
+        return by_unit.T @ by_unit
 
 
-def _newton(objective, start, max_iter=200):
+def _newton(objective, start, max_iter=200, counts=None):
     """Damped Newton ascent for concave objectives, until the largest
     gradient entry is below 1e-8.
 
@@ -194,8 +184,11 @@ def _newton(objective, start, max_iter=200):
     until the value does not decrease.  Returns (x, value, gradient,
     hessian, iterations, stop reason), the reason being ``converged``,
     ``max_iter`` or ``line_search_failed`` (50 halvings without an
-    acceptable step).
+    acceptable step).  ``counts``, if given, receives the objective
+    evaluations ``n_evaluations`` and the step ``halvings``.
     """
+    counts = {} if counts is None else counts
+    counts.update(n_evaluations=1, halvings=0)
     x = np.asarray(start, dtype=float).copy()
     val, g, H = objective(x)
     it = 0
@@ -210,10 +203,12 @@ def _newton(objective, start, max_iter=200):
         for _ in range(50):
             cand = x + lam * step
             v2, g2, H2 = objective(cand)
+            counts["n_evaluations"] += 1
             if np.isfinite(v2) and v2 >= val - 1e-12:
                 x, val, g, H = cand, v2, g2, H2
                 break
             lam *= 0.5
+            counts["halvings"] += 1
         else:
             return x, val, g, H, it, "line_search_failed"
     stop = "converged" if np.max(np.abs(g)) < 1e-8 else "max_iter"
@@ -234,7 +229,8 @@ def _fit(core, spec, init, max_iter, diagnostics, free=None):
         val, g, H = core(theta)
         return val, g[free], H[block]
 
-    x, val, g, H, it, stop = _newton(objective, start[free], max_iter=max_iter)
+    counts = {}
+    x, val, g, H, it, stop = _newton(objective, start[free], max_iter, counts)
     theta = start.copy()
     theta[free] = x
     Hinv = np.linalg.pinv(-H)
@@ -249,7 +245,7 @@ def _fit(core, spec, init, max_iter, diagnostics, free=None):
         converged=bool(stop == "converged" and np.isfinite(val)),
         iterations=it,
         diagnostics={**diagnostics, "grad_norm": float(np.max(np.abs(g))),
-                     "stop_reason": stop},
+                     "stop_reason": stop, **counts},
     )
 
 
@@ -262,12 +258,12 @@ def _static_objective(sample):
     paths = all_paths(spec.T)
     classes = key_classes(exact_key(paths @ spec.W.T))
     unit_path = path_index(sample.Y)
-    unit_cls = classes.cls[unit_path]
-    core = _CondLogit(spec.d_x)
-    for units, members in classes.blocks(unit_cls):
-        core.add(np.einsum("udt,umt->umd", sample.X[units], paths[members]),
-                 classes.rank[unit_path[units]])
-    return core, int(np.sum(classes.sizes[unit_cls] > 1))
+    size = classes.sizes[classes.cls[unit_path]]
+    units = np.flatnonzero(size > 1)
+    members, start = classes.segments(classes.cls[unit_path[units]])
+    G = np.einsum("udt,ut->ud", sample.X[np.repeat(units, size[units])],
+                  paths[members])
+    return _CondLogit(G, start, start + classes.rank[unit_path[units]]), units.size
 
 
 def cmle_static(sample, init=None, max_iter=100):
@@ -312,10 +308,9 @@ def _pairwise_objective(sample, Wperp):
         z.append(up[hit].astype(float))
         units.append(hit)
     V, z, units = np.vstack(V), np.concatenate(z), np.concatenate(units)
-    core = _CondLogit(d_x)
-    if len(z):
-        core.add(np.stack([V, np.zeros_like(V)], axis=1),
-                 (z == 0).astype(np.int64), unit=units)
+    start = np.arange(0, 2 * len(z), 2)
+    core = _CondLogit(np.stack([V, np.zeros_like(V)], axis=1).reshape(-1, d_x),
+                      start, start + (z == 0), unit=units)
     return core, V, z, units
 
 
@@ -355,14 +350,12 @@ def _dynamic_core(sample):
     key = arp_statistic_key(_canonical_spec(spec), paths, path_y0)
     classes = key_classes(np.hstack([path_y0, key]))
     stats = transition_stats(spec, paths, path_y0).astype(float)
-    # cells y0 by y0, so that a block's rows come in (y0, cell) order
-    by_y0 = np.argsort(y0_id.ravel(), kind="stable")
-    row = (y0_id.ravel() * 2**spec.T + path_index(cells.Y))[by_y0]
-    counts, cls = counts[by_y0], classes.cls[row]
-    core = _CondLogit(spec.p)
-    for at, members in classes.blocks(cls):
-        core.add(stats[members], classes.rank[row[at]], counts[at])
-    return core, int(counts[classes.sizes[cls] > 1].sum())
+    row = y0_id.ravel() * 2**spec.T + path_index(cells.Y)
+    at = np.flatnonzero(classes.sizes[classes.cls[row]] > 1)
+    members, start = classes.segments(classes.cls[row[at]])
+    core = _CondLogit(stats[members], start, start + classes.rank[row[at]],
+                      counts[at])
+    return core, int(counts[at].sum())
 
 
 def cmle_dynamic_ar(sample, init=None, max_iter=100):

@@ -117,6 +117,7 @@ class ModelSpec:
                 raise ValueError("network family needs n >= 2 and tau >= 1")
             if T != (n * (n - 1) // 2) * tau:
                 raise ValueError("network family requires T = C(n,2)*tau")
+        exact_key(W)  # raises on columns that no exact key can group
         self.family = family
         self.T = int(T)
         self.W = W
@@ -312,7 +313,9 @@ def exact_key(values):
     sorted values split into clusters wherever a gap exceeds 1e-9 and
     each value maps to the start of its cluster, so that float noise
     (0.1 + 0.2 against 0.3) gives one key even across a rounding
-    boundary.  Keys compare within one call only.
+    boundary.  A cluster wider than 1e-9 would key values by their
+    neighbours in the call, so it raises ValueError.  Keys compare
+    within one call only.
     """
     values = np.asarray(values, dtype=float)
     ints = np.rint(values)
@@ -320,7 +323,12 @@ def exact_key(values):
         return ints.astype(np.int64)
     ranked, inverse = np.unique(values, return_inverse=True)
     start = np.concatenate([[True], np.diff(ranked) > 1e-9])
-    return ranked[start][np.cumsum(start) - 1][inverse].reshape(values.shape)
+    lo, hi = ranked[start], ranked[np.append(start[1:], True)]
+    if np.any(hi - lo > 1e-9):
+        a, b = (float(v[hi - lo > 1e-9][0]) for v in (lo, hi))
+        raise ValueError(f"values {a!r} to {b!r} are chained by gaps of at most "
+                         f"1e-9 but span {b - a:.3g}: no exact key")
+    return lo[np.cumsum(start) - 1][inverse].reshape(values.shape)
 
 
 def lag_features(spec, states):

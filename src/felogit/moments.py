@@ -31,7 +31,7 @@ evaluator of many units at once (the one GMM calls); its table over all
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,24 +149,7 @@ def build_dset(spec, Q):
     return DSet(Q, _walk(cols, Q))
 
 
-def moment_bound(spec, y0, X, theta):
-    """Lower bound 2^T - |D| on the number of independent moment functions.
-
-    Nonpositive values signal 'no guarantee', not 'no moments exist'.
-    """
-    Q = qt_values(spec, y0, X, theta)
-    return 2**spec.T - build_dset(spec, Q).cardinality
-
-
 # -- phi polynomial expansion ----------------------------------------------
-
-
-@dataclass
-class PhiExpansion:
-    """Per-period polynomial coefficients and their exponent grouping."""
-
-    per_period: list                     # arrays c_{t,k}, k = 0..Q_t
-    grouped: dict = field(repr=False)    # d tuple -> chat_d(y)
 
 
 def _poly_cache(tables):
@@ -223,25 +206,6 @@ def _expand(spec, tables, polys, paths, pi):
         node = inverse.reshape(-1)
     keep = np.any(S != 0.0, axis=1)
     return S[keep], ds[keep]
-
-
-def phi_expand(spec, y, y0, X, theta):
-    """Expand the path probability of y into exponent-grouped coefficients.
-
-    The grouping is the forward pass of ``coefficient_matrix`` run on
-    the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) = kappa(A) *
-    sum_d grouped[d] * exp(d'A), where kappa(A) = prod_t prod_q
-    (1 + exp(b_{t,q} + w_t'A))^{-1} over the index-value tables b_t.
-    """
-    tables = index_value_tables(spec, y0, X, theta)
-    paths = np.atleast_2d(np.asarray(y, dtype=np.int64))
-    pi = index_matrix(spec, paths, y0, X, theta)
-    polys = _poly_cache(tables)
-    C, ds = _expand(spec, tables, polys, paths, pi)
-    per_period = [polys[t][_q_index(tab, pi[0, t: t + 1])[0], y, : len(tab) + y]
-                  for t, (tab, y) in enumerate(zip(tables, paths[0]))]
-    grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
-    return PhiExpansion(per_period=per_period, grouped=grouped)
 
 
 def coefficient_matrix(spec, y0, X, theta):
@@ -419,18 +383,6 @@ def verify_moment(m, spec, y0, X, theta, A_grid):
 #
 # An evaluator maps (Y, Y0, X, theta) to the (n, k) moments of n units;
 # the closed-form libraries also compile units into a MomentTerms table.
-
-
-class CallableMoments:
-    """Adapter turning fn(Y, Y0, X, theta) -> (n, k) into an evaluator."""
-
-    def __init__(self, fn, k):
-        self.fn = fn
-        self.k = k
-
-    def stacked(self, Y, Y0, X, theta):
-        out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
-        return out.reshape(len(Y), self.k)
 
 
 @dataclass

@@ -59,6 +59,13 @@ class KeyClasses:
         start = np.cumsum(self.sizes) - self.sizes
         return self.order[start[classes][..., None] + np.arange(m)]
 
+    def segments(self, classes):
+        """Members of ``classes``, class after class, and each one's start."""
+        size = self.sizes[classes]
+        start = np.cumsum(size) - size
+        first = (np.cumsum(self.sizes) - self.sizes)[classes]
+        return self.order[np.repeat(first - start, size) + np.arange(size.sum())], start
+
     def blocks(self, classes):
         """Per class size m > 1 among ``classes``, m increasing, the
         positions ``at`` with that size and their members, (len(at), m)."""

@@ -8,20 +8,26 @@ implementations kept as references for the code that replaced them: the
 ``Counter`` permutation multiset and the mask-based network
 conditioning set, which share only the lag features and the exact key
 with the key-based code they check; the per-row f-string writer of
-the sample CSV and edge list, which shares nothing with the template
+the sample CSV and edge list, which shares nothing with the byte-row
 writer it checks; the loop builders of the two-way, dyadic,
 triadic, quarterly and network designs; ``svd_null_space``, the
 full SVD of the row-normalized matrix that the grouped null space of
 ``moments._null_space`` replaced; ``step_roll``/``step_generate``,
 the step-by-step simulator that the probability table of
-``simulate._roll`` replaced.  ``index_pi``, ``step_probability``,
-``path_probability``, ``phi_kappa`` and ``network_star_equals_full``
-read the library through its own kernels; they are test helpers, not
-oracles.
+``simulate._roll`` replaced; ``BlockCondLogit``, the conditional-logit
+core of one block per class size that the segmented
+``estimation._CondLogit`` replaced; ``loadtxt_read_sample_csv``, the
+sample CSV reader over per-line strings and np.loadtxt that the byte
+scan of ``cli._Lines`` replaced.  ``index_pi``, ``step_probability``,
+``path_probability``, ``phi_kappa``, ``phi_expand``,
+``network_star_equals_full``, ``CallableMoments``, ``moment_bound`` and
+``pair_from_wperp`` read the library through its own kernels or build
+test inputs; they are test helpers, not oracles.
 """
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -367,7 +373,7 @@ def path_probability(spec, y, y0, X, theta, A):
 
 def phi_kappa(spec, tables, A):
     """The common factor kappa(a) = prod_t prod_q (1 + b_{t,q} a_t)^{-1}
-    of the exponent-grouped expansion of ``moments.phi_expand``."""
+    of the exponent-grouped expansion of ``phi_expand``."""
     a = np.exp(spec.W.T @ np.asarray(A, dtype=float))
     out = 0.0
     for t, tab in enumerate(tables):
@@ -424,3 +430,250 @@ def loop_network(n, tau):
     for t in range(D * tau):
         W[t % D, t] = 1.0
     return W
+
+
+# -- helpers that only the tests call ----------------------------------------
+
+
+class CallableMoments:
+    """Adapter turning fn(Y, Y0, X, theta) -> (n, k) into an evaluator
+    that has ``stacked`` alone, so that ``gmm`` takes central differences."""
+
+    def __init__(self, fn, k):
+        self.fn = fn
+        self.k = k
+
+    def stacked(self, Y, Y0, X, theta):
+        out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
+        return out.reshape(len(Y), self.k)
+
+
+def moment_bound(spec, y0, X, theta):
+    """Lower bound 2^T - |D| on the number of independent moment functions.
+
+    Nonpositive values signal 'no guarantee', not 'no moments exist'.
+    """
+    from felogit.moments import build_dset, qt_values
+
+    return 2**spec.T - build_dset(spec, qt_values(spec, y0, X, theta)).cardinality
+
+
+def pair_from_wperp(wperp, fill=None):
+    """Outcome pair (y1, y2) with y1 - y2 = wperp.
+
+    Positions where wperp is zero receive the shared ``fill`` values
+    (zeros by default).
+    """
+    wperp = np.asarray(wperp, dtype=np.int64)
+    if not np.all(np.isin(wperp, (-1, 0, 1))):
+        raise ValueError("wperp entries must lie in {-1,0,1}")
+    zeros = np.flatnonzero(wperp == 0)
+    if fill is None:
+        fill = np.zeros(len(zeros), dtype=np.int8)
+    fill = np.asarray(fill, dtype=np.int8)
+    if fill.shape != (len(zeros),):
+        raise ValueError(f"fill must cover the {len(zeros)} zero positions")
+    y1 = (wperp == 1).astype(np.int8)
+    y2 = (wperp == -1).astype(np.int8)
+    y1[zeros] = fill
+    y2[zeros] = fill
+    return y1, y2
+
+
+# -- the conditional-logit core of one block per class size -------------------
+
+
+def _block_terms(G, own, theta):
+    """Per-row log likelihood, class probabilities, profile deviations
+    from the class mean and score of one block."""
+    logits = G @ theta
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    prob = e / total
+    rows = np.arange(len(own))
+    loglik = logits[rows, own] - (top + np.log(total))[:, 0]
+    dev = G - np.einsum("umd,um->ud", G, prob)[:, None, :]
+    return loglik, prob, dev, dev[rows, own]
+
+
+class BlockCondLogit:
+    """sum_rows w * (G_own' theta - logsumexp(G theta)) over blocks.
+
+    A block stacks the rows whose classes have the same size m: profiles
+    G (u, m, d), the observed member ``own`` (u,), the row weights ``w``
+    (u,) and, when one unit contributes several rows, each row's
+    ``unit`` (otherwise None, and every counted row is its own unit).
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.blocks = []
+
+    def add(self, G, own, w=None, unit=None):
+        w = np.ones(len(own)) if w is None else np.asarray(w, dtype=float)
+        self.blocks.append((G, own, w, unit))
+
+    def __call__(self, theta):
+        """Value, gradient and Hessian at theta."""
+        d = self.d
+        val, g, H = 0.0, np.zeros(d), np.zeros((d, d))
+        for G, own, w, _ in self.blocks:
+            loglik, prob, dev, score = _block_terms(G, own, theta)
+            val += float(w @ loglik)
+            g += w @ score
+            wdev = dev * (prob * w[:, None])[:, :, None]
+            H -= wdev.reshape(-1, d).T @ dev.reshape(-1, d)
+        return val, g, H
+
+    def meat(self, theta):
+        """Outer products of the unit scores at theta."""
+        S = np.zeros((self.d, self.d))
+        units, scores = [], []
+        for G, own, w, unit in self.blocks:
+            score = _block_terms(G, own, theta)[3]
+            if unit is None:
+                S += (score * w[:, None]).T @ score
+            else:
+                units.append(unit)
+                scores.append(score * w[:, None])
+        if units:
+            units = np.concatenate(units)
+            by_unit = np.zeros((units.max() + 1, self.d))
+            np.add.at(by_unit, units, np.concatenate(scores))
+            S += by_unit.T @ by_unit
+        return S
+
+
+# -- the phi expansion of a single path ---------------------------------------
+
+
+@dataclass
+class PhiExpansion:
+    """Per-period polynomial coefficients and their exponent grouping."""
+
+    per_period: list                     # arrays c_{t,k}, k = 0..Q_t
+    grouped: dict = field(repr=False)    # d tuple -> chat_d(y)
+
+
+def phi_expand(spec, y, y0, X, theta):
+    """Expand the path probability of y into exponent-grouped coefficients.
+
+    The grouping is the forward pass of ``moments.coefficient_matrix``
+    run on the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) = kappa(A)
+    * sum_d grouped[d] * exp(d'A), where kappa(A) = prod_t prod_q
+    (1 + exp(b_{t,q} + w_t'A))^{-1} over the index-value tables b_t.
+    """
+    from felogit.model import index_matrix
+    from felogit.moments import _expand, _poly_cache, _q_index, index_value_tables
+
+    tables = index_value_tables(spec, y0, X, theta)
+    paths = np.atleast_2d(np.asarray(y, dtype=np.int64))
+    pi = index_matrix(spec, paths, y0, X, theta)
+    polys = _poly_cache(tables)
+    C, ds = _expand(spec, tables, polys, paths, pi)
+    per_period = [polys[t][_q_index(tab, pi[0, t: t + 1])[0], y, : len(tab) + y]
+                  for t, (tab, y) in enumerate(zip(tables, paths[0]))]
+    grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
+    return PhiExpansion(per_period=per_period, grouped=grouped)
+
+
+# -- the sample CSV reader before the byte scan -------------------------------
+
+
+def _loadtxt_columns(what, lines, rows, cols, dtype):
+    """Parse the columns ``{index: (name, lo, hi, expected)}`` of all
+    ``lines`` in one call and check lo <= value <= hi.  On failure, name
+    the first bad field and its data row (line k holds row rows[k])."""
+    from felogit.cli import DataError
+
+    lo, hi = np.array([c[1:3] for c in cols.values()]).T
+    try:
+        A = np.loadtxt(lines, delimiter=",", usecols=list(cols), dtype=dtype,
+                       ndmin=2, comments=None)
+        if np.all((A >= lo) & (A <= hi)):
+            return A
+    except ValueError:
+        pass
+    for row, line in zip(rows, lines):
+        fields = line.rstrip("\r\n").split(",")
+        for c, (name, lo, hi, expected) in cols.items():
+            text = fields[c] if c < len(fields) else ""
+            try:
+                if lo <= dtype(text) <= hi:
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise DataError(f"{what} data row {row + 1}: {name} must be "
+                            f"{expected}, found {text!r}")
+    raise DataError(f"{what}: cannot parse the data rows")
+
+
+def _loadtxt_lines(text):
+    """The lines of ``text`` other than blank and comment lines, and the
+    number of fields in each.  A function of its own, so that the text
+    and its bytes are freed before the columns are parsed."""
+    lines = np.array(text.split("\n"), dtype=object)
+    # A blank or comment line is empty (its first byte below is "\n") or
+    # starts with whitespace, "#" or a non-ASCII character: test only those.
+    b = np.frombuffer(f"\n{text}\n".encode(), dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)  # line k lies between ends[k] and ends[k + 1]
+    first = b[ends[:-1] + 1]
+    odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
+    skip = [k for k in odd if not lines[k].strip() or lines[k].startswith("#")]
+    fields = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends)) + 1
+    return np.delete(lines, skip), np.delete(fields, skip)
+
+
+def loadtxt_read_sample_csv(fh, spec):
+    """``cli.read_sample_csv`` as it was before the byte scan: every
+    line an object-array string, the key columns and the covariates each
+    parsed by one np.loadtxt call; bad input raises DataError."""
+    from felogit.cli import DataError, _layout
+    from felogit.estimation import Sample
+
+    kind, keys, slots, slot_of = _layout(spec)
+    what = "sample CSV" if kind == "sample" else "edge CSV"
+    big = np.finfo(float).max
+    lines, fields = _loadtxt_lines(fh.read())
+    head = lines[0].strip().split(",") if len(lines) else []
+    bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
+    if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
+        del bounds["unit"]
+    columns = [*bounds, *(f"x{k + 1}" for k in range(spec.d_x))]
+    if head != columns or len(lines) < 2:
+        raise DataError(f"{what} must start with columns {','.join(columns)} "
+                        "and hold data rows")
+    body, L0, S = lines[1:], spec.y0_len, len(slots)
+    K = _loadtxt_columns(what, body, range(len(body)), {
+        c: (m, lo, hi, "0 or 1" if m == "y" else "an integer" if m == "unit"
+            else f"an integer in {lo}..{hi}")
+        for c, (m, (lo, hi)) in enumerate(bounds.items())}, np.int64)
+    slot = slot_of(*K[:, -len(keys) - 1:-1].T)
+    bad = np.flatnonzero(slot < 0)  # an edge with i == j
+    if bad.size:
+        raise DataError(f"{what} data row {bad[0] + 1}: i and j must differ")
+    units, unit = np.unique(K[:, 0] if "unit" in bounds else np.ones_like(slot),
+                            return_inverse=True)
+    key = unit * S + slot
+    count = np.bincount(key, minlength=len(units) * S)
+    bad = np.flatnonzero(count != 1)
+    if bad.size:
+        u, s = divmod(int(bad[0]), S)
+        raise DataError(f"{what}: unit {units[u]} has {count[bad[0]] or 'no'} "
+                        f"rows for {','.join(keys)} = {slots[s]}")
+    Y, X = np.empty((len(units), S), dtype=np.int8), None
+    np.put(Y, key, K[:, -1])
+    if spec.d_x:
+        rows = np.flatnonzero(slot >= L0)
+        X = np.empty((len(units), spec.d_x, spec.T))
+        X[unit[rows], :, slot[rows] - L0] = _loadtxt_columns(
+            what, body[rows], rows,
+            {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
+             for k in range(spec.d_x)}, float)
+    # counted last, so that a short row names its missing field first
+    bad = np.flatnonzero(fields[1:] != len(columns))
+    if bad.size:
+        raise DataError(f"{what} data row {bad[0] + 1}: expected {len(columns)} "
+                        f"fields, found {fields[bad[0] + 1]}")
+    return Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)

@@ -11,10 +11,12 @@ import numpy as np
 import felogit as fl
 from felogit import designs, estimation, model, moments, simulate, sufficiency
 from oracles import (
+    moment_bound,
     mp_null_basis,
     mp_probability_matrix,
     naive_path_prob,
     network_star_equals_full,
+    pair_from_wperp,
     subspace_residual,
 )
 
@@ -76,7 +78,7 @@ def test_criterion_2_static_sufficiency_suite():
             if n_zero:
                 fills.append(rng.integers(0, 2, n_zero))
             for fill in fills:
-                y1, y2 = fl.pair_from_wperp(w, fill=fill)
+                y1, y2 = pair_from_wperp(w, fill=fill)
                 target = float(np.exp(beta @ X @ (y1 - y2)))
                 vals = [
                     fl.likelihood_ratio(spec, y1, y2, None, X, beta, A)
@@ -180,7 +182,7 @@ def test_criterion_5_moment_counts():
         assert time.time() - t0 < 30.0
     rep = fl.nullspace_moments(fl.panel_ar(2, 3), np.array([0, 1]), None,
                                [0.5, -0.3])
-    assert fl.moment_bound(fl.panel_ar(2, 3), np.array([0, 1]), None,
+    assert moment_bound(fl.panel_ar(2, 3), np.array([0, 1]), None,
                            [0.5, -0.3]) == 0
     assert rep.dimension >= 1
     t0 = time.time()

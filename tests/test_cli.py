@@ -138,6 +138,16 @@ def test_bad_theta_exits_2(capsys, argv, message):
     assert f"error: {message}\n" in err
 
 
+def test_chained_design_columns_exit_2(tmp_path, capsys):
+    path = tmp_path / "chained.json"
+    path.write_text(json.dumps({"schema_version": 1, "family": "static", "T": 3,
+                                "d_x": 1, "W": [[0.1, 0.1 + 6e-10, 0.1 + 1.2e-9]]}))
+    code, out, err = run(capsys, "wperp", "--model", str(path))
+    assert code == 2 and out == ""
+    assert f"error: model JSON {path}: values 0.1 to" in err
+    assert "chained by gaps of at most 1e-9" in err
+
+
 def test_bad_init_exits_2(tmp_path, capsys):
     s = simulate.generate(simulate.DGPConfig(
         spec=fl.panel_ar(1, 3), theta=np.array([0.5]), n=4, seed=2))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import felogit as fl
 from felogit.cli import DataError, read_sample_csv, write_sample_csv
 from felogit.estimation import Sample
-from oracles import write_long_csv
+from oracles import loadtxt_read_sample_csv, write_long_csv
 
 # Edge values for the {:.12g} formatting: signed zero, the smallest
 # subnormal, a magnitude beyond 12 digits and one that rounds.
@@ -256,3 +256,69 @@ def test_header_must_name_the_covariates_in_order(spec, header, columns):
     with pytest.raises(DataError, match=f"^{what} must start with columns "
                                         f"{columns} and hold data rows$"):
         read_sample_csv(io.StringIO(text), spec)
+
+
+# -- the byte-scan reader against the loadtxt reader it replaced --------------
+
+EDITS = [
+    lambda f: "-" + f, lambda f: "+" + f, lambda f: "--" + f, lambda f: "-",
+    lambda f: " " + f, lambda f: f + " ", lambda f: "\t" + f, lambda f: "",
+    lambda f: "1" * 18, lambda f: "-" + "9" * 18, lambda f: "1" * 19,
+    lambda f: "9" * 19, lambda f: "9" * 25, lambda f: "\r",
+    lambda f: f + ",", lambda f: f + ",0", lambda f: "," + f,
+    lambda f: "１", lambda f: "٣", lambda f: "é" + f, lambda f: f + "　",
+    lambda f: f + "\r", lambda f: "0" + f, lambda f: f + ".", lambda f: f + "e0",
+    lambda f: f + "e+400", lambda f: "nan", lambda f: "-inf", lambda f: "0x1",
+    lambda f: "1_0", lambda f: f.upper(), lambda f: f + f,
+]
+
+
+def _outcome(reader, text, spec):
+    try:
+        s = reader(io.StringIO(text), spec)
+    except Exception as exc:  # noqa: BLE001 - both readers must fail alike
+        return type(exc).__name__, str(exc)
+    return (s.Y.tobytes(), s.Y0.tobytes(), s.Y.shape, s.Y0.shape,
+            None if s.X is None else (s.X.shape, s.X.tobytes()))
+
+
+@pytest.mark.parametrize("network", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_matches_loadtxt_oracle_on_edited_fields(network, data):
+    s = data.draw(samples(network))
+    buf = io.StringIO()
+    write_sample_csv(s, buf)
+    end = data.draw(st.sampled_from(["\r\n", "\n"]))
+    lines = buf.getvalue().splitlines()
+    k = data.draw(st.integers(2, len(lines) - 1))
+    fields = lines[k].split(",")
+    c = data.draw(st.integers(0, len(fields) - 1))
+    edit = data.draw(st.sampled_from(EDITS) | st.builds(
+        lambda t: lambda f: t, st.text("0123456789-+.e ,\r\t１", max_size=22)))
+    fields[c] = edit(fields[c])
+    lines[k] = ",".join(fields)
+    text = end.join(lines) + end
+    assert (_outcome(read_sample_csv, text, s.spec)
+            == _outcome(loadtxt_read_sample_csv, text, s.spec))
+
+
+ORACLE_TEXTS = {
+    # a "\r" inside a line fails np.loadtxt on the key columns
+    "embedded CR": (fl.build_design("panel_fe", T=2, d_x=1),
+                    "unit,t,y,x1\r\n1,1,0,\r\r\n1,2,0,0\r\n"),
+    # 19 digits overflow int64
+    "19-digit unit": (fl.build_design("panel_fe", T=2, d_x=0),
+                      "unit,t,y\n9999999999999999999,1,0\n9999999999999999999,2,1\n"),
+    "sign alone": (fl.build_design("panel_fe", T=2, d_x=0), "unit,t,y\n-,1,0\n-,2,1\n"),
+    "signs and spaces": (fl.panel_ar(1, 2, d_x=2),
+                         "unit,t,y,x1,x2\n-5,0,1,,\n-5,1,0, 1.5,-2e3\n-5,2,1,+7,\t.5\n"),
+    "nan covariate": (fl.panel_ar(1, 2, d_x=1), "unit,t,y,x1\n1,0,1,\n1,1,0,nan\n1,2,1,0\n"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_TEXTS)
+def test_reader_matches_loadtxt_oracle_on_fixed_texts(case):
+    spec, text = ORACLE_TEXTS[case]
+    assert (_outcome(read_sample_csv, text, spec)
+            == _outcome(loadtxt_read_sample_csv, text, spec))

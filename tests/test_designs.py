@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 import felogit as fl
 import oracles
+from oracles import pair_from_wperp
 from felogit import cli, designs, model
 
 TABLE1 = {
@@ -224,19 +225,19 @@ def test_table1_symmetry_pattern():
 
 
 def test_pair_from_wperp_forced_positions():
-    y1, y2 = fl.pair_from_wperp(np.array([1, -1]))
+    y1, y2 = pair_from_wperp(np.array([1, -1]))
     assert y1.tolist() == [1, 0] and y2.tolist() == [0, 1]
-    y1, y2 = fl.pair_from_wperp(np.array([1, -1, 0]), fill=np.array([1]))
+    y1, y2 = pair_from_wperp(np.array([1, -1, 0]), fill=np.array([1]))
     assert y1.tolist() == [1, 0, 1] and y2.tolist() == [0, 1, 1]
-    y1, y2 = fl.pair_from_wperp(np.array([1, -1, -1, 1]))
+    y1, y2 = pair_from_wperp(np.array([1, -1, -1, 1]))
     assert y1.tolist() == [1, 0, 0, 1] and y2.tolist() == [0, 1, 1, 0]
 
 
 def test_pair_from_wperp_fill_mismatch():
     with pytest.raises(ValueError):
-        fl.pair_from_wperp(np.array([1, -1, 0]), fill=np.array([1, 0]))
+        pair_from_wperp(np.array([1, -1, 0]), fill=np.array([1, 0]))
     with pytest.raises(ValueError):
-        fl.pair_from_wperp(np.array([2, -1]))
+        pair_from_wperp(np.array([2, -1]))
 
 
 def test_pair_subtraction_recovers_wperp_exhaustively():
@@ -246,7 +247,7 @@ def test_pair_subtraction_recovers_wperp_exhaustively():
     for T in range(2, 9):
         for w in itertools.product((-1, 0, 1), repeat=T):
             w = np.array(w)
-            y1, y2 = fl.pair_from_wperp(w)
+            y1, y2 = pair_from_wperp(w)
             assert np.array_equal(y1 - y2, w)
 
 

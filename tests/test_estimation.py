@@ -21,6 +21,7 @@ from felogit.estimation import (
     cmle_static,
     gmm,
 )
+from oracles import CallableMoments
 
 
 def _static_sample(n=2000, T=3, beta=(0.0,), seed=0, rho=0.0):
@@ -237,7 +238,7 @@ def test_gmm_recovers_ar2_closed_form():
 
 def test_gmm_zero_moments_flag_underidentification():
     s = _ar_sample(1, 3, [0.5], n=200, seed=22)
-    zero = moments.CallableMoments(
+    zero = CallableMoments(
         lambda Y, Y0, X, theta: np.zeros((len(Y), 2)), k=2
     )
     rep = gmm(s, zero, np.zeros(1), weighting="identity")
@@ -322,7 +323,7 @@ def test_gmm_fallback_matches_exact_path(name):
     make, ev = GMM_CASES[name]
     s = make()
     exact = gmm(s, ev, np.zeros(2))
-    fallback = gmm(s, moments.CallableMoments(ev.stacked, ev.k), np.zeros(2))
+    fallback = gmm(s, CallableMoments(ev.stacked, ev.k), np.zeros(2))
     assert fallback.diagnostics["jacobian"] == "central_difference"
     np.testing.assert_allclose(fallback.theta, exact.theta, rtol=0, atol=1e-6)
     np.testing.assert_allclose(fallback.std_errors, exact.std_errors, rtol=1e-5)
@@ -528,3 +529,110 @@ def test_analytic_hessians_match_finite_differences():
             e[j] = h
             fd = (fn(beta + e)[1] - fn(beta - e)[1]) / (2 * h)
             np.testing.assert_allclose(fd, H[:, j], rtol=1e-6, atol=1e-6)
+
+
+# -- the segmented core against the block core it replaced -------------------
+
+
+def _as_blocks(core):
+    """The rows of a segmented core as the block oracle's blocks, one
+    per class size."""
+    from oracles import BlockCondLogit
+
+    blocks = BlockCondLogit(core.d)
+    size = np.bincount(core.seg, minlength=core.C)
+    start = np.cumsum(size) - size
+    for m in np.unique(size):
+        at = np.flatnonzero(size == m)
+        blocks.add(core.G[start[at, None] + np.arange(m)], core.own[at] - start[at],
+                   core.w[at], None if core.unit is None else core.unit[at])
+    return blocks
+
+
+def _assert_cores_agree(core, theta):
+    blocks = _as_blocks(core)
+    for got, want in zip((*core(theta), core.meat(theta)),
+                         (*blocks(theta), blocks.meat(theta))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_segmented_core_matches_block_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    sizes = np.array(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=30)))
+    C, R = len(sizes), int(sizes.sum())
+    values = st.floats(-3, 3, allow_subnormal=False)
+    G = data.draw(hnp.arrays(float, (R, d), elements=values))
+    start = np.cumsum(sizes) - sizes
+    own = start + np.array([data.draw(st.integers(0, m - 1)) for m in sizes])
+    w = data.draw(st.none() | hnp.arrays(float, C, elements=st.floats(0.5, 40)))
+    unit = data.draw(st.none() | hnp.arrays(np.int64, C, elements=st.integers(0, 7)))
+    theta = np.array(data.draw(st.lists(values, min_size=d, max_size=d)))
+    _assert_cores_agree(estimation._CondLogit(G, start, own, w, unit), theta)
+
+
+def test_cmle_cores_match_block_oracle():
+    s = _static_sample(n=300, T=4, beta=(0.4, -0.2), seed=44)
+    ar = _ar_sample(2, 4, [0.5, -0.3], n=400, seed=45, stationary=True)
+    cores = [_static_objective(s)[0],
+             _pairwise_objective(s, np.array([[1, 0], [-1, 1], [0, -1], [0, 0]]))[0],
+             _dynamic_core(ar)[0]]
+    assert cores[1].unit is not None and np.any(np.bincount(cores[1].unit) > 1)
+    assert len(set(np.bincount(cores[0].seg))) > 1
+    for core in cores:
+        for theta in ([0.3, -0.6], [-1.2, 0.8]):
+            _assert_cores_agree(core, np.array(theta))
+
+
+def test_newton_counts_evaluations_and_halvings(monkeypatch):
+    def nowhere_better(x):  # the value is finite only at the start
+        return (0.0 if not np.any(x) else np.nan), np.ones(1), -np.eye(1)
+
+    counts = {}
+    *_, stop = estimation._newton(nowhere_better, np.zeros(1), counts=counts)
+    assert stop == "line_search_failed"
+    assert counts == {"n_evaluations": 51, "halvings": 50}
+
+    calls = []
+    core_call = estimation._CondLogit.__call__
+    monkeypatch.setattr(estimation._CondLogit, "__call__",
+                        lambda self, theta: calls.append(1) or core_call(self, theta))
+    s = _static_sample(n=500, T=3, beta=(0.5,), seed=3)
+    ar = _ar_sample(1, 3, [0.5], n=2000, seed=4)
+    # cmle_static evaluates the core once more to test for information
+    for fit, extra in ((lambda: cmle_static(s, init=[3.0]), 1),
+                       (lambda: cmle_pairwise(s, np.array([1, -1, 0]), init=[3.0]), 0),
+                       (lambda: cmle_dynamic_ar(ar, init=[4.0]), 0)):
+        calls.clear()
+        diag = fit().diagnostics
+        assert diag["n_evaluations"] + extra == len(calls)
+        assert diag["n_evaluations"] >= diag["halvings"] + 1
+        assert isinstance(diag["halvings"], int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=hnp.arrays(np.int8, st.tuples(st.integers(1, 60), st.integers(2, 7)),
+                          elements=st.integers(0, 1)))
+def test_count_table_integer_keys_match_byte_order(records):
+    spec = fl.panel_ar(1, records.shape[1] - 1)
+    s = Sample(spec=spec, Y=records[:, 1:], Y0=records[:, :1])
+    cells, counts, inverse = estimation._count_table(s)
+    want, first, cls, sizes = np.unique(records, axis=0, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    if len(want) == s.n:
+        assert cells is s and np.all(counts == 1)
+    else:
+        assert np.array_equal(np.hstack([cells.Y0, cells.Y]), want)
+        assert np.array_equal(counts, sizes) and np.array_equal(inverse, cls.ravel())
+
+
+def test_count_table_with_covariates_compares_whole_records():
+    s = _static_sample(n=40, T=3, beta=(0.5, -0.5), seed=46)
+    assert estimation._count_table(s)[0] is s  # first covariate tells units apart
+    s.X[:, 0, 0] = 1.0  # no longer, but the other covariates still do
+    assert estimation._count_table(s)[0] is s
+    twice = _stack(s, s)
+    cells, counts, inverse = estimation._count_table(twice)
+    assert cells.n == s.n and np.all(counts == 2)
+    assert cells.X[inverse].tobytes() == twice.X.tobytes()

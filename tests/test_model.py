@@ -225,3 +225,17 @@ def test_spec_validation():
             fl.panel_ar(1, 2), np.array([0, 1]), np.array([0]), None,
             [0.1], np.array([np.inf])
         )
+
+
+def test_exact_key_refuses_chained_clusters():
+    # two values 1.2e-9 apart keep two keys; a third between them would
+    # chain all three into one key, so their clusters are ambiguous
+    keys = model.exact_key([[0.1, 0.1 + 1.2e-9]])
+    assert keys[0, 0] != keys[0, 1]
+    with pytest.raises(ValueError, match="chained by gaps of at most 1e-9"):
+        model.exact_key([[0.1, 0.1 + 6e-10, 0.1 + 1.2e-9]])
+    # float noise far below the tolerance still keys alike
+    keys = model.exact_key([[0.1 + 0.2, 0.3]])
+    assert keys[0, 0] == keys[0, 1]
+    with pytest.raises(ValueError, match="chained"):
+        fl.ModelSpec("static", 3, [[0.1, 0.1 + 6e-10, 0.1 + 1.2e-9]], d_x=1)

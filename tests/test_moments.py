@@ -6,11 +6,13 @@ from hypothesis import assume, given, settings
 import felogit as fl
 from felogit import model, moments, sufficiency
 from oracles import (
+    moment_bound,
     mp_null_basis,
     mp_probability_matrix,
     naive_expectation,
     path_probability,
     per_path_coefficients,
+    phi_expand,
     phi_kappa,
     subspace_residual,
     svd_null_space,
@@ -117,9 +119,9 @@ def test_dset_refuses_oversized_general_design():
 
 
 def test_moment_bound_values():
-    assert fl.moment_bound(fl.panel_ar(1, 3), np.array([0]), None, [0.5]) == 2
-    assert fl.moment_bound(fl.panel_ar(2, 3), np.array([0, 0]), None, [0.5, 0.3]) == 0
-    assert fl.moment_bound(fl.panel_ar(2, 4), np.array([0, 0]), None, [0.5, 0.3]) == 4
+    assert moment_bound(fl.panel_ar(1, 3), np.array([0]), None, [0.5]) == 2
+    assert moment_bound(fl.panel_ar(2, 3), np.array([0, 0]), None, [0.5, 0.3]) == 0
+    assert moment_bound(fl.panel_ar(2, 4), np.array([0, 0]), None, [0.5, 0.3]) == 4
 
 
 def test_moment_bound_quarterly_positive_from_T11():
@@ -128,7 +130,7 @@ def test_moment_bound_quarterly_positive_from_T11():
     bounds = {}
     for T in range(6, 13):
         spec = fl.quarterly_ar(1, T)
-        bounds[T] = fl.moment_bound(spec, np.array([0]), None, [0.9])
+        bounds[T] = moment_bound(spec, np.array([0]), None, [0.9])
     assert all(bounds[T] <= 0 for T in range(6, 11))
     assert bounds[11] > 0 and bounds[12] > 0
 
@@ -137,10 +139,10 @@ def test_phi_single_period():
     spec = fl.ModelSpec("static", 1, np.ones((1, 1)), d_x=1)
     theta = np.array([0.7])
     X = np.array([[1.3]])
-    exp_ = fl.phi_expand(spec, np.array([1]), None, X, theta)
+    exp_ = phi_expand(spec, np.array([1]), None, X, theta)
     b = np.exp(0.7 * 1.3)
     assert np.allclose(exp_.per_period[0], [0.0, b])
-    exp0 = fl.phi_expand(spec, np.array([0]), None, X, theta)
+    exp0 = phi_expand(spec, np.array([0]), None, X, theta)
     assert np.allclose(exp0.per_period[0], [1.0])
 
 
@@ -154,7 +156,7 @@ def test_phi_reconstruction_and_mass():
     A_draws = rng.uniform(-2, 2, (5, 1))
     total = {tuple(A): 0.0 for A in A_draws}
     for y in model.all_paths(10):
-        exp_ = fl.phi_expand(spec, y, y0, X, theta)
+        exp_ = phi_expand(spec, y, y0, X, theta)
         for A in A_draws:
             val = phi_kappa(spec, tables, A) * sum(
                 c * np.exp(np.dot(d, A)) for d, c in exp_.grouped.items()

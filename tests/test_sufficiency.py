@@ -555,6 +555,23 @@ def test_key_classes_match_dict_grouping(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_key_class_segments_lay_out_members_class_by_class(data):
+    n = data.draw(st.integers(1, 40))
+    keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                       max_size=n)))
+    got = sufficiency.key_classes(keys)
+    classes = np.array(data.draw(st.lists(
+        st.integers(0, got.sizes.size - 1), max_size=20)), dtype=np.int64)
+    members, start = got.segments(classes)
+    size = got.sizes[classes]
+    assert start.tolist() == (np.cumsum(size) - size).tolist()
+    assert len(members) == size.sum()
+    for c, s, m in zip(classes, start, size):
+        assert members[s:s + m].tolist() == got.members(c, m).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_key_class_blocks_cover_each_multi_member_row_once(data):
     n = data.draw(st.integers(1, 40))
     keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
