@@ -21,6 +21,10 @@ Rows may come in any order, with blank and "#" lines anywhere.  y is 0
 or 1 and covariates are finite.  A malformed file is a usage error: it
 exits 2 with a message naming the data row (counted from 1 after the
 header), or the unit and the period missing or given twice.
+
+``estimate``, ``mc`` and ``verify`` reach every estimator and closed-form
+moment library through one table, ``METHODS`` or ``LIBRARIES``; one applied
+outside the model it holds for exits 2, naming it and the spec.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -55,25 +61,17 @@ def _fmt(x):
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
-
-
-def _echo_config(args):
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(f"# config: {json.dumps(_round_floats(cfg), default=str)}",
-          file=sys.stderr)
 
 
 def _emit(text, output):
@@ -83,6 +81,14 @@ def _emit(text, output):
 
 def _json_out(doc, output):
     _emit(json.dumps(_round_floats(doc), indent=2) + "\n", output)
+
+
+def _csv_out(schema, rows, output):
+    """Emit the ``schema`` comment line, then ``rows`` as CSV."""
+    buf = io.StringIO()
+    buf.write(f"# schema: {SCHEMA[schema]}\n")
+    csv.writer(buf).writerows(rows)
+    _emit(buf.getvalue(), output)
 
 
 class DataError(ValueError):
@@ -352,16 +358,11 @@ def cmd_wperp(args):
 def cmd_table1(args):
     if args.max_p > 6:
         raise DataError(f"--max-p must be at most 6, found {args.max_p}")
-    if args.max_p == 6 and not args.long_run:
-        raise DataError("--max-p 6 scans horizons up to T = 31; pass --long-run")
-    buf = io.StringIO()
-    buf.write(f"# schema: {SCHEMA['table1']}\n")
-    w = csv.writer(buf)
-    w.writerow(["p", "T", "w_perp"])
+    out = [["p", "T", "w_perp"]]
     for p in range(args.max_p + 1):
-        T, vec = designs.minimal_T_polytrend(p, allow_long_run=args.long_run)
-        w.writerow([p, T, " ".join(str(int(v)) for v in vec)])
-    _emit(buf.getvalue(), args.output)
+        T, vec = designs.minimal_T_polytrend(p)
+        out.append([p, T, " ".join(str(int(v)) for v in vec)])
+    _csv_out("table1", out, args.output)
     return 0
 
 
@@ -398,11 +399,6 @@ def cmd_netcond(args):
     return 0
 
 
-def _theta_or_zero(spec, text):
-    theta = _parse_vec(text, "--theta", length=spec.theta_dim)
-    return np.zeros(spec.theta_dim) if theta is None else theta
-
-
 def _load_X(spec, path):
     if path is None:
         return None
@@ -419,7 +415,8 @@ def _load_X(spec, path):
 def _exponent_set(args):
     """The spec, theta, y0 and X of the flags, the caps Q and the DSet."""
     spec = _load_spec(args)
-    theta = _theta_or_zero(spec, args.theta)
+    theta = _parse_vec(args.theta, "--theta", length=spec.theta_dim)
+    theta = np.zeros(spec.theta_dim) if theta is None else theta
     y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
           else np.zeros(spec.y0_len, dtype=np.int8))
     X = _load_X(spec, args.x)
@@ -456,48 +453,79 @@ def cmd_moments(args):
     return 0
 
 
+# -- the method catalogue ------------------------------------------------------
+# A closed-form moment library holds under ``reference(d_x)``, its model at
+# d_x covariates, and each spec of the same family, sizes and d_x whose W rows
+# lie in the row space of its W; ``evaluator(spec, doc)`` is its GMM evaluator
+# or None.  ``verify`` draws under reference(1), theta ~ U(+-h), A ~ U(+-g),
+# and ``named`` gives the (name, MomentFunction) pairs of one draw.
+Library = namedtuple("Library", "reference evaluator h g named")
+LIBRARIES = {
+    "ar2_t3": Library(
+        lambda d_x: designs.panel_ar(2, 3),
+        lambda spec, doc: moments.Ar2T3Moments(), 1.5, 5,
+        lambda spec, rng, theta, y0, X: [("ar2_t3", moments.closed_form_ar2_T3(y0, theta))]),
+    "quarterly_t6": Library(
+        lambda d_x: designs.quarterly_ar(1, 6, d_x),
+        lambda spec, doc: moments.QuarterlyT6Moments(spec.d_x, doc.get("instruments", True)),
+        1, 3, lambda spec, rng, theta, y0, X: zip(
+            ("quarterly_m1", "quarterly_m2"),
+            moments.closed_form_quarterly_T6(theta, y0[0], X))),
+    "network_t3": Library(
+        lambda d_x: model.network_design(3, 3, d_x), None, 0.8, 2,
+        lambda spec, rng, theta, y0, X: [(
+            "network_t3", moments.closed_form_network_transition(
+                spec, rng.integers(0, 2, spec.y0_len), theta, y0, X))]),
+}
+
+
 def cmd_verify(args):
-    rng = np.random.default_rng(args.seed)
-    buf = io.StringIO()
-    buf.write(f"# schema: {SCHEMA['verify']}\n")
-    w = csv.writer(buf)
-    w.writerow(["draw", "moment", "residual"])
+    lib, rng = LIBRARIES[args.moment], np.random.default_rng(args.seed)
+    spec, out = lib.reference(1), [["draw", "moment", "residual"]]
     for draw in range(args.draws):
-        if args.moment == "ar2_t3":
-            spec = designs.panel_ar(2, 3)
-            theta = rng.uniform(-1.5, 1.5, 2)
-            y0 = rng.integers(0, 2, 2)
-            m = moments.closed_form_ar2_T3(tuple(y0), theta)
-            grid = rng.uniform(-5, 5, (10, 1))
-            res = [("ar2_t3", moments.verify_moment(m, spec, y0, None, theta, grid))]
-        elif args.moment == "quarterly_t6":
-            spec = designs.quarterly_ar(1, 6, d_x=1)
-            theta = rng.uniform(-1, 1, 2)
-            X = rng.normal(size=(1, 6))
-            y0 = int(rng.integers(0, 2))
-            m1, m2 = moments.closed_form_quarterly_T6(theta, y0, X)
-            grid = rng.uniform(-3, 3, (10, 4))
-            res = [
-                ("quarterly_m1",
-                 moments.verify_moment(m1, spec, np.array([y0]), X, theta, grid)),
-                ("quarterly_m2",
-                 moments.verify_moment(m2, spec, np.array([y0]), X, theta, grid)),
-            ]
-        elif args.moment == "network_t3":
-            spec = model.network_design(3, 3, d_x=1)
-            theta = rng.uniform(-0.8, 0.8, 3)
-            X = rng.normal(size=(1, 9))
-            y0 = rng.integers(0, 2, 3)
-            ref = rng.integers(0, 2, 3)
-            m = moments.closed_form_network_transition(spec, ref, theta, y0, X)
-            grid = rng.uniform(-2, 2, (10, 3))
-            res = [("network_t3", moments.verify_moment(m, spec, y0, X, theta, grid))]
-        else:
-            raise ValueError(f"unknown moment family {args.moment!r}")
-        for name, r in res:
-            w.writerow([draw, name, _fmt(r)])
-    _emit(buf.getvalue(), args.output)
+        theta = rng.uniform(-lib.h, lib.h, spec.theta_dim)
+        X = rng.normal(size=(spec.d_x, spec.T)) if spec.d_x else None
+        y0 = rng.integers(0, 2, spec.y0_len)
+        named = lib.named(spec, rng, theta, y0, X)  # may draw before the grid
+        grid = rng.uniform(-lib.g, lib.g, (10, spec.d_w))
+        out += [[draw, name, _fmt(moments.verify_moment(m, spec, y0, X, theta, grid))]
+                for name, m in named]
+    _csv_out("verify", out, args.output)
     return 0
+
+
+def _cmle(doc, spec, init):
+    return partial(estimation.cmle_static if spec.family == model.STATIC
+                   else estimation.cmle_dynamic_ar, init=init)
+
+
+def _pairwise(doc, spec, init):
+    sols = doc["wperp"] if "wperp" in doc else designs.find_wperp(spec.W, max_solutions=16)
+    if not len(sols):
+        raise NoInformationError("design admits no differencing vector")
+    return partial(estimation.cmle_pairwise, Wperp=np.asarray(sols, dtype=np.int64).T,
+                   init=init)
+
+
+def _gmm(doc, spec, init):
+    name = doc.get("moments", "ar2_t3")
+    lib = LIBRARIES.get(name)
+    if lib is None or lib.evaluator is None:
+        raise DataError(f"unknown GMM moment set {name!r}")
+    ref, rank = lib.reference(spec.d_x), np.linalg.matrix_rank
+    sizes = [(s.family, s.p, s.n, s.tau, s.T, s.d_x) for s in (ref, spec)]
+    if sizes[0] != sizes[1] or rank(np.vstack([ref.W, spec.W])) != rank(ref.W):
+        raise DataError(f"moment library {name} holds under {ref!r} and the designs "
+                        f"whose W rows lie in its row space, found {spec!r}")
+    return partial(estimation.gmm, moments=lib.evaluator(spec, doc), init=init,
+                   weighting=doc.get("weighting", "two-step"))
+
+
+METHODS = {  # name: (estimator builder, {family it takes: with covariates?})
+    "cmle": (_cmle, {model.STATIC: True, model.AR: False}),
+    "pairwise": (_pairwise, {model.STATIC: True}),
+    "gmm": (_gmm, None),  # the moment library decides
+}
 
 
 def _dgp_from_doc(doc):
@@ -528,49 +556,28 @@ def cmd_simulate(args):
 
 
 def _build_estimator(doc, spec):
+    """The estimator that ``doc`` names for samples of ``spec``; a method or
+    moment library that does not hold under ``spec`` raises DataError."""
     method = doc["method"]
-    init = np.asarray(doc["init"], dtype=float) if "init" in doc else None
-    if init is not None and init.shape != (spec.theta_dim,):
+    init = np.asarray(doc.get("init", np.zeros(spec.theta_dim)), dtype=float)
+    if init.shape != (spec.theta_dim,):
         raise DataError(f"init must have length {spec.theta_dim}, found {init.size}")
-
-    if method == "cmle":
-        if spec.family == model.STATIC:
-            return lambda s: estimation.cmle_static(s, init=init)
-        return lambda s: estimation.cmle_dynamic_ar(s, init=init)
-    if method == "pairwise":
-        if "wperp" in doc:
-            Wp = np.asarray(doc["wperp"], dtype=np.int64).T
-        else:
-            sols = designs.find_wperp(spec.W, max_solutions=16)
-            if not sols:
-                raise NoInformationError("design admits no differencing vector")
-            Wp = np.stack(sols, axis=1)
-        return lambda s: estimation.cmle_pairwise(s, Wp, init=init)
-    if method == "gmm":
-        name = doc.get("moments", "ar2_t3")
-        if name == "ar2_t3":
-            ev = moments.Ar2T3Moments()
-        elif name == "quarterly_t6":
-            ev = moments.QuarterlyT6Moments(
-                d_x=spec.d_x, instruments=doc.get("instruments", True)
-            )
-        else:
-            raise DataError(f"unknown moment set {name!r}")
-        start = np.zeros(spec.theta_dim) if init is None else init
-        weighting = doc.get("weighting", "two-step")
-        return lambda s: estimation.gmm(s, ev, start, weighting=weighting)
-    raise DataError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise DataError(f"unknown method {method!r}")
+    build, takes = METHODS[method]
+    if takes is not None and takes.get(spec.family) != (spec.d_x > 0):
+        rules = " or ".join(f"{family} designs with d_x {'>= 1' if x else '= 0'}"
+                            for family, x in takes.items())
+        raise DataError(f"{method} takes {rules}, found {spec!r}")
+    return build(doc, spec, init)
 
 
 def cmd_estimate(args):
     spec = _load_spec(args)
     with open(args.data) as fh:
         sample = read_sample_csv(fh, spec)
-    doc = {"method": args.method}
-    if args.moments:
-        doc["moments"] = args.moments
-    if args.weighting:
-        doc["weighting"] = args.weighting
+    doc = {key: getattr(args, key) for key in ("method", "moments", "weighting")
+           if getattr(args, key)}
     if args.init:
         doc["init"] = _parse_vec(args.init, "--init", length=spec.theta_dim).tolist()
     if args.wperp:
@@ -589,28 +596,25 @@ def cmd_mc(args):
         reps = model.checked_int("replications", doc.get("replications"), 1)
         threads = args.threads or model.checked_int("threads", doc.get("threads", 1), 1)
     rows, summary = simulate.monte_carlo(cfg, estimator, reps, threads=threads)
-    buf = io.StringIO()
-    buf.write(f"# schema: {SCHEMA['mc']}\n")
-    w = csv.writer(buf)
-    w.writerow(["kind", "rep", "seed", "name", "estimate", "se",
-                "converged", "error", "bias", "rmse", "coverage", "n_ok", "elapsed_s"])
+    out = [["kind", "rep", "seed", "name", "estimate", "se",
+            "converged", "error", "bias", "rmse", "coverage", "n_ok", "elapsed_s"]]
     names = [k for k in summary if k != "n_failed"]
     for r in rows:
         for name in names:
             if name not in r:
                 continue
-            w.writerow(["rep", r["rep"], r["seed"], name, _fmt(r[name]),
+            out.append(["rep", r["rep"], r["seed"], name, _fmt(r[name]),
                         _fmt(r[f"se_{name}"]), r.get("converged", ""),
                         "", "", "", "", "", _fmt(r["elapsed_s"])])
         if "error" in r:
-            w.writerow(["rep", r["rep"], r["seed"], "", "", "", "",
+            out.append(["rep", r["rep"], r["seed"], "", "", "", "",
                         r["error"], "", "", "", "", _fmt(r["elapsed_s"])])
     for name in names:
         s = summary[name]
-        w.writerow(["summary", "", "", name, "", "", "", "",
+        out.append(["summary", "", "", name, "", "", "", "",
                     _fmt(s["bias"]), _fmt(s["rmse"]), _fmt(s["coverage"]),
                     s["n_ok"], ""])
-    _emit(buf.getvalue(), args.output)
+    _csv_out("mc", out, args.output)
     return 0
 
 
@@ -625,13 +629,8 @@ def build_parser():
     def add_design_flags(p):
         p.add_argument("--model", help="model-spec JSON file")
         p.add_argument("--design", help="design family name")
-        p.add_argument("--T", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--tau", type=int)
-        p.add_argument("--n1", type=int)
-        p.add_argument("--n2", type=int)
-        p.add_argument("--n3", type=int)
+        for size in ("T", "p", "n", "tau", "n1", "n2", "n3"):
+            p.add_argument(f"--{size}", type=int)
         p.add_argument("--d-x", dest="d_x", type=int, default=0)
 
     p = sub.add_parser("wperp", help="search differencing vectors")
@@ -641,8 +640,6 @@ def build_parser():
 
     p = sub.add_parser("table1", help="minimal T per trend degree, as CSV")
     p.add_argument("--max-p", type=int, default=5)
-    p.add_argument("--long-run", action="store_true",
-                   help="allow the p=6 scan (T up to 31)")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("pairs", help="identifying AR(1) pairs")
@@ -677,8 +674,7 @@ def build_parser():
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", help="closed-form moment residuals")
-    p.add_argument("--moment", required=True,
-                   choices=["ar2_t3", "quarterly_t6", "network_t3"])
+    p.add_argument("--moment", required=True, choices=list(LIBRARIES))
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
@@ -686,9 +682,8 @@ def build_parser():
     p = sub.add_parser("estimate", help="fit a sample file")
     add_design_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["cmle", "pairwise", "gmm"])
-    p.add_argument("--moments", choices=["ar2_t3", "quarterly_t6"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
+    p.add_argument("--moments", choices=[k for k, lib in LIBRARIES.items() if lib.evaluator])
     p.add_argument("--weighting", choices=["identity", "two-step"])
     p.add_argument("--init")
     p.add_argument("--wperp")
@@ -712,7 +707,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    _echo_config(args)
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    print(f"# config: {json.dumps(_round_floats(cfg), default=str)}", file=sys.stderr)
     try:
         return args.func(args)
     except NoInformationError as exc:
@@ -721,7 +717,8 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # every file the command reads is named by the user
-        return 2 if isinstance(exc, (DataError, FileNotFoundError, model.TooLarge)) else 1
+        refused = (DataError, FileNotFoundError, model.TooLarge, model.NoExactKey)
+        return 2 if isinstance(exc, refused) else 1
 
 
 if __name__ == "__main__":

@@ -306,6 +306,10 @@ def shared_friends(spec, nets):
     return R
 
 
+class NoExactKey(ValueError):
+    """Values, all derived from a user's design W, that no exact key groups."""
+
+
 def exact_key(values):
     """Exact comparison key of design columns W or loadings W y.
 
@@ -314,7 +318,7 @@ def exact_key(values):
     each value maps to the start of its cluster, so that float noise
     (0.1 + 0.2 against 0.3) gives one key even across a rounding
     boundary.  A cluster wider than 1e-9 would key values by their
-    neighbours in the call, so it raises ValueError.  Keys compare
+    neighbours in the call, so it raises NoExactKey.  Keys compare
     within one call only.
     """
     values = np.asarray(values, dtype=float)
@@ -326,7 +330,7 @@ def exact_key(values):
     lo, hi = ranked[start], ranked[np.append(start[1:], True)]
     if np.any(hi - lo > 1e-9):
         a, b = (float(v[hi - lo > 1e-9][0]) for v in (lo, hi))
-        raise ValueError(f"values {a!r} to {b!r} are chained by gaps of at most "
+        raise NoExactKey(f"values {a!r} to {b!r} are chained by gaps of at most "
                          f"1e-9 but span {b - a:.3g}: no exact key")
     return lo[np.cumsum(start) - 1][inverse].reshape(values.shape)
 

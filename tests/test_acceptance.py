@@ -49,7 +49,7 @@ def test_criterion_1_table1_reproduction():
 
 
 def test_criterion_1_long_run_p6():
-    T, w = fl.minimal_T_polytrend(6, allow_long_run=True)
+    T, w = fl.minimal_T_polytrend(6)
     assert T == 31
     assert np.all(designs.poly_trend_matrix(6, 31).astype(np.int64) @ w == 0)
     _ok("criterion 1 (long run): p=6 minimal T = 31")

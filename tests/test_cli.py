@@ -148,6 +148,50 @@ def test_chained_design_columns_exit_2(tmp_path, capsys):
     assert "chained by gaps of at most 1e-9" in err
 
 
+def test_chained_loadings_exit_2(tmp_path, capsys):
+    # the columns key apart, but the loadings W y of the paths chain:
+    # 0.3 (y4), 0.3000000006 (y1 + y2) and 0.3000000012 (y3)
+    W = [[0.1, 0.2000000006, 0.3000000012, 0.3]]
+    spec = fl.ModelSpec("static", 4, W, d_x=1)
+    path, data = tmp_path / "chained.json", tmp_path / "chained.csv"
+    path.write_text(spec.to_json())
+    with open(data, "w") as fh:
+        write_sample_csv(simulate.generate(simulate.DGPConfig(
+            spec=spec, theta=[1.0], n=50, seed=1)), fh)
+    code, out, err = run(capsys, "estimate", "--model", str(path), "--data", str(data),
+                         "--method", "cmle")
+    assert code == 2 and out == ""
+    assert "error: values 0.3 to 0.3000000012 are chained by gaps of at most 1e-9" in err
+
+
+def test_mc_model_mismatch_is_refused_before_any_replication(tmp_path, capsys,
+                                                             monkeypatch):
+    def no_replication(*args, **kwargs):
+        pytest.fail("a replication ran")
+
+    monkeypatch.setattr(simulate, "generate", no_replication)
+    monkeypatch.setattr(simulate, "monte_carlo", no_replication)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({
+        "dgp": {"design": {"design": "trend-ar", "T": 6, "d_x": 1},
+                "theta": [0.5, 1.0], "n": 500, "seed": 1},
+        "estimator": {"method": "gmm", "moments": "quarterly_t6"}, "replications": 3}))
+    code, out, err = run(capsys, "mc", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "error: moment library quarterly_t6 holds under" in err
+
+
+def test_gmm_quarterly_moments_take_the_nested_panel_ar1(tmp_path, capsys):
+    # W = 1' lies in the row space of the quarterly design, so the
+    # quarterly T=6 moments hold for panel AR(1) T=6
+    argv = ("estimate", *AR, "1", "--T", "6", "--d-x", "1", "--method", "gmm",
+            "--moments", "quarterly_t6")
+    code, out, err = run(capsys, *argv, "--data", _sample_file(tmp_path, argv))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert list(doc["theta"]) == ["gamma1", "beta1"] and doc["diagnostics"]["n_moments"] == 6
+
+
 def test_bad_init_exits_2(tmp_path, capsys):
     s = simulate.generate(simulate.DGPConfig(
         spec=fl.panel_ar(1, 3), theta=np.array([0.5]), n=4, seed=2))
@@ -222,11 +266,17 @@ def test_covariate_file_is_read(tmp_path, capsys):
     assert code == 0 and json.loads(out)["Q"] == [1, 2, 2]
 
 
-def test_verify_csv(capsys):
-    code, out, _ = run(capsys, "verify", "--moment", "ar2_t3", "--draws", "3")
+@pytest.mark.parametrize("moment, names", [
+    ("ar2_t3", {"ar2_t3"}),
+    ("quarterly_t6", {"quarterly_m1", "quarterly_m2"}),
+    ("network_t3", {"network_t3"}),
+])
+def test_verify_csv(capsys, moment, names):
+    code, out, _ = run(capsys, "verify", "--moment", moment, "--draws", "3")
     assert code == 0
     rows = list(csv.reader(out.splitlines()[1:]))
     assert rows[0] == ["draw", "moment", "residual"]
+    assert len(rows) == 1 + 3 * len(names) and {r[1] for r in rows[1:]} == names
     assert all(float(r[2]) < 1e-8 for r in rows[1:])
 
 
@@ -237,6 +287,7 @@ def test_usage_error_exits_2():
 
 
 DGP = {"design": {"design": "ar", "p": 1, "T": 3}, "theta": [0.5], "n": 5}
+TREND_AR = {"design": "trend-ar", "T": 6, "d_x": 1}
 
 
 def _dgp(**change):
@@ -292,6 +343,13 @@ def _dgp(**change):
     pytest.param(("mc", "--config"),
                  {"dgp": DGP, "estimator": {"method": "ols"}, "replications": 2},
                  "error: unknown method 'ols'", id="mc unknown method"),
+    pytest.param(("mc", "--config"),
+                 {"dgp": _dgp(design=TREND_AR, theta=[0.5, 1.0]), "replications": 2,
+                  "estimator": {"method": "gmm", "moments": "quarterly_t6"}},
+                 "error: moment library quarterly_t6 holds under ModelSpec(ar, T=6, "
+                 "d_w=4, d_x=1, p=1) and the designs whose W rows lie in its row space, "
+                 "found ModelSpec(ar, T=6, d_w=2, d_x=1, p=1)",
+                 id="mc trend-ar quarterly_t6"),
     pytest.param(("wperp", "--model"), {"family": "ar", "T": 3, "p": 1},
                  "lacks key 'W'", id="model without W"),
     pytest.param(("wperp", "--model"), {"family": "ar", "T": 3, "p": 1, "W": [[1, 1]]},
@@ -363,6 +421,27 @@ def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
     assert "error: path enumeration over 2^25 = 33,554,432 paths" in err
 
 
+AR = ("--design", "ar", "--p")
+NETWORK = ("--design", "network", "--n", "3", "--tau", "3")
+CMLE_TAKES = "cmle takes static designs with d_x >= 1 or ar designs with d_x = 0"
+
+
+def _held_under(library, reference, found):
+    return (f"error: moment library {library} holds under ModelSpec({reference}) and the "
+            f"designs whose W rows lie in its row space, found ModelSpec({found})\n")
+
+
+def _sample_file(tmp_path, argv):
+    """A 20-unit sample of the model of ``estimate`` flags ``argv``, as a CSV file."""
+    spec = cli._load_spec(cli.build_parser().parse_args([*argv, "--data", ""]))
+    sample = simulate.generate(simulate.DGPConfig(
+        spec=spec, theta=np.full(spec.theta_dim, 0.5), n=20, seed=1))
+    path = tmp_path / "sample.csv"
+    with open(path, "w") as fh:
+        write_sample_csv(sample, fh)
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("pairs", "--design", "quarterly", "--p", "2", "--T", "5", "--y0", "00"),
                  "error: pairs needs an AR(1) design (--p 1)", id="pairs AR(2)"),
@@ -370,13 +449,38 @@ def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
                   "--y0", "0", "--theta", "0.3,0.2"),
                  "error: pairs is covariate-free (--d-x 0), found d_x = 1",
                  id="pairs with covariates"),
-    pytest.param(("table1", "--max-p", "6"),
-                 "error: --max-p 6 scans horizons up to T = 31; pass --long-run",
-                 id="table1 p=6 without --long-run"),
-    pytest.param(("table1", "--max-p", "7", "--long-run"),
+    pytest.param(("table1", "--max-p", "7"),
                  "error: --max-p must be at most 6, found 7", id="table1 p=7"),
+    # a method or moment library applied outside the model it holds for
+    pytest.param(("estimate", "--design", "trend-ar", "--T", "6", "--d-x", "1",
+                  "--method", "gmm", "--moments", "quarterly_t6"),
+                 _held_under("quarterly_t6", "ar, T=6, d_w=4, d_x=1, p=1",
+                             "ar, T=6, d_w=2, d_x=1, p=1"), id="gmm quarterly_t6 trend-AR"),
+    pytest.param(("estimate", *AR, "2", "--T", "4", "--method", "gmm"),
+                 _held_under("ar2_t3", "ar, T=3, d_w=1, d_x=0, p=2",
+                             "ar, T=4, d_w=1, d_x=0, p=2"), id="gmm ar2_t3 AR(2) T=4"),
+    pytest.param(("estimate", *AR, "2", "--T", "3", "--d-x", "1", "--method", "gmm"),
+                 _held_under("ar2_t3", "ar, T=3, d_w=1, d_x=0, p=2",
+                             "ar, T=3, d_w=1, d_x=1, p=2"), id="gmm ar2_t3 AR(2) d_x=1"),
+    pytest.param(("estimate", *NETWORK, "--method", "gmm"),
+                 _held_under("ar2_t3", "ar, T=3, d_w=1, d_x=0, p=2",
+                             "network, T=9, d_w=3, d_x=0, n=3, tau=3"), id="gmm network"),
+    pytest.param(("estimate", *NETWORK, "--method", "cmle"),
+                 f"error: {CMLE_TAKES}, found ModelSpec(network, T=9, d_w=3, d_x=0, n=3, "
+                 "tau=3)\n", id="cmle network"),
+    pytest.param(("estimate", *AR, "1", "--T", "6", "--d-x", "1", "--method", "cmle"),
+                 f"error: {CMLE_TAKES}, found ModelSpec(ar, T=6, d_w=1, d_x=1, p=1)\n",
+                 id="cmle AR(1) d_x=1"),
+    pytest.param(("estimate", "--design", "panel", "--T", "3", "--method", "cmle"),
+                 f"error: {CMLE_TAKES}, found ModelSpec(static, T=3, d_w=1, d_x=0)\n",
+                 id="cmle static d_x=0"),
+    pytest.param(("estimate", *AR, "1", "--T", "6", "--d-x", "1", "--method", "pairwise"),
+                 "error: pairwise takes static designs with d_x >= 1, found "
+                 "ModelSpec(ar, T=6, d_w=1, d_x=1, p=1)\n", id="pairwise AR(1) d_x=1"),
 ])
-def test_flag_outside_its_range_exits_2(capsys, argv, message):
+def test_flag_outside_its_range_exits_2(tmp_path, capsys, argv, message):
+    if argv[0] == "estimate":  # a small sample of the model that the flags give
+        argv = (*argv, "--data", _sample_file(tmp_path, argv))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err

@@ -211,11 +211,6 @@ def test_minimal_T_certifies_shorter_horizons():
     assert fl.find_wperp(designs.poly_trend_matrix(2, T - 1)) == []
 
 
-def test_p6_requires_long_run_flag():
-    with pytest.raises(ValueError):
-        fl.minimal_T_polytrend(6)
-
-
 def test_table1_symmetry_pattern():
     # even degrees produce antisymmetric vectors, odd degrees symmetric;
     # the recursive construction is only checked, not used for search
