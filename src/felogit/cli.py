@@ -503,6 +503,12 @@ def _pairwise(doc, spec, init):
     sols = doc["wperp"] if "wperp" in doc else designs.find_wperp(spec.W, max_solutions=16)
     if not len(sols):
         raise NoInformationError("design admits no differencing vector")
+    for w in doc.get("wperp", ()):
+        v = np.asarray(w)
+        if (v.shape != (spec.T,) or not set(v.tolist()) <= {-1, 0, 1} or not v.any()
+                or np.abs(spec.W @ v).max() > 1e-9 * np.abs(spec.W).sum()):
+            raise DataError(f"differencing vector {w} must have length {spec.T}, entries in "
+                            f"-1, 0, 1, a nonzero entry and W w = 0 under {spec!r}")
     return partial(estimation.cmle_pairwise, Wperp=np.asarray(sols, dtype=np.int64).T,
                    init=init)
 
@@ -517,10 +523,14 @@ def _gmm(doc, spec, init):
     if sizes[0] != sizes[1] or rank(np.vstack([ref.W, spec.W])) != rank(ref.W):
         raise DataError(f"moment library {name} holds under {ref!r} and the designs "
                         f"whose W rows lie in its row space, found {spec!r}")
+    weighting = doc.get("weighting", "two-step")
+    if weighting not in WEIGHTINGS:
+        raise DataError(f"weighting must be {' or '.join(WEIGHTINGS)}, found {weighting!r}")
     return partial(estimation.gmm, moments=lib.evaluator(spec, doc), init=init,
-                   weighting=doc.get("weighting", "two-step"))
+                   weighting=weighting)
 
 
+WEIGHTINGS = ("identity", "two-step")
 METHODS = {  # name: (estimator builder, {family it takes: with covariates?})
     "cmle": (_cmle, {model.STATIC: True, model.AR: False}),
     "pairwise": (_pairwise, {model.STATIC: True}),
@@ -684,7 +694,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--moments", choices=[k for k, lib in LIBRARIES.items() if lib.evaluator])
-    p.add_argument("--weighting", choices=["identity", "two-step"])
+    p.add_argument("--weighting", choices=WEIGHTINGS)
     p.add_argument("--init")
     p.add_argument("--wperp")
     p.set_defaults(func=cmd_estimate)

@@ -125,7 +125,7 @@ _FRONTIER_CHUNK = 1 << 16
 _STEPS = np.array([-1, 0, 1], dtype=np.int8)
 
 
-def find_wperp(W, max_solutions=None, require_nonzero=True):
+def find_wperp(W, max_solutions=None):
     """All w in {-1,0,1}^T with W w = 0, up to global sign.
 
     Exhaustive level-synchronous search over the 3^T assignments.  A
@@ -169,9 +169,8 @@ def find_wperp(W, max_solutions=None, require_nonzero=True):
     while stack and n_found < limit:
         i, S, V, nz = stack.pop()
         if i == T:
-            hits = V[nz] if require_nonzero else V
-            found.append(hits)
-            n_found += len(hits)
+            found.append(V[nz])
+            n_found += int(nz.sum())
             continue
         # children in lexicographic order: state-major, then -1, 0, +1;
         # -1 only after a nonzero entry

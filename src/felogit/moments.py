@@ -44,7 +44,7 @@ from .model import (
     path_index,
     step_index,
 )
-from .sufficiency import column_groups, key_classes
+from .sufficiency import column_classes
 
 _VALUE_TOL = 1e-12
 
@@ -254,7 +254,7 @@ class NullspaceReport:
 def _null_space(M):
     """Singular values, rank and orthonormal null-space basis (rows) of M
     with its rows max-normalized, built as ``nullspace_moments`` says."""
-    n, groups = M.shape[1], key_classes(column_groups(M))
+    n, groups = M.shape[1], column_classes(M)
     count, B = groups.sizes, M[:, groups.first]
     scale = np.abs(B).max(axis=1, keepdims=True)
     B = B / np.where(scale == 0, 1.0, scale) * np.sqrt(count)
@@ -273,9 +273,9 @@ def _null_space(M):
     row[at] = np.arange(len(Z), n - rank)
     k = groups.rank[at]
     basis[row[at], at] = -np.sqrt(k / (k + 1))
-    for _, members in groups.blocks(np.arange(count.size)):
-        i, k = np.triu_indices(members.shape[1], 1)
-        basis[row[members[:, k]], members[:, i]] = 1 / np.sqrt(k * (k + 1))
+    a, b = groups.pairs()
+    k = groups.rank[b]
+    basis[row[b], a] = 1 / np.sqrt(k * (k + 1))
     return np.concatenate([s, np.zeros(min(M.shape) - s.size)]), rank, basis
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from time import perf_counter
 
 import numpy as np
@@ -19,28 +20,55 @@ from scipy.special import expit
 from .estimation import NoInformationError, Sample
 from .model import checked_int, feature_index, lag_features
 
-# The kinds each law may take.  DGPConfig checks them, so each draw
-# below takes its last kind untested.
-LAWS = {"a_law": ("normal", "correlated", "two_point"),
-        "x_law": ("iid_normal", "ar", "constant"),
-        "y0_law": ("fixed", "stationary")}
+# Each law's kinds, each kind's parameters and their defaults.  DGPConfig
+# refuses other keys and fills in the defaults, so the draws below read
+# every parameter as it is and take a law's last kind untested.
+LAWS = {"a_law": {"normal": {"loc": 0.0, "scale": 1.0},
+                  "correlated": {"rho": 0.5, "scale": 1.0},
+                  "two_point": {"lo": -1.0, "hi": 1.0, "p": 0.5}},
+        "x_law": {"iid_normal": {"scale": 1.0}, "ar": {"phi": 0.5, "scale": 1.0},
+                  "constant": {"scale": 1.0}},
+        "y0_law": {"fixed": {"value": 0}, "stationary": {"burn_in": 50}}}
+# Parameters held to a narrower range than the finite numbers, with that
+# range as a refusal states it.
+_RANGES = {"scale": (" >= 0", lambda v: v >= 0),
+           "phi": (" in (-1, 1)", lambda v: abs(v) < 1),
+           "p": (" in [0, 1]", lambda v: 0 <= v <= 1)}
+
+
+def _checked_law(key, law):
+    """``law`` with its kind's parameters checked and defaults filled in."""
+    kinds = LAWS[key]
+    if not isinstance(law, dict) or law.get("kind") not in kinds:
+        raise ValueError(f"{key} must have kind {' or '.join(kinds)}, found {law!r}")
+    known, params = kinds[law["kind"]], {**kinds[law["kind"]], **law}
+    unknown = sorted(set(params) - {"kind", *known})
+    if unknown:
+        raise ValueError(f"{key} {law['kind']} takes {', '.join(known)}, "
+                         f"found {', '.join(unknown)}")
+    for name, v in params.items():
+        if name == "burn_in":
+            params[name] = checked_int(f"{key} burn_in", v, 0)
+        elif name not in ("kind", "value"):
+            rule, ok = _RANGES.get(name, ("", np.isfinite))
+            if not isinstance(v, Real) or not np.isfinite(v) or not ok(v):
+                raise ValueError(f"{key} {name} must be a finite number{rule}, found {v!r}")
+            params[name] = float(v)
+    return params
 
 
 @dataclass
 class DGPConfig:
     """Simulation design: model, truth, laws for (A, X, Y0), size, seed.
 
-    Laws are dicts with a ``kind`` field:
-
-    * a_law: ``normal`` (loc, scale), ``correlated`` (rho, scale; A_k =
-      rho * mean_t x_1t + noise), ``two_point`` (lo, hi, p).
-    * x_law: ``iid_normal`` (scale), ``ar`` (phi, scale), ``constant``
-      (scale).
-    * y0_law: ``fixed`` (value: 0, 1 or y0_len outcomes of 0/1),
-      ``stationary`` (burn_in, default 50).  The burn-in rolls the model
-      forward from an all-zero state over burn_in steps; step b uses the
-      effects and covariates of step b mod (number of steps), i.e.
-      period b mod T of an AR panel and period b mod tau of a network.
+    Laws are dicts with a ``kind`` field and that kind's parameters in
+    ``LAWS``: scale >= 0, |phi| < 1, 0 <= p <= 1, an integer burn_in >= 0
+    and other numbers finite.  A ``correlated`` a_law draws A_k = rho *
+    mean_t x_1t + noise; a ``fixed`` y0_law value is 0, 1 or y0_len 0/1
+    outcomes.  A ``stationary`` y0 rolls the model forward from an
+    all-zero state over burn_in steps; step b uses the effects and
+    covariates of step b mod (number of steps), i.e. period b mod T of
+    an AR panel and period b mod tau of a network.
     """
 
     spec: object
@@ -58,59 +86,44 @@ class DGPConfig:
                              f"found {self.theta.size}")
         self.n = checked_int("n", self.n, 1)
         self.seed = checked_int("seed", self.seed, 0)
-        for key, kinds in LAWS.items():
-            law = getattr(self, key)
-            if not isinstance(law, dict) or law.get("kind") not in kinds:
-                raise ValueError(f"{key} must have kind {' or '.join(kinds)}, "
-                                 f"found {law!r}")
+        for key in LAWS:
+            setattr(self, key, _checked_law(key, getattr(self, key)))
         if self.a_law["kind"] == "correlated" and self.spec.d_x == 0:
             raise ValueError("correlated a_law needs at least one covariate")
         if self.y0_law["kind"] == "fixed":
-            value = np.asarray(self.y0_law.get("value", 0))
+            value = np.asarray(self.y0_law["value"])
             if value.shape not in ((), (self.spec.y0_len,)) or not set(value.flat) <= {0, 1}:
                 raise ValueError(f"fixed y0_law value must be 0, 1 or a 0/1 list of "
                                  f"length {self.spec.y0_len}, found {value.tolist()!r}")
 
 
 def _draw_X(cfg, rng):
-    spec = cfg.spec
-    n, d_x, T = cfg.n, spec.d_x, spec.T
+    spec, law = cfg.spec, cfg.x_law
+    n, d_x, T, scale = cfg.n, spec.d_x, spec.T, law["scale"]
     if d_x == 0:
         return None
-    law = cfg.x_law
-    scale = float(law.get("scale", 1.0))
     if law["kind"] == "iid_normal":
         return scale * rng.standard_normal((n, d_x, T))
     if law["kind"] == "ar":
-        phi = float(law.get("phi", 0.5))
+        phi = law["phi"]
         X = np.empty((n, d_x, T))
         X[:, :, 0] = scale * rng.standard_normal((n, d_x))
         for t in range(1, T):
-            X[:, :, t] = phi * X[:, :, t - 1] + scale * np.sqrt(
-                1 - phi**2
-            ) * rng.standard_normal((n, d_x))
+            X[:, :, t] = (phi * X[:, :, t - 1]
+                          + scale * np.sqrt(1 - phi**2) * rng.standard_normal((n, d_x)))
         return X
     base = scale * rng.standard_normal((n, d_x, 1))  # "constant"
     return np.repeat(base, T, axis=2)
 
 
 def _draw_A(cfg, X, rng):
-    spec = cfg.spec
-    n, d_w = cfg.n, spec.d_w
-    law = cfg.a_law
-    kind = law["kind"]
-    if kind == "normal":
-        return float(law.get("loc", 0.0)) + float(
-            law.get("scale", 1.0)
-        ) * rng.standard_normal((n, d_w))
-    if kind == "correlated":
-        rho = float(law.get("rho", 0.5))
-        scale = float(law.get("scale", 1.0))
-        base = rho * X[:, 0, :].mean(axis=1)
-        return base[:, None] + scale * rng.standard_normal((n, d_w))
-    lo, hi = float(law.get("lo", -1.0)), float(law.get("hi", 1.0))  # "two_point"
-    p = float(law.get("p", 0.5))
-    return np.where(rng.random((n, d_w)) < p, hi, lo)
+    n, d_w, law = cfg.n, cfg.spec.d_w, cfg.a_law
+    if law["kind"] == "normal":
+        return law["loc"] + law["scale"] * rng.standard_normal((n, d_w))
+    if law["kind"] == "correlated":
+        base = law["rho"] * X[:, 0, :].mean(axis=1)
+        return base[:, None] + law["scale"] * rng.standard_normal((n, d_w))
+    return np.where(rng.random((n, d_w)) < law["p"], law["hi"], law["lo"])  # "two_point"
 
 
 def _roll(spec, state, steps, X, A, theta, rng):
@@ -158,9 +171,9 @@ def generate(cfg):
     A = _draw_A(cfg, X, rng)
     state, burn = np.zeros((cfg.n, L0), dtype=np.int8), 0
     if law["kind"] == "fixed":
-        state[:] = np.asarray(law.get("value", 0), dtype=np.int8)
+        state[:] = np.asarray(law["value"], dtype=np.int8)
     elif L0:
-        burn = max(int(law.get("burn_in", 50)), 0)
+        burn = law["burn_in"]
     steps = np.concatenate([np.arange(burn) % (spec.T // w), np.arange(spec.T // w)])
     full = np.ascontiguousarray(_roll(spec, state, steps, X, A, cfg.theta, rng)[burn * w:].T)
     return Sample(spec=spec, Y=full[:, L0:], Y0=full[:, :L0], X=X)
@@ -191,11 +204,8 @@ def monte_carlo(cfg, estimator, replications, threads=1):
         row, start = {"rep": rep, "seed": sub.seed}, perf_counter()
         try:
             report = estimator(generate(sub))
-            for name, est, se in zip(
-                report.names, report.theta, report.std_errors
-            ):
-                row[name] = float(est)
-                row[f"se_{name}"] = float(se)
+            for name, est, se in zip(report.names, report.theta, report.std_errors):
+                row[name], row[f"se_{name}"] = float(est), float(se)
             row["converged"] = bool(report.converged)
         except (NoInformationError, np.linalg.LinAlgError) as exc:
             row["error_type"] = type(exc).__name__
@@ -211,21 +221,13 @@ def monte_carlo(cfg, estimator, replications, threads=1):
 
     summary = {}
     for name, true_val in truth.items():
-        ests = np.array(
-            [r[name] for r in rows if name in r and np.isfinite(r[name])]
-        )
-        ses = np.array(
-            [r[f"se_{name}"] for r in rows if name in r and np.isfinite(r[name])]
-        )
+        ok = [r for r in rows if name in r and np.isfinite(r[name])]
+        ests, ses = np.array([r[name] for r in ok]), np.array([r[f"se_{name}"] for r in ok])
         if ests.size == 0 or not np.all(np.isfinite(ses)):
             continue
         cover = np.abs(ests - true_val) <= 1.96 * ses
-        summary[name] = {
-            "truth": true_val,
-            "bias": float(np.mean(ests) - true_val),
-            "rmse": float(np.sqrt(np.mean((ests - true_val) ** 2))),
-            "coverage": float(np.mean(cover)),
-            "n_ok": int(ests.size),
-        }
+        summary[name] = {"truth": true_val, "bias": float(np.mean(ests) - true_val),
+                         "rmse": float(np.sqrt(np.mean((ests - true_val) ** 2))),
+                         "coverage": float(np.mean(cover)), "n_ok": int(ests.size)}
     summary["n_failed"] = sum("error" in r for r in rows)
     return rows, summary

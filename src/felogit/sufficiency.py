@@ -12,9 +12,9 @@ and conditional likelihood of the dynamic dyadic network model.
 Every conditioning class is a set of rows sharing one key, built by one
 helper, ``key_classes``: the static S(W y) and dynamic AR classes, the
 AR(1) pair groups, the network classes and the design-column ids of
-``permutation_key``, walked one class size at a time by
-``KeyClasses.blocks``.  ``column_groups`` numbers distinct columns by
-first appearance, for ``canonicalize_design`` and the moment null space.
+``permutation_key``, walked by ``KeyClasses.segments`` and ``.pairs``.
+``column_classes`` groups byte-identical columns, for
+``canonicalize_design`` and the moment null space.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ class KeyClasses:
         rank[self.order] = np.arange(self.order.size) - start[self.cls[self.order]]
         return rank
 
-    def members(self, classes, m):
-        """Member rows, (..., m), of classes that all have m rows."""
-        start = np.cumsum(self.sizes) - self.sizes
-        return self.order[start[classes][..., None] + np.arange(m)]
-
     def segments(self, classes):
         """Members of ``classes``, class after class, and each one's start."""
         size = self.sizes[classes]
@@ -66,13 +61,12 @@ class KeyClasses:
         first = (np.cumsum(self.sizes) - self.sizes)[classes]
         return self.order[np.repeat(first - start, size) + np.arange(size.sum())], start
 
-    def blocks(self, classes):
-        """Per class size m > 1 among ``classes``, m increasing, the
-        positions ``at`` with that size and their members, (len(at), m)."""
-        size = self.sizes[classes]
-        for m in np.unique(size[size > 1]):
-            at = np.flatnonzero(size == m)
-            yield at, self.members(classes[at], m)
+    def pairs(self):
+        """Every two rows (a, b) of one class, a before b: by class, a, b."""
+        later = (self.sizes[self.cls] - 1 - self.rank)[self.order]
+        start = np.cumsum(later) - later
+        at = np.repeat(np.arange(later.size) + 1 - start, later) + np.arange(later.sum())
+        return np.repeat(self.order, later), self.order[at]
 
 
 def key_classes(keys):
@@ -83,11 +77,13 @@ def key_classes(keys):
     return KeyClasses(cls.ravel(), sizes, first)
 
 
-def column_groups(M):
-    """Group id of each column of M, numbered by first appearance; columns
-    share a group only when byte-identical (hashing beats ``np.unique``)."""
+def column_classes(M):
+    """Classes of M's columns, numbered by first appearance; columns share
+    a class only when byte-identical (hashing beats ``np.unique``)."""
     keys = {}
-    return np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
+    ids = np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
+    del keys  # frees a copy of M's bytes before np.unique allocates: a lower peak
+    return key_classes(ids)
 
 
 class Pair(NamedTuple):
@@ -232,9 +228,8 @@ def canonicalize_design(W):
     that w_t'A = (W*_t)'A* with A* = Omega'A.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    labels = column_groups(exact_key(W))
-    first = key_classes(labels).first
-    return model.incidence(labels, len(first)), W[:, first]
+    groups = column_classes(exact_key(W))
+    return model.incidence(groups.cls, len(groups.first)), W[:, groups.first]
 
 
 def _canonical_spec(spec):
@@ -269,14 +264,7 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     paths = all_paths(spec.T).astype(np.int64)
     groups = key_classes(arp_statistic_key(spec, paths, y0))
     perm_key = permutation_key(spec, paths, y0)
-    a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for _, members in groups.blocks(np.arange(groups.sizes.size)):
-        i, j = np.triu_indices(members.shape[1], 1)
-        a.append(members[:, i].ravel())
-        b.append(members[:, j].ravel())
-    a, b = np.concatenate(a), np.concatenate(b)
-    by_group = np.argsort(groups.cls[a], kind="stable")
-    a, b = a[by_group], b[by_group]
+    a, b = groups.pairs()
     # cond_linear holds by construction: both paths share W y
     certs = _certify(spec, paths, y0, None, theta, a, b, np.ones(len(a), bool),
                      np.all(perm_key[a] == perm_key[b], axis=1))
@@ -373,7 +361,7 @@ def network_cond_full(spec, y):
     p1, p2, p3 = np.asarray(y, dtype=np.int64).reshape(3, spec.step_width)
     nets = all_paths(spec.n_dyads)
     c = classes.cls[model.path_index(p1) * len(nets) + model.path_index(p2)]
-    a, b = np.divmod(classes.members(c, classes.sizes[c]), len(nets))
+    a, b = np.divmod(np.flatnonzero(classes.cls == c), len(nets))
     members = np.hstack([nets[a], nets[b], np.tile(p3, (len(a), 1))])
     return ConditioningSet("network_full", members)
 

@@ -172,13 +172,22 @@ def test_mc_model_mismatch_is_refused_before_any_replication(tmp_path, capsys,
     monkeypatch.setattr(simulate, "generate", no_replication)
     monkeypatch.setattr(simulate, "monte_carlo", no_replication)
     cfg = tmp_path / "mc.json"
-    cfg.write_text(json.dumps({
-        "dgp": {"design": {"design": "trend-ar", "T": 6, "d_x": 1},
-                "theta": [0.5, 1.0], "n": 500, "seed": 1},
-        "estimator": {"method": "gmm", "moments": "quarterly_t6"}, "replications": 3}))
-    code, out, err = run(capsys, "mc", "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert "error: moment library quarterly_t6 holds under" in err
+    for design, theta, estimator, message in [
+        ({"design": "trend-ar", "T": 6, "d_x": 1}, [0.5, 1.0],
+         {"method": "gmm", "moments": "quarterly_t6"},
+         "error: moment library quarterly_t6 holds under"),
+        ({"design": "ar", "p": 2, "T": 3}, [0.5, -0.3],
+         {"method": "gmm", "weighting": "bogus"},
+         "error: weighting must be identity or two-step, found 'bogus'\n"),
+        ({"design": "panel_fe", "T": 3, "d_x": 1}, [1.0],
+         {"method": "pairwise", "wperp": [[1, -1]]}, _not_differencing("1,-1")),
+    ]:
+        cfg.write_text(json.dumps({
+            "dgp": {"design": design, "theta": theta, "n": 500, "seed": 1},
+            "estimator": estimator, "replications": 3}))
+        code, out, err = run(capsys, "mc", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_gmm_quarterly_moments_take_the_nested_panel_ar1(tmp_path, capsys):
@@ -374,6 +383,32 @@ def _dgp(**change):
     pytest.param(("simulate", "--config"), _dgp(y0_law={"kind": "fixed", "value": 7}),
                  "DGP config: fixed y0_law value must be 0, 1 or a 0/1 list of length 1, "
                  "found 7", id="fixed y0_law value not binary"),
+    # a law parameter that is misspelt or out of range
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "sd": 5}),
+                 "DGP config: a_law normal takes loc, scale, found sd\n",
+                 id="a_law normal sd"),
+    pytest.param(("simulate", "--config"),
+                 _dgp(y0_law={"kind": "stationary", "burnin": 500}),
+                 "DGP config: y0_law stationary takes burn_in, found burnin\n",
+                 id="y0_law stationary burnin"),
+    pytest.param(("simulate", "--config"),
+                 _dgp(design={"design": "ar", "p": 1, "T": 3, "d_x": 1}, theta=[0.5, 1.0],
+                      x_law={"kind": "ar", "phi": 1.5}),
+                 "DGP config: x_law phi must be a finite number in (-1, 1), found 1.5\n",
+                 id="x_law ar phi=1.5"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "scale": -1}),
+                 "DGP config: a_law scale must be a finite number >= 0, found -1\n",
+                 id="a_law scale negative"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "two_point", "p": 1.5}),
+                 "DGP config: a_law p must be a finite number in [0, 1], found 1.5\n",
+                 id="a_law two_point p=1.5"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "loc": "0"}),
+                 "DGP config: a_law loc must be a finite number, found '0'\n",
+                 id="a_law loc a string"),
+    pytest.param(("simulate", "--config"),
+                 _dgp(y0_law={"kind": "stationary", "burn_in": 2.5}),
+                 "DGP config: y0_law burn_in must be an integer >= 0, found 2.5\n",
+                 id="y0_law burn_in not integer"),
 ])
 def test_bad_design_or_document_exits_2(tmp_path, capsys, argv, doc, message):
     # a design, a config or a model file that is wrong is a usage error
@@ -438,6 +473,16 @@ def _held_under(library, reference, found):
             f"designs whose W rows lie in its row space, found ModelSpec({found})\n")
 
 
+PANEL_FE3 = ("estimate", "--design", "panel_fe", "--T", "3", "--d-x", "1",
+             "--method", "pairwise")
+
+
+def _not_differencing(w):
+    return (f"error: differencing vector [{w.replace(',', ', ')}] must have length 3, "
+            "entries in -1, 0, 1, a nonzero entry and W w = 0 under ModelSpec(static, "
+            "T=3, d_w=1, d_x=1)\n")
+
+
 def _sample_file(tmp_path, argv):
     """A 20-unit sample of the model of ``estimate`` flags ``argv``, as a CSV file."""
     spec = cli._load_spec(cli.build_parser().parse_args([*argv, "--data", ""]))
@@ -484,6 +529,9 @@ def _sample_file(tmp_path, argv):
     pytest.param(("estimate", *AR, "1", "--T", "6", "--d-x", "1", "--method", "pairwise"),
                  "error: pairwise takes static designs with d_x >= 1, found "
                  "ModelSpec(ar, T=6, d_w=1, d_x=1, p=1)\n", id="pairwise AR(1) d_x=1"),
+    # a differencing vector that does not difference out the design
+    *[pytest.param((*PANEL_FE3, "--wperp", w), _not_differencing(w), id=f"wperp {w}")
+      for w in ("1,0,0", "1,-1", "0,0,0", "2,-2,0", "1,-1,1,-1")],
 ])
 def test_flag_outside_its_range_exits_2(tmp_path, capsys, argv, message):
     if argv[0] == "estimate":  # a small sample of the model that the flags give

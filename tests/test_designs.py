@@ -153,14 +153,12 @@ def test_max_solutions_caps_output():
     assert len(sols) == 2
 
 
-def brute_wperp(K, require_nonzero=True):
+def brute_wperp(K):
     """Every canonical w in {-1,0,1}^T with K w = 0 for an integer K, by
     scanning all 3^T vectors in lexicographic order."""
     cands = np.array(list(itertools.product((-1, 0, 1), repeat=K.shape[1])))
     lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
-    keep = np.all(cands @ K.T == 0, axis=1) & (lead >= 0)
-    if require_nonzero:
-        keep &= lead > 0
+    keep = np.all(cands @ K.T == 0, axis=1) & (lead > 0)
     return [tuple(w) for w in cands[keep].tolist()]
 
 
@@ -175,10 +173,9 @@ def _tuples(sols):
 
 
 @settings(max_examples=150, deadline=None)
-@given(K=INTEGER_DESIGNS, require_nonzero=st.booleans())
-def test_find_wperp_matches_brute_force_on_integer_designs(K, require_nonzero):
-    sols = fl.find_wperp(K.astype(float), require_nonzero=require_nonzero)
-    assert _tuples(sols) == brute_wperp(K, require_nonzero)
+@given(K=INTEGER_DESIGNS)
+def test_find_wperp_matches_brute_force_on_integer_designs(K):
+    assert _tuples(fl.find_wperp(K.astype(float))) == brute_wperp(K)
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,11 +187,10 @@ def test_find_wperp_matches_brute_force_on_non_integer_designs(K, scale):
 
 
 @settings(max_examples=100, deadline=None)
-@given(K=INTEGER_DESIGNS, k=st.integers(1, 12), require_nonzero=st.booleans())
-def test_find_wperp_max_solutions_returns_a_valid_prefix(K, k, require_nonzero):
-    everything = brute_wperp(K, require_nonzero)
-    sols = _tuples(fl.find_wperp(K.astype(float), max_solutions=k,
-                                 require_nonzero=require_nonzero))
+@given(K=INTEGER_DESIGNS, k=st.integers(1, 12))
+def test_find_wperp_max_solutions_returns_a_valid_prefix(K, k):
+    everything = brute_wperp(K)
+    sols = _tuples(fl.find_wperp(K.astype(float), max_solutions=k))
     assert len(sols) == min(k, len(everything))
     assert len(set(sols)) == len(sols) and sols == sorted(sols)
     assert set(sols) <= set(everything)

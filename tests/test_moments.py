@@ -278,7 +278,7 @@ def test_grouped_null_space_matches_full_svd_oracle(data):
 def test_columns_one_ulp_apart_stay_two_groups():
     c = np.array([0.3, 1.0, 2.5])
     M = np.column_stack([c, c, c + [0.0, np.spacing(1.0), 0.0], c.copy(), 2 * c])
-    assert sufficiency.column_groups(M).tolist() == [0, 0, 1, 0, 2]
+    assert sufficiency.column_classes(M).cls.tolist() == [0, 0, 1, 0, 2]
     s, rank, V = moments._null_space(M)
     s0, rank0, V0 = svd_null_space(M)
     assert rank == rank0 == 1 and V.shape == V0.shape == (4, 5)

@@ -81,12 +81,16 @@ KERNEL_SPECS = st.one_of(
 def kernel_configs(draw):
     spec = draw(KERNEL_SPECS)
     coef = st.floats(-2.5, 2.5, allow_nan=False)
-    a_kinds = ["normal", "two_point"] + (["correlated"] if spec.d_x else [])
-    a_law = {"kind": draw(st.sampled_from(a_kinds)), "loc": draw(coef),
-             "scale": draw(st.floats(0.0, 2.0)), "rho": draw(coef),
-             "lo": draw(coef), "hi": draw(coef), "p": draw(st.floats(0.0, 1.0))}
-    x_law = {"kind": draw(st.sampled_from(simulate.LAWS["x_law"])),
-             "phi": draw(st.floats(-0.9, 0.9)), "scale": draw(st.floats(0.0, 2.0))}
+    params = {"loc": coef, "rho": coef, "lo": coef, "hi": coef,
+              "scale": st.floats(0.0, 2.0), "p": st.floats(0.0, 1.0),
+              "phi": st.floats(-0.9, 0.9)}
+
+    def law(key, kinds):
+        kind = draw(st.sampled_from(kinds))
+        return {"kind": kind, **{k: draw(params[k]) for k in simulate.LAWS[key][kind]}}
+
+    a_law = law("a_law", ["normal", "two_point"] + (["correlated"] if spec.d_x else []))
+    x_law = law("x_law", list(simulate.LAWS["x_law"]))
     fixed = st.sampled_from([0, 1]) | st.lists(st.sampled_from([0, 1]),
                                                min_size=spec.y0_len,
                                                max_size=spec.y0_len)

@@ -543,14 +543,12 @@ def test_key_classes_match_dict_grouping(data):
     got = sufficiency.key_classes(rows)
     want = _dict_classes(rows.tolist())
     assert got.sizes.tolist() == [len(g) for g in want]
+    assert got.first.tolist() == [g[0] for g in want]
+    # order lists the classes' members class by class, rank places each
+    assert got.order.tolist() == [i for g in want for i in g]
     for c, members in enumerate(want):
-        assert got.members(c, len(members)).tolist() == members
         for r, i in enumerate(members):
             assert got.cls[i] == c and got.rank[i] == r
-    # one batched lookup per class size, as the CMLEs use it
-    for m in set(got.sizes.tolist()):
-        classes = np.flatnonzero(got.sizes == m)
-        assert got.members(classes, m).tolist() == [want[c] for c in classes]
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,33 +558,25 @@ def test_key_class_segments_lay_out_members_class_by_class(data):
     keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
                                        max_size=n)))
     got = sufficiency.key_classes(keys)
+    want = _dict_classes(keys[:, None].tolist())
     classes = np.array(data.draw(st.lists(
         st.integers(0, got.sizes.size - 1), max_size=20)), dtype=np.int64)
     members, start = got.segments(classes)
     size = got.sizes[classes]
     assert start.tolist() == (np.cumsum(size) - size).tolist()
-    assert len(members) == size.sum()
-    for c, s, m in zip(classes, start, size):
-        assert members[s:s + m].tolist() == got.members(c, m).tolist()
+    assert members.tolist() == [i for c in classes for i in want[c]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_key_class_blocks_cover_each_multi_member_row_once(data):
-    n = data.draw(st.integers(1, 40))
+def test_key_class_pairs_match_combinations_within_each_class(data):
+    n = data.draw(st.integers(0, 40))
     keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
-                                       max_size=n)))
-    got = sufficiency.key_classes(keys)
-    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=30)),
-                    dtype=np.int64)
-    seen, sizes = np.zeros(len(rows), dtype=int), []
-    for at, members in got.blocks(got.cls[rows]):
-        sizes.append(members.shape[1])
-        seen[at] += 1
-        assert np.all(keys[members] == keys[rows[at], None])
-        assert np.all(members[np.arange(len(at)), got.rank[rows[at]]] == rows[at])
-    assert sizes == sorted(set(sizes))
-    assert seen.tolist() == (got.sizes[got.cls[rows]] > 1).astype(int).tolist()
+                                       max_size=n)), dtype=np.int64)
+    a, b = sufficiency.key_classes(keys).pairs()
+    want = [ab for g in _dict_classes(keys[:, None].tolist())
+            for ab in itertools.combinations(g, 2)]
+    assert list(zip(a.tolist(), b.tolist())) == want
 
 
 @pytest.mark.parametrize("spec", [
