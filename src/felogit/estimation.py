@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import AR, STATIC, all_paths, exact_key, path_index
 from .sufficiency import (_canonical_spec, arp_statistic_key, key_classes,
@@ -425,6 +424,8 @@ def gmm(sample, moments, init, weighting="two-step"):
     has ``stacked``, G comes from central differences.  G enters the
     sandwich and the rank reported as an identification diagnostic.
     """
+    from scipy.optimize import minimize  # scipy loads here, not with felogit
+
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     spec = sample.spec

@@ -15,7 +15,6 @@ from numbers import Real
 from time import perf_counter
 
 import numpy as np
-from scipy.special import expit
 
 from .estimation import NoInformationError, Sample
 from .model import checked_int, feature_index, lag_features
@@ -51,9 +50,13 @@ def _checked_law(key, law):
             params[name] = checked_int(f"{key} burn_in", v, 0)
         elif name not in ("kind", "value"):
             rule, ok = _RANGES.get(name, ("", np.isfinite))
-            if not isinstance(v, Real) or not np.isfinite(v) or not ok(v):
+            try:  # a bool is no number here, nor an int past the float range
+                x = float(v) if isinstance(v, Real) and not isinstance(v, bool) else np.nan
+            except OverflowError:
+                x = np.nan
+            if not np.isfinite(x) or not ok(x):
                 raise ValueError(f"{key} {name} must be a finite number{rule}, found {v!r}")
-            params[name] = float(v)
+            params[name] = x
     return params
 
 
@@ -139,6 +142,8 @@ def _roll(spec, state, steps, X, A, theta, rng):
     2^18 numbers (or one step).  Returns ``state`` followed by every
     draw, time-major: (L0 + len(steps) * step_width, n).
     """
+    from scipy.special import expit  # scipy loads here, not with felogit
+
     (n, L0), w = state.shape, spec.step_width
     top = lag_features(spec, np.ones(L0, dtype=np.int64)).max(axis=0) + 1
     radix = np.cumprod(top) // top

@@ -26,7 +26,6 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import model
 from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
@@ -393,4 +392,5 @@ def network_cond_likelihood(spec, theta, y, y0, cond):
     if not mine.any():
         raise ValueError("y must belong to the conditioning set")
     g = np.sum(cond.members * index_matrix(spec, cond.members, y0, None, theta), axis=1)
-    return float(np.exp(g[mine][0] - logsumexp(g)))
+    e = np.exp(g - g.max())  # shifted by the largest, as in a logsumexp
+    return float(e[mine][0] / e.sum())

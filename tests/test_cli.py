@@ -405,6 +405,12 @@ def _dgp(**change):
     pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "loc": "0"}),
                  "DGP config: a_law loc must be a finite number, found '0'\n",
                  id="a_law loc a string"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "scale": True}),
+                 "DGP config: a_law scale must be a finite number >= 0, found True\n",
+                 id="a_law scale a bool"),
+    pytest.param(("simulate", "--config"), _dgp(a_law={"kind": "normal", "loc": 10**400}),
+                 f"DGP config: a_law loc must be a finite number, found {10**400}\n",
+                 id="a_law loc past the float range"),
     pytest.param(("simulate", "--config"),
                  _dgp(y0_law={"kind": "stationary", "burn_in": 2.5}),
                  "DGP config: y0_law burn_in must be an integer >= 0, found 2.5\n",
@@ -772,13 +778,84 @@ def test_estimate_malformed_data_exits_2(tmp_path, capsys, design, prefix, row,
     assert f"error: {message}\n" in err
 
 
+# The README's file-free examples (table1 at a smaller --max-p) with
+# their documented exit codes.
+IDENTIFICATION_COMMANDS = [
+    (["table1", "--max-p", "2"], 0),
+    (["wperp", "--design", "dyadic", "--n", "4"], 0),
+    (["wperp", "--design", "poly", "--p", "1", "--T", "3"], 3),
+    (["pairs", "--design", "ar", "--p", "1", "--T", "3", "--y0", "0", "--require-gap"], 0),
+    (["netcond", "--n", "3", "--y0", "000", "--path", "101101000",
+      "--theta", "0.5,0.2", "--set", "full"], 0),
+    (["dset", "--design", "quarterly", "--p", "1", "--T", "6", "--theta", "0.9",
+      "--y0", "0"], 0),
+    (["moments", "--design", "ar", "--p", "1", "--T", "3", "--theta", "0.5", "--y0", "0"], 0),
+]
+
+
+def _src_env():
+    """The environment of a new interpreter that imports felogit from src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+def _fresh_python(script, *args):
+    """Run ``script`` in a new interpreter and return the JSON document
+    it prints last."""
+    done = subprocess.run([sys.executable, "-c", script, *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_identification_commands_never_import_scipy():
+    # scipy is loaded only where GMM, the simulator or a test calls it,
+    # so a fresh `felogit table1` (or wperp, moments, ...) never pays for it
+    script = f"""
+import contextlib, io, json, sys
+import felogit, felogit.cli
+at_import = {SCIPY_MODULES}
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(felogit.cli.main(argv))
+print(json.dumps({{"at_import": at_import, "codes": codes, "after": {SCIPY_MODULES}}}))
+"""
+    argvs, codes = zip(*IDENTIFICATION_COMMANDS)
+    doc = _fresh_python(script, json.dumps(argvs))
+    assert doc == {"at_import": [], "codes": list(codes), "after": []}
+
+
+def test_generate_and_gmm_load_scipy_when_called():
+    # from a scipy-free start, generate and gmm load what they need and
+    # give the same bits as in a process that had scipy loaded already
+    script = """
+import json, sys
+import numpy as np
+import felogit as fl
+from felogit import estimation, moments, simulate
+at_import = %s
+s = simulate.generate(simulate.DGPConfig(spec=fl.panel_ar(2, 3),
+                      theta=np.array([0.5, -0.3]), n=2000, seed=4))
+rep = estimation.gmm(s, moments.Ar2T3Moments(), np.zeros(2))
+print(json.dumps({"at_import": at_import, "Y": s.Y.tolist(), "Y0": s.Y0.tolist(),
+                  "theta": rep.theta.tolist()}))
+""" % SCIPY_MODULES
+    doc = _fresh_python(script)
+    s = simulate.generate(simulate.DGPConfig(spec=fl.panel_ar(2, 3),
+                                             theta=np.array([0.5, -0.3]), n=2000, seed=4))
+    rep = fl.estimation.gmm(s, fl.moments.Ar2T3Moments(), np.zeros(2))
+    assert doc == {"at_import": [], "Y": s.Y.tolist(), "Y0": s.Y0.tolist(),
+                   "theta": rep.theta.tolist()}
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     # Through `python -m felogit`, so the exit code must survive sys.exit.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-
     def felogit(*argv):
-        return subprocess.run([sys.executable, "-m", "felogit", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "felogit", *argv], env=_src_env(),
                               capture_output=True, text=True, timeout=300)
 
     cfg = tmp_path / "dgp.json"
