@@ -288,7 +288,9 @@ class _Lines:
                                 np.diff(cuts, prepend=0, append=len(self.b)))]
         with suppress(ValueError):
             X = np.fromstring(text[1:].tobytes(), sep=",")
-            return X.reshape(len(stop), d) if X.size == len(stop) * d else None
+            # np.fromstring reads a blank field as -1
+            blank = np.any(X == -1) and b",," in text[text > 32].tobytes() + b","
+            return X.reshape(len(stop), d) if X.size == len(stop) * d and not blank else None
 
 
 def read_sample_csv(fh, spec):
@@ -346,6 +348,8 @@ def read_sample_csv(fh, spec):
 
 
 def cmd_wperp(args):
+    if args.max_solutions is not None and args.max_solutions < 1:
+        raise DataError(f"--max-solutions must be at least 1, found {args.max_solutions}")
     spec = _load_spec(args)
     sols = designs.find_wperp(spec.W, max_solutions=args.max_solutions)
     _json_out([[int(v) for v in s] for s in sols], args.output)
@@ -356,8 +360,9 @@ def cmd_wperp(args):
 
 
 def cmd_table1(args):
-    if args.max_p > 6:
-        raise DataError(f"--max-p must be at most 6, found {args.max_p}")
+    if not 0 <= args.max_p <= 6:
+        bound = "at most 6" if args.max_p > 6 else "at least 0"
+        raise DataError(f"--max-p must be {bound}, found {args.max_p}")
     out = [["p", "T", "w_perp"]]
     for p in range(args.max_p + 1):
         T, vec = designs.minimal_T_polytrend(p)

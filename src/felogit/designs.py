@@ -131,13 +131,15 @@ def find_wperp(W, max_solutions=None):
     Exhaustive level-synchronous search over the 3^T assignments.  A
     frontier of partial assignments holds, per state, the partial sums
     W v (states x d) and the prefix v (states x T); each level extends
-    every state by -1, 0 and +1 at once and drops the states in which
-    some row's partial sum exceeds what the remaining positions can
-    still cancel.  Positions are visited in decreasing order of their
-    largest design entry, which makes the bound bite early on
-    polynomial-trend rows.  The first nonzero entry in search order is
-    pinned to +1, which fixes the global sign once and halves the tree.
-    Integer designs are searched exactly; others with a tolerance.
+    every state by -1, 0 and +1 in one broadcast step and drops the
+    states in which some row's partial sum exceeds what the remaining
+    positions can still cancel.  Positions are visited in decreasing
+    order of their largest design entry, which makes the bound bite
+    early on polynomial-trend rows.  The first nonzero entry in search
+    order is pinned to +1, which fixes the global sign once and halves
+    the tree.  Integer designs are searched exactly; others with a
+    tolerance.  Rows M W stacked onto W keep its solutions and add
+    bounds that can prune, but may change a ``max_solutions`` prefix.
 
     The frontier is kept as a stack of chunks of at most 2^16 states,
     expanded depth first with the lexicographically least chunk on
@@ -172,16 +174,14 @@ def find_wperp(W, max_solutions=None):
             found.append(V[nz])
             n_found += int(nz.sum())
             continue
-        # children in lexicographic order: state-major, then -1, 0, +1;
-        # -1 only after a nonzero entry
-        step = np.tile(_STEPS, len(S))
-        nz = np.repeat(nz, 3)
-        S = np.repeat(S, 3, axis=0) + step[:, None] * cols[i]
-        keep = (nz | (step >= 0)) & np.all(np.abs(S) <= suffix[i + 1] + tol, axis=1)
-        step = step[keep]
-        S, nz = S[keep], nz[keep] | (step != 0)
-        V = np.repeat(V, 3, axis=0)[keep]
-        V[:, i] = step
+        # children (states, 3, d) in lexicographic order: state-major,
+        # then -1, 0, +1; -1 only after a nonzero entry
+        C = S[:, None, :] + _STEPS[:, None] * cols[i]
+        keep = np.all(np.abs(C) <= suffix[i + 1] + tol, axis=2)
+        keep[:, 0] &= nz
+        par, k = np.nonzero(keep)
+        S, nz, V = C[par, k], nz[par] | (k != 1), V[par]
+        V[:, i] = _STEPS[k]
         top = (len(S) - 1) // _FRONTIER_CHUNK * _FRONTIER_CHUNK
         for lo in range(top, -1, -_FRONTIER_CHUNK):
             hi = lo + _FRONTIER_CHUNK
@@ -200,12 +200,17 @@ def minimal_T_polytrend(p):
 
     Returns (T, w) with w the lexicographically least canonical
     solution.  Minimality is certified by exhausting the search tree at
-    every shorter horizon; the search stops at T = 40.
+    every shorter horizon; the search stops at T = 40.  Each horizon
+    stacks the rows (4t - T - 1)^j, j = 1..p, under the trend: of degree
+    <= p, so they keep its solutions, and small on the positions
+    searched last, so their bounds prune early.
     """
-    if p > 6:
-        raise ValueError("polynomial trends supported up to p = 6")
+    if not 0 <= p <= 6:
+        raise ValueError(f"polynomial trends supported for 0 <= p <= 6, found p = {p}")
     for T in range(p + 2, 41):
-        sols = find_wperp(poly_trend_matrix(p, T))
+        u = 4 * np.arange(1, T + 1) - (T + 1)  # centred a quarter of the way in
+        W = np.vstack([poly_trend_matrix(p, T), *(u**j for j in range(1, p + 1))])
+        sols = find_wperp(W)
         if sols:
             return T, sols[0]
     raise RuntimeError("no solution up to T = 40")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -509,6 +510,12 @@ def _sample_file(tmp_path, argv):
                  id="pairs with covariates"),
     pytest.param(("table1", "--max-p", "7"),
                  "error: --max-p must be at most 6, found 7", id="table1 p=7"),
+    pytest.param(("table1", "--max-p", "-1"),
+                 "error: --max-p must be at least 0, found -1", id="table1 p=-1"),
+    *[pytest.param(("wperp", "--design", "poly", "--p", "1", "--T", "4",
+                    "--max-solutions", k),
+                   f"error: --max-solutions must be at least 1, found {k}",
+                   id=f"wperp max-solutions {k}") for k in ("0", "-3")],
     # a method or moment library applied outside the model it holds for
     pytest.param(("estimate", "--design", "trend-ar", "--T", "6", "--d-x", "1",
                   "--method", "gmm", "--moments", "quarterly_t6"),
@@ -809,6 +816,26 @@ def _fresh_python(script, *args):
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+# sha256 of the stdout of the w_perp commands, which pin Table 1 up to
+# p = 6 and the search's output order; they use no BLAS, so the bytes
+# are exact
+GOLDEN_TRANSCRIPTS = {
+    "table1 --max-p 6":
+        "a68f1289cc0f8413da1af3095e31463571ce7d427b2ff276614734eab6cf8130",
+    "wperp --design dyadic --n 4":
+        "7d95b272b97dc8e9de486e639207ff1fe7e7b3b9f6da68e0fe3fc6a1c2369a16",
+    "wperp --design poly --p 3 --T 12":
+        "34d8267804861656efed98393b3092c3d8cd5fe3e9d0a654c9a0b6580ad23169",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_TRANSCRIPTS)
+def test_wperp_commands_print_golden_bytes(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRANSCRIPTS[command]
 
 
 def test_identification_commands_never_import_scipy():

@@ -314,6 +314,11 @@ ORACLE_TEXTS = {
     "signs and spaces": (fl.panel_ar(1, 2, d_x=2),
                          "unit,t,y,x1,x2\n-5,0,1,,\n-5,1,0, 1.5,-2e3\n-5,2,1,+7,\t.5\n"),
     "nan covariate": (fl.panel_ar(1, 2, d_x=1), "unit,t,y,x1\n1,0,1,\n1,1,0,nan\n1,2,1,0\n"),
+    # np.fromstring reads a blank field as -1
+    **{f"blank covariate {k}": (fl.panel_ar(1, 2, d_x=2), text) for k, text in enumerate([
+        "unit,t,y,x1,x2\n1,0,1,,\n1,1,0, ,1\n1,2,1,0,1\n",
+        "unit,t,y,x1,x2\r\n1,0,1,,\r\n1,1,0,1,2\r\n1,2,1,0,\t\r\n",
+        "unit,t,y,x1,x2\n1,0,1,,\n1,1,0,-1,1\n1,2,1,0,1\n"])},
 }
 
 

@@ -196,6 +196,16 @@ def test_find_wperp_max_solutions_returns_a_valid_prefix(K, k):
     assert set(sols) <= set(everything)
 
 
+@settings(max_examples=100, deadline=None)
+@given(K=INTEGER_DESIGNS, data=st.data())
+def test_find_wperp_rows_from_the_row_space_keep_the_solutions(K, data):
+    # minimal_T_polytrend prunes with rows M K stacked onto K; they may
+    # change the search order, so only the full sorted list is compared
+    M = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 3)), K.shape[0]),
+                             elements=st.integers(-3, 3)))
+    assert _tuples(fl.find_wperp(np.vstack([K, M @ K]).astype(float))) == brute_wperp(K)
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_minimal_T_small_degrees(p):
     T, w = fl.minimal_T_polytrend(p)
@@ -203,8 +213,18 @@ def test_minimal_T_small_degrees(p):
 
 
 def test_minimal_T_certifies_shorter_horizons():
-    T, _ = fl.minimal_T_polytrend(2)
-    assert fl.find_wperp(designs.poly_trend_matrix(2, T - 1)) == []
+    # on the plain trend rows, without the rows minimal_T_polytrend
+    # stacks on to prune
+    for p in range(7):
+        T, w = fl.minimal_T_polytrend(p)
+        assert np.all(designs.poly_trend_matrix(p, T).astype(np.int64) @ w == 0)
+        assert fl.find_wperp(designs.poly_trend_matrix(p, T - 1)) == []
+
+
+@pytest.mark.parametrize("p", [-1, 7])
+def test_minimal_T_refuses_degrees_outside_0_to_6(p):
+    with pytest.raises(ValueError, match=f"0 <= p <= 6, found p = {p}$"):
+        fl.minimal_T_polytrend(p)
 
 
 def test_table1_symmetry_pattern():
