@@ -25,10 +25,12 @@ and the sandwich meat clustered by unit, in one pass over the segments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .model import AR, STATIC, all_paths, exact_key, path_index
+from .moments import term_moments
 from .sufficiency import (_canonical_spec, arp_statistic_key, key_classes,
                           transition_stats)
 
@@ -387,23 +389,17 @@ def cmle_dynamic_ar(sample, init=None, max_iter=100):
 
 def _central_diff(fn, theta):
     theta = np.asarray(theta, dtype=float)
-    cols = []
-    for j in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((fn(up) - fn(dn)) / (2 * h))
-    return np.stack(cols, axis=-1)
+    steps = np.diag(1e-6 * (1.0 + np.abs(theta)))
+    return np.stack([(fn(theta + h) - fn(theta - h)) / (2 * h[j])
+                     for j, h in enumerate(steps)], axis=-1)
 
 
-def _exact_moments(moments, cells, weights):
+def _exact_moments(tab, weights):
     """gbar = K'exp(A theta) and its exact Jacobian K'(exp(A theta) * A)
-    from the evaluator's term table, the cell weights folded into K."""
-    tab = moments.terms(cells.Y, cells.Y0, cells.X)
-    tab.coef *= weights[tab.cell, None]
+    from a term table, the cell weights folded into K."""
+    coef = tab.coef * weights[tab.cell, None]
     const = ~tab.A.any(axis=1)  # terms with a = 0 add up once
-    g0, K, A = tab.coef[const].sum(axis=0), tab.coef[~const], tab.A[~const]
+    g0, K, A = coef[const].sum(axis=0), coef[~const], tab.A[~const]
 
     def moment_jac(theta):
         e = np.exp(A @ theta)
@@ -418,11 +414,13 @@ def gmm(sample, moments, init, weighting="two-step"):
     from two perturbed restarts; ``two-step`` re-minimizes with the
     inverse sample covariance of the moments plus a 1e-10 ridge.
     Moments are evaluated once per cell of the sample's count table.
-    An evaluator with a ``terms`` table gives gbar and its exact
-    Jacobian G from one exp(A theta), so each BFGS evaluation returns
-    the value and the gradient 2n G'W gbar together; for one that only
-    has ``stacked``, G comes from central differences.  G enters the
-    sandwich and the rank reported as an identification diagnostic.
+    A library with ``terms`` compiles the cells into a term table once
+    per call; gbar and its exact Jacobian G come from one exp(A theta),
+    so each BFGS evaluation returns the value and the gradient
+    2n G'W gbar together, and the covariance evaluates the same table.
+    For an evaluator that only has ``stacked``, G comes from central
+    differences.  G enters the sandwich and the rank reported as an
+    identification diagnostic.
     """
     from scipy.optimize import minimize  # scipy loads here, not with felogit
 
@@ -433,19 +431,18 @@ def gmm(sample, moments, init, weighting="two-step"):
     if init.shape != (spec.theta_dim,):
         raise ValueError(f"init has length {init.size}, theta has {spec.theta_dim}")
     cells, counts, _ = _count_table(sample)
-
-    def stacked(theta):
-        return moments.stacked(cells.Y, cells.Y0, cells.X, theta)
-
     k = moments.k
     weights = counts / counts.sum()
 
-    def gbar(theta):
-        return weights @ stacked(theta)
-
     exact = hasattr(moments, "terms")
-    moment_jac = _exact_moments(moments, cells, weights) if exact else (
-        lambda theta: (gbar(theta), _central_diff(gbar, theta)))
+    if exact:
+        tab = moments.terms(cells.Y, cells.Y0, cells.X)
+        moment_jac, stacked = _exact_moments(tab, weights), partial(term_moments, tab, cells.n)
+    else:
+        stacked = partial(moments.stacked, cells.Y, cells.Y0, cells.X)
+
+        def moment_jac(theta):
+            return weights @ stacked(theta), _central_diff(lambda t: weights @ stacked(t), theta)
 
     def cov(theta):
         return np.cov(stacked(theta).T, fweights=counts, bias=True).reshape(k, k)

@@ -23,9 +23,10 @@ This module counts the Q_t, builds the exponent set D and the bound,
 expands the phi polynomials, extracts the null space numerically, and
 provides the closed-form moment libraries for the AR(2) three-period
 model, the quarterly-effects six-period model, and the dyadic network
-transition model.  Each library has one definition, a vectorized
-evaluator of many units at once (the one GMM calls); its table over all
-2^T paths at one (y0, X) is that evaluator run on every path.
+transition model.  Each library is one compiler of units into a
+``MomentTerms`` table of c * exp(a'theta) terms; ``term_moments``
+evaluates any table, and a library's moments per unit, its table over
+all 2^T paths at one (y0, X) and the moments GMM uses all come from it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     all_paths,
     exact_key,
     index_matrix,
+    lag_features,
     path_index,
     step_index,
 )
@@ -379,10 +381,11 @@ def verify_moment(m, spec, y0, X, theta, A_grid):
     return float(np.max(np.abs(P @ vec), initial=0.0))
 
 
-# -- moment evaluators for GMM and the closed-form libraries -----------------
-#
-# An evaluator maps (Y, Y0, X, theta) to the (n, k) moments of n units;
-# the closed-form libraries also compile units into a MomentTerms table.
+# -- the closed-form moment libraries ----------------------------------------
+# A library compiles units (Y, Y0, X) into one MomentTerms table.  The one
+# evaluator ``term_moments`` sums each unit's terms at theta by a per-column
+# bincount over the unit rows, in table order as np.add.at does; a constant
+# term (a = 0) listed after its unit's exp term adds to it as in c*e + b.
 
 
 @dataclass
@@ -395,15 +398,30 @@ class MomentTerms:
     A: np.ndarray      # (terms, dim theta) exponent rows
 
 
+def term_moments(tab, n, theta):
+    """The (n, k) moments at theta of the n units compiled into ``tab``."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != tab.A.shape[1:]:
+        raise ValueError(f"theta has length {theta.size}, the moment terms take {tab.A.shape[1]}")
+    v = tab.coef * np.exp(tab.A @ theta)[:, None]
+    return np.column_stack([np.bincount(tab.cell, c, n) for c in v.T])
+
+
+class _TermLibrary:
+    """A library is its ``terms(Y, Y0, X)``; ``stacked`` evaluates them."""
+
+    def stacked(self, Y, Y0, X, theta):
+        return term_moments(self.terms(Y, Y0, X), len(Y), theta)
+
+
 def _all_path_moments(ev, T, y0, X, theta):
-    """The (k, 2^T) values of evaluator ``ev`` on every path at one
-    initial block y0 and one covariate block X (or None)."""
+    """The (k, 2^T) values of library ``ev`` on every path at one y0 and X."""
     Y0 = np.broadcast_to(np.asarray(y0), (2**T, np.size(y0)))
     X = None if X is None else np.broadcast_to(X, (2**T,) + np.shape(X))
     return np.ascontiguousarray(ev.stacked(all_paths(T), Y0, X, theta).T)
 
 
-class Ar2T3Moments:
+class Ar2T3Moments(_TermLibrary):
     """Stacked AR(2), T=3 closed-form moments, one slot per initial block.
 
     The printed cases are (0,0) and (0,1); the others follow from the
@@ -411,8 +429,7 @@ class Ar2T3Moments:
     maps the model onto itself.
     """
 
-    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-    k = 4
+    k = 4  # column 2 y_{-1} + y_0
     # entries c * exp(a'(gamma1, gamma2)), rows: the printed cases by y_0,
     # columns: paths (0,1,1), (0,1,0), (1,0,0), (1,0,1) in all_paths order
     _coef = np.zeros((2, 8))
@@ -420,16 +437,8 @@ class Ar2T3Moments:
     _expo = np.zeros((2, 8, 2))
     _expo[[0, 1, 1], [3, 4, 5]] = [[-1, 0], [-1, 1], [0, 1]]
 
-    def stacked(self, Y, Y0, X, theta):
-        tab = self.terms(Y, Y0, X)
-        out = np.zeros((len(Y), self.k))
-        e = np.exp(tab.A @ np.asarray(theta, dtype=float)[:2])
-        out[tab.cell] = tab.coef * e[:, None]
-        return out
-
     def terms(self, Y, Y0, X):
-        Y = np.asarray(Y, dtype=np.int64)
-        Y0 = np.asarray(Y0, dtype=np.int64)
+        Y, Y0 = np.asarray(Y, dtype=np.int64), np.asarray(Y0, dtype=np.int64)
         flip = Y0[:, :1]  # a unit with y_{-1} = 1 reads its flipped case
         row, path = Y0[:, 1] ^ flip[:, 0], path_index(Y ^ flip)
         u = np.flatnonzero(self._coef[row, path])
@@ -442,18 +451,17 @@ def closed_form_ar2_T3(y0, theta):
     """Closed-form AR(2), T=3 moment table for initial block (y_{-1}, y_0)."""
     y0 = tuple(int(v) for v in y0)
     values = _all_path_moments(Ar2T3Moments(), 3, y0, None, theta)
-    return MomentFunction(3, values[Ar2T3Moments.cells.index(y0)],
-                          f"closed_form(ar2_t3,y0={y0})")
+    return MomentFunction(3, values[2 * y0[0] + y0[1]], f"closed_form(ar2_t3,y0={y0})")
 
 
-class QuarterlyT6Moments:
+class QuarterlyT6Moments(_TermLibrary):
     """Stacked quarterly moments (m1, m2), evaluated per unit.
 
     m1 is the thirteen-case table of the quarterly T=6 model written as
     one exp-affine term plus a constant; m2 is m1 after the symmetry
     Y -> 1-Y, y0 -> 1-y0, X -> -X.  X holds per-unit covariates
-    (n, d_x, 6), or is None; without X or without beta the covariate
-    terms drop out.
+    (n, d_x, 6), or is None; without X the covariate terms drop out and
+    theta is (gamma,).
 
     With ``instruments=True`` (the default when covariates are
     present), each moment is also interacted with the covariate
@@ -480,9 +488,8 @@ class QuarterlyT6Moments:
                              s[:, None] * d26 + y1[:, None] * d51])
         return 1 - y5, a, y1 - 1
 
-    def _parts(self, Y, Y0, X):
-        """(c, a, b) of m1 and of m2, and the instruments z: column
-        2i + j of the moments is m_j * z_i."""
+    def terms(self, Y, Y0, X):
+        """Column 2i + j of the moments is m_j times the instrument z_i."""
         Y = np.asarray(Y, dtype=float)
         y0 = np.asarray(Y0, dtype=float).reshape(-1)
         d26 = d51 = np.zeros((len(y0), 0))
@@ -490,69 +497,64 @@ class QuarterlyT6Moments:
             X = np.asarray(X, dtype=float)
             d26, d51 = X[:, :, 1] - X[:, :, 5], X[:, :, 4] - X[:, :, 0]
         inst = range(self.d_x if self.instruments else 0)
-        z = [np.ones(len(y0))] + [v[:, d] for d in inst for v in (d26, d51)]
-        parts = [self._m1(Y, y0, d26, d51),
-                 self._m1(1.0 - Y, 1.0 - y0, -d26, -d51)]
-        return parts, np.column_stack(z)
-
-    def stacked(self, Y, Y0, X, theta):
-        theta = np.asarray(theta, dtype=float)
-        parts, z = self._parts(Y, Y0, X)
-        m = np.column_stack([c * np.exp(a[:, :theta.size] @ theta[:a.shape[1]]) + b
-                             for c, a, b in parts])
-        return (z[:, :, None] * m[:, None, :]).reshape(len(z), -1)
-
-    def terms(self, Y, Y0, X):
-        parts, z = self._parts(Y, Y0, X)
+        z = np.column_stack([np.ones(len(y0))] + [v[:, d] for d in inst for v in (d26, d51)])
+        parts = [self._m1(Y, y0, d26, d51), self._m1(1.0 - Y, 1.0 - y0, -d26, -d51)]
         cell, coef, A = [], [], []
         for j, (c, a, b) in enumerate(parts):
             for cj, aj in ((c, a), (b, np.zeros_like(a))):
                 u = np.flatnonzero(cj)
-                cell.append(u)
+                cell, A = cell + [u], A + [aj[u]]
                 coef.append(np.zeros((u.size, self.k)))
                 coef[-1][:, j::2] = cj[u, None] * z[u]
-                A.append(aj[u])
         return MomentTerms(np.concatenate(cell), np.vstack(coef), np.vstack(A))
 
 
 def closed_form_quarterly_T6(theta, y0, X):
     """The pair (m1, m2) of quarterly-effects moment functions at T=6,
     at initial outcome y0 and the d_x x 6 covariates X (or None)."""
-    m1, m2 = _all_path_moments(QuarterlyT6Moments(), 6, [int(y0)], X, theta)
-    return (
-        MomentFunction(6, m1, "closed_form(quarterly_t6,m1)"),
-        MomentFunction(6, m2, "closed_form(quarterly_t6,m2)"),
-    )
+    values = _all_path_moments(QuarterlyT6Moments(), 6, [int(y0)], X, theta)
+    return tuple(MomentFunction(6, m, f"closed_form(quarterly_t6,m{j})")
+                 for j, m in enumerate(values, 1))
 
 
-def network_moment_value(spec, y_ref, Y, y0, X, theta):
-    """Vectorized transition moment m_y for a reference network y_ref.
+class NetworkT3Moments(_TermLibrary):
+    """The tau = 3 dyadic network transition moment for reference y_ref.
 
     With pi_s(z) the period-s index fed by the network z,
     m_y = 1{Y2 = y} exp(sum (Y3 - y)(pi_2(Y1) - pi_3(y))
-    - sum (Y1 - y)(pi_1(y0) - pi_3(y))) - 1{Y1 = y}, sums over dyads.
+    - sum (Y1 - y)(pi_1(y0) - pi_3(y))) - 1{Y1 = y}, sums over dyads;
+    the exponent row takes the same differences of the theta-gradient of
+    pi: the ``lag_features``, then the covariates X (n, d_x, T) or None.
     """
-    if spec.family != NETWORK or spec.tau != 3:
-        raise ValueError("network transition moments require tau = 3")
-    D = spec.n_dyads
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.int64))
-    y_ref = np.asarray(y_ref, dtype=np.int64)
-    Y1, Y2, Y3 = Y[:, :D], Y[:, D: 2 * D], Y[:, 2 * D:]
 
-    def pi(states, per):
-        x = np.asarray(X, dtype=float)[:, (per - 1) * D: per * D] if spec.d_x else None
-        return step_index(spec, states, x, theta)
+    k = 1
 
-    pi_ref = pi(y_ref, 3)
-    e1 = np.sum((Y3 - y_ref) * (pi(Y1, 2) - pi_ref), axis=1)
-    e2 = -np.sum((Y1 - y_ref) * (pi(y0, 1) - pi_ref), axis=1)
-    ind2 = np.all(Y2 == y_ref, axis=1)
-    ind1 = np.all(Y1 == y_ref, axis=1)
-    return ind2 * np.exp(e1 + e2) - ind1
+    def __init__(self, spec, y_ref):
+        if spec.family != NETWORK or spec.tau != 3:
+            raise ValueError("network transition moments require tau = 3")
+        self.spec, self.y_ref = spec, np.asarray(y_ref, dtype=np.int64)
+
+    def terms(self, Y, Y0, X):
+        spec, y, D = self.spec, self.y_ref, self.spec.n_dyads
+        Y = np.asarray(Y, dtype=np.int64)
+        Y1, Y2, Y3 = Y[:, :D], Y[:, D: 2 * D], Y[:, 2 * D:]
+        x = [np.asarray(X, dtype=float).swapaxes(1, 2)] if spec.d_x else []  # (n, T, d_x)
+
+        def grad(states, per):  # the theta-gradient of pi_per by dyad, (n, D, dim theta)
+            F = np.broadcast_to(lag_features(spec, states), (len(Y), D, 2))
+            return np.concatenate([F] + [v[:, (per - 1) * D: per * D] for v in x], axis=2)
+
+        ref = grad(y, 3)
+        a = (np.einsum("ud,udk->uk", Y3 - y, grad(Y1, 2) - ref)
+             - np.einsum("ud,udk->uk", Y1 - y, grad(Y0, 1) - ref))
+        u2, u1 = np.flatnonzero(np.all(Y2 == y, axis=1)), np.flatnonzero(np.all(Y1 == y, axis=1))
+        return MomentTerms(np.concatenate([u2, u1]),
+                           np.concatenate([np.ones(u2.size), -np.ones(u1.size)])[:, None],
+                           np.vstack([a[u2], np.zeros((u1.size, a.shape[1]))]))
 
 
 def closed_form_network_transition(spec, y_ref, theta, y0, X=None):
-    paths = all_paths(spec.T)
-    vals = network_moment_value(spec, y_ref, paths, y0, X, theta)
+    """The transition moment for y_ref at y0 and the d_x x T covariates X."""
+    values = _all_path_moments(NetworkT3Moments(spec, y_ref), spec.T, y0, X, theta)
     ref = tuple(int(v) for v in np.asarray(y_ref).ravel())
-    return MomentFunction(spec.T, vals, f"closed_form(network_t3,y={ref})")
+    return MomentFunction(spec.T, values[0], f"closed_form(network_t3,y={ref})")

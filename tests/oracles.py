@@ -18,7 +18,12 @@ the step-by-step simulator that the probability table of
 core of one block per class size that the segmented
 ``estimation._CondLogit`` replaced; ``loadtxt_read_sample_csv``, the
 sample CSV reader over per-line strings and np.loadtxt that the byte
-scan of ``cli._Lines`` replaced.  ``index_pi``, ``step_probability``,
+scan of ``cli._Lines`` replaced; ``quarterly_t6_moments``, the per-unit
+quarterly formula z * (c exp(a'theta) + b), and ``network_moment_value``,
+the network transition moment from index values, that the term tables
+of ``moments.QuarterlyT6Moments`` and ``moments.NetworkT3Moments``
+replaced.  ``ar2_t3_moments`` reads the printed AR(2), T=3 cases per
+unit.  ``index_pi``, ``step_probability``,
 ``path_probability``, ``phi_kappa``, ``phi_expand``,
 ``network_star_equals_full``, ``CallableMoments``, ``moment_bound`` and
 ``pair_from_wperp`` read the library through its own kernels or build
@@ -677,3 +682,79 @@ def loadtxt_read_sample_csv(fh, spec):
         raise DataError(f"{what} data row {bad[0] + 1}: expected {len(columns)} "
                         f"fields, found {fields[bad[0] + 1]}")
     return Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
+
+
+# -- the closed-form moments before the term tables ---------------------------
+
+
+def ar2_t3_moments(Y, Y0, theta):
+    """AR(2), T=3 moments per unit, one column per initial block
+    2 y_{-1} + y_0, read off the printed cases (0,0) and (0,1); a unit
+    with y_{-1} = 1 reads the case of its flipped outcomes."""
+    g1, g2 = theta
+    printed = {(0, 0): {(0, 1, 0): 1.0, (0, 1, 1): np.exp(-g1),
+                        (1, 0, 0): -1.0, (1, 0, 1): -1.0},
+               (0, 1): {(1, 0, 0): np.exp(g2 - g1), (1, 0, 1): np.exp(g2),
+                        (0, 1, 0): -1.0, (0, 1, 1): -1.0}}
+    out = np.zeros((len(Y), 4))
+    for u, (y, (ym1, y0)) in enumerate(zip(np.asarray(Y), np.asarray(Y0))):
+        case, path = (0, int(y0) ^ int(ym1)), tuple(int(v) ^ int(ym1) for v in y)
+        out[u, 2 * ym1 + y0] = printed[case].get(path, 0.0)
+    return out
+
+
+def quarterly_t6_moments(Y, Y0, X, theta, instruments):
+    """Quarterly T=6 moments per unit as z * (c exp(a'theta) + b), the
+    formula that ``moments.QuarterlyT6Moments`` evaluated before its term
+    table: m1 = (1 - y5) exp(a'theta) + y1 - 1, m2 = m1 after Y -> 1-Y,
+    y0 -> 1-y0, X -> -X, and column 2i + j = m_j z_i with z = 1 and,
+    with ``instruments``, each x_2 - x_6 and x_5 - x_1."""
+    Y = np.asarray(Y, dtype=float)
+    y0 = np.asarray(Y0, dtype=float).reshape(-1)
+    theta, n = np.asarray(theta, dtype=float), len(y0)
+    d26 = d51 = np.zeros((n, 0))
+    if X is not None:
+        X = np.asarray(X, dtype=float)
+        d26, d51 = X[:, :, 1] - X[:, :, 5], X[:, :, 4] - X[:, :, 0]
+
+    def m1(Y, y0, d26, d51):
+        y1, y2, y4, y5, y6 = (Y[:, k] for k in (0, 1, 3, 4, 5))
+        s = (1 - y2) * y6 - y2 * (1 - y6)
+        a = np.column_stack([y1 * (s + y4 - y0), s[:, None] * d26 + y1[:, None] * d51])
+        return (1 - y5) * np.exp(a @ theta) + y1 - 1
+
+    m = np.column_stack([m1(Y, y0, d26, d51), m1(1.0 - Y, 1.0 - y0, -d26, -d51)])
+    inst = range(d26.shape[1] if instruments else 0)
+    z = np.column_stack([np.ones(n)] + [v[:, d] for d in inst for v in (d26, d51)])
+    return (z[:, :, None] * m[:, None, :]).reshape(n, -1)
+
+
+def network_moment_value(spec, y_ref, Y, y0, X, theta):
+    """Vectorized transition moment m_y for a reference network y_ref,
+    from the index values themselves (the form ``moments.NetworkT3Moments``
+    replaced with a term table).
+
+    With pi_s(z) the period-s index fed by the network z,
+    m_y = 1{Y2 = y} exp(sum (Y3 - y)(pi_2(Y1) - pi_3(y))
+    - sum (Y1 - y)(pi_1(y0) - pi_3(y))) - 1{Y1 = y}, sums over dyads.
+    y0 is one network or one per unit, X is d_x x T or one per unit.
+    """
+    from felogit.model import NETWORK, step_index
+
+    if spec.family != NETWORK or spec.tau != 3:
+        raise ValueError("network transition moments require tau = 3")
+    D = spec.n_dyads
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.int64))
+    y_ref = np.asarray(y_ref, dtype=np.int64)
+    Y1, Y2, Y3 = Y[:, :D], Y[:, D: 2 * D], Y[:, 2 * D:]
+
+    def pi(states, per):
+        x = np.asarray(X, dtype=float)[..., (per - 1) * D: per * D] if spec.d_x else None
+        return step_index(spec, states, x, theta)
+
+    pi_ref = pi(y_ref, 3)
+    e1 = np.sum((Y3 - y_ref) * (pi(Y1, 2) - pi_ref), axis=1)
+    e2 = -np.sum((Y1 - y_ref) * (pi(y0, 1) - pi_ref), axis=1)
+    ind2 = np.all(Y2 == y_ref, axis=1)
+    ind1 = np.all(Y1 == y_ref, axis=1)
+    return ind2 * np.exp(e1 + e2) - ind1

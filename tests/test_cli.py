@@ -297,6 +297,23 @@ def test_verify_csv_other_moment_libraries(capsys, moment, names):
     _check_verify_csv(capsys, moment, names)
 
 
+@pytest.mark.parametrize("name", sorted(cli.LIBRARIES))
+def test_library_moments_lie_in_the_null_space_of_their_model(name):
+    # drawn as ``verify`` draws them, every moment of a catalogue library is
+    # annihilated by its reference model's row-max-normalized coefficient
+    # matrix, so each holds at every fixed effect, not only on a grid
+    lib, rng = cli.LIBRARIES[name], np.random.default_rng(0)
+    spec = lib.reference(1)
+    for _ in range(20):
+        theta = rng.uniform(-lib.h, lib.h, spec.theta_dim)
+        X = rng.normal(size=(spec.d_x, spec.T)) if spec.d_x else None
+        y0 = rng.integers(0, 2, spec.y0_len)
+        C = fl.moments.coefficient_matrix(spec, y0, X, theta)[0]
+        C = C / np.abs(C).max(axis=1, keepdims=True)
+        for moment, m in lib.named(spec, rng, theta, y0, X):
+            assert np.abs(C @ m.values).max() <= 1e-10 * np.abs(m.values).max(), moment
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["wperp", "--bogus-flag"])

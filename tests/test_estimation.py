@@ -21,7 +21,8 @@ from felogit.estimation import (
     cmle_static,
     gmm,
 )
-from oracles import CallableMoments
+from oracles import (CallableMoments, ar2_t3_moments, network_moment_value,
+                     quarterly_t6_moments)
 
 
 def _static_sample(n=2000, T=3, beta=(0.0,), seed=0, rho=0.0):
@@ -330,38 +331,49 @@ def test_gmm_fallback_matches_exact_path(name):
 
 
 def _term_library(data):
-    """A closed-form evaluator and units (Y, Y0, X) for it."""
+    """A closed-form library, units (Y, Y0, X) for it, theta, and the
+    units' moments from the reference formula in the oracles."""
     n = data.draw(st.integers(1, 25))
     bits = st.integers(0, 1)
-    if data.draw(st.booleans()):
-        ev, T, L0, d_x = moments.Ar2T3Moments(), 3, 2, 0
-    else:
+    kind = data.draw(st.sampled_from(["ar2_t3", "quarterly_t6", "network_t3"]))
+    if kind == "ar2_t3":
+        ev, T, L0, d_x, dim = moments.Ar2T3Moments(), 3, 2, 0, 2
+    elif kind == "quarterly_t6":
         d_x = data.draw(st.integers(0, 2))
         ev = moments.QuarterlyT6Moments(d_x=d_x, instruments=data.draw(st.booleans()))
-        T, L0 = 6, 1
+        T, L0, dim = 6, 1, 1 + d_x
+    else:
+        spec = fl.network_design(3, 3, d_x=data.draw(st.integers(0, 2)))
+        ref = data.draw(hnp.arrays(np.int64, 3, elements=bits))
+        ev, T, L0, d_x, dim = moments.NetworkT3Moments(spec, ref), 9, 3, spec.d_x, 2 + spec.d_x
     Y = data.draw(hnp.arrays(np.int64, (n, T), elements=bits))
     Y0 = data.draw(hnp.arrays(np.int64, (n, L0), elements=bits))
     X = data.draw(hnp.arrays(float, (n, d_x, T), elements=st.floats(-2, 2))) \
         if d_x else None
-    dim = 2 if T == 3 else 1 + d_x
     theta = data.draw(hnp.arrays(float, dim, elements=st.floats(-1.5, 1.5)))
-    return ev, Y, Y0, X, theta
+    if kind == "ar2_t3":
+        want = ar2_t3_moments(Y, Y0, theta)
+    elif kind == "quarterly_t6":
+        want = quarterly_t6_moments(Y, Y0, X, theta, ev.instruments)
+    else:
+        want = network_moment_value(spec, ref, Y, Y0, X, theta)[:, None]
+    return ev, Y, Y0, X, theta, want
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_term_table_reproduces_stacked_with_exact_jacobian(data):
-    ev, Y, Y0, X, theta = _term_library(data)
+def test_term_tables_match_the_reference_formulas_with_exact_jacobian(data):
+    ev, Y, Y0, X, theta, want = _term_library(data)
     tab = ev.terms(Y, Y0, X)
     assert np.all(np.any(tab.coef != 0, axis=1))  # zero terms are dropped
-    out = np.zeros((len(Y), ev.k))
-    np.add.at(out, tab.cell, tab.coef * np.exp(tab.A @ theta)[:, None])
-    np.testing.assert_allclose(out, ev.stacked(Y, Y0, X, theta),
-                               rtol=1e-12, atol=1e-12)
+    out = moments.term_moments(tab, len(Y), theta)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(ev.stacked(Y, Y0, X, theta), out)
 
     w = data.draw(hnp.arrays(float, len(Y), elements=st.floats(0.1, 1.0)))
-    cells = SimpleNamespace(Y=Y, Y0=Y0, X=X)
-    moment_jac = estimation._exact_moments(ev, cells, w / w.sum())
+    coef = tab.coef.copy()
+    moment_jac = estimation._exact_moments(tab, w / w.sum())
+    np.testing.assert_array_equal(tab.coef, coef)  # the table is left as it was
     gbar, G = moment_jac(theta)
     np.testing.assert_allclose(gbar, w @ out / w.sum(), rtol=1e-12, atol=1e-12)
     fd = estimation._central_diff(lambda t: moment_jac(t)[0], theta)
@@ -369,6 +381,23 @@ def test_term_table_reproduces_stacked_with_exact_jacobian(data):
     # below that (a covariate of 1e-59, say) is read as 0
     atol = 1e-6 * np.abs(G).max() + 1e-8 * np.abs(gbar).max()
     np.testing.assert_allclose(G, fd, rtol=1e-6, atol=atol)
+
+
+@pytest.mark.parametrize("ev, T, L0, d_x, dim", [
+    (moments.Ar2T3Moments(), 3, 2, 0, 2),
+    (moments.QuarterlyT6Moments(d_x=1), 6, 1, 1, 2),
+    (moments.NetworkT3Moments(fl.network_design(3, 3, d_x=1), [1, 0, 1]), 9, 3, 1, 3),
+])
+def test_term_moments_reject_theta_of_the_wrong_length(ev, T, L0, d_x, dim):
+    # a short theta would drop a coefficient, a long one ignore it
+    rng = np.random.default_rng(5)
+    Y, Y0 = rng.integers(0, 2, (4, T)), rng.integers(0, 2, (4, L0))
+    X = rng.normal(size=(4, d_x, T)) if d_x else None
+    assert ev.stacked(Y, Y0, X, np.zeros(dim)).shape == (4, ev.k)
+    for wrong in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=f"theta has length {wrong}, "
+                           f"the moment terms take {dim}"):
+            ev.stacked(Y, Y0, X, np.zeros(wrong))
 
 
 def test_sample_shape_validation():
