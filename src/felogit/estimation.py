@@ -24,6 +24,7 @@ and the sandwich meat clustered by unit, in one pass over the segments.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -34,6 +35,8 @@ from .moments import term_moments
 from .sufficiency import (_canonical_spec, arp_statistic_key, key_classes,
                           transition_stats)
 
+_Run = namedtuple("_Run", "x fun nit nfev success message")  # one ``_minimize`` run
+
 
 class NoInformationError(RuntimeError):
     """Raised when a sample carries no identifying variation."""
@@ -41,6 +44,8 @@ class NoInformationError(RuntimeError):
 
 def _check_binary(name, values):
     values = np.asarray(values)
+    if values.dtype == np.int8 and values.view(np.uint8).max(initial=0) <= 1:
+        return values  # -1 reads 255 in the uint8 view
     bad = values[(values != 0) & (values != 1)]
     if bad.size:
         raise ValueError(f"{name} must be binary (0/1), found {bad[0].item()!r}")
@@ -407,23 +412,71 @@ def _exact_moments(tab, weights):
     return moment_jac
 
 
+def _minimize(moment_jac, Wmat, n, x):
+    """Minimize n * gbar' W gbar from x: BFGS, then a Gauss-Newton polish.
+
+    BFGS's first trial step is min(1, 1.01 * 2 (f - f_prev) / slope), with
+    f_prev = f + |grad| / 2 at the start (Nocedal and Wright 2006, sec.
+    3.5): scale-free, it lets a restart leave its basin.  Trials backtrack
+    by quadratic interpolation to the Armijo condition, the inverse Hessian
+    updates only where s'y > 0, and BFGS stops when no gradient entry
+    exceeds 1e-9 n, after 500 steps, or when no trial can lower f beyond
+    rounding.  Gauss-Newton steps -(G'WG)^+ G'W gbar then converge once no
+    entry exceeds 1e-10 (1 + |theta|), whatever n, and stop unconverged
+    when one raises f beyond rounding or is over 0.9 times the last.
+    """
+    def obj(theta):
+        with np.errstate(over="ignore", invalid="ignore"):  # a far trial gives inf and is refused
+            g, G = moment_jac(theta)
+            Wg = n * Wmat @ g
+            return float(g @ Wg), 2.0 * G.T @ Wg, g, G
+
+    (f, grad, g, G), H, nfev, it, last = obj(x), np.eye(x.size), 1, 0, np.inf
+    f_prev = f + np.linalg.norm(grad) / 2
+    while np.max(np.abs(grad), initial=0) > 1e-9 * n and it < 500:
+        slope = grad @ (p := -H @ grad)
+        alpha = min(1.0, 2.02 * (f - f_prev) / slope) if slope < 0 and f < f_prev else 1.0
+        while f + 1e-4 * alpha * slope < f:  # else the decrease is below rounding
+            new, nfev = obj(x + alpha * p), nfev + 1
+            if new[0] <= f + 1e-4 * alpha * slope:
+                break
+            # to the minimum of the parabola through f, slope and new[0]
+            alpha *= min(0.5, max(0.1, slope * alpha / (2 * (f + slope * alpha - new[0]))))
+        else:
+            break
+        s, y = alpha * p, new[1] - grad
+        x, f_prev, it, (f, grad, g, G) = x + s, f, it + 1, new
+        if s @ y > 0:
+            V = np.eye(x.size) - np.outer(s, y) / (s @ y)
+            H = V @ H @ V.T + np.outer(s, s) / (s @ y)
+    message = ("BFGS: gradient below 1e-9 n" if np.max(np.abs(grad), initial=0) <= 1e-9 * n
+               else f"BFGS: {'500 iterations' if it == 500 else 'line search found no decrease'}")
+    for _ in range(20):
+        step = -np.linalg.pinv(G.T @ Wmat @ G) @ (G.T @ Wmat @ g)
+        if (size := np.max(np.abs(step), initial=0)) <= 1e-10 * (1 + np.max(np.abs(x))):
+            return _Run(x, f, it, nfev, True, f"{message}; Gauss-Newton step below 1e-10")
+        new, nfev = obj(x + step), nfev + 1
+        if not new[0] <= f * (1 + 1e-12) or size > 0.9 * last:
+            break
+        x, it, last, (f, grad, g, G) = x + step, it + 1, size, new
+    return _Run(x, f, it, nfev, False, f"{message}; Gauss-Newton steps did not settle")
+
+
 def gmm(sample, moments, init, weighting="two-step"):
     """GMM on stacked fixed-effect-free moment evaluators.
 
-    Minimizes n * gbar(theta)' W gbar(theta) by BFGS, from ``init`` and
-    from two perturbed restarts; ``two-step`` re-minimizes with the
+    Minimizes n gbar' W gbar from ``init`` and two perturbed restarts by
+    ``_minimize``, keeping the lowest; ``two-step`` re-minimizes with the
     inverse sample covariance of the moments plus a 1e-10 ridge.
     Moments are evaluated once per cell of the sample's count table.
     A library with ``terms`` compiles the cells into a term table once
     per call; gbar and its exact Jacobian G come from one exp(A theta),
-    so each BFGS evaluation returns the value and the gradient
+    so each evaluation returns the value and the gradient
     2n G'W gbar together, and the covariance evaluates the same table.
     For an evaluator that only has ``stacked``, G comes from central
     differences.  G enters the sandwich and the rank reported as an
     identification diagnostic.
     """
-    from scipy.optimize import minimize  # scipy loads here, not with felogit
-
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     spec = sample.spec
@@ -448,21 +501,13 @@ def gmm(sample, moments, init, weighting="two-step"):
         return np.cov(stacked(theta).T, fweights=counts, bias=True).reshape(k, k)
 
     def solve(Wmat, start):
-        def obj(theta):
-            g, G = moment_jac(theta)
-            Wg = sample.n * Wmat @ g
-            return float(g @ Wg), 2.0 * G.T @ Wg
-
         rng = np.random.default_rng(12345)
-        starts = [start] + [start + rng.normal(scale=0.25, size=start.shape)
-                            for _ in range(2)]
-        runs = [minimize(obj, x0, jac=True, method="BFGS",
-                         options={"gtol": 1e-9 * sample.n, "maxiter": 500})
-                for x0 in starts]
+        starts = [start] + [start + rng.normal(scale=0.25, size=start.shape) for _ in range(2)]
+        runs = [_minimize(moment_jac, Wmat, sample.n, x0) for x0 in starts]
         stages.append(runs)
         return min(runs, key=lambda r: r.fun)
 
-    stages = []  # the BFGS runs of each stage
+    stages = []  # the runs of each stage
     Wmat = np.eye(k)
     res = solve(Wmat, init)
     flagged_singular = False
@@ -500,6 +545,6 @@ def gmm(sample, moments, init, weighting="two-step"):
             "jacobian": "exact" if exact else "central_difference",
             "n_evaluations": sum(r.nfev for runs in stages for r in runs),
             "restart_objectives": [[float(r.fun) for r in rs] for rs in stages],
-            "message": str(res.message),
+            "message": res.message,
         },
     )

@@ -142,8 +142,6 @@ def _roll(spec, state, steps, X, A, theta, rng):
     2^18 numbers (or one step).  Returns ``state`` followed by every
     draw, time-major: (L0 + len(steps) * step_width, n).
     """
-    from scipy.special import expit  # scipy loads here, not with felogit
-
     (n, L0), w = state.shape, spec.step_width
     top = lag_features(spec, np.ones(L0, dtype=np.int64)).max(axis=0) + 1
     radix = np.cumprod(top) // top
@@ -152,7 +150,9 @@ def _roll(spec, state, steps, X, A, theta, rng):
     for s in range(len(prob)):
         cols = slice(s * w, (s + 1) * w)
         x = None if X is None else X[:, :, cols]
-        expit(feature_index(spec, Z, x, theta) + A @ spec.W[:, cols], out=prob[s])
+        eta = feature_index(spec, Z, x, theta) + A @ spec.W[:, cols]
+        with np.errstate(over="ignore"):  # exp(-eta) = inf gives Pr = 0
+            prob[s] = 1 / (1 + np.exp(-eta))
     full = np.empty((L0 + len(steps) * w, n), dtype=np.int8)
     full[:L0] = state.T
     slot, block = np.arange(n * w).reshape(n, w), max(1, (1 << 18) // (n * w))

@@ -22,8 +22,9 @@ scan of ``cli._Lines`` replaced; ``quarterly_t6_moments``, the per-unit
 quarterly formula z * (c exp(a'theta) + b), and ``network_moment_value``,
 the network transition moment from index values, that the term tables
 of ``moments.QuarterlyT6Moments`` and ``moments.NetworkT3Moments``
-replaced.  ``ar2_t3_moments`` reads the printed AR(2), T=3 cases per
-unit.  ``index_pi``, ``step_probability``,
+replaced; ``scipy_bfgs``, the scipy BFGS that the numpy minimizer of
+``estimation._minimize`` replaced.  ``ar2_t3_moments`` reads the
+printed AR(2), T=3 cases per unit.  ``index_pi``, ``step_probability``,
 ``path_probability``, ``phi_kappa``, ``phi_expand``,
 ``network_star_equals_full``, ``CallableMoments``, ``moment_bound`` and
 ``pair_from_wperp`` read the library through its own kernels or build
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit
 
 
@@ -451,6 +453,19 @@ class CallableMoments:
     def stacked(self, Y, Y0, X, theta):
         out = np.asarray(self.fn(Y, Y0, X, theta), dtype=float)
         return out.reshape(len(Y), self.k)
+
+
+def scipy_bfgs(moment_jac, Wmat, n, x0):
+    """scipy's BFGS on n * gbar' W gbar with the gradient 2n G'W gbar, as
+    ``estimation.gmm`` called it before its own minimizer; takes the
+    arguments of ``estimation._minimize``."""
+    def obj(theta):
+        g, G = moment_jac(theta)
+        Wg = n * Wmat @ g
+        return float(g @ Wg), 2.0 * G.T @ Wg
+
+    return minimize(obj, x0, jac=True, method="BFGS",
+                    options={"gtol": 1e-9 * n, "maxiter": 500})
 
 
 def moment_bound(spec, y0, X, theta):

@@ -896,6 +896,42 @@ print(json.dumps({"at_import": at_import, "Y": s.Y.tolist(), "Y0": s.Y0.tolist()
                    "theta": rep.theta.tolist()}
 
 
+# with scipy blocked, the estimation commands run under -W error, exit 0
+# and load no scipy module; CI runs the same as "Estimation without scipy"
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # import scipy now raises ImportError
+import felogit.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(felogit.cli.main(argv))
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_estimation_commands_run_without_scipy(tmp_path):
+    argvs = []
+    for T, method in ((3, "gmm"), (4, "cmle")):
+        dgp = {"design": {"design": "ar", "p": 2, "T": T}, "theta": [0.5, -0.3],
+               "n": 2000, "seed": 4, "y0_law": {"kind": "stationary", "burn_in": 50}}
+        cfg, data = tmp_path / f"dgp{T}.json", str(tmp_path / f"sample{T}.csv")
+        cfg.write_text(json.dumps(dgp))
+        mc = tmp_path / f"mc{T}.json"
+        mc.write_text(json.dumps({"dgp": dgp, "estimator": {"method": method},
+                                  "replications": 2}))
+        argvs += [["simulate", "--config", str(cfg), "--output", data],
+                  ["estimate", *AR, "2", "--T", str(T), "--data", data, "--method", method],
+                  ["mc", "--config", str(mc)]]
+    done = subprocess.run([sys.executable, "-W", "error", "-c", WITHOUT_SCIPY,
+                           json.dumps(argvs)], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     # Through `python -m felogit`, so the exit code must survive sys.exit.
     def felogit(*argv):

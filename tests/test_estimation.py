@@ -1,4 +1,5 @@
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from felogit.estimation import (
     gmm,
 )
 from oracles import (CallableMoments, ar2_t3_moments, network_moment_value,
-                     quarterly_t6_moments)
+                     quarterly_t6_moments, scipy_bfgs)
 
 
 def _static_sample(n=2000, T=3, beta=(0.0,), seed=0, rho=0.0):
@@ -330,6 +331,56 @@ def test_gmm_fallback_matches_exact_path(name):
     np.testing.assert_allclose(fallback.std_errors, exact.std_errors, rtol=1e-5)
 
 
+def test_gmm_minimizer_matches_scipy_bfgs(monkeypatch):
+    # scipy's BFGS runs beside the numpy minimizer on every stage's
+    # objective (same weight matrix, same starts); the lowest of the
+    # three runs agrees in value and in place, on the GMM_CASES samples
+    # and on two samples where restarts leave a local minimum
+    ours, runs = estimation._minimize, []
+
+    def both(moment_jac, Wmat, n, x0):
+        runs.append((ours(moment_jac, Wmat, n, x0), scipy_bfgs(moment_jac, Wmat, n, x0)))
+        return runs[-1][0]
+
+    monkeypatch.setattr(estimation, "_minimize", both)
+    quarterly = moments.QuarterlyT6Moments(d_x=1)
+    cases = [(make(), ev) for make, ev in GMM_CASES.values()] + [
+        (_quarterly_sample(n, seed), quarterly) for n, seed in ((1000, 33), (4000, 14))]
+    for sample, ev in cases:
+        runs.clear()
+        gmm(sample, ev, np.zeros(2))
+        assert len(runs) == 6
+        for stage in (runs[:3], runs[3:]):
+            new, ref = (min(r, key=lambda run: run.fun) for r in zip(*stage))
+            assert new.fun == pytest.approx(ref.fun, rel=1e-9, abs=0)
+            np.testing.assert_allclose(new.x, ref.x, rtol=0, atol=1e-6)
+
+
+def test_gmm_converges_on_every_identity_weighted_quarterly_rep():
+    # scipy's BFGS stopped on "precision loss" (converged: false) in 4
+    # of these 30 reps; the Gauss-Newton polish stops on its step size
+    cfg = simulate.DGPConfig(
+        spec=fl.quarterly_ar(1, 6, d_x=1), theta=np.array([0.5, 1.0]), n=5000,
+        seed=7, a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7})
+    ev = moments.QuarterlyT6Moments(d_x=1)
+    rows, _ = simulate.monte_carlo(
+        cfg, lambda s: gmm(s, ev, np.zeros(2), weighting="identity"), 30)
+    assert [r["converged"] for r in rows] == [True] * 30
+
+
+def test_gmm_refuses_overflowing_trials_without_warnings():
+    # a stage-1 restart's line search on this sample tries a point where
+    # n gbar' W gbar overflows; numpy's warning there was an error under
+    # -W error (and in the tests)
+    cfg = simulate.DGPConfig(
+        spec=fl.quarterly_ar(1, 6, d_x=1), theta=np.array([0.5, 1.0]), n=20000,
+        seed=3248817707, a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gmm(simulate.generate(cfg), moments.QuarterlyT6Moments(d_x=1), np.zeros(2))
+    assert rep.converged
+
+
 def _term_library(data):
     """A closed-form library, units (Y, Y0, X) for it, theta, and the
     units' moments from the reference formula in the oracles."""
@@ -416,6 +467,24 @@ def test_sample_rejects_non_binary_outcomes(bad):
     Y[2, 1], Y0[3, 0] = 1, bad
     with pytest.raises(ValueError, match=re.escape(f"Y0 must be binary (0/1), found {bad}")):
         Sample(spec=spec, Y=Y, Y0=Y0)
+
+
+def test_binary_check_refuses_and_accepts_by_dtype():
+    # 0/1 int8 is checked through a uint8 view and kept as it is; other
+    # dtypes are compared with 0 and 1 and copied to int8
+    spec = fl.panel_ar(1, 3)
+    Y0 = np.zeros((2, 1), dtype=np.int8)
+    for bad, dtype in ((-1, np.int8), (2, np.int8), (7, np.int64)):
+        Y = np.zeros((2, 3), dtype=dtype)
+        Y[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(f"Y must be binary (0/1), found {bad}")):
+            Sample(spec=spec, Y=Y, Y0=Y0)
+        with pytest.raises(ValueError, match=re.escape(f"Y0 must be binary (0/1), found {bad}")):
+            Sample(spec=spec, Y=np.zeros((2, 3), dtype=np.int8), Y0=Y[:, 2:])
+    Y = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8)
+    assert Sample(spec=spec, Y=Y, Y0=Y0).Y is Y
+    s = Sample(spec=spec, Y=Y.astype(bool), Y0=Y0.astype(bool))
+    assert s.Y.dtype == s.Y0.dtype == np.int8 and np.array_equal(s.Y, Y)
 
 
 def test_newton_reports_why_it_stopped():

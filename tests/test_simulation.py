@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -64,6 +65,18 @@ def test_generate_bytes_are_pinned(case):
     s = generate(DGPConfig(n=300, **{**kw, "theta": np.array(kw["theta"])}))
     parts = [s.Y, s.Y0] + ([] if s.X is None else [s.X])
     assert hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("loc, value", [(800.0, 1), (-800.0, 0)])
+def test_generate_saturates_past_the_float_range_without_warnings(loc, value):
+    # at |eta| > 709, exp(-eta) overflows to inf or underflows to 0, so
+    # Pr(y = 1) is exactly 0 or 1 and every draw is the same
+    cfg = DGPConfig(spec=fl.panel_ar(1, 4, d_x=1), theta=np.array([0.5, 1.0]), n=300,
+                    seed=8, a_law={"kind": "normal", "loc": loc})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = generate(cfg)
+    assert np.all(s.Y == value)
 
 
 _D_X = st.integers(0, 2)
