@@ -609,7 +609,15 @@ def cmd_mc(args):
         cfg = _dgp_from_doc(doc["dgp"])
         estimator = _build_estimator(doc["estimator"], cfg.spec)
         reps = model.checked_int("replications", doc.get("replications"), 1)
-        threads = args.threads or model.checked_int("threads", doc.get("threads", 1), 1)
+    source, value = "mc config", doc.get("threads", 1)
+    if args.threads is not None:
+        source, value = "--threads", args.threads
+    elif env := os.environ.get("FELOGIT_THREADS"):
+        source, value = "FELOGIT_THREADS", env
+        with suppress(ValueError):
+            value = int(env)
+    with _rejected_as(source):
+        threads = model.checked_int("threads", value, 1)
     rows, summary = simulate.monte_carlo(cfg, estimator, reps, threads=threads)
     out = [["kind", "rep", "seed", "name", "estimate", "se",
             "converged", "error", "bias", "rmse", "coverage", "n_ok", "elapsed_s"]]
@@ -711,8 +719,7 @@ def build_parser():
 
     p = sub.add_parser("mc", help="Monte Carlo experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("FELOGIT_THREADS", "0")) or None)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_mc)
     for p in sub.choices.values():
         p.add_argument("--output")

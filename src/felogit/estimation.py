@@ -401,7 +401,8 @@ def _central_diff(fn, theta):
 
 def _exact_moments(tab, weights):
     """gbar = K'exp(A theta) and its exact Jacobian K'(exp(A theta) * A)
-    from a term table, the cell weights folded into K."""
+    from a term table, the cell weights folded into K; and the curvature
+    sum_k v_k Hessian(gbar_k) = A'(exp(A theta) * K v * A)."""
     coef = tab.coef * weights[tab.cell, None]
     const = ~tab.A.any(axis=1)  # terms with a = 0 add up once
     g0, K, A = coef[const].sum(axis=0), coef[~const], tab.A[~const]
@@ -409,11 +410,14 @@ def _exact_moments(tab, weights):
     def moment_jac(theta):
         e = np.exp(A @ theta)
         return g0 + e @ K, K.T @ (e[:, None] * A)
-    return moment_jac
+
+    def curvature(theta, v):
+        return A.T @ ((np.exp(A @ theta) * (K @ v))[:, None] * A)
+    return moment_jac, curvature
 
 
-def _minimize(moment_jac, Wmat, n, x):
-    """Minimize n * gbar' W gbar from x: BFGS, then a Gauss-Newton polish.
+def _minimize(moment_jac, Wmat, n, x, curvature=None):
+    """Minimize n * gbar' W gbar from x: BFGS, then a Newton polish.
 
     BFGS's first trial step is min(1, 1.01 * 2 (f - f_prev) / slope), with
     f_prev = f + |grad| / 2 at the start (Nocedal and Wright 2006, sec.
@@ -421,9 +425,12 @@ def _minimize(moment_jac, Wmat, n, x):
     by quadratic interpolation to the Armijo condition, the inverse Hessian
     updates only where s'y > 0, and BFGS stops when no gradient entry
     exceeds 1e-9 n, after 500 steps, or when no trial can lower f beyond
-    rounding.  Gauss-Newton steps -(G'WG)^+ G'W gbar then converge once no
-    entry exceeds 1e-10 (1 + |theta|), whatever n, and stop unconverged
-    when one raises f beyond rounding or is over 0.9 times the last.
+    rounding.  Newton steps -H^+ G'W gbar then converge once no entry
+    exceeds 1e-10 (1 + |theta|), whatever n, and stop unconverged when one
+    raises f beyond rounding or is over 0.9 times the last.  H is the
+    Hessian G'WG + ``curvature(theta, W gbar)`` where it is positive
+    definite, so that a minimum with large residuals converges too, and
+    the Gauss-Newton G'WG elsewhere or without ``curvature``.
     """
     def obj(theta):
         with np.errstate(over="ignore", invalid="ignore"):  # a far trial gives inf and is refused
@@ -452,14 +459,18 @@ def _minimize(moment_jac, Wmat, n, x):
     message = ("BFGS: gradient below 1e-9 n" if np.max(np.abs(grad), initial=0) <= 1e-9 * n
                else f"BFGS: {'500 iterations' if it == 500 else 'line search found no decrease'}")
     for _ in range(20):
-        step = -np.linalg.pinv(G.T @ Wmat @ G) @ (G.T @ Wmat @ g)
+        H = G.T @ Wmat @ G
+        if curvature is not None:
+            full = H + curvature(x, Wmat @ g)
+            H = full if np.linalg.eigvalsh(full)[0] > 0 else H
+        step = -np.linalg.pinv(H) @ (G.T @ Wmat @ g)
         if (size := np.max(np.abs(step), initial=0)) <= 1e-10 * (1 + np.max(np.abs(x))):
-            return _Run(x, f, it, nfev, True, f"{message}; Gauss-Newton step below 1e-10")
+            return _Run(x, f, it, nfev, True, f"{message}; Newton step below 1e-10")
         new, nfev = obj(x + step), nfev + 1
         if not new[0] <= f * (1 + 1e-12) or size > 0.9 * last:
             break
         x, it, last, (f, grad, g, G) = x + step, it + 1, size, new
-    return _Run(x, f, it, nfev, False, f"{message}; Gauss-Newton steps did not settle")
+    return _Run(x, f, it, nfev, False, f"{message}; Newton steps did not settle")
 
 
 def gmm(sample, moments, init, weighting="two-step"):
@@ -490,9 +501,10 @@ def gmm(sample, moments, init, weighting="two-step"):
     exact = hasattr(moments, "terms")
     if exact:
         tab = moments.terms(cells.Y, cells.Y0, cells.X)
-        moment_jac, stacked = _exact_moments(tab, weights), partial(term_moments, tab, cells.n)
+        (moment_jac, curvature), stacked = (_exact_moments(tab, weights),
+                                            partial(term_moments, tab, cells.n))
     else:
-        stacked = partial(moments.stacked, cells.Y, cells.Y0, cells.X)
+        stacked, curvature = partial(moments.stacked, cells.Y, cells.Y0, cells.X), None
 
         def moment_jac(theta):
             return weights @ stacked(theta), _central_diff(lambda t: weights @ stacked(t), theta)
@@ -503,7 +515,7 @@ def gmm(sample, moments, init, weighting="two-step"):
     def solve(Wmat, start):
         rng = np.random.default_rng(12345)
         starts = [start] + [start + rng.normal(scale=0.25, size=start.shape) for _ in range(2)]
-        runs = [_minimize(moment_jac, Wmat, sample.n, x0) for x0 in starts]
+        runs = [_minimize(moment_jac, Wmat, sample.n, x0, curvature) for x0 in starts]
         stages.append(runs)
         return min(runs, key=lambda r: r.fun)
 

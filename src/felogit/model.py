@@ -29,10 +29,10 @@ otherwise), and the state feeding a step is the ``y0_len`` outcomes
 before it.  ``lag_features`` reads the integer features pi uses from a
 state (the last p outcomes; each dyad's previous link and shared-friend
 count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta
-(``feature_index`` from the features themselves).
-Path indices, the simulator, the index-value tables and the sufficiency
-keys all go through it.  One exact key, ``exact_key``, turns design
-columns W and loadings W y into values that compare exactly.
+from them.  Path indices, the simulator's step-by-step roll, the
+index-value tables and the sufficiency keys all go through it.  One
+exact key, ``exact_key``, turns design columns W and loadings W y into
+values that compare exactly.
 
 All probability computations are exact and carried out in log space;
 functions in this module are pure and safe to call concurrently.
@@ -352,16 +352,12 @@ def lag_features(spec, states):
 def step_index(spec, states, x, theta):
     """The index kernel pi = sum_k dyn_k Z_k + x'beta over one step.
 
-    ``states`` is (..., y0_len) and ``x`` holds the step's covariates
-    as (..., d_x, step_width), or None without covariates.  Returns
-    pi, (..., step_width), excluding the w_t'A term.
+    ``states`` is (..., y0_len), Z its ``lag_features``, and ``x`` holds
+    the step's covariates as (..., d_x, step_width), or None without
+    covariates; the leading axes of the two broadcast against each
+    other.  Returns pi, (..., step_width), excluding the w_t'A term.
     """
-    return feature_index(spec, lag_features(spec, states), x, theta)
-
-
-def feature_index(spec, Z, x, theta):
-    """``step_index`` from lag features Z, (..., step_width, k); the
-    leading axes of Z and of x broadcast against each other."""
+    Z = lag_features(spec, states)
     dyn, beta = spec.split_theta(theta)
     pi = np.zeros(Z.shape[:-1])
     for k, coef in enumerate(dyn):

@@ -2,9 +2,8 @@
 
 The generator draws covariates, fixed effects (optionally correlated
 with the covariates, which the estimators must tolerate), and initial
-conditions, then rolls outcomes forward from one probability table per
-sample: the index kernel is evaluated once per (step-period, lag
-state), not once per step.  A config's seed fully determines the sample.
+conditions, then rolls outcomes forward step by step through the index
+kernel ``model.step_index``.  A config's seed fully determines the sample.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .estimation import NoInformationError, Sample
-from .model import checked_int, feature_index, lag_features
+from .model import checked_int, step_index
 
 # Each law's kinds, each kind's parameters and their defaults.  DGPConfig
 # refuses other keys and fills in the defaults, so the draws below read
@@ -130,39 +129,24 @@ def _draw_A(cfg, X, rng):
 
 
 def _roll(spec, state, steps, X, A, theta, rng):
-    """Draw the outcomes of ``steps`` (step-periods) in turn from one table.
+    """Draw the outcomes of ``steps`` (step-periods) in turn through the
+    index kernel.
 
-    prob[s, c] holds Pr(y = 1) of each unit's observations in period s
-    from lag state c, with eta formed by the float operations of a
-    step-by-step roll (``feature_index`` + A @ W), so draws keep their
-    bytes.  A state's code is Z @ radix over its lag features Z, feature
-    k running over 0..top_k - 1 (top read off the all-ones state).  Each
-    step draws a uniform below the probability at its state's code; the
-    uniforms come in step order, in blocks of whole steps of at most
-    2^18 numbers (or one step).  Returns ``state`` followed by every
-    draw, time-major: (L0 + len(steps) * step_width, n).
+    The state feeding each step is the y0_len outcomes before it, taken
+    from ``state`` and the draws so far; step-period s loads the effects
+    and covariates of observations s*w .. (s+1)*w - 1, w = step_width,
+    and each step draws n * w uniforms.  Returns ``state`` followed by
+    every draw, time-major: (L0 + len(steps) * w, n).
     """
     (n, L0), w = state.shape, spec.step_width
-    top = lag_features(spec, np.ones(L0, dtype=np.int64)).max(axis=0) + 1
-    radix = np.cumprod(top) // top
-    Z = (np.arange(np.prod(top))[:, None] // radix % top)[:, None, None, :]
-    prob = np.empty((spec.T // w, len(Z), n, w))
-    for s in range(len(prob)):
-        cols = slice(s * w, (s + 1) * w)
-        x = None if X is None else X[:, :, cols]
-        eta = feature_index(spec, Z, x, theta) + A @ spec.W[:, cols]
-        with np.errstate(over="ignore"):  # exp(-eta) = inf gives Pr = 0
-            prob[s] = 1 / (1 + np.exp(-eta))
+    effects = [A @ spec.W[:, s * w: (s + 1) * w] for s in range(spec.T // w)]
     full = np.empty((L0 + len(steps) * w, n), dtype=np.int8)
     full[:L0] = state.T
-    slot, block = np.arange(n * w).reshape(n, w), max(1, (1 << 18) // (n * w))
-    for i, s in enumerate(steps):
-        if i % block == 0:
-            u = rng.random((min(block, len(steps) - i), n, w))
-        Z = lag_features(spec, full[i * w: i * w + L0].T)
-        # flat table positions; a sum of products beats an integer matmul
-        at = sum((Z[..., k] * r for k, r in enumerate(radix * (n * w))), slot)
-        full[L0 + i * w: L0 + (i + 1) * w] = (u[i % block] < np.take(prob[s], at)).T
+    with np.errstate(over="ignore"):  # exp(-eta) = inf gives Pr = 0
+        for i, s in enumerate(steps):
+            x = None if X is None else X[:, :, s * w: (s + 1) * w]
+            eta = step_index(spec, full[i * w: i * w + L0].T, x, theta) + effects[s]
+            full[L0 + i * w: L0 + (i + 1) * w] = (rng.random((n, w)) < 1 / (1 + np.exp(-eta))).T
     return full
 
 

@@ -12,9 +12,7 @@ the sample CSV and edge list, which shares nothing with the byte-row
 writer it checks; the loop builders of the two-way, dyadic,
 triadic, quarterly and network designs; ``svd_null_space``, the
 full SVD of the row-normalized matrix that the grouped null space of
-``moments._null_space`` replaced; ``step_roll``/``step_generate``,
-the step-by-step simulator that the probability table of
-``simulate._roll`` replaced; ``BlockCondLogit``, the conditional-logit
+``moments._null_space`` replaced; ``BlockCondLogit``, the conditional-logit
 core of one block per class size that the segmented
 ``estimation._CondLogit`` replaced; ``loadtxt_read_sample_csv``, the
 sample CSV reader over per-line strings and np.loadtxt that the byte
@@ -23,7 +21,11 @@ quarterly formula z * (c exp(a'theta) + b), and ``network_moment_value``,
 the network transition moment from index values, that the term tables
 of ``moments.QuarterlyT6Moments`` and ``moments.NetworkT3Moments``
 replaced; ``scipy_bfgs``, the scipy BFGS that the numpy minimizer of
-``estimation._minimize`` replaced.  ``ar2_t3_moments`` reads the
+``estimation._minimize`` replaced.  ``step_roll``/``step_generate``
+simulate step by step like ``simulate.generate`` but apart from it,
+sharing only the index kernel: a separate burn-in roll from the
+all-zero state, a second roll for the sample, and scipy's ``expit``.
+``ar2_t3_moments`` reads the
 printed AR(2), T=3 cases per unit.  ``index_pi``, ``step_probability``,
 ``path_probability``, ``phi_kappa``, ``phi_expand``,
 ``network_star_equals_full``, ``CallableMoments``, ``moment_bound`` and
@@ -328,10 +330,10 @@ def step_probability(spec, t, history, x_t, theta, A):
 
 
 def step_roll(spec, state, steps, X, A, theta, rng):
-    """The step-by-step roll that the simulator's probability table
-    replaced: every step evaluates the index kernel and expit on its own
-    states and draws its own uniforms.  Returns ``state`` followed by
-    every draw, unit-major."""
+    """A step-by-step roll apart from ``simulate._roll``: every step
+    evaluates the index kernel and scipy's expit on its own states and
+    draws its own uniforms.  Returns ``state`` followed by every draw,
+    unit-major."""
     from felogit.model import step_index
 
     L0, w = spec.y0_len, spec.step_width

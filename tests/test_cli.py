@@ -191,6 +191,63 @@ def test_mc_model_mismatch_is_refused_before_any_replication(tmp_path, capsys,
         assert message in err
 
 
+def _mc_threads(tmp_path, capsys, monkeypatch, argv, env, config):
+    """Exit code, stderr and the thread count passed to monte_carlo (None
+    when it was not called) of ``felogit mc`` on a small config."""
+    called = []
+
+    def record(cfg, estimator, reps, threads):
+        called.append(threads)
+        return [], {"n_failed": 0}
+
+    monkeypatch.setattr(simulate, "monte_carlo", record)
+    if env is None:
+        monkeypatch.delenv("FELOGIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FELOGIT_THREADS", env)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"dgp": {**DGP, "seed": 1}, "estimator": {"method": "cmle"},
+                               "replications": 2, **config}))
+    code, _, err = run(capsys, "mc", "--config", str(cfg), *argv)
+    return code, err, called[0] if called else None
+
+
+@pytest.mark.parametrize("argv, env, config, message", [
+    (["--threads", "-1"], None, {}, "--threads: threads must be an integer >= 1, found -1"),
+    (["--threads", "0"], "2", {}, "--threads: threads must be an integer >= 1, found 0"),
+    ([], "abc", {}, "FELOGIT_THREADS: threads must be an integer >= 1, found 'abc'"),
+    ([], "-3", {"threads": 2}, "FELOGIT_THREADS: threads must be an integer >= 1, found -3"),
+    ([], "1.5", {}, "FELOGIT_THREADS: threads must be an integer >= 1, found '1.5'"),
+    ([], None, {"threads": 0}, "mc config: threads must be an integer >= 1, found 0"),
+], ids=["negative flag", "zero flag", "text variable", "negative variable",
+        "fraction variable", "zero config"])
+def test_bad_thread_count_exits_2_naming_its_source(tmp_path, capsys, monkeypatch,
+                                                    argv, env, config, message):
+    code, err, threads = _mc_threads(tmp_path, capsys, monkeypatch, argv, env, config)
+    assert (code, threads) == (2, None)
+    assert f"error: {message}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env, config, want", [
+    (["--threads", "3"], "abc", {"threads": 4}, 3),
+    ([], "2", {"threads": 4}, 2),
+    ([], "", {"threads": 4}, 4),
+    ([], None, {}, 1),
+], ids=["flag", "variable", "empty variable", "default"])
+def test_thread_count_precedence(tmp_path, capsys, monkeypatch, argv, env, config, want):
+    # the flag, then FELOGIT_THREADS, then the config's threads, then 1;
+    # only the source that sets the count is read
+    code, err, threads = _mc_threads(tmp_path, capsys, monkeypatch, argv, env, config)
+    assert (code, threads) == (0, want), err
+
+
+def test_thread_variable_is_read_by_mc_only(capsys, monkeypatch):
+    monkeypatch.setenv("FELOGIT_THREADS", "abc")
+    code, out, err = run(capsys, "table1", "--max-p", "1")
+    assert code == 0 and "error" not in err
+    assert out.splitlines()[2] == "0,2,1 -1"
+
+
 def test_gmm_quarterly_moments_take_the_nested_panel_ar1(tmp_path, capsys):
     # W = 1' lies in the row space of the quarterly design, so the
     # quarterly T=6 moments hold for panel AR(1) T=6
@@ -873,9 +930,9 @@ print(json.dumps({{"at_import": at_import, "codes": codes, "after": {SCIPY_MODUL
     assert doc == {"at_import": [], "codes": list(codes), "after": []}
 
 
-def test_generate_and_gmm_load_scipy_when_called():
-    # from a scipy-free start, generate and gmm load what they need and
-    # give the same bits as in a process that had scipy loaded already
+def test_import_loads_no_scipy_and_fresh_process_gives_same_bits():
+    # import felogit loads no scipy module, and generate and gmm in a
+    # fresh process give the bits of this one, which has scipy loaded
     script = """
 import json, sys
 import numpy as np

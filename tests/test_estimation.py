@@ -338,8 +338,9 @@ def test_gmm_minimizer_matches_scipy_bfgs(monkeypatch):
     # and on two samples where restarts leave a local minimum
     ours, runs = estimation._minimize, []
 
-    def both(moment_jac, Wmat, n, x0):
-        runs.append((ours(moment_jac, Wmat, n, x0), scipy_bfgs(moment_jac, Wmat, n, x0)))
+    def both(moment_jac, Wmat, n, x0, curvature):
+        runs.append((ours(moment_jac, Wmat, n, x0, curvature),
+                     scipy_bfgs(moment_jac, Wmat, n, x0)))
         return runs[-1][0]
 
     monkeypatch.setattr(estimation, "_minimize", both)
@@ -358,7 +359,7 @@ def test_gmm_minimizer_matches_scipy_bfgs(monkeypatch):
 
 def test_gmm_converges_on_every_identity_weighted_quarterly_rep():
     # scipy's BFGS stopped on "precision loss" (converged: false) in 4
-    # of these 30 reps; the Gauss-Newton polish stops on its step size
+    # of these 30 reps; the Newton polish stops on its step size
     cfg = simulate.DGPConfig(
         spec=fl.quarterly_ar(1, 6, d_x=1), theta=np.array([0.5, 1.0]), n=5000,
         seed=7, a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7})
@@ -366,6 +367,22 @@ def test_gmm_converges_on_every_identity_weighted_quarterly_rep():
     rows, _ = simulate.monte_carlo(
         cfg, lambda s: gmm(s, ev, np.zeros(2), weighting="identity"), 30)
     assert [r["converged"] for r in rows] == [True] * 30
+
+
+def test_gmm_certifies_a_large_residual_minimum():
+    # rep 299 of the study above ends at an objective of 132.7, where
+    # Gauss-Newton steps shrink too slowly to pass the step rule; the
+    # term table's second derivatives make them Newton steps, which
+    # settle at the theta that the Gauss-Newton steps approach
+    cfg = simulate.DGPConfig(
+        spec=fl.quarterly_ar(1, 6, d_x=1), theta=np.array([0.5, 1.0]), n=5000,
+        seed=simulate._rep_seed(7, 299),
+        a_law={"kind": "correlated", "rho": 0.5, "scale": 0.7})
+    rep = gmm(simulate.generate(cfg), moments.QuarterlyT6Moments(d_x=1), np.zeros(2),
+              weighting="identity")
+    assert rep.converged and rep.diagnostics["message"].endswith("Newton step below 1e-10")
+    assert rep.objective == pytest.approx(132.7403100528, rel=1e-12)
+    np.testing.assert_allclose(rep.theta, [0.92455454867, 0.91518475447], rtol=0, atol=1e-8)
 
 
 def test_gmm_refuses_overflowing_trials_without_warnings():
@@ -423,7 +440,7 @@ def test_term_tables_match_the_reference_formulas_with_exact_jacobian(data):
 
     w = data.draw(hnp.arrays(float, len(Y), elements=st.floats(0.1, 1.0)))
     coef = tab.coef.copy()
-    moment_jac = estimation._exact_moments(tab, w / w.sum())
+    moment_jac, curvature = estimation._exact_moments(tab, w / w.sum())
     np.testing.assert_array_equal(tab.coef, coef)  # the table is left as it was
     gbar, G = moment_jac(theta)
     np.testing.assert_allclose(gbar, w @ out / w.sum(), rtol=1e-12, atol=1e-12)
@@ -432,6 +449,15 @@ def test_term_tables_match_the_reference_formulas_with_exact_jacobian(data):
     # below that (a covariate of 1e-59, say) is read as 0
     atol = 1e-6 * np.abs(G).max() + 1e-8 * np.abs(gbar).max()
     np.testing.assert_allclose(G, fd, rtol=1e-6, atol=atol)
+    # the curvature sum_k v_k Hessian(gbar_k) is the derivative of G'v
+    v = data.draw(hnp.arrays(float, ev.k, elements=st.sampled_from([-1.0, -0.3, 0.0, 0.5, 2.0])))
+    C = curvature(theta, v)
+    fd = estimation._central_diff(lambda t: moment_jac(t)[1].T @ v, theta)
+    # G'v sums terms of size up to |G| |v| that may cancel, and its
+    # central differences round relative to them
+    atol = 1e-6 * np.abs(C).max() + 1e-8 * np.abs(G).max() * np.abs(v).max()
+    np.testing.assert_allclose(C, C.T, rtol=1e-12, atol=1e-15 * np.abs(C).max())
+    np.testing.assert_allclose(C, fd, rtol=1e-6, atol=atol)
 
 
 @pytest.mark.parametrize("ev, T, L0, d_x, dim", [

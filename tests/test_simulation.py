@@ -118,10 +118,11 @@ def kernel_configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(cfg=kernel_configs())
-def test_probability_table_matches_step_by_step_roll(cfg):
-    # the table-driven kernel draws the bytes of the step-by-step roll
-    # for every family, covariate and law, burn-ins shorter than a cycle
-    # of step-periods included
+def test_generate_matches_oracle_step_generate(cfg):
+    # generate, one roll shared by the burn-in and the sample, draws the
+    # bytes of the oracle's separate burn-in and sample rolls with scipy's
+    # expit, for every family, covariate and law, burn-ins shorter than a
+    # cycle of step-periods included
     got, want = generate(cfg), step_generate(cfg)
     for a, b in ((got.Y, want.Y), (got.Y0, want.Y0), (got.X, want.X)):
         assert (a is None and b is None) or (
