@@ -524,7 +524,7 @@ def _gmm(doc, spec, init):
     if lib is None or lib.evaluator is None:
         raise DataError(f"unknown GMM moment set {name!r}")
     ref, rank = lib.reference(spec.d_x), np.linalg.matrix_rank
-    sizes = [(s.family, s.p, s.n, s.tau, s.T, s.d_x) for s in (ref, spec)]
+    sizes = [(s.family, s.sizes, s.T, s.d_x) for s in (ref, spec)]
     if sizes[0] != sizes[1] or rank(np.vstack([ref.W, spec.W])) != rank(ref.W):
         raise DataError(f"moment library {name} holds under {ref!r} and the designs "
                         f"whose W rows lie in its row space, found {spec!r}")
@@ -609,7 +609,7 @@ def cmd_mc(args):
         cfg = _dgp_from_doc(doc["dgp"])
         estimator = _build_estimator(doc["estimator"], cfg.spec)
         reps = model.checked_int("replications", doc.get("replications"), 1)
-    source, value = "mc config", doc.get("threads", 1)
+    source, value = ("mc config", doc["threads"]) if "threads" in doc else ("default", 1)
     if args.threads is not None:
         source, value = "--threads", args.threads
     elif env := os.environ.get("FELOGIT_THREADS"):
@@ -618,6 +618,7 @@ def cmd_mc(args):
             value = int(env)
     with _rejected_as(source):
         threads = model.checked_int("threads", value, 1)
+    print(f"# threads: {json.dumps({'threads': threads, 'source': source})}", file=sys.stderr)
     rows, summary = simulate.monte_carlo(cfg, estimator, reps, threads=threads)
     out = [["kind", "rep", "seed", "name", "estimate", "se",
             "converged", "error", "bias", "rmse", "coverage", "n_ok", "elapsed_s"]]

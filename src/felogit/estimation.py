@@ -30,10 +30,9 @@ from functools import partial
 
 import numpy as np
 
-from .model import AR, STATIC, all_paths, exact_key, path_index
+from .model import AR, STATIC, all_paths, exact_key, path_index, path_profile
 from .moments import term_moments
-from .sufficiency import (_canonical_spec, arp_statistic_key, key_classes,
-                          transition_stats)
+from .sufficiency import _canonical_spec, arp_statistic_key, key_classes
 
 _Run = namedtuple("_Run", "x fun nit nfev success message")  # one ``_minimize`` run
 
@@ -345,8 +344,8 @@ def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
 def _dynamic_core(sample):
     """Core over the occupied multi-member sufficiency classes, one row
     per (y0, y) cell of the count table weighted by its count; profiles
-    are the transition statistics of every path in the class.  Returns
-    (core, n_informative)."""
+    are the ``path_profile`` of every path in the class (its transition
+    statistics).  Returns (core, n_informative)."""
     spec = sample.spec
     cells, counts, _ = _count_table(sample)
     y0s, y0_id = np.unique(cells.Y0, axis=0, return_inverse=True)
@@ -355,7 +354,7 @@ def _dynamic_core(sample):
     path_y0 = np.repeat(y0s, 2**spec.T, axis=0)
     key = arp_statistic_key(_canonical_spec(spec), paths, path_y0)
     classes = key_classes(np.hstack([path_y0, key]))
-    stats = transition_stats(spec, paths, path_y0).astype(float)
+    stats = path_profile(spec, paths, path_y0, None).astype(float)
     row = y0_id.ravel() * 2**spec.T + path_index(cells.Y)
     at = np.flatnonzero(classes.sizes[classes.cls[row]] > 1)
     members, start = classes.segments(classes.cls[row[at]])

@@ -30,9 +30,12 @@ before it.  ``lag_features`` reads the integer features pi uses from a
 state (the last p outcomes; each dyad's previous link and shared-friend
 count; none) and ``step_index`` forms pi = sum_k dyn_k Z_k + x'beta
 from them.  Path indices, the simulator's step-by-step roll, the
-index-value tables and the sufficiency keys all go through it.  One
-exact key, ``exact_key``, turns design columns W and loadings W y into
-values that compare exactly.
+index-value tables and the sufficiency keys all go through it.  pi is
+linear in theta, so sum_t y_t pi_t = ``path_profile`` @ theta: the
+sufficiency log ratios and the dynamic CMLE read these profiles.  One
+table, ``_FAMILIES``, holds each family's own sizes and dynamic
+coefficient names.  One exact key, ``exact_key``, turns design columns
+W and loadings W y into values that compare exactly.
 
 All probability computations are exact and carried out in log space;
 functions in this module are pure and safe to call concurrently.
@@ -50,7 +53,13 @@ STATIC = "static"
 AR = "ar"
 NETWORK = "network"
 
-_FAMILIES = (STATIC, AR, NETWORK)
+# Each family's own sizes, in ``to_json`` order with their least values,
+# and its dynamic coefficient names (one per lag feature) from a spec.
+_FAMILIES = {
+    STATIC: ({}, lambda spec: ()),
+    AR: ({"p": 1}, lambda spec: tuple(f"gamma{r}" for r in range(1, spec.p + 1))),
+    NETWORK: ({"n": 2, "tau": 1}, lambda spec: ("gamma", "delta")),
+}
 
 
 def dyads(n):
@@ -103,6 +112,7 @@ class ModelSpec:
     def __init__(self, family, T, W, d_x=0, p=0, n=0, tau=0):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        own, dynamic = _FAMILIES[family]
         W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[1] != T:
             raise ValueError(f"W must be d_w x T, got {W.shape} with T={T}")
@@ -110,21 +120,16 @@ class ModelSpec:
             raise ValueError("W must have finite entries")
         if T < 1:
             raise ValueError("T must be positive")
-        if family == AR and p < 1:
-            raise ValueError("ar family needs lag depth p >= 1")
-        if family == NETWORK:
-            if n < 2 or tau < 1:
-                raise ValueError("network family needs n >= 2 and tau >= 1")
-            if T != (n * (n - 1) // 2) * tau:
-                raise ValueError("network family requires T = C(n,2)*tau")
         exact_key(W)  # raises on columns that no exact key can group
         self.family = family
         self.T = int(T)
         self.W = W
         self.d_x = checked_int("d_x", d_x, 0)
-        self.p = checked_int("p", p, 0)
-        self.n = checked_int("n", n, 0)
-        self.tau = checked_int("tau", tau, 0)
+        for name, value in (("p", p), ("n", n), ("tau", tau)):
+            setattr(self, name, checked_int(f"{family} {name}", value, own.get(name, 0)))
+        if family == NETWORK and T != self.n_dyads * self.tau:
+            raise ValueError("network family requires T = C(n,2)*tau")
+        self._dynamic = dynamic(self)
 
     @property
     def d_w(self):
@@ -143,12 +148,13 @@ class ModelSpec:
         )
 
     @property
+    def sizes(self):
+        """The family's own sizes: {} / {"p": p} / {"n": n, "tau": tau}."""
+        return {name: getattr(self, name) for name in _FAMILIES[self.family][0]}
+
+    @property
     def y0_len(self):
-        if self.family == AR:
-            return self.p
-        if self.family == NETWORK:
-            return self.n_dyads
-        return 0
+        return self.n_dyads if self.family == NETWORK else len(self._dynamic)
 
     @property
     def step_width(self):
@@ -157,71 +163,32 @@ class ModelSpec:
 
     @property
     def theta_dim(self):
-        if self.family == STATIC:
-            return self.d_x
-        if self.family == AR:
-            return self.p + self.d_x
-        return 2 + self.d_x
+        return len(self._dynamic) + self.d_x
 
     def theta_names(self):
-        if self.family == STATIC:
-            dyn = []
-        elif self.family == AR:
-            dyn = [f"gamma{r}" for r in range(1, self.p + 1)]
-        else:
-            dyn = ["gamma", "delta"]
-        return dyn + [f"beta{k}" for k in range(1, self.d_x + 1)]
-
-    def split_theta(self, theta):
-        """Split a parameter vector into (gamma-block, beta)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.theta_dim,):
-            raise ValueError(
-                f"theta must have length {self.theta_dim}, got {theta.shape}"
-            )
-        if self.family == STATIC:
-            return np.empty(0), theta
-        if self.family == AR:
-            return theta[: self.p], theta[self.p:]
-        return theta[:2], theta[2:]
+        return [*self._dynamic, *(f"beta{k}" for k in range(1, self.d_x + 1))]
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        doc = {
+        return json.dumps({
             "schema_version": 1,
             "family": self.family,
             "T": self.T,
             "d_x": self.d_x,
             "theta_layout": self.theta_names(),
             "W": [list(map(float, row)) for row in self.W],
-        }
-        if self.family == AR:
-            doc["p"] = self.p
-        if self.family == NETWORK:
-            doc["n"] = self.n
-            doc["tau"] = self.tau
-        return json.dumps(doc, indent=2)
+            **self.sizes,
+        }, indent=2)
 
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        return cls(
-            family=doc["family"],
-            T=doc["T"],
-            W=np.asarray(doc["W"], dtype=float),
-            d_x=doc.get("d_x", 0),
-            p=doc.get("p", 0),
-            n=doc.get("n", 0),
-            tau=doc.get("tau", 0),
-        )
+        return cls(doc["family"], doc["T"], np.asarray(doc["W"], dtype=float),
+                   **{k: doc.get(k, 0) for k in ("d_x", "p", "n", "tau")})
 
     def __repr__(self):
-        extra = ""
-        if self.family == AR:
-            extra = f", p={self.p}"
-        if self.family == NETWORK:
-            extra = f", n={self.n}, tau={self.tau}"
+        extra = "".join(f", {name}={value}" for name, value in self.sizes.items())
         return f"ModelSpec({self.family}, T={self.T}, d_w={self.d_w}, d_x={self.d_x}{extra})"
 
 
@@ -254,10 +221,19 @@ def path_index(y):
 
 
 def _check_y0(spec, y0):
+    """y0 as int8: one block of y0_len outcomes, or one block per path."""
     y0 = np.zeros(0, dtype=np.int8) if y0 is None else np.asarray(y0, dtype=np.int8)
-    if y0.shape != (spec.y0_len,):
+    if y0.shape[-1:] != (spec.y0_len,):
         raise ValueError(f"y0 must have length {spec.y0_len}, got {y0.shape}")
     return y0
+
+
+def check_theta(spec, theta):
+    """theta as a float vector of the spec's ``theta_dim``."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (spec.theta_dim,):
+        raise ValueError(f"theta must have length {spec.theta_dim}, got {theta.shape}")
+    return theta
 
 
 def _check_X(spec, X):
@@ -355,15 +331,17 @@ def step_index(spec, states, x, theta):
     ``states`` is (..., y0_len), Z its ``lag_features``, and ``x`` holds
     the step's covariates as (..., d_x, step_width), or None without
     covariates; the leading axes of the two broadcast against each
-    other.  Returns pi, (..., step_width), excluding the w_t'A term.
+    other.  theta splits at the lag-feature count: dyn, then beta.
+    Returns pi, (..., step_width), excluding the w_t'A term.
     """
+    theta = check_theta(spec, theta)
     Z = lag_features(spec, states)
-    dyn, beta = spec.split_theta(theta)
+    k = Z.shape[-1]
     pi = np.zeros(Z.shape[:-1])
-    for k, coef in enumerate(dyn):
-        pi += coef * Z[..., k]
+    for j, coef in enumerate(theta[:k]):
+        pi += coef * Z[..., j]
     if spec.d_x:
-        pi = pi + np.einsum("...dw,d->...w", np.asarray(x, dtype=float), beta)
+        pi = pi + np.einsum("...dw,d->...w", np.asarray(x, dtype=float), theta[k:])
     return pi
 
 
@@ -402,6 +380,18 @@ def index_matrix(spec, paths, y0, X, theta):
     w = spec.step_width
     x = None if X is None else X.reshape(spec.d_x, T // w, w).swapaxes(0, 1)
     return step_index(spec, path_states(spec, paths, y0), x, theta).reshape(m, T)
+
+
+def path_profile(spec, paths, y0, X):
+    """The profile sum_t y_t (Z_t, x_t) of each path of ``paths`` (m, T),
+    so that sum_t y_t pi_t = profile @ theta: the lag columns as
+    integers (for AR(p), the transition statistics sum_t y_t y_{t-r}),
+    then x's when X (d_x x T) is given.  y0 is one block, or one per path."""
+    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    states = path_states(spec, paths, _check_y0(spec, y0))
+    profile = np.einsum("mt,mtk->mk", paths, lag_features(spec, states).reshape(*paths.shape, -1))
+    X = _check_X(spec, X)
+    return profile if X is None else np.hstack([profile, paths @ X.T])
 
 
 def log_path_distribution(spec, y0, X, theta, A, paths=None):

@@ -238,7 +238,6 @@ class MomentFunction:
 
     T: int
     values: np.ndarray
-    provenance: str
 
     def __call__(self, y):
         return float(self.values[path_index(np.asarray(y))])
@@ -301,7 +300,7 @@ def nullspace_moments(spec, y0, X, theta):
     s, rank, basis = _null_space(coefficient_matrix(spec, y0, X, theta)[0])
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     # each moment is a view of its row: the basis is allocated once
-    moments = [MomentFunction(spec.T, row, "nullspace") for row in basis]
+    moments = [MomentFunction(spec.T, row) for row in basis]
     return NullspaceReport(dimension=basis.shape[0], moments=moments, rank=rank,
                            singular_values=s, weak_separation=weak)
 
@@ -315,7 +314,7 @@ _BLOCK_ELEMENTS = 1 << 20
 
 
 def _contents_key(spec, y0, X, theta, A_rows):
-    key = [spec.family, spec.T, spec.p, spec.n, spec.tau, spec.d_x]
+    key = [spec.family, spec.T, spec.d_x, spec.sizes]
     for a in (spec.W, y0, X, theta, A_rows):
         if a is not None:
             a = np.asarray(a)
@@ -451,7 +450,7 @@ def closed_form_ar2_T3(y0, theta):
     """Closed-form AR(2), T=3 moment table for initial block (y_{-1}, y_0)."""
     y0 = tuple(int(v) for v in y0)
     values = _all_path_moments(Ar2T3Moments(), 3, y0, None, theta)
-    return MomentFunction(3, values[2 * y0[0] + y0[1]], f"closed_form(ar2_t3,y0={y0})")
+    return MomentFunction(3, values[2 * y0[0] + y0[1]])
 
 
 class QuarterlyT6Moments(_TermLibrary):
@@ -513,8 +512,7 @@ def closed_form_quarterly_T6(theta, y0, X):
     """The pair (m1, m2) of quarterly-effects moment functions at T=6,
     at initial outcome y0 and the d_x x 6 covariates X (or None)."""
     values = _all_path_moments(QuarterlyT6Moments(), 6, [int(y0)], X, theta)
-    return tuple(MomentFunction(6, m, f"closed_form(quarterly_t6,m{j})")
-                 for j, m in enumerate(values, 1))
+    return tuple(MomentFunction(6, m) for m in values)
 
 
 class NetworkT3Moments(_TermLibrary):
@@ -556,5 +554,4 @@ class NetworkT3Moments(_TermLibrary):
 def closed_form_network_transition(spec, y_ref, theta, y0, X=None):
     """The transition moment for y_ref at y0 and the d_x x T covariates X."""
     values = _all_path_moments(NetworkT3Moments(spec, y_ref), spec.T, y0, X, theta)
-    ref = tuple(int(v) for v in np.asarray(y_ref).ravel())
-    return MomentFunction(spec.T, values[0], f"closed_form(network_t3,y={ref})")
+    return MomentFunction(spec.T, values[0])

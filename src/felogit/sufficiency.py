@@ -14,7 +14,8 @@ helper, ``key_classes``: the static S(W y) and dynamic AR classes, the
 AR(1) pair groups, the network classes and the design-column ids of
 ``permutation_key``, walked by ``KeyClasses.segments`` and ``.pairs``.
 ``column_classes`` groups byte-identical columns, for
-``canonicalize_design`` and the moment null space.
+``canonicalize_design`` and the moment null space.  A log ratio is a
+``model.path_profile`` difference @ theta; a transition gap, its lag-1 part.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, index_matrix,
-                    lag_features, path_states)
+from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, lag_features,
+                    path_states)
 
 
 class KeyClasses:
@@ -166,26 +167,14 @@ def permutation_key(spec, paths, y0):
     return np.sort(ids, axis=1)
 
 
-def transition_stats(spec, paths, y0):
-    """The AR transition statistics s_r(y) = sum_t y_t y_{t-r}, r = 1..p,
-    one row per path of ``paths`` (m, T), lags before period 1 read from
-    y0 (one block, or one per path)."""
-    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
-    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(*paths.shape, spec.p)
-    return np.einsum("nt,ntr->nr", paths, Z)
-
-
 def _certify(spec, paths, y0, X, theta, a, b, cond_linear, cond_permutation):
     """The PairCertificate of the pairs (paths[a], paths[b]) with the
-    given condition flags.  The transition count and g(y) = sum_t y_t
-    pi_t are computed once per path; log_ratio = g(y) - g(y~)."""
-    gap = None
-    if spec.family == AR:
-        s1 = transition_stats(spec, paths, y0)[:, 0]
-        gap = s1[a] - s1[b]
-    g = np.sum(paths * index_matrix(spec, paths, y0, X, theta), axis=1)
+    given condition flags, from one ``path_profile`` P per path: the AR
+    gap is P's lag-1 column difference, log_ratio (P[a] - P[b]) @ theta."""
+    P = model.path_profile(spec, paths, y0, X)
+    gap = (P[a, 0] - P[b, 0]).astype(np.int64) if spec.family == AR else None
     return PairCertificate(paths[a], paths[b], cond_linear, cond_permutation,
-                           gap, g[a] - g[b])
+                           gap, (P[a] - P[b]) @ model.check_theta(spec, theta))
 
 
 def permutation_check(spec, y, y_tilde, y0, theta, X=None):
@@ -235,8 +224,7 @@ def _canonical_spec(spec):
     if spec.binary_design:
         return spec
     W_star, _ = canonicalize_design(spec.W)
-    return ModelSpec(spec.family, spec.T, W_star, d_x=spec.d_x, p=spec.p,
-                     n=spec.n, tau=spec.tau)
+    return ModelSpec(spec.family, spec.T, W_star, d_x=spec.d_x, **spec.sizes)
 
 
 def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
@@ -248,8 +236,8 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     meaningful outcome: designs with per-period effects admit no pairs.
 
     Every per-path statistic is computed once over all 2^T paths: the
-    group key and ``permutation_key`` here, the transition count and
-    g(y) in ``_certify``.  Groups come in increasing key order and pairs
+    group key and ``permutation_key`` here, the path profile in
+    ``_certify``.  Groups come in increasing key order and pairs
     within a group in increasing path order.
     """
     if spec.family != AR or spec.p != 1 or spec.d_x:
@@ -391,6 +379,6 @@ def network_cond_likelihood(spec, theta, y, y0, cond):
     mine = np.all(cond.members == np.asarray(y), axis=1)
     if not mine.any():
         raise ValueError("y must belong to the conditioning set")
-    g = np.sum(cond.members * index_matrix(spec, cond.members, y0, None, theta), axis=1)
+    g = model.path_profile(spec, cond.members, y0, None) @ model.check_theta(spec, theta)
     e = np.exp(g - g.max())  # shifted by the largest, as in a logsumexp
     return float(e[mine][0] / e.sum())

@@ -241,6 +241,21 @@ def test_thread_count_precedence(tmp_path, capsys, monkeypatch, argv, env, confi
     assert (code, threads) == (0, want), err
 
 
+@pytest.mark.parametrize("argv, env, config, echo", [
+    (["--threads", "3"], "2", {"threads": 4}, {"threads": 3, "source": "--threads"}),
+    ([], "2", {"threads": 4}, {"threads": 2, "source": "FELOGIT_THREADS"}),
+    ([], None, {"threads": 4}, {"threads": 4, "source": "mc config"}),
+    ([], None, {}, {"threads": 1, "source": "default"}),
+], ids=["flag", "variable", "config", "default"])
+def test_mc_echoes_the_thread_count_and_its_source(tmp_path, capsys, monkeypatch,
+                                                   argv, env, config, echo):
+    # the "# config:" line echoes the flag as parsed; the count the run
+    # used, and where it came from, follow on a line of their own
+    code, err, threads = _mc_threads(tmp_path, capsys, monkeypatch, argv, env, config)
+    assert (code, threads) == (0, echo["threads"]), err
+    assert f"# threads: {json.dumps(echo)}\n" in err
+
+
 def test_thread_variable_is_read_by_mc_only(capsys, monkeypatch):
     monkeypatch.setenv("FELOGIT_THREADS", "abc")
     code, out, err = run(capsys, "table1", "--max-p", "1")
@@ -902,6 +917,11 @@ GOLDEN_TRANSCRIPTS = {
         "7d95b272b97dc8e9de486e639207ff1fe7e7b3b9f6da68e0fe3fc6a1c2369a16",
     "wperp --design poly --p 3 --T 12":
         "34d8267804861656efed98393b3092c3d8cd5fe3e9d0a654c9a0b6580ad23169",
+    # every pair with transition gap 0 prints log_ratio 0.0
+    "pairs --design ar --p 1 --T 9 --y0 0 --theta 0.7":
+        "7955ba905342328dab555e242b69c4f9748c875a1bd841b58fcc8e62f23940f6",
+    "netcond --n 3 --y0 000 --path 101101000 --theta 0.5,0.2 --set full":
+        "2cc423fbc2704c31ab487342fb382dfea392513bfbca754fa1706cefcc8b6e3f",
 }
 
 

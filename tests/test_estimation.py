@@ -634,9 +634,9 @@ def test_cmle_objectives_match_unit_by_unit_reference():
         members = [q for q in all_y if np.array_equal(
             sufficiency.arp_statistic_key(ar.spec, q, y0), key)]
         if len(members) > 1:
-            prof = sufficiency.transition_stats(
-                ar.spec, np.array(members), np.tile(y0, (len(members), 1)))
-            own = sufficiency.transition_stats(ar.spec, y[None], y0[None])
+            prof = model.path_profile(
+                ar.spec, np.array(members), np.tile(y0, (len(members), 1)), None)
+            own = model.path_profile(ar.spec, y[None], y0[None], None)
             want += float(own[0] @ gam) - logsumexp(prof @ gam)
     assert core(gam)[0] == pytest.approx(want, rel=1e-12)
 

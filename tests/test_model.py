@@ -1,7 +1,9 @@
 import json
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import felogit as fl
 from felogit import model
@@ -199,6 +201,41 @@ def test_network_relabeling_invariance():
     p1 = path_probability(spec, y, y0, None, theta, A)
     p2 = path_probability(spec, y_rel, y0[remap], None, theta, A[remap])
     assert p2 == pytest.approx(p1, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_path_profile_times_theta_is_the_index_sum(data):
+    # pi is linear in theta, so sum_t y_t pi_t = path_profile @ theta;
+    # the lag columns are integers with or without covariates, and so is
+    # an AR pair's transition gap
+    spec = data.draw(st.sampled_from([
+        fl.build_design("two_way", n=2, tau=3, d_x=1), fl.panel_ar(1, 5),
+        fl.panel_ar(2, 5, d_x=1), fl.quarterly_ar(1, 6, d_x=2),
+        fl.network_design(3, 2), fl.network_design(3, 2, d_x=1),
+    ]))
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
+                                           max_size=size))).reshape(shape)
+
+    theta, X = floats(spec.theta_dim), floats(spec.d_x, spec.T) if spec.d_x else None
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.y0_len,
+                                     max_size=spec.y0_len)), dtype=np.int64)
+    paths = model.all_paths(spec.T)
+    P = model.path_profile(spec, paths, y0, X)
+    want = np.sum(paths * model.index_matrix(spec, paths, y0, X, theta), axis=1)
+    np.testing.assert_allclose(P @ theta, want, rtol=1e-12, atol=1e-12)
+    lags = P[:, : spec.theta_dim - spec.d_x]
+    assert np.array_equal(lags, np.rint(lags)) and (X is not None or P.dtype.kind == "i")
+    per_path = np.tile(y0, (len(paths), 1))
+    assert np.array_equal(model.path_profile(spec, paths, per_path, X), P)
+    if spec.family == model.AR:
+        a, b = data.draw(st.lists(st.integers(0, len(paths) - 1), min_size=2, max_size=2))
+        cert = fl.permutation_check(spec, paths[a], paths[b], y0, theta, X=X)
+        assert type(cert.transition_gap) is int
+        assert cert.transition_gap == P[a, 0] - P[b, 0]
 
 
 def test_spec_json_round_trip(tmp_path):

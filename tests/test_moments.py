@@ -321,10 +321,10 @@ def test_nullspace_vectors_verify():
 
 def test_verify_moment_edge_cases():
     spec = fl.panel_ar(1, 3)
-    zero = moments.MomentFunction(3, np.zeros(8), "zero")
+    zero = moments.MomentFunction(3, np.zeros(8))
     grid = np.linspace(-4, 4, 9)[:, None]
     assert fl.verify_moment(zero, spec, np.array([0]), None, [0.5], grid) == 0.0
-    spike = moments.MomentFunction(3, np.eye(8)[3], "indicator")
+    spike = moments.MomentFunction(3, np.eye(8)[3])
     assert fl.verify_moment(spike, spec, np.array([0]), None, [0.5], grid) > 0.0
 
 

@@ -454,6 +454,17 @@ def _class_log_ratios(lp, cls):
     return lp - base
 
 
+@pytest.mark.parametrize("gamma", [0.7, 0.1, -1.3])
+@pytest.mark.parametrize("y0", [0, 1])
+def test_ar1_log_ratio_is_exactly_gamma_times_gap(gamma, y0):
+    # log Pr(y)/Pr(y~) = gamma (s(y) - s(y~)) exactly: a pair whose
+    # ratio is 1 has log ratio 0.0, not the rounding of two index sums
+    certs = fl.enumerate_pairs_ar1(fl.panel_ar(1, 9), np.array([y0]), theta=[gamma])
+    assert len(certs) > 7000 and certs.transition_gap.dtype.kind == "i"
+    assert np.all(certs.log_ratio[certs.transition_gap == 0] == 0.0)
+    assert np.array_equal(certs.log_ratio, gamma * certs.transition_gap)
+
+
 def _draw_A_rows(data, spec, k=3):
     vals = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k * spec.d_w,
                               max_size=k * spec.d_w))
