@@ -536,9 +536,9 @@ def _gmm(doc, spec, init):
 
 
 WEIGHTINGS = ("identity", "two-step")
-METHODS = {  # name: (estimator builder, {family it takes: with covariates?})
-    "cmle": (_cmle, {model.STATIC: True, model.AR: False}),
-    "pairwise": (_pairwise, {model.STATIC: True}),
+METHODS = {  # name: (estimator builder, {family it takes: least d_x})
+    "cmle": (_cmle, {model.STATIC: 1, model.AR: 0}),
+    "pairwise": (_pairwise, {model.STATIC: 1}),
     "gmm": (_gmm, None),  # the moment library decides
 }
 
@@ -580,9 +580,9 @@ def _build_estimator(doc, spec):
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}")
     build, takes = METHODS[method]
-    if takes is not None and takes.get(spec.family) != (spec.d_x > 0):
-        rules = " or ".join(f"{family} designs with d_x {'>= 1' if x else '= 0'}"
-                            for family, x in takes.items())
+    if takes is not None and spec.d_x < takes.get(spec.family, np.inf):
+        rules = " or ".join(f"{family} designs" + (f" with d_x >= {k}" if k else "")
+                            for family, k in takes.items())
         raise DataError(f"{method} takes {rules}, found {spec!r}")
     return build(doc, spec, init)
 

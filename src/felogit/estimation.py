@@ -1,25 +1,23 @@
 """Conditional maximum likelihood and GMM estimators.
 
 A sample enters through its count table: ``_count_table`` groups the
-unit records (Y0, Y, X) byte for byte with ``sufficiency.key_classes``
-into the distinct records, their counts and each unit's record.  With
-continuous covariates every record is distinct and the sample is used
-as it is.  ``gmm`` evaluates the moments on the cells only and takes the
-mean, the two-step weight matrix and the sandwich as count-weighted
-sums; the dynamic CMLE builds its classes from the same table.
+unit records (Y0, Y, X) byte for byte into the distinct records, their
+counts and each unit's record.  With continuous covariates every record
+is distinct and the sample is used as it is.  ``gmm`` evaluates the
+moments on the cells only and takes the mean, the two-step weight
+matrix and the sandwich as count-weighted sums; the class CMLEs take
+their rows from the same table.
 
 The three CMLEs maximize one conditional logit, the sum over rows of
 w * (G_own' theta - logsumexp(G theta)): G stacks the profiles of the
 paths in a row's conditioning class, G_own is the observed path's and
-w counts identical rows.  The profiles are X_u P' over the static
-classes S(W y), (X w_perp, 0) over the pairwise classes of two, and
-the transition statistics over the dynamic AR classes (for p >= 2 only
-the last lag coefficient moves the objective).  Each class comes from
-``sufficiency.key_classes`` on its key, the dynamic ones from one call
-over every path at every distinct y0; ``KeyClasses.segments`` lays the
-members of the informative classes out one after the other for
-``_CondLogit``, which gives the value, analytic gradient and Hessian,
-and the sandwich meat clustered by unit, in one pass over the segments.
+w counts identical rows.  One builder, ``_class_core``, gives the static
+and the dynamic AR CMLE their classes, by ``sufficiency.class_key``,
+and their ``model.path_profile`` rows (for AR(p), p >= 2, gamma_1 ..
+gamma_{p-1} do not move the objective); the pairwise classes have two
+members, with profiles (X w_perp, 0).  ``_CondLogit`` gives the value,
+analytic gradient and Hessian, and the sandwich meat clustered by unit,
+in one pass over the classes laid out by ``KeyClasses.segments``.
 """
 
 from __future__ import annotations
@@ -30,9 +28,10 @@ from functools import partial
 
 import numpy as np
 
-from .model import AR, STATIC, all_paths, exact_key, path_index, path_profile
+from .model import (AR, STATIC, TooLarge, all_paths, check_theta, path_index,
+                    path_profile)
 from .moments import term_moments
-from .sufficiency import _canonical_spec, arp_statistic_key, key_classes
+from .sufficiency import class_key, key_classes, row_classes
 
 _Run = namedtuple("_Run", "x fun nit nfev success message")  # one ``_minimize`` run
 
@@ -85,10 +84,12 @@ def _count_table(sample):
 
     Returns (cells, counts, inverse) with ``cells`` a Sample of the
     distinct (Y0, Y, X) records and ``cells`` row ``inverse[i]`` equal
-    to unit i.  Records are compared byte for byte, covariate-free ones
-    by the ``path_index`` of their 0/1 bytes, which sorts alike.  When
-    no record repeats (certain if the first covariate's bit patterns
-    do not), ``cells`` is the sample itself and every count is one.
+    to unit i.  Records are compared byte for byte by
+    ``sufficiency.row_classes``, covariate-free ones by the
+    ``path_index`` of their 0/1 bytes, which sorts alike.  When no
+    record repeats (certain if the first covariate's bit patterns do
+    not), ``cells`` is the sample itself and every count is one.  The
+    GMM moments and the class CMLEs' rows are the cells.
     """
     n, YY = sample.n, np.hstack([sample.Y0, sample.Y])
     if sample.X is None and YY.shape[1] <= 62:
@@ -96,9 +97,7 @@ def _count_table(sample):
     elif sample.X is not None and np.unique(sample.X[:, 0, 0].view(np.uint64)).size == n:
         records = None
     else:
-        parts = [YY] + ([] if sample.X is None else [np.ascontiguousarray(sample.X)])
-        rec = np.hstack([a.reshape(n, -1).view(np.uint8) for a in parts])
-        records = key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
+        records = row_classes(YY, *([] if sample.X is None else [sample.X]))
     if records is None or records.sizes.size == n:
         return sample, np.ones(n, dtype=np.int64), np.arange(n)
     first = records.first
@@ -220,11 +219,10 @@ def _newton(objective, start, max_iter=200, counts=None):
     return x, val, g, H, it, stop
 
 
-def _fit(core, spec, init, max_iter, diagnostics, free=None):
-    """Newton ascent of ``core`` from ``init`` (zeros if None) over the
-    coordinates ``free`` (all by default), the others held, with
-    sandwich standard errors; held coordinates get NaN."""
-    start = np.zeros(core.d) if init is None else np.asarray(init, float)
+def _fit(core, spec, start, max_iter, diagnostics, free=None):
+    """Newton ascent of ``core`` from ``start`` over the coordinates
+    ``free`` (all by default), the others held, with sandwich standard
+    errors; held coordinates get NaN."""
     free = np.arange(start.size) if free is None else np.asarray(free)
     block = np.ix_(free, free)
 
@@ -254,21 +252,36 @@ def _fit(core, spec, init, max_iter, diagnostics, free=None):
     )
 
 
-# -- static classes S(W y) ---------------------------------------------------
+# -- the classes of one key --------------------------------------------------
 
 
-def _static_objective(sample):
-    """Core over the static classes; returns (core, n_informative)."""
-    spec = sample.spec
-    paths = all_paths(spec.T)
-    classes = key_classes(exact_key(paths @ spec.W.T))
-    unit_path = path_index(sample.Y)
-    size = classes.sizes[classes.cls[unit_path]]
-    units = np.flatnonzero(size > 1)
-    members, start = classes.segments(classes.cls[unit_path[units]])
-    G = np.einsum("udt,ut->ud", sample.X[np.repeat(units, size[units])],
-                  paths[members])
-    return _CondLogit(G, start, start + classes.rank[unit_path[units]]), units.size
+def _class_core(sample):
+    """Core over the occupied classes of several members, one row per
+    count-table cell weighted by its count; returns (core, n_informative).
+
+    A row's class is the paths sharing its ``class_key`` in its cell of
+    what the key reads besides the path: none for static specs, y0 for
+    dynamic ones, (y0, X) with covariates.  Over 2^24 path rows, 2^T per
+    cell, raise ``TooLarge``.  Profiles are taken at the row's y0 and X.
+    """
+    spec, T = sample.spec, sample.spec.T
+    cells, counts, _ = _count_table(sample)
+    reads = [cells.X] if cells.X is not None and spec.family != STATIC else []
+    cell = row_classes(cells.Y0, *reads)
+    if (rows := cell.sizes.size * 2**T) > 2**24:
+        raise TooLarge(f"path enumeration over 2^{T} = {2**T:,} paths x {cell.sizes.size:,} "
+                       f"conditioning cells = {rows:,} path rows (limit 2^24)")
+    paths, at_cell = np.tile(all_paths(T), (cell.sizes.size, 1)), np.repeat(cell.first, 2**T)
+    key = class_key(spec, paths, cells.Y0[at_cell], *[x[at_cell] for x in reads])
+    classes = key_classes(np.column_stack([at_cell, key]))
+    row = cell.cls * 2**T + path_index(cells.Y)
+    at = np.flatnonzero(classes.sizes[classes.cls[row]] > 1)
+    members, start = classes.segments(classes.cls[row[at]])
+    owner = np.repeat(at, np.diff(start, append=len(members)))
+    G = path_profile(spec, paths[members], cells.Y0[owner],
+                     None if cells.X is None else cells.X[owner])
+    core = _CondLogit(G.astype(float), start, start + classes.rank[row[at]], counts[at])
+    return core, int(counts[at].sum())
 
 
 def cmle_static(sample, init=None, max_iter=100):
@@ -283,16 +296,14 @@ def cmle_static(sample, init=None, max_iter=100):
         raise ValueError("cmle_static requires a static spec")
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    core, n_info = _static_objective(sample)
+    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
+    core, n_info = _class_core(sample)
     if n_info == 0:
         raise NoInformationError("every conditioning class is a singleton")
-    _, _, H0 = core(np.zeros(spec.d_x) if init is None else init)
-    xscale = float(np.max(np.abs(sample.X))) if sample.X is not None else 1.0
-    if np.max(np.abs(H0)) <= 1e-12 * n_info * max(1.0, xscale) ** 2:
-        raise NoInformationError(
-            "differenced covariates vanish on every conditioning class"
-        )
-    return _fit(core, spec, init, max_iter,
+    _, _, H0 = core(start)
+    if np.max(np.abs(H0)) <= 1e-12 * n_info * max(1.0, np.max(np.abs(sample.X))) ** 2:
+        raise NoInformationError("differenced covariates vanish on every conditioning class")
+    return _fit(core, spec, start, max_iter,
                 {"n_informative": n_info, "n_units": sample.n})
 
 
@@ -330,62 +341,38 @@ def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
     spec = sample.spec
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
+    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
     core, _, z, units = _pairwise_objective(sample, Wperp)
     if len(z) == 0:
         raise NoInformationError("no unit lands in any conditioning pair")
-    return _fit(core, spec, init, max_iter,
+    vectors = np.asarray(Wperp).reshape(spec.T, -1)
+    return _fit(core, spec, start, max_iter,
                 {"n_rows": int(len(z)),
-                 "n_contributing_units": int(len(np.unique(units)))})
-
-
-# -- dynamic AR sufficiency classes ------------------------------------------
-
-
-def _dynamic_core(sample):
-    """Core over the occupied multi-member sufficiency classes, one row
-    per (y0, y) cell of the count table weighted by its count; profiles
-    are the ``path_profile`` of every path in the class (its transition
-    statistics).  Returns (core, n_informative)."""
-    spec = sample.spec
-    cells, counts, _ = _count_table(sample)
-    y0s, y0_id = np.unique(cells.Y0, axis=0, return_inverse=True)
-    # every path at every distinct y0: row y0_id * 2^T + path_index(y)
-    paths = np.tile(all_paths(spec.T), (len(y0s), 1))
-    path_y0 = np.repeat(y0s, 2**spec.T, axis=0)
-    key = arp_statistic_key(_canonical_spec(spec), paths, path_y0)
-    classes = key_classes(np.hstack([path_y0, key]))
-    stats = path_profile(spec, paths, path_y0, None).astype(float)
-    row = y0_id.ravel() * 2**spec.T + path_index(cells.Y)
-    at = np.flatnonzero(classes.sizes[classes.cls[row]] > 1)
-    members, start = classes.segments(classes.cls[row[at]])
-    core = _CondLogit(stats[members], start, start + classes.rank[row[at]],
-                      counts[at])
-    return core, int(counts[at].sum())
+                 "n_contributing_units": int(len(np.unique(units))),
+                 "n_vectors": vectors.shape[1],
+                 "periods_used": (np.flatnonzero(vectors.any(axis=1)) + 1).tolist()})
 
 
 def cmle_dynamic_ar(sample, init=None, max_iter=100):
-    """Conditional MLE of the AR coefficients over sufficiency classes.
+    """Conditional MLE of an AR model over its ``class_key`` classes.
 
-    Paths are grouped by initial condition and the exact condition
-    statistics; the within-class likelihood depends on gamma_p alone
-    for p >= 2, so earlier lags are reported as not identified by this
-    method and held at their initial values.
+    Paths are grouped by initial condition, covariates and the class
+    key; the within-class likelihood depends on gamma_p and beta alone,
+    so for p >= 2 the earlier lags are reported as not identified by
+    this method and held at their initial values.
     """
     spec = sample.spec
     if spec.family != AR:
         raise ValueError("cmle_dynamic_ar requires an AR spec")
-    if spec.d_x:
-        raise ValueError("dynamic CMLE is covariate-free; use moments + GMM")
-    core, n_info = _dynamic_core(sample)
+    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
+    core, n_info = _class_core(sample)
     if n_info == 0:
-        raise NoInformationError(
-            "no conditioning class with multiple members is occupied"
-        )
+        raise NoInformationError("no conditioning class with multiple members is occupied")
     p = spec.p
-    return _fit(core, spec, init, max_iter,
+    return _fit(core, spec, start, max_iter,
                 {"n_informative": n_info, "n_units": sample.n,
                  "not_identified": spec.theta_names()[: p - 1]},
-                free=[p - 1])
+                free=np.arange(p - 1, spec.theta_dim))
 
 
 # -- GMM ---------------------------------------------------------------------

@@ -237,10 +237,11 @@ def check_theta(spec, theta):
 
 
 def _check_X(spec, X):
+    """X as floats: one d_x x T block, or one per path; None without covariates."""
     if spec.d_x == 0:
         return None
     X = np.asarray(X, dtype=float)
-    if X.shape != (spec.d_x, spec.T):
+    if X.shape[-2:] != (spec.d_x, spec.T) or X.ndim > 3:
         raise ValueError(f"X must be d_x x T = {(spec.d_x, spec.T)}, got {X.shape}")
     return X
 
@@ -363,7 +364,7 @@ def index_matrix(spec, paths, y0, X, theta):
     y0 : array or None
         Initial-condition block (chronological; empty for static).
     X : array or None
-        Covariates, d_x x T.
+        Covariates, d_x x T, or one such block per path.
     theta : array
         Parameter vector in the spec's layout.
 
@@ -378,7 +379,7 @@ def index_matrix(spec, paths, y0, X, theta):
     y0 = _check_y0(spec, y0)
     X = _check_X(spec, X)
     w = spec.step_width
-    x = None if X is None else X.reshape(spec.d_x, T // w, w).swapaxes(0, 1)
+    x = None if X is None else X.reshape(*X.shape[:-1], T // w, w).swapaxes(-3, -2)
     return step_index(spec, path_states(spec, paths, y0), x, theta).reshape(m, T)
 
 
@@ -386,12 +387,13 @@ def path_profile(spec, paths, y0, X):
     """The profile sum_t y_t (Z_t, x_t) of each path of ``paths`` (m, T),
     so that sum_t y_t pi_t = profile @ theta: the lag columns as
     integers (for AR(p), the transition statistics sum_t y_t y_{t-r}),
-    then x's when X (d_x x T) is given.  y0 is one block, or one per path."""
+    then x's when X (d_x x T) is given; y0 and X are one block or one per path."""
     paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
-    states = path_states(spec, paths, _check_y0(spec, y0))
-    profile = np.einsum("mt,mtk->mk", paths, lag_features(spec, states).reshape(*paths.shape, -1))
+    Z = lag_features(spec, path_states(spec, paths, _check_y0(spec, y0)))
+    profile = np.einsum("mt,mtk->mk", paths, Z.reshape(*paths.shape, Z.shape[-1]))
     X = _check_X(spec, X)
-    return profile if X is None else np.hstack([profile, paths @ X.T])
+    return profile if X is None else np.hstack(
+        [profile, paths @ X.T if X.ndim == 2 else np.einsum("mt,mdt->md", paths, X)])
 
 
 def log_path_distribution(spec, y0, X, theta, A, paths=None):

@@ -9,13 +9,15 @@ exact integer keys, enumerates identifying pairs for AR(1) designs,
 verifies the AR(p) condition systems, and builds the conditioning sets
 and conditional likelihood of the dynamic dyadic network model.
 
-Every conditioning class is a set of rows sharing one key, built by one
-helper, ``key_classes``: the static S(W y) and dynamic AR classes, the
-AR(1) pair groups, the network classes and the design-column ids of
-``permutation_key``, walked by ``KeyClasses.segments`` and ``.pairs``.
-``column_classes`` groups byte-identical columns, for
-``canonicalize_design`` and the moment null space.  A log ratio is a
-``model.path_profile`` difference @ theta; a transition gap, its lag-1 part.
+One conditioning key, ``class_key`` (W y, then the multiset of the
+triples (w_t, x_t, Z_t)), gives the classes of the static and dynamic
+AR CMLEs and the two conditions of ``permutation_check``.  Every class
+is a set of rows sharing one key, built by one helper, ``key_classes``:
+those classes, the AR(1) pair groups, the network classes and the
+(w_t, x_t) ids of ``class_key``, walked by ``KeyClasses.segments`` and
+``.pairs``; ``row_classes`` and ``column_classes`` group byte-identical
+rows and columns.  A log ratio is a ``model.path_profile`` difference
+@ theta; a transition gap, its lag-1 part.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .model import (AR, NETWORK, ModelSpec, all_paths, exact_key, lag_features,
-                    path_states)
+from .model import (AR, NETWORK, STATIC, ModelSpec, all_paths, exact_key,
+                    lag_features, path_states)
 
 
 class KeyClasses:
@@ -75,6 +77,16 @@ def key_classes(keys):
                                      return_index=True, return_inverse=True,
                                      return_counts=True)
     return KeyClasses(cls.ravel(), sizes, first)
+
+
+def row_classes(*parts):
+    """``key_classes`` of the rows of ``parts`` (n, ...) side by side,
+    compared byte for byte (all in one class when no part has a byte)."""
+    n = len(parts[0])
+    rec = np.hstack([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in parts])
+    if not rec.shape[1]:
+        return KeyClasses(np.zeros(n, np.intp), np.array([n]), np.zeros(1, np.intp))
+    return key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
 
 
 def column_classes(M):
@@ -144,53 +156,58 @@ class ConditioningSet:
         return bool(np.any(np.all(self.members == np.asarray(y), axis=1)))
 
 
-def _require_dynamic(spec):
-    if spec.family not in (AR, NETWORK):
-        raise ValueError("operation requires a dynamic (ar or network) spec")
-
-
-def permutation_key(spec, paths, y0):
-    """Per path of ``paths`` (m, T), the sorted ids of the pairs
-    (exact w_t key, integer lag features Z_t feeding pi_t), t = 2..T.
-
-    Two paths of one call satisfy the permutation condition against
-    each other exactly when their rows are equal.  (Floating pi values
-    would spuriously match when theta has coincidental sums.)
+def class_key(spec, paths, y0, X=None):
+    """The conditioning key of each path of ``paths`` (m, T): the exact
+    W y, then the sorted ids of the triples (exact w_t key, x_t, Z_t)
+    for t = 2..T, Z_t the integer lag features feeding pi_t and x_t
+    compared byte for byte; y0 and X (d_x x T) are one block, or one
+    per path.  Paths of one call share a row exactly when W y = W y~
+    and their triples are a permutation of each other; given (y0, X, A)
+    their probability ratio is then exp((P - P~) @ theta) for every A,
+    P the ``model.path_profile``.  In a static model the triples do not
+    depend on the path, so the key is W y alone and X is not read.
     """
-    _require_dynamic(spec)
     paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    if spec.family == STATIC:
+        return exact_key(paths @ spec.W.T)
     m, T = paths.shape
-    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(m, T, -1)[:, 1:]
-    w = key_classes(exact_key(spec.W).T[1:]).cls
+    Z = lag_features(spec, path_states(spec, paths, model._check_y0(spec, y0)))
+    Z = Z.reshape(m, T, Z.shape[-1])[:, 1:]
+    X = model._check_X(spec, X)
+    wx = exact_key(spec.W).T.astype(float)[None]  # (1, T, d_w); then x_t, once or per path
+    if X is not None:
+        x = np.swapaxes(X, -1, -2).reshape(-1, T, spec.d_x)
+        wx = np.concatenate([np.broadcast_to(wx, (len(x), T, spec.d_w)), x], axis=2)
+    ids = row_classes(wx[:, 1:].reshape(-1, wx.shape[2])).cls.reshape(len(wx), T - 1)
     base = Z.max(initial=0) + 1  # Z holds small nonnegative integers
-    ids = w * base ** Z.shape[2] + Z @ base ** np.arange(Z.shape[2])
-    return np.sort(ids, axis=1)
+    ids = ids * base ** Z.shape[2] + Z @ base ** np.arange(Z.shape[2])
+    return np.hstack([exact_key(paths @ spec.W.T), np.sort(ids, axis=1)])
 
 
-def _certify(spec, paths, y0, X, theta, a, b, cond_linear, cond_permutation):
-    """The PairCertificate of the pairs (paths[a], paths[b]) with the
-    given condition flags, from one ``path_profile`` P per path: the AR
-    gap is P's lag-1 column difference, log_ratio (P[a] - P[b]) @ theta."""
-    P = model.path_profile(spec, paths, y0, X)
+def _certify(spec, paths, y0, X, theta, a, b, key):
+    """The PairCertificate of the pairs (paths[a], paths[b]).  A pair
+    meets the linear condition when the W y that starts the two paths'
+    ``key`` rows agree, and the permutation condition when the rest
+    does.  One ``path_profile`` P per path gives the AR gap, P's lag-1
+    column difference, and log_ratio (P[a] - P[b]) @ theta."""
+    P, d = model.path_profile(spec, paths, y0, X), spec.d_w
     gap = (P[a, 0] - P[b, 0]).astype(np.int64) if spec.family == AR else None
-    return PairCertificate(paths[a], paths[b], cond_linear, cond_permutation,
+    return PairCertificate(paths[a], paths[b], np.all(key[a, :d] == key[b, :d], axis=1),
+                           np.all(key[a, d:] == key[b, d:], axis=1),
                            gap, (P[a] - P[b]) @ model.check_theta(spec, theta))
 
 
 def permutation_check(spec, y, y_tilde, y0, theta, X=None):
-    """Certify a pair (y, y~) by the linear and permutation conditions.
+    """Certify a pair (y, y~) by the linear and permutation conditions,
+    the two parts of their ``class_key``.
 
-    When both conditions hold, Pr(Y=y|Y0,A) / Pr(Y=y~|Y0,A) equals
+    When both conditions hold, Pr(Y=y|Y0,X,A) / Pr(Y=y~|Y0,X,A) equals
     exp(log_ratio) for every A.
     """
-    _require_dynamic(spec)
-    pair = np.stack([y, y_tilde]).astype(np.int64)
-    y0 = np.asarray(y0, dtype=np.int64)
-    s_y = exact_key(pair @ spec.W.T)
-    perm = permutation_key(spec, pair, y0)
-    return _certify(spec, pair, y0, X, theta, [0], [1],
-                    np.array([np.array_equal(*s_y)]),
-                    np.array([np.array_equal(*perm)]))[0]
+    if spec.family not in (AR, NETWORK):
+        raise ValueError("operation requires a dynamic (ar or network) spec")
+    pair, y0 = np.stack([y, y_tilde]).astype(np.int64), np.asarray(y0, dtype=np.int64)
+    return _certify(spec, pair, y0, X, theta, [0], [1], class_key(spec, pair, y0, X))[0]
 
 
 def ar1_sufficient_stat(spec, y, y0):
@@ -236,9 +253,9 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     meaningful outcome: designs with per-period effects admit no pairs.
 
     Every per-path statistic is computed once over all 2^T paths: the
-    group key and ``permutation_key`` here, the path profile in
-    ``_certify``.  Groups come in increasing key order and pairs
-    within a group in increasing path order.
+    group key and ``class_key`` here, the path profile in ``_certify``.
+    Groups come in increasing key order and pairs within a group in
+    increasing path order.
     """
     if spec.family != AR or spec.p != 1 or spec.d_x:
         raise ValueError("enumerate_pairs_ar1 requires a covariate-free AR(1) spec")
@@ -250,11 +267,8 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     y0 = np.asarray(y0, dtype=np.int64)
     paths = all_paths(spec.T).astype(np.int64)
     groups = key_classes(arp_statistic_key(spec, paths, y0))
-    perm_key = permutation_key(spec, paths, y0)
     a, b = groups.pairs()
-    # cond_linear holds by construction: both paths share W y
-    certs = _certify(spec, paths, y0, None, theta, a, b, np.ones(len(a), bool),
-                     np.all(perm_key[a] == perm_key[b], axis=1))
+    certs = _certify(spec, paths, y0, None, theta, a, b, class_key(spec, paths, y0))
     return certs[certs.transition_gap != 0] if require_gap else certs
 
 
@@ -289,13 +303,8 @@ def arp_condition_check(spec, y, y_tilde, y0, theta=None):
         raise ValueError("sufficiency requires basis-vector columns")
     if theta is None:
         theta = np.zeros(spec.theta_dim)
-    pair = np.stack([y, y_tilde]).astype(np.int64)
-    y0 = np.asarray(y0, dtype=np.int64)
-    key, key_t = arp_statistic_key(spec, pair, y0)
-    d = spec.d_w  # the key row starts with W y
-    return _certify(spec, pair, y0, None, theta, [0], [1],
-                    np.array([np.array_equal(key[:d], key_t[:d])]),
-                    np.array([np.array_equal(key[d:], key_t[d:])]))[0]
+    pair, y0 = np.stack([y, y_tilde]).astype(np.int64), np.asarray(y0, dtype=np.int64)
+    return _certify(spec, pair, y0, None, theta, [0], [1], arp_statistic_key(spec, pair, y0))[0]
 
 
 # -- dynamic network conditioning ------------------------------------------

@@ -372,6 +372,22 @@ def step_generate(cfg):
     return Sample(spec=spec, Y=full[:, L0:], Y0=Y0, X=X)
 
 
+def binary_x_sample(spec, theta, n, seed):
+    """A Sample with 0/1 covariates, effects A = mean_t x_1t - 1/2 + N(0, 1)
+    per row of W and uniform 0/1 initial conditions, rolled by
+    ``step_roll``: the discrete-covariate case that no ``simulate``
+    x_law draws."""
+    from felogit.estimation import Sample
+
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, (n, spec.d_x, spec.T)).astype(float)
+    A = X[:, 0].mean(axis=1, keepdims=True) - 0.5 + rng.standard_normal((n, spec.d_w))
+    Y0 = rng.integers(0, 2, (n, spec.y0_len)).astype(np.int8)
+    full = step_roll(spec, Y0, range(spec.T // spec.step_width), X, A,
+                     np.asarray(theta, float), rng)
+    return Sample(spec=spec, Y=full[:, spec.y0_len:], Y0=Y0, X=X)
+
+
 def path_probability(spec, y, y0, X, theta, A):
     """Exact probability of a single outcome path, through the library's
     log-space path distribution."""

@@ -152,7 +152,7 @@ def test_criterion_4_ar2_gamma1_dropout():
             np.array(list(itertools.product((0, 1), repeat=2))), len(paths), 0
         )
         sample = estimation.Sample(spec=spec, Y=Y, Y0=Y0)
-        core, n_info = estimation._dynamic_core(sample)
+        core, n_info = estimation._class_core(sample)
         assert n_info > 0
         vals = [core(np.array([g1, -0.4]))[0] for g1 in np.linspace(-3, 3, 13)]
         assert max(vals) - min(vals) < 1e-10

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import felogit as fl
-from felogit import cli, simulate
+from felogit import cli, estimation, simulate
 from felogit.cli import main, read_sample_csv, write_sample_csv
 
 
@@ -561,7 +561,7 @@ def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
 
 AR = ("--design", "ar", "--p")
 NETWORK = ("--design", "network", "--n", "3", "--tau", "3")
-CMLE_TAKES = "cmle takes static designs with d_x >= 1 or ar designs with d_x = 0"
+CMLE_TAKES = "cmle takes static designs with d_x >= 1 or ar designs"
 
 
 def _held_under(library, reference, found):
@@ -622,9 +622,6 @@ def _sample_file(tmp_path, argv):
     pytest.param(("estimate", *NETWORK, "--method", "cmle"),
                  f"error: {CMLE_TAKES}, found ModelSpec(network, T=9, d_w=3, d_x=0, n=3, "
                  "tau=3)\n", id="cmle network"),
-    pytest.param(("estimate", *AR, "1", "--T", "6", "--d-x", "1", "--method", "cmle"),
-                 f"error: {CMLE_TAKES}, found ModelSpec(ar, T=6, d_w=1, d_x=1, p=1)\n",
-                 id="cmle AR(1) d_x=1"),
     pytest.param(("estimate", "--design", "panel", "--T", "3", "--method", "cmle"),
                  f"error: {CMLE_TAKES}, found ModelSpec(static, T=3, d_w=1, d_x=0)\n",
                  id="cmle static d_x=0"),
@@ -641,6 +638,41 @@ def test_flag_outside_its_range_exits_2(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_estimate_cmle_takes_ar_with_covariates(tmp_path, capsys):
+    # the AR classes condition on (y0, X), so a binary covariate leaves
+    # classes with several members; a network spec is still refused
+    from oracles import binary_x_sample
+
+    sample = binary_x_sample(fl.panel_ar(1, 4, d_x=1), [0.5, 1.0], n=2000, seed=3)
+    data = tmp_path / "ar_x.csv"
+    with open(data, "w") as fh:
+        write_sample_csv(sample, fh)
+    code, out, _ = run(capsys, "estimate", *AR, "1", "--T", "4", "--d-x", "1",
+                       "--method", "cmle", "--data", str(data))
+    assert code == 0
+    doc = json.loads(out)
+    with open(data) as fh:
+        want = estimation.cmle_dynamic_ar(read_sample_csv(fh, sample.spec))
+    assert doc["theta"] == pytest.approx(dict(zip(want.names, want.theta)), rel=1e-10)
+    assert all(np.isfinite(list(doc["std_errors"].values())))
+    argv = ("estimate", *NETWORK, "--method", "cmle")
+    code, out, err = run(capsys, *argv, "--data", _sample_file(tmp_path, argv))
+    assert code == 2 and f"error: {CMLE_TAKES}, found ModelSpec(network" in err
+
+
+def test_pairwise_report_names_its_vectors_and_the_periods_they_touch(tmp_path, capsys):
+    # the default search's first 16 vectors at T=9 leave periods 1-4 out
+    argv = ("estimate", "--design", "panel_fe", "--T", "9", "--d-x", "1",
+            "--method", "pairwise")
+    data = _sample_file(tmp_path, argv)
+    for extra, vectors, periods in (((), 16, [5, 6, 7, 8, 9]),
+                                    (("--wperp", "0,1,0,0,0,0,0,-1,0"), 1, [2, 8])):
+        code, out, _ = run(capsys, *argv, "--data", data, *extra)
+        diagnostics = json.loads(out)["diagnostics"]
+        assert code == 0
+        assert (diagnostics["n_vectors"], diagnostics["periods_used"]) == (vectors, periods)
 
 
 def test_csv_row_with_extra_fields_exits_2(tmp_path, capsys):
@@ -907,9 +939,10 @@ def _fresh_python(script, *args):
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-# sha256 of the stdout of the w_perp commands, which pin Table 1 up to
-# p = 6 and the search's output order; they use no BLAS, so the bytes
-# are exact
+# sha256 of the stdout of the identification commands: the w_perp
+# commands pin Table 1 up to p = 6 and the search's output order, and
+# pairs and netcond pin the certified pairs and one network
+# conditioning set; they use no BLAS, so the bytes are exact
 GOLDEN_TRANSCRIPTS = {
     "table1 --max-p 6":
         "a68f1289cc0f8413da1af3095e31463571ce7d427b2ff276614734eab6cf8130",
@@ -926,15 +959,15 @@ GOLDEN_TRANSCRIPTS = {
 
 
 @pytest.mark.parametrize("command", GOLDEN_TRANSCRIPTS)
-def test_wperp_commands_print_golden_bytes(capsys, command):
+def test_identification_commands_print_golden_bytes(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRANSCRIPTS[command]
 
 
 def test_identification_commands_never_import_scipy():
-    # scipy is loaded only where GMM, the simulator or a test calls it,
-    # so a fresh `felogit table1` (or wperp, moments, ...) never pays for it
+    # no felogit command loads scipy, a test extra only; a fresh
+    # `felogit table1` (or wperp, moments, ...) must not pay for it either
     script = f"""
 import contextlib, io, json, sys
 import felogit, felogit.cli

@@ -14,16 +14,15 @@ from felogit import estimation, moments, simulate
 from felogit.estimation import (
     NoInformationError,
     Sample,
-    _dynamic_core,
+    _class_core,
     _pairwise_objective,
-    _static_objective,
     cmle_dynamic_ar,
     cmle_pairwise,
     cmle_static,
     gmm,
 )
-from oracles import (CallableMoments, ar2_t3_moments, network_moment_value,
-                     quarterly_t6_moments, scipy_bfgs)
+from oracles import (CallableMoments, ar2_t3_moments, binary_x_sample,
+                     network_moment_value, quarterly_t6_moments, scipy_bfgs)
 
 
 def _static_sample(n=2000, T=3, beta=(0.0,), seed=0, rho=0.0):
@@ -85,7 +84,7 @@ def test_twoway_cmle_equals_pairwise_regression():
 
 def test_static_objective_concave():
     s = _static_sample(n=300, T=3, beta=(0.5, -0.5), seed=3)
-    objective, _ = _static_objective(s)
+    objective, _ = _class_core(s)
     rng = np.random.default_rng(4)
     for _ in range(5):
         _, _, H = objective(rng.normal(size=2))
@@ -94,7 +93,7 @@ def test_static_objective_concave():
 
 def test_analytic_gradients_match_finite_differences():
     s = _static_sample(n=200, T=3, beta=(0.4, -0.2), seed=6)
-    objective, _ = _static_objective(s)
+    objective, _ = _class_core(s)
     pobjective, _, _, _ = _pairwise_objective(s, np.array([[1], [-1], [0]]))
     rng = np.random.default_rng(7)
     h = 1e-6
@@ -180,7 +179,7 @@ def test_dynamic_cmle_recovers_ar1():
     assert rep.converged
     assert abs(rep.theta[0] - 0.8) < 4 * rep.std_errors[0]
     # first-order condition holds on the exposed log likelihood
-    core, _ = _dynamic_core(s)
+    core, _ = _class_core(s)
     h = 1e-6
     fd = (core(rep.theta + h)[0] - core(rep.theta - h)[0]) / (2 * h)
     assert abs(fd) < 1e-4
@@ -202,7 +201,7 @@ def test_dynamic_cmle_trend_design_has_no_information():
 
 def test_ar2_conditional_likelihood_flat_in_gamma1():
     s = _ar_sample(2, 4, [0.5, -0.3], n=3000, seed=15, stationary=True)
-    core, n_info = _dynamic_core(s)
+    core, n_info = _class_core(s)
     assert n_info > 0
     base = core(np.array([0.0, -0.3]))[0]
     vals = [core(np.array([g1, -0.3]))[0] for g1 in np.linspace(-2, 2, 11)]
@@ -228,6 +227,66 @@ def test_dynamic_cmle_estimate_invariant_to_gamma1_init():
     r1 = cmle_dynamic_ar(s, init=np.array([0.0, 0.0]))
     r2 = cmle_dynamic_ar(s, init=np.array([1.5, 0.0]))
     assert r1.theta[1] == pytest.approx(r2.theta[1], abs=1e-9)
+
+
+def test_dynamic_cmle_with_binary_covariate_bias_and_coverage():
+    # 300 replications of AR(1), T=4, one 0/1 covariate and effects
+    # correlated with it, at a fixed seed.  Each of the four checks
+    # fails by chance with probability at most 0.001 (the bias within
+    # 3.29 Monte Carlo standard errors, the count of 95% intervals that
+    # cover within the central 0.999 of Binomial(300, 0.95)), so a
+    # correct estimator trips the test with probability at most 0.004
+    from scipy.stats import binom
+
+    spec, theta, reps = fl.panel_ar(1, 4, d_x=1), np.array([0.5, 1.0]), 300
+    fits = [cmle_dynamic_ar(binary_x_sample(spec, theta, n=2000, seed=700 + r))
+            for r in range(reps)]
+    assert all(f.converged and f.diagnostics["not_identified"] == [] for f in fits)
+    est = np.array([f.theta for f in fits])
+    se = np.array([f.std_errors for f in fits])
+    mc_se = est.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(est.mean(axis=0) - theta) <= 3.29 * mc_se)
+    covered = np.sum(np.abs(est - theta) <= 1.96 * se, axis=0)
+    lo, hi = binom.ppf([0.0005, 0.9995], reps, 0.95)
+    assert np.all((lo <= covered) & (covered <= hi)), (covered, lo, hi)
+
+
+def test_dynamic_cmle_with_covariates_drops_only_the_earlier_lags():
+    # AR(2) with a 0/1 covariate: within every class the gamma1 column
+    # of the profiles is constant, so gamma1 is held and reported; the
+    # gamma2 and beta columns vary
+    s = binary_x_sample(fl.panel_ar(2, 5, d_x=1), [0.5, -0.3, 1.0], n=1500, seed=5)
+    core, n_info = _class_core(s)
+    assert n_info > 0
+    spread = [np.ptp(core.G[core.seg == c], axis=0) for c in range(core.C)]
+    assert np.max(spread, axis=0)[0] == 0 and np.all(np.max(spread, axis=0)[1:] > 0)
+    rep = cmle_dynamic_ar(s, init=[0.7, 0.0, 0.0])
+    assert rep.diagnostics["not_identified"] == ["gamma1"] and rep.theta[0] == 0.7
+    assert np.isnan(rep.std_errors[0]) and np.all(np.isfinite(rep.std_errors[1:]))
+
+
+def test_class_core_refuses_too_many_path_rows_with_the_count():
+    # continuous covariates make each unit its own conditioning cell
+    rng, n, T = np.random.default_rng(1), 600, 15
+    s = Sample(spec=fl.panel_ar(1, T, d_x=1), Y=rng.integers(0, 2, (n, T)),
+               Y0=rng.integers(0, 2, (n, 1)), X=rng.normal(size=(n, 1, T)))
+    with pytest.raises(fl.model.TooLarge, match=re.escape(
+            "paths x 600 conditioning cells = 19,660,800 path rows (limit 2^24)")):
+        cmle_dynamic_ar(s)
+
+
+@pytest.mark.parametrize("name", ["cmle_static", "cmle_pairwise", "cmle_dynamic_ar"])
+def test_cmles_refuse_init_of_the_wrong_length(name):
+    static = _static_sample(n=200, T=3, beta=(0.5,), seed=3)
+    fit = {"cmle_static": lambda **kw: cmle_static(static, **kw),
+           "cmle_pairwise": lambda **kw: cmle_pairwise(static, np.array([1, -1, 0]), **kw),
+           "cmle_dynamic_ar": lambda **kw: cmle_dynamic_ar(
+               _ar_sample(2, 4, [0.5, -0.3], n=300, seed=4), **kw)}[name]
+    want = 2 if name == "cmle_dynamic_ar" else 1
+    for init in ([0.1] * (want - 1), [0.1] * (want + 1), [[0.1] * want]):
+        with pytest.raises(ValueError, match=f"theta must have length {want}, got"):
+            fit(init=init)
+    assert fit(init=[0.1] * want).converged
 
 
 def test_gmm_recovers_ar2_closed_form():
@@ -556,6 +615,9 @@ INVARIANCE_CASES = {
     "cmle_dynamic_ar": (lambda: _ar_sample(2, 4, [0.5, -0.3], n=3000, seed=33,
                                            stationary=True),
                         cmle_dynamic_ar, 1e-8),
+    "cmle_dynamic_ar_x": (lambda: binary_x_sample(fl.panel_ar(1, 4, d_x=1), [0.5, 1.0],
+                                                  n=2000, seed=38),
+                          cmle_dynamic_ar, 1e-8),
     "gmm": (lambda: _ar_sample(2, 3, [0.5, -0.3], n=4000, seed=34, stationary=True),
             lambda s: gmm(s, moments.Ar2T3Moments(), np.zeros(2)), 1e-6),
 }
@@ -614,7 +676,7 @@ def test_cmle_objectives_match_unit_by_unit_reference():
     s = _static_sample(n=150, T=3, beta=(0.4, -0.2), seed=41)
     paths = model.all_paths(3).astype(float)
     stats = paths @ s.spec.W.T
-    objective, _ = _static_objective(s)
+    objective, _ = _class_core(s)
     beta = np.array([0.3, -0.6])
     want = 0.0
     for y, x in zip(s.Y, s.X):
@@ -625,7 +687,7 @@ def test_cmle_objectives_match_unit_by_unit_reference():
     assert objective(beta)[0] == pytest.approx(want, rel=1e-12)
 
     ar = _ar_sample(2, 4, [0.5, -0.3], n=150, seed=42, stationary=True)
-    core, _ = _dynamic_core(ar)
+    core, _ = _class_core(ar)
     gam = np.array([0.2, 0.7])
     all_y = model.all_paths(4)
     want = 0.0
@@ -643,7 +705,7 @@ def test_cmle_objectives_match_unit_by_unit_reference():
 
 def test_analytic_hessians_match_finite_differences():
     s = _static_sample(n=200, T=3, beta=(0.4, -0.2), seed=43)
-    static, _ = _static_objective(s)
+    static, _ = _class_core(s)
     pairwise, _, _, _ = _pairwise_objective(s, np.array([[1], [-1], [0]]))
     beta, h = np.array([0.5, -0.7]), 1e-6
     for fn in (static, pairwise):
@@ -699,9 +761,9 @@ def test_segmented_core_matches_block_oracle(data):
 def test_cmle_cores_match_block_oracle():
     s = _static_sample(n=300, T=4, beta=(0.4, -0.2), seed=44)
     ar = _ar_sample(2, 4, [0.5, -0.3], n=400, seed=45, stationary=True)
-    cores = [_static_objective(s)[0],
+    cores = [_class_core(s)[0],
              _pairwise_objective(s, np.array([[1, 0], [-1, 1], [0, -1], [0, 0]]))[0],
-             _dynamic_core(ar)[0]]
+             _class_core(ar)[0]]
     assert cores[1].unit is not None and np.any(np.bincount(cores[1].unit) > 1)
     assert len(set(np.bincount(cores[0].seg))) > 1
     for core in cores:

@@ -231,6 +231,13 @@ def test_path_profile_times_theta_is_the_index_sum(data):
     assert np.array_equal(lags, np.rint(lags)) and (X is not None or P.dtype.kind == "i")
     per_path = np.tile(y0, (len(paths), 1))
     assert np.array_equal(model.path_profile(spec, paths, per_path, X), P)
+    if X is not None:  # X, too, may be given once per path
+        per_X = np.broadcast_to(X, (len(paths), *X.shape))
+        np.testing.assert_allclose(model.path_profile(spec, paths, per_path, per_X), P,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.index_matrix(spec, paths, per_path, per_X, theta),
+                                   model.index_matrix(spec, paths, y0, X, theta),
+                                   rtol=0, atol=1e-12)
     if spec.family == model.AR:
         a, b = data.draw(st.lists(st.integers(0, len(paths) - 1), min_size=2, max_size=2))
         cert = fl.permutation_check(spec, paths[a], paths[b], y0, theta, X=X)

@@ -534,6 +534,86 @@ def test_network_full_class_ratios_are_free_of_A(data):
                       np.zeros(len(members), dtype=int))
 
 
+CLASS_KEY_SPECS = {
+    "panel_fe": lambda d_x: fl.build_design("panel_fe", T=4, d_x=d_x),
+    "two_way": lambda d_x: fl.build_design("two_way", n=2, tau=3, d_x=d_x),
+    "ar1": lambda d_x: fl.panel_ar(1, 5, d_x=d_x),
+    "ar2": lambda d_x: fl.panel_ar(2, 5, d_x=d_x),
+    "ar3": lambda d_x: fl.panel_ar(3, 6, d_x=d_x),
+    "quarterly": lambda d_x: fl.quarterly_ar(1, 6, d_x=d_x),
+    "network": lambda d_x: fl.network_design(3, 3, d_x=d_x),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_key_ratios_are_free_of_A_and_equal_profile_differences(data):
+    # within a class_key class, log Pr(y) - log Pr(y~) is the same at
+    # every A and equals (P - P~) @ theta; X is discrete (0/1), or absent
+    spec = CLASS_KEY_SPECS[data.draw(st.sampled_from(sorted(CLASS_KEY_SPECS)))](
+        data.draw(st.integers(0, 1)))
+    theta = _draw_floats(data, spec.theta_dim)
+    X = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.d_x * spec.T,
+                                    max_size=spec.d_x * spec.T)), float)
+    X = X.reshape(spec.d_x, spec.T) if spec.d_x else None
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.y0_len,
+                                     max_size=spec.y0_len)), dtype=np.int64)
+    paths = model.all_paths(spec.T)
+    cls = sufficiency.key_classes(sufficiency.class_key(spec, paths, y0, X)).cls
+    A_rows = _draw_A_rows(data, spec)
+    _assert_free_of_A(spec, y0, X, theta, A_rows, paths, cls)
+    profile = _class_log_ratios(model.path_profile(spec, paths, y0, X) @ theta, cls)
+    lp = model.log_path_distribution(spec, y0, X, theta, A_rows[0], paths)
+    np.testing.assert_allclose(_class_log_ratios(lp, cls), profile, rtol=0, atol=1e-10)
+
+
+def _same_partition(a, b):
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+@pytest.mark.parametrize("spec", [
+    fl.panel_ar(1, 6), fl.panel_ar(2, 5), fl.panel_ar(2, 8), fl.panel_ar(3, 8),
+    fl.quarterly_ar(1, 8), fl.quarterly_ar(2, 8), fl.trend_ar(8),
+], ids=["ar1_t6", "ar2_t5", "ar2_t8", "ar3_t8", "quarterly1_t8", "quarterly2_t8",
+        "trend_t8"])
+def test_class_key_partitions_paths_as_the_ar_statistics_do(spec):
+    # on the shipped AR designs the class key and the AR(p) condition
+    # statistics of the canonical design group the paths alike, at every y0
+    paths = model.all_paths(spec.T)
+    canonical = sufficiency._canonical_spec(spec)
+    for y0 in itertools.product((0, 1), repeat=spec.p):
+        want = sufficiency.key_classes(sufficiency.arp_statistic_key(canonical, paths, y0))
+        got = sufficiency.key_classes(sufficiency.class_key(spec, paths, np.array(y0)))
+        assert _same_partition(got.cls, want.cls), y0
+
+
+@pytest.mark.parametrize("y0", ["000", "101", "111"])
+def test_class_key_partitions_network_paths_as_network_cond_full(y0):
+    spec = fl.network_design(3, 3)
+    paths = model.all_paths(spec.T)
+    got = sufficiency.key_classes(
+        sufficiency.class_key(spec, paths, np.array(list(y0), dtype=int))).cls
+    want = [model.path_index(fl.network_cond_full(spec, y).members[0]) for y in paths]
+    assert _same_partition(got, want)
+
+
+@pytest.mark.parametrize("x, passing", [([0, 1, -1, 0.5], 0), ([1, 0, 1, 0], 4)])
+def test_permutation_check_reads_the_covariates(x, passing):
+    # with x in the permutation multiset, a certified pair's ratio is
+    # exp(log_ratio) at every A; with distinct x_t only y~ = y passes
+    spec, X = fl.panel_ar(1, 4, d_x=1), np.array([x], float)
+    theta, y0, paths = np.array([0.7, 1.3]), np.array([0]), model.all_paths(4)
+    certs = [fl.permutation_check(spec, paths[a], paths[b], y0, theta, X=X)
+             for a, b in itertools.combinations(range(16), 2)]
+    assert sum(c.passed for c in certs) == passing
+    for c in certs:
+        if c.passed:
+            for A in ([-2.0], [0.0], [1.5]):
+                ratio = fl.likelihood_ratio(spec, c.y, c.y_tilde, y0, X, theta, np.array(A))
+                assert np.log(ratio) == pytest.approx(c.log_ratio, abs=1e-12)
+
+
 def _dict_classes(rows):
     """Reference grouping of key rows: classes in sorted key order,
     members in row order."""
@@ -599,7 +679,9 @@ def test_key_class_pairs_match_combinations_within_each_class(data):
     fl.network_design(3, 3),
 ], ids=["ar1", "ar2", "quarterly", "trend", "quarterly_x2", "network"])
 def test_permutation_key_matches_counter_oracle(spec):
-    # equal partitions of the paths: the flags agree on every pair
+    # the permutation part of class_key, the columns after W y, and the
+    # counter oracle give equal partitions of the paths; the flags agree
+    # on every pair
     paths = model.all_paths(spec.T)
     rng = np.random.default_rng(spec.T)
     for y0 in (np.zeros(spec.y0_len, int), rng.integers(0, 2, spec.y0_len)):
@@ -608,7 +690,7 @@ def test_permutation_key_matches_counter_oracle(spec):
             counter_pair_multiset(spec, y, y0).items()), len(multisets))
             for y in paths]
         got = sufficiency.key_classes(
-            sufficiency.permutation_key(spec, paths, y0)).cls
+            sufficiency.class_key(spec, paths, y0)[:, spec.d_w:]).cls
         joint = len(set(zip(want, got.tolist())))
         assert joint == len(set(want)) == len(set(got.tolist()))
         theta = np.zeros(spec.theta_dim)
