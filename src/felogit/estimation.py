@@ -13,11 +13,13 @@ w * (G_own' theta - logsumexp(G theta)): G stacks the profiles of the
 paths in a row's conditioning class, G_own is the observed path's and
 w counts identical rows.  One builder, ``_class_core``, gives the static
 and the dynamic AR CMLE their classes, by ``sufficiency.class_key``,
-and their ``model.path_profile`` rows (for AR(p), p >= 2, gamma_1 ..
-gamma_{p-1} do not move the objective); the pairwise classes have two
+and their ``model.path_profile`` rows; the pairwise classes have two
 members, with profiles (X w_perp, 0).  ``_CondLogit`` gives the value,
 analytic gradient and Hessian, and the sandwich meat clustered by unit,
 in one pass over the classes laid out by ``KeyClasses.segments``.
+``_fit`` moves the coordinates whose profile column varies within some
+class, and reports the rest (gamma_1 .. gamma_{p-1} of an AR(p), a
+covariate constant over time) as not identified.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .model import (AR, STATIC, TooLarge, all_paths, check_theta, path_index,
                     path_profile)
 from .moments import term_moments
-from .sufficiency import class_key, key_classes, row_classes
+from .sufficiency import class_key, key_classes, period_pattern, row_classes
 
 _Run = namedtuple("_Run", "x fun nit nfev success message")  # one ``_minimize`` run
 
@@ -219,11 +221,18 @@ def _newton(objective, start, max_iter=200, counts=None):
     return x, val, g, H, it, stop
 
 
-def _fit(core, spec, start, max_iter, diagnostics, free=None):
-    """Newton ascent of ``core`` from ``start`` over the coordinates
-    ``free`` (all by default), the others held, with sandwich standard
-    errors; held coordinates get NaN."""
-    free = np.arange(start.size) if free is None else np.asarray(free)
+def _fit(core, spec, init, max_iter, diagnostics):
+    """Newton ascent of ``core`` from ``init`` (zeros; checked before any
+    evaluation) with sandwich standard errors, over the coordinates whose
+    profile column varies within some class: the rest do not move the
+    objective, are held, get NaN and are reported as ``not_identified``.
+    NoInformationError when none varies, as when no class is occupied."""
+    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
+    spread = np.abs(core.G - core.G[core.own][core.seg]).max(axis=0, initial=0)
+    free = np.flatnonzero(spread > 1e-12 * max(1.0, np.abs(core.G).max(initial=0)))
+    if not free.size:
+        raise NoInformationError("no occupied conditioning class of several members "
+                                 "varies in any profile column")
     block = np.ix_(free, free)
 
     def objective(x):
@@ -247,7 +256,8 @@ def _fit(core, spec, start, max_iter, diagnostics, free=None):
         objective=val,
         converged=bool(stop == "converged" and np.isfinite(val)),
         iterations=it,
-        diagnostics={**diagnostics, "grad_norm": float(np.max(np.abs(g))),
+        diagnostics={**diagnostics, "not_identified": [name for j, name in enumerate(
+            spec.theta_names()) if j not in free], "grad_norm": float(np.max(np.abs(g))),
                      "stop_reason": stop, **counts},
     )
 
@@ -259,52 +269,46 @@ def _class_core(sample):
     """Core over the occupied classes of several members, one row per
     count-table cell weighted by its count; returns (core, n_informative).
 
-    A row's class is the paths sharing its ``class_key`` in its cell of
-    what the key reads besides the path: none for static specs, y0 for
-    dynamic ones, (y0, X) with covariates.  Over 2^24 path rows, 2^T per
-    cell, raise ``TooLarge``.  Profiles are taken at the row's y0 and X.
+    A row's class is the paths sharing its ``class_key``, which reads y0
+    and X besides the path (neither for static specs), X only through its
+    ``period_pattern``: cells sharing both share the partition of their
+    2^T paths, keyed once, 2^16 path rows at a time (``TooLarge`` over
+    2^24 rows).  Profiles are taken at each row's own y0 and X.
     """
     spec, T = sample.spec, sample.spec.T
     cells, counts, _ = _count_table(sample)
-    reads = [cells.X] if cells.X is not None and spec.family != STATIC else []
-    cell = row_classes(cells.Y0, *reads)
-    if (rows := cell.sizes.size * 2**T) > 2**24:
-        raise TooLarge(f"path enumeration over 2^{T} = {2**T:,} paths x {cell.sizes.size:,} "
+    X = None if spec.family == STATIC else cells.X
+    group = row_classes(cells.Y0, *([] if X is None else [period_pattern(spec, X)]))
+    if (rows := group.sizes.size * 2**T) > 2**24:
+        raise TooLarge(f"path enumeration over 2^{T} = {2**T:,} paths x {group.sizes.size:,} "
                        f"conditioning cells = {rows:,} path rows (limit 2^24)")
-    paths, at_cell = np.tile(all_paths(T), (cell.sizes.size, 1)), np.repeat(cell.first, 2**T)
-    key = class_key(spec, paths, cells.Y0[at_cell], *[x[at_cell] for x in reads])
-    classes = key_classes(np.column_stack([at_cell, key]))
-    row = cell.cls * 2**T + path_index(cells.Y)
-    at = np.flatnonzero(classes.sizes[classes.cls[row]] > 1)
-    members, start = classes.segments(classes.cls[row[at]])
-    owner = np.repeat(at, np.diff(start, append=len(members)))
-    G = path_profile(spec, paths[members], cells.Y0[owner],
+    row, step, parts = group.cls * 2**T + path_index(cells.Y), max(1, 2**16 >> T), []
+    for lo in range(0, group.sizes.size, step):
+        rep = np.repeat(group.first[lo:lo + step], 2**T)
+        classes = row_classes(rep, class_key(spec, np.tile(all_paths(T), (len(rep) >> T, 1)),
+                                             cells.Y0[rep], None if X is None else X[rep]))
+        at = np.flatnonzero((group.cls >= lo) & (group.cls < lo + step))
+        at = at[classes.sizes[classes.cls[row[at] - lo * 2**T]] > 1]
+        local = row[at] - lo * 2**T
+        parts.append((at, classes.sizes[classes.cls[local]],
+                      classes.segments(classes.cls[local])[0] % 2**T, classes.rank[local]))
+    at, size, members, rank = map(np.concatenate, zip(*parts))
+    start, owner = np.cumsum(size) - size, np.repeat(at, size)
+    G = path_profile(spec, all_paths(T)[members], cells.Y0[owner],
                      None if cells.X is None else cells.X[owner])
-    core = _CondLogit(G.astype(float), start, start + classes.rank[row[at]], counts[at])
-    return core, int(counts[at].sum())
+    return _CondLogit(G.astype(float), start, start + rank, counts[at]), int(counts[at].sum())
 
 
 def cmle_static(sample, init=None, max_iter=100):
-    """Conditional MLE of beta over the classes S(W y).
-
-    Units whose class is a singleton carry no information and are
-    skipped; a sample with no informative unit raises
-    NoInformationError.
-    """
+    """Conditional MLE of beta over the classes S(W y); units whose
+    class is a singleton carry no information and are skipped."""
     spec = sample.spec
     if spec.family != STATIC:
         raise ValueError("cmle_static requires a static spec")
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
     core, n_info = _class_core(sample)
-    if n_info == 0:
-        raise NoInformationError("every conditioning class is a singleton")
-    _, _, H0 = core(start)
-    if np.max(np.abs(H0)) <= 1e-12 * n_info * max(1.0, np.max(np.abs(sample.X))) ** 2:
-        raise NoInformationError("differenced covariates vanish on every conditioning class")
-    return _fit(core, spec, start, max_iter,
-                {"n_informative": n_info, "n_units": sample.n})
+    return _fit(core, spec, init, max_iter, {"n_informative": n_info, "n_units": sample.n})
 
 
 # -- pairwise classes of two -------------------------------------------------
@@ -313,10 +317,11 @@ def cmle_static(sample, init=None, max_iter=100):
 def _pairwise_objective(sample, Wperp):
     """Core over the pairs, one row per unit and column w of Wperp whose
     outcomes on the support of w match the +pattern (event 1, profile
-    X w) or its flip (event 0, profile 0); returns (core, V, z, units)."""
-    d_x = sample.spec.d_x
+    X w) or its flip (event 0, profile 0); returns (core, vectors, z,
+    units), ``vectors`` the columns of Wperp as a (T, k) matrix."""
+    d_x, vectors = sample.spec.d_x, np.asarray(Wperp, dtype=np.int64).reshape(sample.spec.T, -1)
     V, z, units = [np.zeros((0, d_x))], [np.zeros(0)], [np.zeros(0, int)]
-    for w in np.asarray(Wperp, dtype=np.int64).reshape(sample.spec.T, -1).T:
+    for w in vectors.T:
         match = sample.Y[:, w != 0] == (w[w != 0] == 1)
         up = match.all(axis=1)
         hit = np.flatnonzero(up | (~match).all(axis=1))
@@ -327,7 +332,7 @@ def _pairwise_objective(sample, Wperp):
     start = np.arange(0, 2 * len(z), 2)
     core = _CondLogit(np.stack([V, np.zeros_like(V)], axis=1).reshape(-1, d_x),
                       start, start + (z == 0), unit=units)
-    return core, V, z, units
+    return core, vectors, z, units
 
 
 def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
@@ -341,38 +346,21 @@ def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
     spec = sample.spec
     if spec.d_x == 0:
         raise ValueError("nothing to estimate without covariates")
-    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
-    core, _, z, units = _pairwise_objective(sample, Wperp)
-    if len(z) == 0:
-        raise NoInformationError("no unit lands in any conditioning pair")
-    vectors = np.asarray(Wperp).reshape(spec.T, -1)
-    return _fit(core, spec, start, max_iter,
-                {"n_rows": int(len(z)),
-                 "n_contributing_units": int(len(np.unique(units))),
+    core, vectors, z, units = _pairwise_objective(sample, Wperp)
+    return _fit(core, spec, init, max_iter,
+                {"n_rows": int(len(z)), "n_contributing_units": int(len(np.unique(units))),
                  "n_vectors": vectors.shape[1],
                  "periods_used": (np.flatnonzero(vectors.any(axis=1)) + 1).tolist()})
 
 
 def cmle_dynamic_ar(sample, init=None, max_iter=100):
-    """Conditional MLE of an AR model over its ``class_key`` classes.
-
-    Paths are grouped by initial condition, covariates and the class
-    key; the within-class likelihood depends on gamma_p and beta alone,
-    so for p >= 2 the earlier lags are reported as not identified by
-    this method and held at their initial values.
-    """
+    """Conditional MLE of an AR model over its ``class_key`` classes,
+    the paths sharing the key at one initial condition and covariates."""
     spec = sample.spec
     if spec.family != AR:
         raise ValueError("cmle_dynamic_ar requires an AR spec")
-    start = np.zeros(spec.theta_dim) if init is None else check_theta(spec, init)
     core, n_info = _class_core(sample)
-    if n_info == 0:
-        raise NoInformationError("no conditioning class with multiple members is occupied")
-    p = spec.p
-    return _fit(core, spec, start, max_iter,
-                {"n_informative": n_info, "n_units": sample.n,
-                 "not_identified": spec.theta_names()[: p - 1]},
-                free=np.arange(p - 1, spec.theta_dim))
+    return _fit(core, spec, init, max_iter, {"n_informative": n_info, "n_units": sample.n})
 
 
 # -- GMM ---------------------------------------------------------------------

@@ -11,13 +11,14 @@ and conditional likelihood of the dynamic dyadic network model.
 
 One conditioning key, ``class_key`` (W y, then the multiset of the
 triples (w_t, x_t, Z_t)), gives the classes of the static and dynamic
-AR CMLEs and the two conditions of ``permutation_check``.  Every class
-is a set of rows sharing one key, built by one helper, ``key_classes``:
-those classes, the AR(1) pair groups, the network classes and the
-(w_t, x_t) ids of ``class_key``, walked by ``KeyClasses.segments`` and
-``.pairs``; ``row_classes`` and ``column_classes`` group byte-identical
-rows and columns.  A log ratio is a ``model.path_profile`` difference
-@ theta; a transition gap, its lag-1 part.
+AR CMLEs and the two conditions of ``permutation_check``; it reads X
+only through ``period_pattern``.  Every class is a set of rows sharing
+one key, built by one helper, ``key_classes``: those classes, the AR(1)
+pair groups, the network classes and the (w_t, x_t) ids of
+``class_key``, walked by ``KeyClasses.segments`` and ``.pairs``;
+``row_classes`` and ``column_classes`` group byte-identical rows and
+columns.  A log ratio is a ``model.path_profile`` difference @ theta; a
+transition gap, its lag-1 part.
 """
 
 from __future__ import annotations
@@ -156,31 +157,43 @@ class ConditioningSet:
         return bool(np.any(np.all(self.members == np.asarray(y), axis=1)))
 
 
+def _period_ids(spec, X):
+    """Ids of (exact w_t key, x_t) for t = 2..T, x_t compared byte for
+    byte: one row without X or for a d_x x T block, one per block of a
+    stack (n, d_x, T)."""
+    T, X = spec.T, model._check_X(spec, X)
+    wx = exact_key(spec.W).T.astype(float)[None]  # (1, T, d_w); then x_t, once or per block
+    if X is not None:
+        x = np.swapaxes(X, -1, -2).reshape(-1, T, spec.d_x)
+        wx = np.concatenate([np.broadcast_to(wx, (len(x), T, spec.d_w)), x], axis=2)
+    return row_classes(wx[:, 1:].reshape(-1, wx.shape[2])).cls.reshape(len(wx), T - 1)
+
+
+def period_pattern(spec, X):
+    """Per block of X (n, d_x, T) and t = 2..T, the first of those
+    periods with t's (w_t, x_t), as int8: at one y0, ``class_key``
+    groups the paths alike for every X of one pattern."""
+    ids = _period_ids(spec, X)
+    return np.argmax(ids[:, :, None] == ids[:, None, :], axis=2).astype(np.int8)
+
+
 def class_key(spec, paths, y0, X=None):
     """The conditioning key of each path of ``paths`` (m, T): the exact
-    W y, then the sorted ids of the triples (exact w_t key, x_t, Z_t)
-    for t = 2..T, Z_t the integer lag features feeding pi_t and x_t
-    compared byte for byte; y0 and X (d_x x T) are one block, or one
-    per path.  Paths of one call share a row exactly when W y = W y~
-    and their triples are a permutation of each other; given (y0, X, A)
-    their probability ratio is then exp((P - P~) @ theta) for every A,
-    P the ``model.path_profile``.  In a static model the triples do not
-    depend on the path, so the key is W y alone and X is not read.
+    W y, then the sorted ids of the triples (exact w_t key, x_t, Z_t),
+    t = 2..T, of the ``_period_ids`` and the lag features Z_t; y0 and X
+    (d_x x T) are one block, or one per path.  Paths of one call share
+    a key exactly when W y = W y~ and their triples are a permutation
+    of each other; given (y0, X, A) their probability ratio is then
+    exp((P - P~) @ theta) for every A, P the ``model.path_profile``.  In
+    a static model the key is W y alone and X is not read.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
     if spec.family == STATIC:
         return exact_key(paths @ spec.W.T)
-    m, T = paths.shape
-    Z = lag_features(spec, path_states(spec, paths, model._check_y0(spec, y0)))
-    Z = Z.reshape(m, T, Z.shape[-1])[:, 1:]
-    X = model._check_X(spec, X)
-    wx = exact_key(spec.W).T.astype(float)[None]  # (1, T, d_w); then x_t, once or per path
-    if X is not None:
-        x = np.swapaxes(X, -1, -2).reshape(-1, T, spec.d_x)
-        wx = np.concatenate([np.broadcast_to(wx, (len(x), T, spec.d_w)), x], axis=2)
-    ids = row_classes(wx[:, 1:].reshape(-1, wx.shape[2])).cls.reshape(len(wx), T - 1)
+    states = path_states(spec, paths, model._check_y0(spec, y0))
+    Z = lag_features(spec, states).reshape(*paths.shape, -1)[:, 1:]
     base = Z.max(initial=0) + 1  # Z holds small nonnegative integers
-    ids = ids * base ** Z.shape[2] + Z @ base ** np.arange(Z.shape[2])
+    ids = _period_ids(spec, X) * base ** Z.shape[2] + Z @ base ** np.arange(Z.shape[2])
     return np.hstack([exact_key(paths @ spec.W.T), np.sort(ids, axis=1)])
 
 

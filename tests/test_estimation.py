@@ -266,13 +266,55 @@ def test_dynamic_cmle_with_covariates_drops_only_the_earlier_lags():
 
 
 def test_class_core_refuses_too_many_path_rows_with_the_count():
-    # continuous covariates make each unit its own conditioning cell
+    # 0/1 covariates over 15 periods: nearly every unit has its own y0
+    # and pattern of repeated x_t, so its own partition of the paths
     rng, n, T = np.random.default_rng(1), 600, 15
     s = Sample(spec=fl.panel_ar(1, T, d_x=1), Y=rng.integers(0, 2, (n, T)),
-               Y0=rng.integers(0, 2, (n, 1)), X=rng.normal(size=(n, 1, T)))
+               Y0=rng.integers(0, 2, (n, 1)), X=rng.integers(0, 2, (n, 1, T)))
     with pytest.raises(fl.model.TooLarge, match=re.escape(
-            "paths x 600 conditioning cells = 19,660,800 path rows (limit 2^24)")):
+            "paths x 592 conditioning cells = 19,398,656 path rows (limit 2^24)")):
         cmle_dynamic_ar(s)
+
+
+def test_dynamic_cmle_on_continuous_covariates_keys_one_partition_per_y0():
+    # x_t never repeats within a unit, so every unit shares the pattern
+    # of its y0 and every class is a singleton: the refusal comes after
+    # keying 2 x 2^12 paths, not one 2^12 block per unit
+    import tracemalloc
+
+    rng, n, T = np.random.default_rng(2), 4000, 12
+    s = Sample(spec=fl.panel_ar(1, T, d_x=1), Y=rng.integers(0, 2, (n, T)),
+               Y0=rng.integers(0, 2, (n, 1)), X=rng.normal(size=(n, 1, T)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoInformationError):
+            cmle_dynamic_ar(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+
+
+@pytest.mark.parametrize("name", ["cmle_static", "cmle_pairwise", "cmle_dynamic_ar"])
+def test_cmles_report_a_covariate_constant_over_time(name):
+    # x fixed within each unit moves every profile in a class alike
+    # (W y fixes sum_t y_t), so beta is not identified; the static CMLEs
+    # have nothing left, the dynamic one fits gamma as without x
+    if name != "cmle_dynamic_ar":
+        s = _static_sample(n=500, T=3, beta=(0.5,), seed=3)
+        s.X = np.repeat(s.X[:, :, :1], 3, axis=2)
+        with pytest.raises(NoInformationError, match="varies in any profile column"):
+            cmle_static(s) if name == "cmle_static" else cmle_pairwise(s, np.array([1, -1, 0]))
+        return
+    bare = _ar_sample(1, 4, [0.5], n=3000, seed=6, stationary=True)
+    x = np.repeat(np.random.default_rng(6).normal(size=(bare.n, 1, 1)), 4, axis=2)
+    rep = cmle_dynamic_ar(Sample(spec=fl.panel_ar(1, 4, d_x=1), Y=bare.Y, Y0=bare.Y0, X=x),
+                          init=[0.0, 0.3])
+    want = cmle_dynamic_ar(bare)
+    assert rep.diagnostics["not_identified"] == ["beta1"] and rep.theta[1] == 0.3
+    assert np.isnan(rep.std_errors[1])
+    assert rep.theta[0] == pytest.approx(want.theta[0], abs=1e-9)
+    assert rep.std_errors[0] == pytest.approx(want.std_errors[0], rel=1e-8)
 
 
 @pytest.mark.parametrize("name", ["cmle_static", "cmle_pairwise", "cmle_dynamic_ar"])
@@ -786,13 +828,13 @@ def test_newton_counts_evaluations_and_halvings(monkeypatch):
                         lambda self, theta: calls.append(1) or core_call(self, theta))
     s = _static_sample(n=500, T=3, beta=(0.5,), seed=3)
     ar = _ar_sample(1, 3, [0.5], n=2000, seed=4)
-    # cmle_static evaluates the core once more to test for information
-    for fit, extra in ((lambda: cmle_static(s, init=[3.0]), 1),
-                       (lambda: cmle_pairwise(s, np.array([1, -1, 0]), init=[3.0]), 0),
-                       (lambda: cmle_dynamic_ar(ar, init=[4.0]), 0)):
+    # the information check reads the profiles, so Newton makes every call
+    for fit in (lambda: cmle_static(s, init=[3.0]),
+                lambda: cmle_pairwise(s, np.array([1, -1, 0]), init=[3.0]),
+                lambda: cmle_dynamic_ar(ar, init=[4.0])):
         calls.clear()
         diag = fit().diagnostics
-        assert diag["n_evaluations"] + extra == len(calls)
+        assert diag["n_evaluations"] == len(calls)
         assert diag["n_evaluations"] >= diag["halvings"] + 1
         assert isinstance(diag["halvings"], int)
 

@@ -588,6 +588,25 @@ def test_class_key_partitions_paths_as_the_ar_statistics_do(spec):
         assert _same_partition(got.cls, want.cls), y0
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_key_reads_x_only_through_its_period_pattern(data):
+    # renaming each covariate's values one to one keeps the pattern of
+    # periods sharing (w_t, x_t), and at one y0 the class_key partition
+    spec = CLASS_KEY_SPECS[data.draw(st.sampled_from(["ar1", "ar2", "quarterly", "network"]))](2)
+    X = np.array(data.draw(st.lists(st.integers(0, 2), min_size=2 * spec.T,
+                                    max_size=2 * spec.T))).reshape(2, spec.T)
+    renamed = np.array([np.array(data.draw(st.lists(
+        st.floats(-5, 5), min_size=3, max_size=3, unique=True)))[row] for row in X])
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.y0_len,
+                                     max_size=spec.y0_len)), dtype=np.int64)
+    np.testing.assert_array_equal(sufficiency.period_pattern(spec, X[None]),
+                                  sufficiency.period_pattern(spec, renamed[None]))
+    paths = model.all_paths(spec.T)
+    assert _same_partition(*(sufficiency.key_classes(sufficiency.class_key(spec, paths, y0, x)).cls
+                             for x in (X, renamed)))
+
+
 @pytest.mark.parametrize("y0", ["000", "101", "111"])
 def test_class_key_partitions_network_paths_as_network_cond_full(y0):
     spec = fl.network_design(3, 3)
