@@ -4,13 +4,14 @@ Links form period by period, driven by the lagged link, the number of
 shared neighbours, and a dyad-specific effect.  Conditioning on the
 right sets of alternative histories removes every dyad effect, and for
 three observed periods the two-element swap set is almost always the
-whole story.
+whole story.  The conditional MLE over those sets recovers both
+coefficients from a sample of independent networks.
 """
 
 import numpy as np
 
 import felogit as fl
-from felogit import model, sufficiency
+from felogit import estimation, model, simulate, sufficiency
 
 rng = np.random.default_rng(3)
 
@@ -42,6 +43,14 @@ frac3 = sufficiency.network_star_equality_fraction(spec)
 frac4 = sufficiency.network_star_equality_fraction(fl.network_design(4, 3))
 print(f"\nswap set == exhaustive set: always at n=3 ({frac3:.0%}), "
       f"and in {frac4:.2%} of n=4 configurations")
+
+print("\nConditional MLE on 2,000 simulated networks (the classes are the")
+print("exhaustive sets; standard errors cluster by network):")
+sample = simulate.generate(simulate.DGPConfig(spec=spec, theta=theta, n=2000, seed=4))
+rep = estimation.cmle(sample)
+for name, est, se, truth in zip(rep.names, rep.theta, rep.std_errors, theta):
+    print(f"    {name:5s} = {est:+.4f} ± {se:.4f}   (truth {truth:+.1f})")
+print(f"    {rep.diagnostics['n_informative']} of {sample.n} networks are informative")
 
 print("\nTransition moments: one fixed-effect-free function per reference")
 print("network, valid for GMM with covariates as well:")

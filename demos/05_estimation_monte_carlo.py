@@ -27,7 +27,7 @@ cfg = simulate.DGPConfig(
     spec=fl.panel_ar(1, 3), theta=np.array([0.8]), n=20000, seed=2,
     y0_law={"kind": "stationary", "burn_in": 50},
 )
-rep = estimation.cmle_dynamic_ar(simulate.generate(cfg))
+rep = estimation.cmle(simulate.generate(cfg))
 print(f"\ndynamic CMLE, gamma=0.8, T=3:")
 print(f"    gamma_hat = {rep.theta[0]:+.4f} (se {rep.std_errors[0]:.4f})")
 
@@ -44,7 +44,7 @@ Y0, Y = rng.integers(0, 2, (n, 1)), np.empty((n, 4), dtype=np.int8)
 prev = Y0[:, 0]
 for t in range(4):
     prev = Y[:, t] = rng.random(n) < 1 / (1 + np.exp(-(gamma * prev + beta * X[:, 0, t] + A)))
-rep = estimation.cmle_dynamic_ar(
+rep = estimation.cmle(
     estimation.Sample(spec=fl.panel_ar(1, 4, d_x=1), Y=Y, Y0=Y0, X=X))
 print(f"\ndynamic CMLE with a binary covariate, gamma=0.5, beta=1, T=4:")
 print(f"    theta_hat = {np.round(rep.theta, 4)} (se {np.round(rep.std_errors, 4)}), "

@@ -61,10 +61,12 @@ def _fmt(x):
 
 
 def _round_floats(obj):
+    """``obj`` with floats at 12 significant digits, non-finite ones as
+    None: JSON (RFC 8259) has no NaN or infinity."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        return float(f"{float(obj):.12g}") if np.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
@@ -80,7 +82,7 @@ def _emit(text, output):
 
 
 def _json_out(doc, output):
-    _emit(json.dumps(_round_floats(doc), indent=2) + "\n", output)
+    _emit(json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n", output)
 
 
 def _csv_out(schema, rows, output):
@@ -500,8 +502,7 @@ def cmd_verify(args):
 
 
 def _cmle(doc, spec, init):
-    return partial(estimation.cmle_static if spec.family == model.STATIC
-                   else estimation.cmle_dynamic_ar, init=init)
+    return partial(estimation.cmle, init=init)
 
 
 def _pairwise(doc, spec, init):
@@ -537,7 +538,7 @@ def _gmm(doc, spec, init):
 
 WEIGHTINGS = ("identity", "two-step")
 METHODS = {  # name: (estimator builder, {family it takes: least d_x})
-    "cmle": (_cmle, {model.STATIC: 1, model.AR: 0}),
+    "cmle": (_cmle, {model.STATIC: 1, model.AR: 0, model.NETWORK: 0}),
     "pairwise": (_pairwise, {model.STATIC: 1}),
     "gmm": (_gmm, None),  # the moment library decides
 }

@@ -8,18 +8,19 @@ moments on the cells only and takes the mean, the two-step weight
 matrix and the sandwich as count-weighted sums; the class CMLEs take
 their rows from the same table.
 
-The three CMLEs maximize one conditional logit, the sum over rows of
+Both CMLEs maximize one conditional logit, the sum over rows of
 w * (G_own' theta - logsumexp(G theta)): G stacks the profiles of the
 paths in a row's conditioning class, G_own is the observed path's and
-w counts identical rows.  One builder, ``_class_core``, gives the static
-and the dynamic AR CMLE their classes, by ``sufficiency.class_key``,
-and their ``model.path_profile`` rows; the pairwise classes have two
-members, with profiles (X w_perp, 0).  ``_CondLogit`` gives the value,
-analytic gradient and Hessian, and the sandwich meat clustered by unit,
-in one pass over the classes laid out by ``KeyClasses.segments``.
-``_fit`` moves the coordinates whose profile column varies within some
-class, and reports the rest (gamma_1 .. gamma_{p-1} of an AR(p), a
-covariate constant over time) as not identified.
+w counts identical rows.  ``cmle`` fits static, AR and network specs
+alike: one builder, ``_class_core``, gives it the classes, by
+``sufficiency.class_key``, and their ``model.path_profile`` rows.  The
+pairwise classes have two members, with profiles (X w_perp, 0).
+``_CondLogit`` gives the value, analytic gradient and Hessian, and the
+sandwich meat clustered by unit, in one pass over the classes laid out
+by ``KeyClasses.segments``.  ``_fit`` moves the coordinates whose
+profile column varies within some class, and reports the rest
+(gamma_1 .. gamma_{p-1} of an AR(p), a covariate constant over time) as
+not identified.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import (AR, STATIC, TooLarge, all_paths, check_theta, path_index,
-                    path_profile)
+from .model import STATIC, TooLarge, all_paths, check_theta, path_index, path_profile
 from .moments import term_moments
 from .sufficiency import class_key, key_classes, period_pattern, row_classes
 
@@ -299,16 +299,19 @@ def _class_core(sample):
     return _CondLogit(G.astype(float), start, start + rank, counts[at]), int(counts[at].sum())
 
 
-def cmle_static(sample, init=None, max_iter=100):
-    """Conditional MLE of beta over the classes S(W y); units whose
-    class is a singleton carry no information and are skipped."""
+def cmle(sample, init=None, max_iter=100):
+    """Conditional MLE of a static, AR or network model over its
+    ``class_key`` classes, the paths sharing the key at one initial
+    condition and covariates; units whose class is a singleton carry no
+    information and are skipped."""
     spec = sample.spec
-    if spec.family != STATIC:
-        raise ValueError("cmle_static requires a static spec")
-    if spec.d_x == 0:
+    if spec.theta_dim == 0:
         raise ValueError("nothing to estimate without covariates")
     core, n_info = _class_core(sample)
     return _fit(core, spec, init, max_iter, {"n_informative": n_info, "n_units": sample.n})
+
+
+cmle_static = cmle_dynamic_ar = cmle  # the former per-family names, still called
 
 
 # -- pairwise classes of two -------------------------------------------------
@@ -351,16 +354,6 @@ def cmle_pairwise(sample, Wperp, init=None, max_iter=100):
                 {"n_rows": int(len(z)), "n_contributing_units": int(len(np.unique(units))),
                  "n_vectors": vectors.shape[1],
                  "periods_used": (np.flatnonzero(vectors.any(axis=1)) + 1).tolist()})
-
-
-def cmle_dynamic_ar(sample, init=None, max_iter=100):
-    """Conditional MLE of an AR model over its ``class_key`` classes,
-    the paths sharing the key at one initial condition and covariates."""
-    spec = sample.spec
-    if spec.family != AR:
-        raise ValueError("cmle_dynamic_ar requires an AR spec")
-    core, n_info = _class_core(sample)
-    return _fit(core, spec, init, max_iter, {"n_informative": n_info, "n_units": sample.n})
 
 
 # -- GMM ---------------------------------------------------------------------

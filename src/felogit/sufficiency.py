@@ -10,15 +10,16 @@ verifies the AR(p) condition systems, and builds the conditioning sets
 and conditional likelihood of the dynamic dyadic network model.
 
 One conditioning key, ``class_key`` (W y, then the multiset of the
-triples (w_t, x_t, Z_t)), gives the classes of the static and dynamic
-AR CMLEs and the two conditions of ``permutation_check``; it reads X
-only through ``period_pattern``.  Every class is a set of rows sharing
-one key, built by one helper, ``key_classes``: those classes, the AR(1)
-pair groups, the network classes and the (w_t, x_t) ids of
-``class_key``, walked by ``KeyClasses.segments`` and ``.pairs``;
-``row_classes`` and ``column_classes`` group byte-identical rows and
-columns.  A log ratio is a ``model.path_profile`` difference @ theta; a
-transition gap, its lag-1 part.
+triples (w_t, x_t, Z_t)), gives the classes of ``estimation.cmle`` for
+every family, the tau = 3 network conditioning sets and the two
+conditions of ``permutation_check``; it reads X only through
+``period_pattern``.  Every class is a set of rows sharing one key, built
+by one helper, ``key_classes``: those classes, the AR(1) pair groups
+and the (w_t, x_t) ids of ``class_key``, walked by
+``KeyClasses.segments`` and ``.pairs``; ``row_classes`` and
+``column_classes`` group byte-identical rows and columns.  A log ratio
+is a ``model.path_profile`` difference @ theta; a transition gap, its
+lag-1 part.
 """
 
 from __future__ import annotations
@@ -328,6 +329,8 @@ def _require_t3(spec):
         raise ValueError("operation requires a network spec")
     if spec.tau != 3:
         raise ValueError("conditioning sets are built for tau = 3")
+    if spec.d_x:
+        raise ValueError("network conditioning sets are covariate-free")
 
 
 def network_cond_star(spec, y):
@@ -343,20 +346,21 @@ def network_cond_star(spec, y):
 @lru_cache(maxsize=None)
 def _network_classes(n):
     # classes of (period-1, period-2) network pairs, row a * 2^D + b for
-    # networks a, b by id; the key holds, per dyad, the unordered pair
-    # of the two networks' (link, shared friends) codes
+    # networks a, b by id, by the class_key of the path (a, b, 0) at y0 = 0:
+    # the period-3 network and y0 shift every key alike
     if n > 4:
         raise model.TooLarge(f"network conditioning classes need a scan of "
                              f"{2 ** (n * (n - 1)):,} candidates; n <= 4 only")
-    Z = lag_features(model.network_design(n, 1), all_paths(n * (n - 1) // 2))
-    code = Z[..., 0] + 2 * Z[..., 1]
-    a, b = code[:, None], code[None, :]
-    key = np.concatenate([np.minimum(a, b), np.maximum(a, b)], axis=2)
-    return key_classes(key.reshape(len(code) ** 2, -1))
+    spec = model.network_design(n, 3)
+    nets = all_paths(spec.n_dyads)
+    a, b = np.divmod(np.arange(len(nets) ** 2), len(nets))
+    paths = np.hstack([nets[a], nets[b], np.zeros_like(nets[a])])
+    return row_classes(class_key(spec, paths, np.zeros(spec.n_dyads)))
 
 
 def network_cond_full(spec, y):
-    """Exhaustive conditioning set of the tau = 3 network model.
+    """Exhaustive conditioning set of the tau = 3 network model, the
+    paths sharing y's ``class_key``.
 
     Alternatives must match the period-3 network dyad-wise, and for
     each dyad the pair of (link, shared friends) values at periods 1
@@ -396,8 +400,6 @@ def network_cond_likelihood(spec, theta, y, y0, cond):
     the value equals Pr(Y = y | Y in set, Y0, A) for every A.
     """
     _require_t3(spec)
-    if spec.d_x:
-        raise ValueError("network conditional likelihood is covariate-free")
     mine = np.all(cond.members == np.asarray(y), axis=1)
     if not mine.any():
         raise ValueError("y must belong to the conditioning set")

@@ -281,6 +281,20 @@ def mask_network_cond_full(spec, y):
     return members
 
 
+def network_code_classes(n):
+    """Classes of the (period-1, period-2) network pairs, row a * 2^D + b
+    for networks a, b by id, keyed per dyad by the unordered pair of the
+    two networks' (link, shared friends) codes."""
+    from felogit.model import all_paths, lag_features, network_design
+    from felogit.sufficiency import key_classes
+
+    Z = lag_features(network_design(n, 1), all_paths(n * (n - 1) // 2))
+    code = Z[..., 0] + 2 * Z[..., 1]
+    a, b = code[:, None], code[None, :]
+    key = np.concatenate([np.minimum(a, b), np.maximum(a, b)], axis=2)
+    return key_classes(key.reshape(len(code) ** 2, -1))
+
+
 def write_long_csv(sample, fh, kind):
     """The sample CSV (``kind`` "sample") or network edge list ("edges")
     of ``sample``, one f-string per row and one per covariate."""

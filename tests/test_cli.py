@@ -561,7 +561,7 @@ def test_estimate_path_enumeration_refusal_exits_2(tmp_path, capsys):
 
 AR = ("--design", "ar", "--p")
 NETWORK = ("--design", "network", "--n", "3", "--tau", "3")
-CMLE_TAKES = "cmle takes static designs with d_x >= 1 or ar designs"
+CMLE_TAKES = "cmle takes static designs with d_x >= 1 or ar designs or network designs"
 
 
 def _held_under(library, reference, found):
@@ -619,9 +619,6 @@ def _sample_file(tmp_path, argv):
     pytest.param(("estimate", *NETWORK, "--method", "gmm"),
                  _held_under("ar2_t3", "ar, T=3, d_w=1, d_x=0, p=2",
                              "network, T=9, d_w=3, d_x=0, n=3, tau=3"), id="gmm network"),
-    pytest.param(("estimate", *NETWORK, "--method", "cmle"),
-                 f"error: {CMLE_TAKES}, found ModelSpec(network, T=9, d_w=3, d_x=0, n=3, "
-                 "tau=3)\n", id="cmle network"),
     pytest.param(("estimate", "--design", "panel", "--T", "3", "--method", "cmle"),
                  f"error: {CMLE_TAKES}, found ModelSpec(static, T=3, d_w=1, d_x=0)\n",
                  id="cmle static d_x=0"),
@@ -642,7 +639,7 @@ def test_flag_outside_its_range_exits_2(tmp_path, capsys, argv, message):
 
 def test_estimate_cmle_takes_ar_with_covariates(tmp_path, capsys):
     # the AR classes condition on (y0, X), so a binary covariate leaves
-    # classes with several members; a network spec is still refused
+    # classes with several members
     from oracles import binary_x_sample
 
     sample = binary_x_sample(fl.panel_ar(1, 4, d_x=1), [0.5, 1.0], n=2000, seed=3)
@@ -657,9 +654,36 @@ def test_estimate_cmle_takes_ar_with_covariates(tmp_path, capsys):
         want = estimation.cmle_dynamic_ar(read_sample_csv(fh, sample.spec))
     assert doc["theta"] == pytest.approx(dict(zip(want.names, want.theta)), rel=1e-10)
     assert all(np.isfinite(list(doc["std_errors"].values())))
-    argv = ("estimate", *NETWORK, "--method", "cmle")
-    code, out, err = run(capsys, *argv, "--data", _sample_file(tmp_path, argv))
-    assert code == 2 and f"error: {CMLE_TAKES}, found ModelSpec(network" in err
+
+
+def test_estimate_cmle_fits_a_network_edge_list(tmp_path, capsys):
+    # the classes of a tau = 3 network are its network_cond_full sets
+    spec = fl.network_design(3, 3)
+    sample = simulate.generate(simulate.DGPConfig(spec=spec, theta=np.array([0.8, -0.5]),
+                                                  n=2000, seed=5))
+    data = tmp_path / "edges.csv"
+    with open(data, "w") as fh:
+        write_sample_csv(sample, fh)
+    code, out, _ = run(capsys, "estimate", *NETWORK, "--method", "cmle", "--data", str(data))
+    assert code == 0
+    doc = json.loads(out)
+    want = estimation.cmle(sample)
+    assert doc["theta"] == pytest.approx(dict(zip(want.names, want.theta)), rel=1e-10)
+    assert doc["std_errors"] == pytest.approx(dict(zip(want.names, want.std_errors)), rel=1e-10)
+    assert doc["diagnostics"]["not_identified"] == []
+
+
+def test_estimate_prints_a_coordinate_without_standard_error_as_null(tmp_path, capsys):
+    # gamma1 of an AR(2) at T = 4 is not identified: its SE is NaN, which
+    # JSON has no literal for
+    argv = ("estimate", *AR, "2", "--T", "4", "--method", "cmle")
+    code, out, _ = run(capsys, *argv, "--data", _sample_file(tmp_path, argv))
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 0 and doc["diagnostics"]["not_identified"] == ["gamma1"]
+    assert doc["std_errors"]["gamma1"] is None and doc["theta"]["gamma1"] == 0.0
 
 
 def test_pairwise_report_names_its_vectors_and_the_periods_they_touch(tmp_path, capsys):

@@ -16,6 +16,7 @@ from felogit.estimation import (
     Sample,
     _class_core,
     _pairwise_objective,
+    cmle,
     cmle_dynamic_ar,
     cmle_pairwise,
     cmle_static,
@@ -241,6 +242,42 @@ def test_dynamic_cmle_with_binary_covariate_bias_and_coverage():
     spec, theta, reps = fl.panel_ar(1, 4, d_x=1), np.array([0.5, 1.0]), 300
     fits = [cmle_dynamic_ar(binary_x_sample(spec, theta, n=2000, seed=700 + r))
             for r in range(reps)]
+    assert all(f.converged and f.diagnostics["not_identified"] == [] for f in fits)
+    est = np.array([f.theta for f in fits])
+    se = np.array([f.std_errors for f in fits])
+    mc_se = est.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(est.mean(axis=0) - theta) <= 3.29 * mc_se)
+    covered = np.sum(np.abs(est - theta) <= 1.96 * se, axis=0)
+    lo, hi = binom.ppf([0.0005, 0.9995], reps, 0.95)
+    assert np.all((lo <= covered) & (covered <= hi)), (covered, lo, hi)
+
+
+def test_one_cmle_under_every_name():
+    assert cmle_static is cmle and cmle_dynamic_ar is cmle
+
+
+def _network_sample(n, seed, theta=(0.8, -0.5)):
+    return simulate.generate(simulate.DGPConfig(
+        spec=fl.network_design(3, 3), theta=np.array(theta), n=n, seed=seed))
+
+
+def test_network_cmle_loglik_is_the_sum_of_conditional_likelihoods():
+    # a unit's row is its path's network_cond_full set; a singleton adds log 1
+    s = _network_sample(500, seed=41)
+    fit = cmle(s)
+    want = sum(np.log(fl.network_cond_likelihood(
+        s.spec, fit.theta, y, y0, fl.network_cond_full(s.spec, y))) for y, y0 in zip(s.Y, s.Y0))
+    assert fit.objective == pytest.approx(want, rel=1e-12)
+
+
+def test_network_cmle_bias_and_coverage():
+    # 300 replications of 1,000 three-agent networks over tau = 3 periods;
+    # as in the AR test above, each of the four checks fails by chance
+    # with probability at most 0.001
+    from scipy.stats import binom
+
+    theta, reps = np.array([0.8, -0.5]), 300
+    fits = [cmle(_network_sample(1000, seed=900 + r)) for r in range(reps)]
     assert all(f.converged and f.diagnostics["not_identified"] == [] for f in fits)
     est = np.array([f.theta for f in fits])
     se = np.array([f.std_errors for f in fits])
@@ -660,6 +697,7 @@ INVARIANCE_CASES = {
     "cmle_dynamic_ar_x": (lambda: binary_x_sample(fl.panel_ar(1, 4, d_x=1), [0.5, 1.0],
                                                   n=2000, seed=38),
                           cmle_dynamic_ar, 1e-8),
+    "cmle_network": (lambda: _network_sample(1500, seed=39), cmle, 1e-8),
     "gmm": (lambda: _ar_sample(2, 3, [0.5, -0.3], n=4000, seed=34, stationary=True),
             lambda s: gmm(s, moments.Ar2T3Moments(), np.zeros(2)), 1e-6),
 }

@@ -9,7 +9,7 @@ import felogit as fl
 from felogit import estimation, model, moments, sufficiency
 from felogit.simulate import DGPConfig, generate
 from oracles import (counter_pair_multiset, mask_network_cond_full, naive_path_prob,
-                     network_star_equals_full)
+                     network_code_classes, network_star_equals_full)
 
 
 def test_permutation_identical_paths():
@@ -737,6 +737,33 @@ def test_network_cond_full_matches_mask_oracle():
         assert network_star_equals_full(spec4, y) == (
             len(mask_network_cond_full(spec4, y))
             == len(fl.network_cond_star(spec4, y)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_network_classes_match_the_dyad_code_key(n):
+    # every (period-1, period-2) pair, grouped by class_key and by the
+    # per-dyad unordered pair of (link, shared friends) codes
+    got, want = sufficiency._network_classes(n), network_code_classes(n)
+    assert len(got.cls) == len(want.cls) == 4 ** (n * (n - 1) // 2)
+    assert _same_partition(got.cls, want.cls)
+
+
+NETWORK_X = fl.network_design(3, 3, d_x=1)
+NETWORK_Y = np.array([1, 0, 1, 1, 0, 0, 0, 1, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fl.network_cond_full(NETWORK_X, NETWORK_Y),
+    lambda: fl.network_cond_star(NETWORK_X, NETWORK_Y),
+    lambda: sufficiency.network_star_equality_fraction(NETWORK_X),
+    lambda: fl.network_cond_likelihood(
+        NETWORK_X, [0.5, 0.2, 1.0], NETWORK_Y, np.zeros(3, int),
+        fl.network_cond_full(fl.network_design(3, 3), NETWORK_Y)),
+], ids=["full", "star", "equality_fraction", "likelihood"])
+def test_network_conditioning_refuses_covariates(call):
+    # the sets read no X, and with varying x their ratios depend on A
+    with pytest.raises(ValueError, match="network conditioning sets are covariate-free"):
+        call()
 
 
 def test_network_star_equality_fraction_exact_values():
