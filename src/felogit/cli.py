@@ -20,7 +20,11 @@ File schemas (versioned in the emitted ``schema`` comment):
 Rows may come in any order, with blank and "#" lines anywhere.  y is 0
 or 1 and covariates are finite.  A malformed file is a usage error: it
 exits 2 with a message naming the data row (counted from 1 after the
-header), or the unit and the period missing or given twice.
+header), or the unit and the period missing or given twice, or the first
+byte that is not UTF-8.  The reader scans the text in blocks of ``BLOCK``
+characters cut at newlines and keeps only each row's unit, slot, y and
+covariates, so a file in the writer's row order takes at most three times
+its length in memory, the text included.
 
 ``estimate``, ``mc`` and ``verify`` reach every estimator and closed-form
 moment library through one table, ``METHODS`` or ``LIBRARIES``; one applied
@@ -227,9 +231,9 @@ def _columns(what, parsed, lines, rows, cols, dtype):
 
 class _Lines:
     """A text's lines but blank and comment lines, from one scan of its
-    bytes ``b``: the first, ``head``, as str (None if none), and data line
-    k, each other one, from byte ``start[k]`` to the newline at ``stop[k]``,
-    with ``fields[k]`` fields and its first comma at ``commas[first[k]]``."""
+    bytes ``b``: data line k from byte ``start[k]`` to the newline at
+    ``stop[k]``, with ``fields[k]`` fields and its first comma at
+    ``commas[first[k]]``."""
 
     def __init__(self, text):
         raw = self.raw = f"\n{text}\n".encode()
@@ -240,10 +244,9 @@ class _Lines:
         # starts with whitespace, "#" or a non-ASCII character: test only those.
         first = b[ends[:-1] + 1]
         odd = np.flatnonzero((first <= 32) | (first == 35) | (first >= 127))
-        keep = np.delete(np.arange(len(ends) - 1), [k for k in odd if not (
+        keep = np.delete(np.arange(len(ends) - 1, dtype=pos), [k for k in odd if not (
             line := raw[ends[k] + 1:ends[k + 1]].decode()).strip() or line[0] == "#"])
-        self.head = raw[ends[keep[0]] + 1:ends[keep[0] + 1]].decode() if len(keep) else None
-        at, keep = np.searchsorted(self.commas, ends).astype(pos), keep[1:]
+        at = np.searchsorted(self.commas, ends).astype(pos)
         self.start, self.stop, self.line = ends[keep] + 1, ends[keep + 1], keep + 1
         self.first, self.fields = at[keep], at[keep + 1] - at[keep] + 1
 
@@ -254,15 +257,15 @@ class _Lines:
     def integers(self, n):
         """The first n fields of each data line as (lines, n) int64, None unless
         all are -?[0-9]{1,18} and each "\r" ends a line (np.loadtxt fails else)."""
-        b, first, last = self.b, self.first, self.fields - 1
-        commas = np.append(self.commas, 0)  # a line's commas end by len(commas)
+        b, commas, first, last = self.b, self.commas, self.first, self.fields - 1
         if (not len(first) or last.min() < n - 1
                 or np.any(b[np.flatnonzero(b == 13) + 1] != 10)):
             return None
         K = np.zeros((n, len(first)), dtype=np.int64)
         for c, value in enumerate(K):
             lo = self.start if c == 0 else commas[first + c - 1] + 1
-            hi = np.where(last == c, self.stop - (b[self.stop - 1] == 13), commas[first + c])
+            hi = np.where(last == c, self.stop - (b[self.stop - 1] == 13),
+                          commas.take(first + c, mode="clip"))  # clipped where unused
             neg = b[lo] == 45
             width = hi - lo - neg
             if width.min() < 1 or width.max() > 18:
@@ -272,7 +275,8 @@ class _Lines:
                 digit[width < k] = 0
                 if digit.max() > 9:
                     return None
-                value[:] = value * 10 + digit
+                value *= 10
+                value += digit
             value[neg] *= -1
         return K.T
 
@@ -295,54 +299,106 @@ class _Lines:
             return X.reshape(len(stop), d) if X.size == len(stop) * d and not blank else None
 
 
+BLOCK = 2**17  # characters a block; its scan's arrays take about ten bytes a character
+
+
 def read_sample_csv(fh, spec):
-    """The Sample in ``fh``, read as ``spec``'s file; bad input raises DataError."""
+    """The Sample in ``fh``, read as ``spec``'s file; bad input raises DataError.
+
+    The text is read whole, not in pieces: ``read(n)`` on a StringIO filled
+    by ``write`` copies its buffer to four bytes a character.  It is scanned
+    in blocks of about BLOCK characters cut after a newline, and only each
+    row's unit, slot, y and covariates outlive its block.  A refused file is
+    scanned again as one block, so the message is that of the whole file."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{getattr(fh, 'name', 'sample file')}: byte {exc.start} is not "
+                        f"UTF-8 ({exc.reason})") from None
+    try:
+        return _read_blocks(text, spec, BLOCK)
+    except DataError:
+        return _read_blocks(text, spec, len(text))
+
+
+def _read_blocks(text, spec, size):
+    """``read_sample_csv`` over blocks of about ``size`` characters.  Read as
+    one block, a text is refused for its header, then its key columns, i == j,
+    the rows of a unit, the covariates and last the field counts."""
     kind, keys, slots, slot_of = _layout(spec)
     what = "sample CSV" if kind == "sample" else "edge CSV"
-    big = np.finfo(float).max
-    lines = _Lines(fh.read())
-    head = lines.head.strip().split(",") if lines.head is not None else []
+    big, L0, S, d = np.finfo(float).max, spec.y0_len, len(slots), spec.d_x
+    start = 0  # the header is the first line neither blank nor a comment
+    while (line := text[start:text.find("\n", start) + 1 or len(text)]) and (
+            not line.strip() or line[0] == "#"):
+        start += len(line)
+    head, start = line.strip().split(","), start + len(line)
     bounds = {"unit": (-big, big), **keys, "y": (0, 1)}
     if kind == "edges" and head[:1] == ["tau"]:  # one network, no unit column
         del bounds["unit"]
-    columns = [*bounds, *(f"x{k + 1}" for k in range(spec.d_x))]
-    if head != columns or not len(lines.start):
-        raise DataError(f"{what} must start with columns {','.join(columns)} "
+    columns = [*bounds, *(f"x{k + 1}" for k in range(d))]
+    refusal = DataError(f"{what} must start with columns {','.join(columns)} "
                         "and hold data rows")
-    L0, S = spec.y0_len, len(slots)
-    K = _columns(what, lines.integers(len(bounds)), lambda: lines.strings(slice(None)),
-                 range(len(lines.start)), {
-        c: (m, lo, hi, "0 or 1" if m == "y" else "an integer" if m == "unit"
-            else f"an integer in {lo}..{hi}")
-        for c, (m, (lo, hi)) in enumerate(bounds.items())}, np.int64)
-    slot = slot_of(*K[:, -len(keys) - 1:-1].T)
-    rows = np.flatnonzero(slot >= L0)  # parsed before the unit arrays: a lower peak
-    parsed = lines.floats(rows, len(bounds), spec.d_x) if spec.d_x else None
-    bad = np.flatnonzero(slot < 0)  # an edge with i == j
-    if bad.size:
-        raise DataError(f"{what} data row {bad[0] + 1}: i and j must differ")
-    units, unit = np.unique(K[:, 0] if "unit" in bounds else np.ones_like(slot),
-                            return_inverse=True)
-    key = unit * S + slot
-    count = np.bincount(key, minlength=len(units) * S)
-    bad = np.flatnonzero(count != 1)
-    if bad.size:
-        u, s = divmod(int(bad[0]), S)
-        raise DataError(f"{what}: unit {units[u]} has {count[bad[0]] or 'no'} "
+    if head != columns:
+        raise refusal
+    blocks, fields, m = [], [], 0  # m: the data rows before a block
+
+    def scan(start, stop):
+        """Keep the units, slots, y and covariates of the data rows in
+        text[start:stop]; the block's other arrays go when it returns."""
+        nonlocal m
+        lines = _Lines(text[start:stop])
+        if not len(lines.start):
+            return
+        K = _columns(what, lines.integers(len(bounds)), lambda: lines.strings(slice(None)),
+                     range(m, m + len(lines.start)), {
+            c: (name, lo, hi, "0 or 1" if name == "y" else "an integer" if name == "unit"
+                else f"an integer in {lo}..{hi}")
+            for c, (name, (lo, hi)) in enumerate(bounds.items())}, np.int64)
+        slot = slot_of(*K[:, -len(keys) - 1:-1].T)
+        bad = np.flatnonzero(slot < 0)  # an edge with i == j
+        if bad.size:
+            raise DataError(f"{what} data row {m + bad[0] + 1}: i and j must differ")
+        bad = np.flatnonzero(lines.fields != len(columns))
+        fields.extend((m + k, lines.fields[k]) for k in bad[:1])
+        parsed = lines.floats(np.flatnonzero(slot >= L0), len(bounds), d) if d else None
+        # a run of rows of one unit, as the writer emits them, is one id; the
+        # ids of all blocks are made unique after the last block
+        u = K[:, 0] if "unit" in bounds else np.ones_like(slot)
+        new = np.r_[True, u[1:] != u[:-1]]
+        ids, unit = u[new], np.cumsum(new) - 1
+        blocks.append((start, stop, m, ids, unit.astype(np.min_scalar_type(len(ids))),
+                       slot.astype(np.min_scalar_type(-S)), K[:, -1].astype(np.int8), parsed))
+        m += len(lines.start)
+
+    while start < len(text):
+        stop = text.find("\n", start + size) + 1 or len(text)
+        scan(start, stop)
+        start = stop
+    if not m:
+        raise refusal
+    units, where = np.unique(np.concatenate([b[3] for b in blocks]), return_inverse=True)
+    Y, at = np.full((len(units), S), 2, dtype=np.int8), 0  # 2: no row yet
+    for b, (start, stop, row, ids, unit, slot, y, parsed) in enumerate(blocks):
+        blocks[b] = start, stop, row, where[at:][unit] * S + slot, parsed
+        np.put(Y, blocks[b][3], y)
+        at += len(ids)
+    if m != Y.size or np.any(Y == 2):  # a unit has a row missing or repeated
+        count = np.bincount(np.concatenate([b[3] for b in blocks]), minlength=Y.size)
+        u, s = divmod(int(np.flatnonzero(count != 1)[0]), S)
+        raise DataError(f"{what}: unit {units[u]} has {count[u * S + s] or 'no'} "
                         f"rows for {','.join(keys)} = {slots[s]}")
-    Y, X = np.empty((len(units), S), dtype=np.int8), None
-    np.put(Y, key, K[:, -1])
-    if spec.d_x:
-        X = np.empty((len(units), spec.d_x, spec.T))
-        X[unit[rows], :, slot[rows] - L0] = _columns(
-            what, parsed, lambda: lines.strings(rows), rows,
-            {len(bounds) + k: (f"x{k + 1}", -big, big, "a finite number")
-             for k in range(spec.d_x)}, float)
-    # counted last, so that a short row names its missing field first
-    bad = np.flatnonzero(lines.fields != len(columns))
-    if bad.size:
-        raise DataError(f"{what} data row {bad[0] + 1}: expected {len(columns)} "
-                        f"fields, found {lines.fields[bad[0]]}")
+    X = np.empty((len(units), d, spec.T)) if d else None
+    for start, stop, row, key, parsed in blocks if d else ():
+        rows = np.flatnonzero(key % S >= L0)
+        X[key[rows] // S, :, key[rows] % S - L0] = _columns(
+            what, parsed, lambda: _Lines(text[start:stop]).strings(rows), row + rows,
+            {len(bounds) + c: (f"x{c + 1}", -big, big, "a finite number")
+             for c in range(d)}, float)
+    if fields:  # counted last, so that a short row names its missing field first
+        row, found = fields[0]
+        raise DataError(f"{what} data row {row + 1}: expected {len(columns)} "
+                        f"fields, found {found}")
     return estimation.Sample(spec=spec, Y=Y[:, L0:], Y0=Y[:, :L0], X=X)
 
 
@@ -590,7 +646,7 @@ def _build_estimator(doc, spec):
 
 def cmd_estimate(args):
     spec = _load_spec(args)
-    with open(args.data) as fh:
+    with open(args.data, encoding="utf-8") as fh:
         sample = read_sample_csv(fh, spec)
     doc = {key: getattr(args, key) for key in ("method", "moments", "weighting")
            if getattr(args, key)}

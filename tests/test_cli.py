@@ -708,6 +708,15 @@ def test_csv_row_with_extra_fields_exits_2(tmp_path, capsys):
     assert "error: sample CSV data row 1: expected 3 fields, found 4\n" in err
 
 
+def test_sample_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"unit,t,y\n1,0,1\n1,1,\xff\n1,2,0\n")
+    code, out, err = run(capsys, "estimate", "--design", "ar", "--p", "1", "--T", "2",
+                         "--method", "cmle", "--data", str(data))
+    assert code == 2 and out == ""
+    assert f"error: {data}: byte 19 is not UTF-8 (invalid start byte)\n" in err
+
+
 def test_internal_error_exits_1(capsys, monkeypatch):
     # a plain ValueError from inside a command is an internal error
     def fail(args):
@@ -765,6 +774,60 @@ def test_simulate_then_estimate_round_trip(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert abs(doc["theta"]["beta1"] - 1.0) < 0.15
     assert doc["converged"] is True
+
+
+# felogit simulate -> estimate through files at seed 41, n = 2,000, with
+# stationary initial outcomes: the sha256 of each simulated file, and the
+# estimates and standard errors printed, equal at relative 1e-8.  CI runs
+# this test at the default BLAS thread count and at one thread.
+GOLDEN_ESTIMATES = {
+    "ar2_t3 gmm": (
+        {"design": "ar", "p": 2, "T": 3}, [0.5, -0.3], ["--method", "gmm"],
+        "f5f07d3500d964bab57ddfeaabe8c4648e0595fb4d0f42e056d39ff6c38674a5",
+        {"gamma1": (-0.00533731307009, 0.211348404855),
+         "gamma2": (-0.520910670952, 0.183260154326)}),
+    "quarterly_t6 gmm": (
+        {"design": "quarterly", "p": 1, "T": 6, "d_x": 1}, [0.5, 1.0],
+        ["--method", "gmm", "--moments", "quarterly_t6"],
+        "8250d421aeb99d01980652d9cdab377c56fa7fd348e7a2049af6dd18a26eea93",
+        {"gamma1": (0.345635119982, 0.527938457436),
+         "beta1": (0.892149341498, 0.0695610944124)}),
+    "ar1 cmle": (
+        {"design": "ar", "p": 1, "T": 4}, [0.5], ["--method", "cmle"],
+        "7a5d5aa1a34505531e9859be01537cba51a03eb75029d2dc77c5808d156936cb",
+        {"gamma1": (0.483841204994, 0.0798788812397)}),
+    "panel pairwise": (
+        {"design": "panel", "T": 3, "d_x": 1}, [1.0], ["--method", "pairwise"],
+        "70822cade21abf0c26bf6849af52a434a4ff7f14949bfd5d39c95a9e681eaf6a",
+        {"beta1": (1.02860779838, 0.0500769004381)}),
+    "network cmle": (
+        {"design": "network", "n": 3, "tau": 3}, [0.8, -0.5], ["--method", "cmle"],
+        "15083a481b02cfc7a055812890c1094954d1c61ace62f30080b5d12ff628f805",
+        {"gamma": (0.827427104599, 0.0791180098815),
+         "delta": (-0.439693175023, 0.0806742202326)}),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_ESTIMATES)
+def test_simulate_then_estimate_golden_transcripts(tmp_path, capsys, monkeypatch, case):
+    design, theta, method, digest, want = GOLDEN_ESTIMATES[case]
+    cfg, data = tmp_path / "dgp.json", tmp_path / "sample.csv"
+    cfg.write_text(json.dumps({"design": design, "theta": theta, "n": 2000, "seed": 41,
+                               "y0_law": {"kind": "stationary", "burn_in": 50}}))
+    assert main(["simulate", "--config", str(cfg), "--output", str(data)]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == digest
+    flags = [arg for key, value in design.items()
+             for arg in (f"--{key.replace('_', '-')}", str(value))]
+    code, out, _ = run(capsys, "estimate", *flags, "--data", str(data), *method)
+    doc = json.loads(out)
+    assert code == 0 and doc["converged"] is True
+    for name, (estimate, se) in want.items():
+        assert doc["theta"][name] == pytest.approx(estimate, rel=1e-8)
+        assert doc["std_errors"][name] == pytest.approx(se, rel=1e-8)
+        assert abs(estimate - theta[list(want).index(name)]) < 4 * se
+    # read in blocks of a few dozen rows, the file gives the same report
+    monkeypatch.setattr(cli, "BLOCK", 4096)
+    assert run(capsys, "estimate", *flags, "--data", str(data), *method)[1] == out
 
 
 def test_estimate_degenerate_exits_3(tmp_path, capsys):
@@ -1048,9 +1111,9 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 
 def test_estimation_commands_run_without_scipy(tmp_path):
     argvs = []
-    for T, method in ((3, "gmm"), (4, "cmle")):
+    for T, method, n in ((3, "gmm", 30_000), (4, "cmle", 2000)):  # 30,000: many blocks
         dgp = {"design": {"design": "ar", "p": 2, "T": T}, "theta": [0.5, -0.3],
-               "n": 2000, "seed": 4, "y0_law": {"kind": "stationary", "burn_in": 50}}
+               "n": n, "seed": 4, "y0_law": {"kind": "stationary", "burn_in": 50}}
         cfg, data = tmp_path / f"dgp{T}.json", str(tmp_path / f"sample{T}.csv")
         cfg.write_text(json.dumps(dgp))
         mc = tmp_path / f"mc{T}.json"

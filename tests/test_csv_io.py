@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import tracemalloc
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import felogit as fl
+from felogit import cli, simulate
 from felogit.cli import DataError, read_sample_csv, write_sample_csv
 from felogit.estimation import Sample
 from oracles import loadtxt_read_sample_csv, write_long_csv
@@ -327,3 +330,93 @@ def test_reader_matches_loadtxt_oracle_on_fixed_texts(case):
     spec, text = ORACLE_TEXTS[case]
     assert (_outcome(read_sample_csv, text, spec)
             == _outcome(loadtxt_read_sample_csv, text, spec))
+
+
+# -- the block reader ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, theta", [
+    (fl.panel_ar(2, 3), [0.5, -0.3]),
+    (fl.quarterly_ar(1, 6, d_x=1), [0.5, 1.0]),
+])
+def test_reader_allocates_at_most_three_times_the_text(spec, theta):
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic;
+    # it counts the text that read() returns.  The buffer is filled by write()
+    # as the benchmark fills it.  One scan of the whole text took 13x and 7x.
+    s = simulate.generate(simulate.DGPConfig(spec=spec, theta=np.array(theta),
+                                             n=25_000, seed=3))
+    buf = io.StringIO()
+    write_sample_csv(s, buf)
+    size = buf.tell()
+    buf.seek(0)
+    tracemalloc.start()
+    try:
+        back = read_sample_csv(buf, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 4 * cli.BLOCK and np.array_equal(back.Y, s.Y)
+    assert peak <= 3 * size, f"{peak / size:.2f} times the {size} characters"
+
+
+def _unitless(text):
+    """A one-network edge list without its unit column."""
+    return "".join(line.partition(",")[2] if line[:1].isdigit() or line.startswith("unit")
+                   else line for line in text.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("layout", ["sample", "edges", "edges without unit"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_loadtxt_oracle(layout, data):
+    # blocks of a few lines, so that blank, "#" and "\r\n" lines and the
+    # edited row fall anywhere around the block boundaries
+    s = data.draw(samples(layout != "sample"))
+    if layout == "edges without unit":
+        s = Sample(spec=s.spec, Y=s.Y[:1], Y0=s.Y0[:1], X=None if s.X is None else s.X[:1])
+    buf = io.StringIO()
+    write_sample_csv(s, buf)
+    text = _unitless(buf.getvalue()) if layout == "edges without unit" else buf.getvalue()
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 6))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(SKIPPED)))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        c = data.draw(st.integers(0, len(fields) - 1))
+        fields[c] = data.draw(st.sampled_from(EDITS))(fields[c])
+        lines[k] = ",".join(fields)
+    end = data.draw(st.sampled_from(["\r\n", "\n"]))
+    text = end.join(lines) + data.draw(st.sampled_from(["", end]))
+    block = data.draw(st.integers(1, 60))
+    with mock.patch.object(cli, "BLOCK", block):
+        got = _outcome(read_sample_csv, text, s.spec)
+    assert got == _outcome(loadtxt_read_sample_csv, text, s.spec)
+    if not isinstance(got[0], str):  # read, and so read in blocks
+        assert got == _outcome(lambda fh, spec: cli._read_blocks(fh.read(), spec, block),
+                               text, s.spec)
+
+
+@pytest.mark.parametrize("layout, row, column, text, message", [
+    ("sample", 290, 2, "7", r"sample CSV data row 290: y must be 0 or 1, found '7'$"),
+    ("sample", 302, 3, "nan", r"data row 302: x1 must be a finite number, found 'nan'$"),
+    ("sample", 333, 3, "0,1", r"sample CSV data row 333: expected 4 fields, found 5$"),
+    ("edges", 250, 3, "9", r"data row 250: j must be an integer in 1\.\.3, found '9'$"),
+    ("edges", 260, 2, "3", r"edge CSV data row 260: i and j must differ$"),  # dyad 1,3
+])
+def test_bad_row_in_a_later_block_is_named_by_its_file_row(layout, row, column, text,
+                                                           message):
+    spec = fl.panel_ar(1, 3, d_x=1) if layout == "sample" else fl.network_design(3, 3)
+    buf = io.StringIO()
+    write_sample_csv(_fixed_sample(spec, 100, 4), buf)
+    lines = buf.getvalue().splitlines()
+    fields = lines[row + 1].split(",")  # after the schema and the header
+    fields[column] = text
+    lines[row + 1] = ",".join(fields)
+    lines.insert(40, "# a comment among the rows")
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 20 * 256
+    # the block scan names the row itself, and so does the scan of a refused file
+    for read in (lambda fh, spec: cli._read_blocks(fh.read(), spec, 256), read_sample_csv):
+        with mock.patch.object(cli, "BLOCK", 256), pytest.raises(DataError, match=message):
+            read(io.StringIO(text), spec)
