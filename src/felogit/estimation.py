@@ -31,7 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .model import STATIC, TooLarge, all_paths, check_theta, path_index, path_profile
+from .model import (STATIC, TooLarge, all_paths, check_binary, check_theta, path_index,
+                    path_profile)
 from .moments import term_moments
 from .sufficiency import class_key, key_classes, period_pattern, row_classes
 
@@ -40,16 +41,6 @@ _Run = namedtuple("_Run", "x fun nit nfev success message")  # one ``_minimize``
 
 class NoInformationError(RuntimeError):
     """Raised when a sample carries no identifying variation."""
-
-
-def _check_binary(name, values):
-    values = np.asarray(values)
-    if values.dtype == np.int8 and values.view(np.uint8).max(initial=0) <= 1:
-        return values  # -1 reads 255 in the uint8 view
-    bad = values[(values != 0) & (values != 1)]
-    if bad.size:
-        raise ValueError(f"{name} must be binary (0/1), found {bad[0].item()!r}")
-    return values.astype(np.int8)
 
 
 @dataclass
@@ -66,11 +57,11 @@ class Sample:
     X: np.ndarray | None = None
 
     def __post_init__(self):
-        self.Y = _check_binary("Y", self.Y)
+        self.Y = check_binary("Y", self.Y)
         if self.Y.ndim != 2 or self.Y.shape[1] != self.spec.T:
             raise ValueError("Y must have spec.T columns")
         n, T = self.Y.shape
-        self.Y0 = _check_binary("Y0", self.Y0).reshape(n, self.spec.y0_len)
+        self.Y0 = check_binary("Y0", self.Y0).reshape(n, self.spec.y0_len)
         if self.spec.d_x:
             self.X = np.asarray(self.X, float).reshape(n, self.spec.d_x, T)
         else:

@@ -220,12 +220,23 @@ def path_index(y):
     return y @ weights
 
 
+def check_binary(name, values):
+    """``values`` as int8 if every entry is 0 or 1, else a ValueError naming ``name``."""
+    values = np.asarray(values)
+    if values.dtype == np.int8 and values.view(np.uint8).max(initial=0) <= 1:
+        return values  # -1 reads 255 in the uint8 view
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise ValueError(f"{name} must be binary (0/1), found {bad[0].item()!r}")
+    return values.astype(np.int8)
+
+
 def _check_y0(spec, y0):
-    """y0 as int8: one block of y0_len outcomes, or one block per path."""
-    y0 = np.zeros(0, dtype=np.int8) if y0 is None else np.asarray(y0, dtype=np.int8)
+    """y0 as int8: one block of y0_len binary outcomes, or one block per path."""
+    y0 = np.zeros(0, dtype=np.int8) if y0 is None else np.asarray(y0)
     if y0.shape[-1:] != (spec.y0_len,):
         raise ValueError(f"y0 must have length {spec.y0_len}, got {y0.shape}")
-    return y0
+    return check_binary("y0", y0)
 
 
 def check_theta(spec, theta):

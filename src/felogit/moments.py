@@ -39,6 +39,7 @@ import numpy as np
 from .model import (
     NETWORK,
     TooLarge,
+    _check_y0,
     all_paths,
     exact_key,
     index_matrix,
@@ -76,7 +77,7 @@ def index_value_tables(spec, y0, X, theta):
     distinct histories.
     """
     L0, w = spec.y0_len, spec.step_width
-    y0 = np.zeros(0, dtype=np.int64) if y0 is None else np.asarray(y0, dtype=np.int64)
+    y0 = _check_y0(spec, y0)
     X = np.asarray(X, dtype=float) if spec.d_x else None
     tables = []
     for step in range(spec.T // w):

@@ -11,30 +11,29 @@ and conditional likelihood of the dynamic dyadic network model.
 
 One conditioning key, ``class_key`` (W y, then the multiset of the
 triples (w_t, x_t, Z_t)), gives the classes of ``estimation.cmle`` for
-every family, the tau = 3 network conditioning sets and the two
-conditions of ``permutation_check``; it reads X only through
-``period_pattern``.  Every class is a set of rows sharing one key, built
-by one helper, ``key_classes``: those classes, the AR(1) pair groups
-and the (w_t, x_t) ids of ``class_key``, walked by
-``KeyClasses.segments`` and ``.pairs``; ``row_classes`` and
-``column_classes`` group byte-identical rows and columns.  A log ratio
-is a ``model.path_profile`` difference @ theta; a transition gap, its
-lag-1 part.
+every family, the tau = 3 network conditioning sets, the two
+conditions of ``permutation_check``, the AR(1) pairs and the AR(p)
+condition check; it reads X only through ``period_pattern``.  Every
+class is a set of rows sharing one key, built by one helper,
+``key_classes``, and walked by ``KeyClasses.segments`` and ``.pairs``;
+``row_classes`` and ``column_classes`` group byte-identical rows and
+columns.  A log ratio is a ``model.path_profile`` difference @ theta;
+a transition gap, its lag-1 part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, starmap
+from itertools import starmap
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .model import (AR, NETWORK, STATIC, ModelSpec, all_paths, exact_key,
-                    lag_features, path_states)
+from .model import (AR, NETWORK, STATIC, all_paths, exact_key, lag_features,
+                    path_states)
 
 
 class KeyClasses:
@@ -85,7 +84,8 @@ def row_classes(*parts):
     """``key_classes`` of the rows of ``parts`` (n, ...) side by side,
     compared byte for byte (all in one class when no part has a byte)."""
     n = len(parts[0])
-    rec = np.hstack([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in parts])
+    rec = np.hstack([np.ascontiguousarray(a).reshape(n, np.prod(a.shape[1:], dtype=int))
+                     .view(np.uint8) for a in parts])
     if not rec.shape[1]:
         return KeyClasses(np.zeros(n, np.intp), np.array([n]), np.zeros(1, np.intp))
     return key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
@@ -225,17 +225,17 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
 
 
 def ar1_sufficient_stat(spec, y, y0):
-    """The statistic (W y, W y_lag), as one key row, that absorbs the
-    fixed effects in AR(1) models with basis-vector designs: the p = 1
-    case of ``arp_statistic_key``."""
+    """The statistic (W y, W y_lag), as one exact key row, that absorbs
+    the fixed effects in AR(1) models with basis-vector designs; y_lag
+    is (y0, y_1, ..., y_{T-1})."""
     if spec.family != AR or spec.p != 1:
         raise ValueError("ar1_sufficient_stat requires an AR(1) spec")
     if not spec.binary_design:
-        raise ValueError(
-            "sufficiency requires basis-vector columns; "
-            "canonicalize_design maps a general W to this form"
-        )
-    return arp_statistic_key(spec, y, y0)[0]
+        raise ValueError("sufficiency requires basis-vector columns; "
+                         "canonicalize_design maps a general W to this form")
+    y = np.asarray(y, dtype=np.int64)
+    lag = np.concatenate([model._check_y0(spec, y0), y[:-1]])
+    return exact_key(spec.W @ np.stack([y, lag], axis=1)).T.ravel()
 
 
 def canonicalize_design(W):
@@ -251,74 +251,52 @@ def canonicalize_design(W):
     return model.incidence(groups.cls, len(groups.first)), W[:, groups.first]
 
 
-def _canonical_spec(spec):
-    if spec.binary_design:
-        return spec
-    W_star, _ = canonicalize_design(spec.W)
-    return ModelSpec(spec.family, spec.T, W_star, d_x=spec.d_x, **spec.sizes)
-
-
 def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
-    """All unordered path pairs sharing the AR(1) sufficient statistic.
+    """All unordered path pairs (y, y~) that ``permutation_check``
+    passes in a covariate-free AR(1) model: the pairs of one
+    ``class_key`` class.
 
-    Paths are grouped by (W y, W y_lag); within a group every pair is
-    certified.  With ``require_gap`` only pairs whose transition counts
-    differ (the ones that identify gamma) are kept.  An empty table is a
-    meaningful outcome: designs with per-period effects admit no pairs.
-
-    Every per-path statistic is computed once over all 2^T paths: the
-    group key and ``class_key`` here, the path profile in ``_certify``.
-    Groups come in increasing key order and pairs within a group in
-    increasing path order.
+    One key is computed over all 2^T paths and grouped by
+    ``row_classes``; classes come in ``row_classes`` order of their key
+    rows and pairs within a class in increasing path order.  With
+    ``require_gap`` only pairs whose transition counts differ (the ones
+    that identify gamma) are kept.  An empty table is a meaningful
+    outcome: designs with per-period effects admit no pairs.  More than
+    2^22 pairs are refused with ``TooLarge`` before any is built.
     """
     if spec.family != AR or spec.p != 1 or spec.d_x:
         raise ValueError("enumerate_pairs_ar1 requires a covariate-free AR(1) spec")
     if spec.T > 20:
         raise model.TooLarge(f"pairs would enumerate {2**spec.T:,} paths (limit 2^20)")
-    spec = _canonical_spec(spec)
-    if theta is None:
-        theta = np.zeros(spec.theta_dim)
-    y0 = np.asarray(y0, dtype=np.int64)
+    theta = np.zeros(spec.theta_dim) if theta is None else theta
     paths = all_paths(spec.T).astype(np.int64)
-    groups = key_classes(arp_statistic_key(spec, paths, y0))
+    groups = row_classes(key := class_key(spec, paths, y0))
+    count = int((groups.sizes * (groups.sizes - 1) // 2).sum())
+    if count > 2**22:
+        raise model.TooLarge(f"pairs would certify {count:,} pairs, a table of "
+                             f"{count * (16 * spec.T + 18):,} bytes (limit 2^22 pairs)")
     a, b = groups.pairs()
-    certs = _certify(spec, paths, y0, None, theta, a, b, class_key(spec, paths, y0))
+    certs = _certify(spec, paths, y0, None, theta, a, b, key)
     return certs[certs.transition_gap != 0] if require_gap else certs
 
 
-def arp_statistic_key(spec, paths, y0):
-    """Exact keys of the AR(p) condition-system statistics, one row per
-    path of ``paths`` (m, T; a single path is one row).
-
-    A row holds W y and then, for every nonempty subset i of the lags
-    {1..p} in ``combinations`` order, W (prod_{r in i} y_{t-r})_t, all
-    through ``exact_key``.  Paths share a row exactly when they share
-    every statistic.
-    """
-    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
-    m, T, p = len(paths), spec.T, spec.p
-    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(m, T, p)
-    parts = [paths] + [Z[:, :, list(c)].prod(axis=2) for l in range(1, p + 1)
-                       for c in combinations(range(p), l)]
-    return exact_key(np.stack(parts, axis=1) @ spec.W.T).reshape(m, -1)
-
-
 def arp_condition_check(spec, y, y_tilde, y0, theta=None):
-    """Check the AR(p) sufficiency system on a candidate pair.
+    """Check the AR(p) sufficiency system on a candidate pair of a
+    basis-vector design: ``permutation_check``'s certificate.
 
-    The conditions are W y = W y~ together with, for every nonempty
-    subset i of lags {1..p}, equality of sum_t w_t prod_{r in i}
-    y_{t-r} between the two paths.  They imply the permutation
-    condition at any parameter value.
+    The system is W y = W y~ together with, for every nonempty subset i
+    of lags {1..p}, equality of sum_t w_t prod_{r in i} y_{t-r} between
+    the two paths.  Per design row those sums fix, by inclusion-exclusion,
+    the count of every lag pattern Z_t, and the t = 1 terms depend on y0
+    alone; so the system holds exactly when the multisets of (w_t, Z_t),
+    t = 2..T, agree, the permutation condition of ``class_key``.
     """
     if spec.family != AR:
         raise ValueError("arp_condition_check requires an AR spec")
     if not spec.binary_design:
         raise ValueError("sufficiency requires basis-vector columns")
-    if theta is None:
-        theta = np.zeros(spec.theta_dim)
-    pair, y0 = np.stack([y, y_tilde]).astype(np.int64), np.asarray(y0, dtype=np.int64)
-    return _certify(spec, pair, y0, None, theta, [0], [1], arp_statistic_key(spec, pair, y0))[0]
+    return permutation_check(spec, y, y_tilde, y0,
+                             np.zeros(spec.theta_dim) if theta is None else theta)
 
 
 # -- dynamic network conditioning ------------------------------------------

@@ -5,9 +5,10 @@ definition with naive loops (or arbitrary precision where float64
 cannot certify a rank), and exist so the tests never compare the
 library against itself.  The exceptions are earlier library
 implementations kept as references for the code that replaced them: the
-``Counter`` permutation multiset and the mask-based network
-conditioning set, which share only the lag features and the exact key
-with the key-based code they check; the per-row f-string writer of
+``Counter`` permutation multiset, the AR(p) condition-system key
+``arp_statistic_key`` and the mask-based network conditioning set,
+which share only the lag features and the exact key with the key-based
+code they check; the per-row f-string writer of
 the sample CSV and edge list, which shares nothing with the byte-row
 writer it checks; the loop builders of the two-way, dyadic,
 triadic, quarterly and network designs; ``svd_null_space``, the
@@ -247,6 +248,22 @@ def counter_pair_multiset(spec, y, y0):
     return Counter(
         (tuple(wkeys[t]), tuple(Z[t])) for t in range(1, spec.T)
     )
+
+
+def arp_statistic_key(spec, paths, y0):
+    """Exact keys of the AR(p) condition-system statistics, one row per
+    path of ``paths`` (m, T; a single path is one row): W y and then,
+    for every nonempty subset i of the lags {1..p} in ``combinations``
+    order, W (prod_{r in i} y_{t-r})_t.  Paths share a row exactly when
+    they share every statistic."""
+    from felogit.model import exact_key, lag_features, path_states
+
+    paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
+    m, T, p = len(paths), spec.T, spec.p
+    Z = lag_features(spec, path_states(spec, paths, y0)).reshape(m, T, p)
+    parts = [paths] + [Z[:, :, list(c)].prod(axis=2) for l in range(1, p + 1)
+                       for c in itertools.combinations(range(p), l)]
+    return exact_key(np.stack(parts, axis=1) @ spec.W.T).reshape(m, -1)
 
 
 def _z_equal(n):

@@ -11,6 +11,7 @@ import numpy as np
 import felogit as fl
 from felogit import designs, estimation, model, moments, simulate, sufficiency
 from oracles import (
+    arp_statistic_key,
     moment_bound,
     mp_null_basis,
     mp_probability_matrix,
@@ -134,7 +135,7 @@ def test_criterion_4_ar2_gamma1_dropout():
             groups = {}
             for i, y in enumerate(paths):
                 groups.setdefault(
-                    tuple(sufficiency.arp_statistic_key(spec, y, y0)[0].tolist()), []
+                    tuple(arp_statistic_key(spec, y, y0)[0].tolist()), []
                 ).append(i)
             for key, members in groups.items():
                 if len(members) < 2:

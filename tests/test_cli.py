@@ -597,6 +597,9 @@ def _sample_file(tmp_path, argv):
                   "--y0", "0", "--theta", "0.3,0.2"),
                  "error: pairs is covariate-free (--d-x 0), found d_x = 1",
                  id="pairs with covariates"),
+    pytest.param(("pairs", *AR, "1", "--T", "16", "--y0", "0"),
+                 "error: pairs would certify 155,084,752 pairs, a table of 42,493,222,048 "
+                 "bytes (limit 2^22 pairs)", id="pairs AR(1) T=16"),
     pytest.param(("table1", "--max-p", "7"),
                  "error: --max-p must be at most 6, found 7", id="table1 p=7"),
     pytest.param(("table1", "--max-p", "-1"),
@@ -1040,6 +1043,8 @@ GOLDEN_TRANSCRIPTS = {
     # every pair with transition gap 0 prints log_ratio 0.0
     "pairs --design ar --p 1 --T 9 --y0 0 --theta 0.7":
         "7955ba905342328dab555e242b69c4f9748c875a1bd841b58fcc8e62f23940f6",
+    "pairs --design quarterly --p 1 --T 7 --y0 1 --require-gap":
+        "55fb4d17d43149e652281bb9922ecdba64c64a47233ee9638f6450514546dc83",
     "netcond --n 3 --y0 000 --path 101101000 --theta 0.5,0.2 --set full":
         "2cc423fbc2704c31ab487342fb382dfea392513bfbca754fa1706cefcc8b6e3f",
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import felogit as fl
-from felogit import model
+from felogit import model, moments
 from oracles import index_pi, naive_path_prob, path_probability, step_probability
 
 
@@ -283,3 +283,21 @@ def test_exact_key_refuses_chained_clusters():
     assert keys[0, 0] == keys[0, 1]
     with pytest.raises(ValueError, match="chained"):
         fl.ModelSpec("static", 3, [[0.1, 0.1 + 6e-10, 0.1 + 1.2e-9]], d_x=1)
+
+
+Y0_ENTRY_POINTS = {
+    "path_distribution": lambda spec, y0: model.path_distribution(spec, y0, None, [0.5], [0.1]),
+    "permutation_check": lambda spec, y0: fl.permutation_check(spec, [1, 0, 1], [0, 1, 1],
+                                                               y0, [0.5]),
+    "enumerate_pairs_ar1": lambda spec, y0: fl.enumerate_pairs_ar1(spec, y0),
+    "nullspace_moments": lambda spec, y0: moments.nullspace_moments(spec, y0, None, [0.5]),
+    "qt_values": lambda spec, y0: moments.qt_values(spec, y0, None, [0.5]),
+}
+
+
+@pytest.mark.parametrize("value", [2, 255])
+@pytest.mark.parametrize("call", Y0_ENTRY_POINTS.values(), ids=list(Y0_ENTRY_POINTS))
+def test_non_binary_initial_outcome_is_refused(call, value):
+    # checked before the int8 cast, in which 255 would read -1
+    with pytest.raises(ValueError, match=rf"y0 must be binary \(0/1\), found {value}$"):
+        call(fl.panel_ar(1, 3), [value])

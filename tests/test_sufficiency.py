@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 import felogit as fl
 from felogit import estimation, model, moments, sufficiency
 from felogit.simulate import DGPConfig, generate
-from oracles import (counter_pair_multiset, mask_network_cond_full, naive_path_prob,
-                     network_code_classes, network_star_equals_full)
+from oracles import (arp_statistic_key, counter_pair_multiset, mask_network_cond_full,
+                     naive_path_prob, network_code_classes, network_star_equals_full)
 
 
 def test_permutation_identical_paths():
@@ -263,6 +264,97 @@ def test_enumerate_pairs_matches_per_pair_oracle(design, T):
                 assert abs(g.log_ratio - w.log_ratio) <= 1e-12
 
 
+def test_pairs_on_a_general_design_are_every_pair_of_its_classes():
+    # the class_key of W itself: W y and the multiset of (w_t, y_{t-1}),
+    # coarser than the (W* y, W* y_lag) of the canonical design, whose
+    # groups give 224 of these 248 pairs; every ratio is free of A
+    spec = fl.ModelSpec("ar", 8, [[1, 2, 5, 2, 5, 5, 2, 2]], p=1)
+    y0, theta = np.array([0]), [0.4]
+    certs = fl.enumerate_pairs_ar1(spec, y0, theta=theta)
+    assert len(certs) == 248 and certs.passed.all()
+    canonical = fl.ModelSpec("ar", 8, fl.canonicalize_design(spec.W)[0], p=1)
+    got = {(tuple(a), tuple(b)) for a, b in zip(certs.y.tolist(), certs.y_tilde.tolist())}
+    want = {(tuple(c.y.tolist()), tuple(c.y_tilde.tolist()))
+            for c in pairs_oracle(canonical, y0, theta)}
+    assert len(want) == 224 and want < got
+    for A in np.random.default_rng(3).normal(size=(4, 1)) * 2:
+        lp = [model.log_path_distribution(spec, y0, None, theta, A, ys)
+              for ys in (certs.y, certs.y_tilde)]
+        np.testing.assert_allclose(lp[0] - lp[1], certs.log_ratio, rtol=0, atol=1e-12)
+
+
+def test_pairs_come_in_class_key_order():
+    # on this basis design the classes of (W y, W y_lag) order (0,0,1,1,0)
+    # before (0,1,1,0,0); their class_key rows order them the other way
+    spec = fl.ModelSpec("ar", 5, model.incidence([0, 0, 0, 0, 1], 2), p=1)
+    certs = fl.enumerate_pairs_ar1(spec, np.array([0]))
+    firsts = [int(model.path_index(y)) for y in certs.y[::3]]
+    assert firsts == [4, 5, 12, 6, 13, 7, 14, 15]
+    assert len(certs) == len(pairs_oracle(spec, np.array([0]), [0.0])) == 24
+
+
+def test_one_period_ar_pairs_have_no_lag_pattern_to_compare():
+    # class_key has no period t = 2..T: its multiset part is empty
+    spec = fl.panel_ar(1, 1)
+    cert = fl.permutation_check(spec, [0], [1], [0], [0.5])
+    assert (cert.cond_linear, cert.cond_permutation, cert.transition_gap) == (False, True, 0)
+    assert fl.arp_condition_check(spec, [1], [1], [1]).passed
+    assert len(fl.enumerate_pairs_ar1(spec, [0])) == 0
+
+
+def test_pairs_are_refused_by_count_before_any_is_built():
+    # panel T = 13 gives 2,700,060 pairs and runs; T = 14 passes the
+    # 2^20-path bound but not the 2^22-pair one
+    with pytest.raises(model.TooLarge, match=re.escape(
+            "pairs would certify 10,392,408 pairs, a table of 2,514,962,736 bytes")):
+        fl.enumerate_pairs_ar1(fl.panel_ar(1, 14), np.array([0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pairs_are_exactly_the_pairs_permutation_check_passes(data):
+    # integer W, basis vectors or not; pairs come class by class, and by
+    # path within a class.  Pairs with unequal (integer) W y fail the
+    # linear condition, so only the others are certified one by one
+    T = data.draw(st.integers(2, 6))
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=T, max_size=T))
+        W = model.incidence(np.unique(labels, return_inverse=True)[1], len(set(labels)))
+    else:
+        d = data.draw(st.integers(1, 2))
+        W = np.reshape(data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 5]), min_size=d * T,
+                                          max_size=d * T)), (d, T))
+    spec = fl.ModelSpec("ar", T, W, p=1)
+    theta = _draw_floats(data, 1)
+    paths = model.all_paths(T)
+    loads = [tuple(v) for v in (paths @ W.T).tolist()]
+    for y0 in (np.array([0]), np.array([1])):
+        want = {}
+        for i, j in itertools.combinations(range(2**T), 2):
+            if loads[i] != loads[j]:
+                continue
+            cert = fl.permutation_check(spec, paths[i], paths[j], y0, theta)
+            if cert.passed:
+                want[i, j] = cert
+        certs = fl.enumerate_pairs_ar1(spec, y0, theta=theta)
+        got = list(zip(model.path_index(certs.y).tolist(),
+                       model.path_index(certs.y_tilde).tolist()))
+        assert sorted(got) == sorted(want) and len(set(got)) == len(got)
+        first = {}  # each path's class by its first member
+        for i, j in sorted(want):
+            first[j] = first.setdefault(i, i)
+        blocks = [first[i] for i, _ in got]
+        starts = [k for k in range(len(blocks)) if k == 0 or blocks[k] != blocks[k - 1]]
+        assert len({blocks[k] for k in starts}) == len(starts)  # one block per class
+        for k, stop in zip(starts, starts[1:] + [len(got)]):
+            assert got[k:stop] == sorted(got[k:stop])
+        for g, ij in zip(certs, got):
+            w = want[ij]
+            assert (g.cond_linear, g.cond_permutation, g.transition_gap) == (
+                w.cond_linear, w.cond_permutation, w.transition_gap)
+            assert abs(g.log_ratio - w.log_ratio) <= 1e-12
+
+
 def test_pair_table_rows_agree_by_iteration_index_and_mask():
     certs = fl.enumerate_pairs_ar1(fl.quarterly_ar(1, 7), np.array([1]), theta=[0.6])
     rows = list(certs)
@@ -334,6 +426,41 @@ def test_arp_passing_pairs_have_A_free_ratio():
             assert spread < 1e-10
             assert vals[0] == pytest.approx(np.exp(cert.log_ratio), rel=1e-10)
     assert found > 0
+
+
+def _transition_counts(y, y0):
+    # sum_t y_t y_{t-r} for r = 1..p, from the path with y0 before it
+    full = np.concatenate([y0, y])
+    p = len(y0)
+    return np.array([full[p:] @ full[p - r:len(full) - r] for r in range(1, p + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arp_condition_check_certifies_as_the_condition_system(data):
+    # basis-vector designs: the class_key certificate equals the one of
+    # the AR(p) statistics W prod_{r in i} y_{t-r}, field by field
+    p = data.draw(st.integers(1, 3))
+    T = data.draw(st.integers(p, 8))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))
+    W = model.incidence(np.unique(labels, return_inverse=True)[1], len(set(labels)))
+    spec = fl.ModelSpec("ar", T, W, p=p)
+    theta = _draw_floats(data, p)
+    paths = model.all_paths(T)
+    y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=p, max_size=p)))
+    for y0 in (y0, 1 - y0):  # (y_{1-p}, ..., y_0)
+        key = arp_statistic_key(spec, paths, y0)
+        for _ in range(6):
+            i = data.draw(st.integers(0, 2**T - 1))
+            mates = np.flatnonzero(np.all(key == key[i], axis=1))
+            j = data.draw(st.sampled_from(mates.tolist()) if data.draw(st.booleans())
+                          else st.integers(0, 2**T - 1))
+            cert = fl.arp_condition_check(spec, paths[i], paths[j], y0, theta)
+            lag = _transition_counts(paths[i], y0) - _transition_counts(paths[j], y0)
+            assert (cert.cond_linear, cert.cond_permutation, cert.transition_gap) == (
+                bool(np.all(key[i, :spec.d_w] == key[j, :spec.d_w])),
+                bool(np.all(key[i, spec.d_w:] == key[j, spec.d_w:])), int(lag[0]))
+            assert abs(cert.log_ratio - lag @ theta) <= 1e-12
 
 
 def test_network_star_set_shapes():
@@ -515,7 +642,7 @@ def test_arp_class_ratios_are_free_of_A(data):
     y0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.p,
                                      max_size=spec.p)))
     paths = model.all_paths(spec.T)
-    _, cls = np.unique(sufficiency.arp_statistic_key(spec, paths, y0), axis=0,
+    _, cls = np.unique(arp_statistic_key(spec, paths, y0), axis=0,
                        return_inverse=True)
     assert len(np.unique(cls)) < len(paths)  # some class has two members
     _assert_free_of_A(spec, y0, None, theta, _draw_A_rows(data, spec), paths,
@@ -581,9 +708,9 @@ def test_class_key_partitions_paths_as_the_ar_statistics_do(spec):
     # on the shipped AR designs the class key and the AR(p) condition
     # statistics of the canonical design group the paths alike, at every y0
     paths = model.all_paths(spec.T)
-    canonical = sufficiency._canonical_spec(spec)
+    canonical = fl.ModelSpec("ar", spec.T, fl.canonicalize_design(spec.W)[0], p=spec.p)
     for y0 in itertools.product((0, 1), repeat=spec.p):
-        want = sufficiency.key_classes(sufficiency.arp_statistic_key(canonical, paths, y0))
+        want = sufficiency.key_classes(arp_statistic_key(canonical, paths, y0))
         got = sufficiency.key_classes(sufficiency.class_key(spec, paths, np.array(y0)))
         assert _same_partition(got.cls, want.cls), y0
 
