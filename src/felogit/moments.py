@@ -12,12 +12,12 @@ vector orthogonal to every chat_d coefficient profile is a moment
 function with conditional expectation zero at every fixed effect.  The
 number of independent such functions is at least 2^T - |D|.
 
-The coefficient matrix [chat_d(y)] comes from one forward pass over
-periods on the prefix tree of the outcome paths: paths that share
-y_1..y_t share the partial product prod_{s<=t} phi_s, held as one
-column of coefficients over the distinct partial exponents, and period
-t adds each column times the coefficient of a_t^k into the rows
-d + k w_t.
+When every design column is c_r e_r with one scale per row (indicator
+designs), a_t depends on one effect A_r, each path's product is one
+polynomial per row, and its column of the coefficient matrix
+[chat_d(y)] is the outer product of those.  Other designs take one
+forward pass over periods on the prefix tree of the outcome paths, in
+which paths that share y_1..y_t share the partial product.
 
 This module counts the Q_t, builds the exponent set D and the bound,
 expands the phi polynomials, extracts the null space numerically, and
@@ -133,11 +133,18 @@ def _walk(cols, Q):
     return len(ds)
 
 
+def _row_scales(cols):
+    """Each row's scale c_r (0 on a row no period loads) when every exact
+    design column is c_r e_r with one nonzero scale per row, else None."""
+    distinct = np.unique(cols, axis=1)
+    per_col, per_row = (np.count_nonzero(distinct, axis=a) for a in (0, 1))
+    return distinct.sum(axis=1) if np.all(per_col == 1) and np.all(per_row <= 1) else None
+
+
 def build_dset(spec, Q):
     """Count the exponent set D for caps Q = (Q_1..Q_T).
 
-    When every column is c_r e_r with one nonzero scale c_r per row r
-    (indicator designs, nonzero constant columns), the rows of d vary
+    When ``_row_scales`` finds one scale per row, the rows of d vary
     freely and |D| = prod_r (rowcap_r + 1), rowcap_r summing the Q_t of
     the columns on row r.  Other designs are counted by ``_walk``.
     """
@@ -145,8 +152,7 @@ def build_dset(spec, Q):
     if len(Q) != spec.T:
         raise ValueError("need one cap per period")
     cols = exact_key(spec.W)
-    distinct = np.unique(cols, axis=1) != 0
-    if np.all(distinct.sum(axis=0) == 1) and np.all(distinct.sum(axis=1) <= 1):
+    if _row_scales(cols) is not None:
         rowcap = (cols != 0) @ np.array(Q)
         return DSet(Q, math.prod(int(c) + 1 for c in rowcap))
     return DSet(Q, _walk(cols, Q))
@@ -174,7 +180,8 @@ def _poly_cache(tables):
 
 
 def _expand(spec, tables, polys, paths, pi):
-    """Expand prod_t phi_t(y, a_t) for every row y of ``paths`` at once.
+    """Expand prod_t phi_t(y, a_t) for every row y of ``paths`` at once,
+    on any design (``_expand_rows`` takes indicator designs).
 
     The rows of ``paths`` are distinct and in ``all_paths`` order (all
     paths, or a single one), so the last level of the prefix tree holds
@@ -211,20 +218,43 @@ def _expand(spec, tables, polys, paths, pi):
     return S[keep], ds[keep]
 
 
+def _expand_rows(cols, scales, tables, polys, paths, pi):
+    """``_expand`` of all paths for one scale c_r per row, by the module
+    docstring's row polynomials (power k is the exponent k c_r): the box of
+    the c_r * {0..rowcap_r} in lexicographic order, less C's zero rows."""
+    n, C, axes = len(paths), np.ones((1, len(paths))), []
+    for r, c in enumerate(scales):
+        f = np.ones((1, n))  # row r's polynomial, (power, path)
+        for t in np.flatnonzero(cols[r]):
+            coef = polys[t][_q_index(tables[t], pi[:, t]), paths[:, t]].T
+            g = np.zeros((len(f) + len(tables[t]), n))
+            for k, ck in enumerate(coef):
+                g[k: k + len(f)] += f * ck
+            f = g
+        step = -1 if c < 0 else 1  # exponents k c_r ascending
+        C = (C[:, None] * f[::step]).reshape(-1, n)
+        axes.append(np.arange(len(f))[::step] * c)
+    ds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    keep = C.any(axis=1)  # no C-sized temporary
+    return (C, ds) if keep.all() else (C[keep], ds[keep])
+
+
 def coefficient_matrix(spec, y0, X, theta):
     """The |D| x 2^T matrix [chat_d(y)] over all outcome paths.
 
-    Built by one forward pass over periods on the prefix tree of all
-    2^T paths (see ``_expand``), the same mechanism for every family
-    and design.  Returns (C, ds, tables): row i of C holds the
-    coefficients of exp(ds[i]'A), ds is the |D| x d_w array of exponent
-    vectors in lexicographic order, and tables are the per-period
-    index-value tables.
+    Designs of one scale per row (``_row_scales``) are built row by row
+    (``_expand_rows``), all others on the prefix tree (``_expand``).
+    Returns (C, ds, tables): row i of C holds the coefficients of
+    exp(ds[i]'A), ds is the |D| x d_w array of exponent vectors in
+    lexicographic order, and tables are the per-period index-value tables.
     """
     tables = index_value_tables(spec, y0, X, theta)
     paths = all_paths(spec.T)
     pi = index_matrix(spec, paths, y0, X, theta)
-    C, ds = _expand(spec, tables, _poly_cache(tables), paths, pi)
+    cols = exact_key(spec.W)
+    scales, polys = _row_scales(cols), _poly_cache(tables)
+    C, ds = (_expand(spec, tables, polys, paths, pi) if scales is None
+             else _expand_rows(cols, scales, tables, polys, paths, pi))
     return C, ds, tables
 
 
@@ -338,12 +368,12 @@ def probability_matrix(spec, y0, X, theta, A_rows):
     A_rows = np.atleast_2d(np.asarray(A_rows, dtype=float))
     if A_rows.shape[1:] != (spec.d_w,):
         raise ValueError(f"A_rows must have {spec.d_w} columns, got {A_rows.shape}")
-    if not np.all(np.isfinite(A_rows)):
-        raise ValueError("A must be finite")
     key = _contents_key(spec, y0, X, theta, A_rows)
     last = _LAST_PROBABILITIES
     if last is not None and last[0] == key:
-        return last[1]
+        return last[1]  # only checked grids are stored
+    if not np.all(np.isfinite(A_rows)):
+        raise ValueError("A must be finite")
     paths = all_paths(spec.T)
     pi = index_matrix(spec, paths, y0, X, theta)
     shift = (A_rows @ spec.W)[:, None, :]
@@ -378,7 +408,7 @@ def verify_moment(m, spec, y0, X, theta, A_grid):
     """
     vec = m.values if isinstance(m, MomentFunction) else np.asarray(m, dtype=float)
     P = probability_matrix(spec, y0, X, theta, A_grid)
-    return float(np.max(np.abs(P @ vec), initial=0.0))
+    return float(np.abs(P @ vec).max(initial=0.0))
 
 
 # -- the closed-form moment libraries ----------------------------------------

@@ -115,7 +115,7 @@ class Pair(NamedTuple):
 @dataclass
 class PairCertificate:
     """Certified pairs as a table: the fields of ``Pair`` as columns, y
-    and y_tilde (m, T), the others (m,) or transition_gap None.  A mask
+    and y_tilde (m, T) int8, the others (m,) or transition_gap None.  A mask
     or slice gives a table, an integer one ``Pair``, iteration every
     ``Pair`` in order."""
 
@@ -199,15 +199,15 @@ def class_key(spec, paths, y0, X=None):
 
 
 def _certify(spec, paths, y0, X, theta, a, b, key):
-    """The PairCertificate of the pairs (paths[a], paths[b]).  A pair
-    meets the linear condition when the W y that starts the two paths'
-    ``key`` rows agree, and the permutation condition when the rest
-    does.  One ``path_profile`` P per path gives the AR gap, P's lag-1
-    column difference, and log_ratio (P[a] - P[b]) @ theta."""
+    """The PairCertificate of the pairs (paths[a], paths[b]), paths int8.
+    A pair meets the linear condition when the W y that starts the two
+    paths' ``key`` rows has one ``row_classes`` id, and the permutation
+    condition when the rest does.  One ``path_profile`` P per path gives
+    the AR gap, P's lag-1 column difference, and log_ratio (P[a] - P[b]) @ theta."""
     P, d = model.path_profile(spec, paths, y0, X), spec.d_w
+    linear, perm = (row_classes(half).cls for half in (key[:, :d], key[:, d:]))
     gap = (P[a, 0] - P[b, 0]).astype(np.int64) if spec.family == AR else None
-    return PairCertificate(paths[a], paths[b], np.all(key[a, :d] == key[b, :d], axis=1),
-                           np.all(key[a, d:] == key[b, d:], axis=1),
+    return PairCertificate(paths[a], paths[b], linear[a] == linear[b], perm[a] == perm[b],
                            gap, (P[a] - P[b]) @ model.check_theta(spec, theta))
 
 
@@ -220,7 +220,7 @@ def permutation_check(spec, y, y_tilde, y0, theta, X=None):
     """
     if spec.family not in (AR, NETWORK):
         raise ValueError("operation requires a dynamic (ar or network) spec")
-    pair, y0 = np.stack([y, y_tilde]).astype(np.int64), np.asarray(y0, dtype=np.int64)
+    pair, y0 = model.check_binary("y", np.stack([y, y_tilde])), np.asarray(y0, dtype=np.int64)
     return _certify(spec, pair, y0, X, theta, [0], [1], class_key(spec, pair, y0, X))[0]
 
 
@@ -269,12 +269,12 @@ def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):
     if spec.T > 20:
         raise model.TooLarge(f"pairs would enumerate {2**spec.T:,} paths (limit 2^20)")
     theta = np.zeros(spec.theta_dim) if theta is None else theta
-    paths = all_paths(spec.T).astype(np.int64)
+    paths = all_paths(spec.T)
     groups = row_classes(key := class_key(spec, paths, y0))
     count = int((groups.sizes * (groups.sizes - 1) // 2).sum())
     if count > 2**22:
         raise model.TooLarge(f"pairs would certify {count:,} pairs, a table of "
-                             f"{count * (16 * spec.T + 18):,} bytes (limit 2^22 pairs)")
+                             f"{count * (2 * spec.T + 18):,} bytes (limit 2^22 pairs)")
     a, b = groups.pairs()
     certs = _certify(spec, paths, y0, None, theta, a, b, key)
     return certs[certs.transition_gap != 0] if require_gap else certs

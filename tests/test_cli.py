@@ -598,7 +598,7 @@ def _sample_file(tmp_path, argv):
                  "error: pairs is covariate-free (--d-x 0), found d_x = 1",
                  id="pairs with covariates"),
     pytest.param(("pairs", *AR, "1", "--T", "16", "--y0", "0"),
-                 "error: pairs would certify 155,084,752 pairs, a table of 42,493,222,048 "
+                 "error: pairs would certify 155,084,752 pairs, a table of 7,754,237,600 "
                  "bytes (limit 2^22 pairs)", id="pairs AR(1) T=16"),
     pytest.param(("table1", "--max-p", "7"),
                  "error: --max-p must be at most 6, found 7", id="table1 p=7"),
@@ -1047,6 +1047,13 @@ GOLDEN_TRANSCRIPTS = {
         "55fb4d17d43149e652281bb9922ecdba64c64a47233ee9638f6450514546dc83",
     "netcond --n 3 --y0 000 --path 101101000 --theta 0.5,0.2 --set full":
         "2cc423fbc2704c31ab487342fb382dfea392513bfbca754fa1706cefcc8b6e3f",
+    # the exponent sets of the benchmark's two moment flows and a trend-AR one
+    "dset --design ar --p 1 --T 9 --theta 0.9 --y0 0":
+        "46079bd5be1b4f158100b3fcef33b524e08a134e02171c95d891d99caa001b7a",
+    "dset --design quarterly --p 1 --T 9 --theta 0.9 --y0 0":
+        "2c6040e7f096fd4e0fe1cf32f3f94ef6051aa4acc4ffa6833985b5ac674fd97d",
+    "dset --design trend-ar --T 9 --theta 0.9 --y0 0":
+        "f4879daa60b3a9e1cf786fa08656c25ebd7f457ead9f0d6f964ed5e9447b3fa8",
 }
 
 
@@ -1055,6 +1062,28 @@ def test_identification_commands_print_golden_bytes(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRANSCRIPTS[command]
+
+
+GOLDEN_MOMENTS = {
+    # command: (Q after period 1, dset_cardinality, bound, nullspace_dimension)
+    "moments --design ar --p 1 --T 9 --theta 0.9 --y0 0": (2, 18, 494, 494),
+    "moments --design quarterly --p 1 --T 9 --theta 0.9 --y0 0": (2, 750, -238, 350),
+    "moments --design trend-ar --T 9 --theta 0.9 --y0 0": (2, 426, 86, 132),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_MOMENTS)
+def test_moments_commands_print_golden_counts(capsys, command):
+    # the counts are exact; the residual depends on the BLAS, so it is
+    # held to a bound instead
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    doc = json.loads(out)
+    Q, cardinality, bound, dimension = GOLDEN_MOMENTS[command]
+    assert {k: v for k, v in doc.items() if k != "max_residual"} == {
+        "Q": [1] + [Q] * 8, "dset_cardinality": cardinality, "bound": bound,
+        "nullspace_dimension": dimension, "weak_separation": False}
+    assert 0.0 <= doc["max_residual"] < 1e-8
 
 
 def test_identification_commands_never_import_scipy():

@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -177,6 +179,11 @@ COEFFICIENT_SPECS = {
     "trend_ar1": fl.trend_ar(6),
     "static_two_way_x": fl.build_design("two_way", n=3, tau=3, d_x=1),
     "network_tau3": fl.network_design(3, 3),
+    # one scale per row, read from model JSON: a negative scale, a
+    # non-integer one and a row that no period loads
+    "json_scaled_indicator": model.ModelSpec.from_json(json.dumps({
+        "family": "ar", "T": 5, "p": 1,
+        "W": [[-2, 0, 0, -2, 0], [0, 0, 0, 0, 0], [0, 0.5, 0.5, 0, 0.5]]})),
 }
 
 
@@ -192,8 +199,56 @@ def test_coefficient_matrix_matches_per_path_expansion(name, y0_bit):
     ref = per_path_coefficients(spec, tables, y0, X, theta)
     assert C.shape == (len(ref), 2**spec.T)
     assert set(map(tuple, ds.tolist())) == set(ref)
+    assert ds.tolist() == sorted(ds.tolist())
     expect = np.array([ref[d] for d in map(tuple, ds.tolist())])
     np.testing.assert_allclose(C, expect, rtol=1e-12, atol=0)
+
+
+def _prefix_tree(spec, y0, X, theta):
+    """(C, ds) of ``moments._expand``, the prefix-tree pass, on all paths."""
+    tables = moments.index_value_tables(spec, y0, X, theta)
+    paths = model.all_paths(spec.T)
+    pi = model.index_matrix(spec, paths, y0, X, theta)
+    return moments._expand(spec, tables, moments._poly_cache(tables), paths, pi)
+
+
+ROW_SCALE_FAMILIES = {
+    "panel_ar": lambda data, T, d_x: fl.panel_ar(data.draw(st.integers(1, 2)), T, d_x=d_x),
+    "quarterly_ar": lambda data, T, d_x: fl.quarterly_ar(1, T, d_x=d_x),
+    "panel_fe": lambda data, T, d_x: fl.build_design("panel_fe", d_x=d_x, T=T),
+    # dyad indicators: one scale per row as well
+    "network": lambda data, T, d_x: fl.network_design(3, data.draw(st.integers(2, 3)), d_x),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_per_row_build_matches_prefix_tree(data):
+    # designs of one scale per row take the per-row route; it must give
+    # the prefix tree's exponent rows in its order and C to rounding
+    family = data.draw(st.sampled_from(sorted(ROW_SCALE_FAMILIES)))
+    spec = ROW_SCALE_FAMILIES[family](data, data.draw(st.integers(3, 8)),
+                                      data.draw(st.integers(0, 1)))
+    assert moments._row_scales(model.exact_key(spec.W)) is not None
+    theta, X, y0, _ = _draw_inputs(data, [spec])[1:]
+    C, ds, _ = moments.coefficient_matrix(spec, y0, X, theta)
+    C0, ds0 = _prefix_tree(spec, y0, X, theta)
+    assert ds.dtype == ds0.dtype and np.array_equal(ds, ds0)
+    np.testing.assert_allclose(C, C0, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec", [COEFFICIENT_SPECS["trend_ar1"],
+                                  COEFFICIENT_SPECS["static_two_way_x"],
+                                  fl.build_design("dyadic", n=4)], ids=repr)
+def test_other_designs_keep_the_prefix_tree_bytes(spec):
+    assert moments._row_scales(model.exact_key(spec.W)) is None
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-1, 1, spec.theta_dim)
+    X = rng.normal(size=(spec.d_x, spec.T)) if spec.d_x else None
+    y0 = np.ones(spec.y0_len, dtype=np.int8)
+    C, ds, _ = moments.coefficient_matrix(spec, y0, X, theta)
+    C0, ds0 = _prefix_tree(spec, y0, X, theta)
+    assert C.tobytes() == C0.tobytes() and ds.tobytes() == ds0.tobytes()
 
 
 PROPERTY_SPECS = [
@@ -365,6 +420,24 @@ def test_probability_matrix_is_read_only():
     np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
         P[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_cache_returns_its_matrix_and_still_refuses_a_non_finite_grid(bad):
+    # the cache is looked up before the grid is checked: a hit must return
+    # the stored matrix, and a non-finite grid must miss and be refused
+    spec, y0 = fl.panel_ar(1, 3), np.array([0])
+    grid = np.linspace(-2, 2, 5)[:, None]
+    P = moments.probability_matrix(spec, y0, None, [0.5], grid)
+    assert moments.probability_matrix(spec, y0, None, [0.5], grid.copy()) is P
+    assert not P.flags.writeable
+    worse = grid.copy()
+    worse[2, 0] = bad
+    with pytest.raises(ValueError, match="A must be finite"):
+        moments.probability_matrix(spec, y0, None, [0.5], worse)
+    with pytest.raises(ValueError, match="A must be finite"):
+        fl.verify_moment(np.ones(8), spec, y0, None, [0.5], worse)
+    assert moments.probability_matrix(spec, y0, None, [0.5], grid) is P
 
 
 def test_ar2_closed_form_table_values():

@@ -63,6 +63,17 @@ def test_permutation_rejects_static():
                         np.zeros(0, int), np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [2, 255, -1])
+def test_pair_tables_hold_int8_paths_and_refuse_other_outcomes(bad):
+    # the paths are stored as int8, in which 255 would read -1
+    spec = fl.panel_ar(1, 3)
+    assert fl.permutation_check(spec, [1, 0, 1], [0, 1, 1], [0], [0.5]).y.dtype == np.int8
+    certs = fl.enumerate_pairs_ar1(spec, [0])
+    assert certs.y.dtype == certs.y_tilde.dtype == np.int8
+    with pytest.raises(ValueError, match=rf"y must be binary \(0/1\), found {bad}$"):
+        fl.permutation_check(spec, [1, bad, 0], [0, 1, 1], [0], [0.5])
+
+
 def test_permutation_network_detects_swap_members():
     spec = fl.network_design(3, 3)
     rng = np.random.default_rng(8)
@@ -306,7 +317,7 @@ def test_pairs_are_refused_by_count_before_any_is_built():
     # panel T = 13 gives 2,700,060 pairs and runs; T = 14 passes the
     # 2^20-path bound but not the 2^22-pair one
     with pytest.raises(model.TooLarge, match=re.escape(
-            "pairs would certify 10,392,408 pairs, a table of 2,514,962,736 bytes")):
+            "pairs would certify 10,392,408 pairs, a table of 478,050,768 bytes")):
         fl.enumerate_pairs_ar1(fl.panel_ar(1, 14), np.array([0]))
 
 
