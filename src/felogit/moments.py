@@ -19,14 +19,16 @@ polynomial per row, and its column of the coefficient matrix
 forward pass over periods on the prefix tree of the outcome paths, in
 which paths that share y_1..y_t share the partial product.
 
-This module counts the Q_t, builds the exponent set D and the bound,
-expands the phi polynomials, extracts the null space numerically, and
-provides the closed-form moment libraries for the AR(2) three-period
-model, the quarterly-effects six-period model, and the dyadic network
-transition model.  Each library is one compiler of units into a
-``MomentTerms`` table of c * exp(a'theta) terms; ``term_moments``
-evaluates any table, and a library's moments per unit, its table over
-all 2^T paths at one (y0, X) and the moments GMM uses all come from it.
+This module counts the Q_t, builds D and the bound, expands the phi
+polynomials and extracts the null space numerically, one column per
+``sufficiency.class_key`` class: such paths have probability ratios
+free of A, so their columns are one column times exp(P theta), and
+classes beyond the rank give moments beyond conditioning.  Its
+closed-form libraries (AR(2) T=3, quarterly T=6, network transition)
+each compile units into a ``MomentTerms`` table of c * exp(a'theta)
+terms; ``term_moments`` evaluates any table, and a library's moments
+per unit, its table over all 2^T paths at one (y0, X) and the moments
+GMM uses all come from it.
 """
 
 from __future__ import annotations
@@ -36,18 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    NETWORK,
-    TooLarge,
-    _check_y0,
-    all_paths,
-    exact_key,
-    index_matrix,
-    lag_features,
-    path_index,
-    step_index,
-)
-from .sufficiency import column_classes
+from .model import (NETWORK, TooLarge, _check_y0, all_paths, check_theta, exact_key,
+                    index_matrix, lag_features, path_index, path_profile, step_index)
+from .sufficiency import class_key, row_classes
 
 _VALUE_TOL = 1e-12
 
@@ -247,8 +240,13 @@ def coefficient_matrix(spec, y0, X, theta):
     Returns (C, ds, tables): row i of C holds the coefficients of
     exp(ds[i]'A), ds is the |D| x d_w array of exponent vectors in
     lexicographic order, and tables are the per-period index-value tables.
+    More than 2^27 elements are refused with ``TooLarge`` before any is built.
     """
     tables = index_value_tables(spec, y0, X, theta)
+    D = build_dset(spec, map(len, tables)).cardinality
+    if D * 2**spec.T > 2**27:
+        raise TooLarge(f"the coefficient matrix would be |D| x 2^T = {D:,} x {2**spec.T:,}, "
+                       f"{8 * D * 2**spec.T:,} bytes (limit 2^27 elements)")
     paths = all_paths(spec.T)
     pi = index_matrix(spec, paths, y0, X, theta)
     cols = exact_key(spec.W)
@@ -281,59 +279,70 @@ class NullspaceReport:
     rank: int
     singular_values: np.ndarray
     weak_separation: bool
+    classes: int  # columns decomposed, one per conditioning class
 
 
-def _null_space(M):
+def _path_classes(spec, y0, X, theta):
+    """The ``class_key`` classes of all paths and each path's weight
+    exp(P theta) over the largest of its class, P the ``path_profile``."""
+    paths = all_paths(spec.T)
+    groups = row_classes(class_key(spec, paths, y0, X))
+    g = path_profile(spec, paths, y0, X) @ check_theta(spec, theta)
+    return groups, np.exp(g - g[groups.by_weight(g).first][groups.cls])
+
+
+def _null_space(M, groups, w):
     """Singular values, rank and orthonormal null-space basis (rows) of M
-    with its rows max-normalized, built as ``nullspace_moments`` says."""
-    n, groups = M.shape[1], column_classes(M)
-    count, B = groups.sizes, M[:, groups.first]
+    with its rows max-normalized, when column j of each class of ``groups``
+    is w_j / w_k times column k; built as ``nullspace_moments`` says."""
+    n, groups = M.shape[1], groups.by_weight(w)
+    norm = np.sqrt(np.bincount(groups.cls, w * w, len(groups.sizes)))
+    B = M[:, groups.first]
     scale = np.abs(B).max(axis=1, keepdims=True)
-    B = B / np.where(scale == 0, 1.0, scale) * np.sqrt(count)
+    B = B / np.where(scale == 0, 1.0, scale) * (norm / w[groups.first])
     if B.shape[0] > B.shape[1]:
         B = np.linalg.qr(B, mode="r")
     _, s, Vt = np.linalg.svd(B)
     rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
-    Z = Vt[rank:] / np.sqrt(count)  # B's null vectors, per path of a group
+    Z = Vt[rank:] / norm  # B's null vectors, per unit weight of a class
     basis = np.zeros((n - rank, n))
     # mode="clip" writes straight into out; the default "raise" buffers
     np.take(Z, groups.cls, axis=1, out=basis[:len(Z)], mode="clip")
-    # the path at place k >= 1 of its group against the k before it, one
-    # row per such path, group by group
+    basis[:len(Z)] *= w
+    # the path at place k >= 1 of its class against the k heavier before
+    # it, one row per such path, class by class; lt sums their w^2
+    a, b = groups.pairs()
+    lt, ww = np.bincount(b, w[a] ** 2, n), w * w
     at = groups.order[groups.rank[groups.order] > 0]
     row = np.zeros(n, dtype=np.intp)
     row[at] = np.arange(len(Z), n - rank)
-    k = groups.rank[at]
-    basis[row[at], at] = -np.sqrt(k / (k + 1))
-    a, b = groups.pairs()
-    k = groups.rank[b]
-    basis[row[b], a] = 1 / np.sqrt(k * (k + 1))
+    basis[row[at], at] = -np.sqrt(lt[at] / (lt[at] + ww[at]))
+    basis[row[b], a] = w[a] * w[b] / np.sqrt(lt[b] * (lt[b] + ww[b]))
     return np.concatenate([s, np.zeros(min(M.shape) - s.size)]), rank, basis
 
 
 def nullspace_moments(spec, y0, X, theta):
     """Orthonormal basis of the fixed-effect-free moment space.
 
-    The basis spans the null space of the coefficient matrix
-    [chat_d(y)] with its rows max-normalized (row scaling leaves the
-    null space unchanged), at the relative singular-value threshold
-    1e-9.  Byte-identical columns (paths equally likely at every A) are
-    grouped: the G distinct columns, each times sqrt(count), have the
-    matrix's nonzero singular values, so only they are decomposed, via
-    their QR factor when |D| > G.  The basis is their null vectors
-    spread over each group / sqrt(count), then the Helmert contrasts
-    within each group.  ``weak_separation`` flags a retained/discarded
-    singular-value gap below 10x.
+    The basis spans the null space of the coefficient matrix with its
+    rows max-normalized, at the relative singular-value threshold 1e-9.
+    One column v ||w|| per ``class_key`` class is decomposed, v its
+    column at weight 1, w_j = exp(P_j theta) over the class's largest,
+    via its QR factor when |D| > ``classes``.  The basis is the null
+    vectors z spread as z w_j / ||w||, then weighted Helmert contrasts
+    within each class from its heaviest path.  ``weak_separation`` flags
+    a retained/discarded singular-value gap below 10x.
     """
     if 2**spec.T > 16384:
         raise TooLarge(f"an explicit null-space basis over 2^{spec.T} paths would "
                        f"need up to {8 * 4**spec.T:,} bytes (limit 2^T <= 16384)")
-    s, rank, basis = _null_space(coefficient_matrix(spec, y0, X, theta)[0])
+    groups, w = _path_classes(spec, y0, X, theta)
+    s, rank, basis = _null_space(coefficient_matrix(spec, y0, X, theta)[0], groups, w)
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     # each moment is a view of its row: the basis is allocated once
     moments = [MomentFunction(spec.T, row) for row in basis]
     return NullspaceReport(dimension=basis.shape[0], moments=moments, rank=rank,
-                           singular_values=s, weak_separation=weak)
+                           singular_values=s, weak_separation=weak, classes=len(groups.sizes))
 
 
 # The last probability matrix built, as (key, P).  The key holds the
@@ -394,9 +403,10 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows):
     An independent construction of the same space as
     ``nullspace_moments``: each probability row is a positive mixture
     of the exp(d'A) profiles, so the two null spaces coincide for
-    well-spread draws.
+    well-spread draws; P's columns share C's classes and weights.
     """
-    return _null_space(probability_matrix(spec, y0, X, theta, A_rows))[2]
+    P = probability_matrix(spec, y0, X, theta, A_rows)
+    return _null_space(P, *_path_classes(spec, y0, X, theta))[2]
 
 
 def verify_moment(m, spec, y0, X, theta, A_grid):

@@ -10,11 +10,11 @@ verifies the AR(p) condition systems, and builds the conditioning sets
 and conditional likelihood of the dynamic dyadic network model.
 
 One conditioning key, ``class_key`` (W y, then the multiset of the
-triples (w_t, x_t, Z_t)), gives the classes of ``estimation.cmle`` for
-every family, the tau = 3 network conditioning sets, the two
-conditions of ``permutation_check``, the AR(1) pairs and the AR(p)
-condition check; it reads X only through ``period_pattern``.  Every
-class is a set of rows sharing one key, built by one helper,
+triples (w_t, x_t, Z_t)), gives the classes of ``estimation.cmle`` and
+of ``moments.nullspace_moments`` for every family, the tau = 3 network
+sets, the two conditions of ``permutation_check``, the AR(1) pairs and
+the AR(p) condition check; it reads X only through ``period_pattern``.
+Every class is a set of rows sharing one key, built by one helper,
 ``key_classes``, and walked by ``KeyClasses.segments`` and ``.pairs``;
 ``row_classes`` and ``column_classes`` group byte-identical rows and
 columns.  A log ratio is a ``model.path_profile`` difference @ theta;
@@ -64,6 +64,13 @@ class KeyClasses:
         first = (np.cumsum(self.sizes) - self.sizes)[classes]
         return self.order[np.repeat(first - start, size) + np.arange(size.sum())], start
 
+    def by_weight(self, w):
+        """These classes, members by descending ``w`` (ties in row order)."""
+        sub = KeyClasses(self.cls, self.sizes, None)
+        sub.order = np.lexsort((-w, self.cls))
+        sub.first = sub.order[np.cumsum(self.sizes) - self.sizes]
+        return sub
+
     def pairs(self):
         """Every two rows (a, b) of one class, a before b: by class, a, b."""
         later = (self.sizes[self.cls] - 1 - self.rank)[self.order]
@@ -93,11 +100,9 @@ def row_classes(*parts):
 
 def column_classes(M):
     """Classes of M's columns, numbered by first appearance; columns share
-    a class only when byte-identical (hashing beats ``np.unique``)."""
+    a class only when byte-identical."""
     keys = {}
-    ids = np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp)
-    del keys  # frees a copy of M's bytes before np.unique allocates: a lower peak
-    return key_classes(ids)
+    return key_classes(np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp))
 
 
 class Pair(NamedTuple):

@@ -534,6 +534,10 @@ def test_size_refusal_exits_2_with_its_size(capsys, argv, message):
                   "--set", "full"),
                  "error: network conditioning classes need a scan of 1,048,576 "
                  "candidates", id="netcond full n=5"),
+    pytest.param(("moments", "--design", "network", "--n", "4", "--tau", "2",
+                  "--theta", "0.5,0.2", "--y0", "000000"),
+                 "error: the coefficient matrix would be |D| x 2^T = 262,144 x 4,096, "
+                 "8,589,934,592 bytes", id="moments network n=4 tau=2"),
     pytest.param(("wperp", "--design", "poly", "--p", "1", "--T", "41"),
                  "error: exhaustive search over 3^41 = 3.65e+19 sign vectors",
                  id="wperp poly T=41"),
@@ -1068,6 +1072,7 @@ GOLDEN_MOMENTS = {
     # command: (Q after period 1, dset_cardinality, bound, nullspace_dimension)
     "moments --design ar --p 1 --T 9 --theta 0.9 --y0 0": (2, 18, 494, 494),
     "moments --design quarterly --p 1 --T 9 --theta 0.9 --y0 0": (2, 750, -238, 350),
+    "moments --design quarterly --p 1 --T 11 --theta 0.9 --y0 0": (2, 1470, 578, 1760),
     "moments --design trend-ar --T 9 --theta 0.9 --y0 0": (2, 426, 86, 132),
 }
 
@@ -1080,8 +1085,9 @@ def test_moments_commands_print_golden_counts(capsys, command):
     assert code == 0
     doc = json.loads(out)
     Q, cardinality, bound, dimension = GOLDEN_MOMENTS[command]
+    T = int(command.split("--T ")[1].split()[0])
     assert {k: v for k, v in doc.items() if k != "max_residual"} == {
-        "Q": [1] + [Q] * 8, "dset_cardinality": cardinality, "bound": bound,
+        "Q": [1] + [Q] * (T - 1), "dset_cardinality": cardinality, "bound": bound,
         "nullspace_dimension": dimension, "weak_separation": False}
     assert 0.0 <= doc["max_residual"] < 1e-8
 

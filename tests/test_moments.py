@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -303,6 +305,10 @@ ORACLE_FAMILIES = {
     "ar2": (lambda T, d_x: fl.panel_ar(2, T, d_x=d_x), 3),
     "quarterly": (lambda T, d_x: fl.quarterly_ar(1, T, d_x=d_x), 4),
     "trend-ar": (lambda T, d_x: fl.trend_ar(T, d_x=d_x), 3),
+    "panel_fe": (lambda T, d_x: fl.build_design("panel_fe", d_x=d_x, T=T), 2),
+    # n = 3 units or nodes, so T = 3 tau
+    "two_way": (lambda T, d_x: fl.build_design("two_way", d_x=d_x, n=3, tau=T // 3), 6),
+    "network": (lambda T, d_x: fl.network_design(3, T // 3, d_x), 3),
 }
 
 
@@ -330,11 +336,91 @@ def test_grouped_null_space_matches_full_svd_oracle(data):
     assert subspace_residual(V, V0) < max(1e-10, 1e-15 * gap)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_columns_of_one_class_are_proportional_by_the_path_profile(data):
+    # what the grouped null space rests on: paths of one class_key have a
+    # probability ratio free of A, so C[:, j] = exp((P_j - P_k) theta) C[:, k]
+    build, least_T = ORACLE_FAMILIES[data.draw(st.sampled_from(sorted(ORACLE_FAMILIES)))]
+    spec = build(data.draw(st.integers(least_T, 9)), data.draw(st.integers(0, 1)))
+    theta, _, y0, _ = _draw_inputs(data, [spec])[1:]
+    # covariates from a few values, so that periods share an x_t
+    X = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=spec.d_x * spec.T,
+                                    max_size=spec.d_x * spec.T))).reshape(spec.d_x, spec.T)
+    X = X if spec.d_x else None
+    C = moments.coefficient_matrix(spec, y0, X, theta)[0]
+    paths = model.all_paths(spec.T)
+    groups = sufficiency.row_classes(sufficiency.class_key(spec, paths, y0, X))
+    # P_j theta = sum_t y_t pi_t, at the index values C is built on: pi
+    # merged within 1e-12 into its period's table, as theta = 1e-12 is
+    tables = moments.index_value_tables(spec, y0, X, theta)
+    pi = model.index_matrix(spec, paths, y0, X, theta)
+    g = sum(y * tab[moments._q_index(tab, p)] for y, p, tab in zip(paths.T, pi.T, tables))
+    np.testing.assert_allclose(g, model.path_profile(spec, paths, y0, X) @ theta,
+                               rtol=0, atol=2e-12 * spec.T)
+    k = groups.first[groups.cls]
+    err = np.abs(C - C[:, k] * np.exp(g - g[k])).max(axis=0)
+    assert np.all(err <= 1e-12 * np.abs(C).max(axis=0))
+
+
+def test_zero_weight_gives_no_nan():
+    # a weight that underflowed to 0 comes first in row order; the class
+    # starts at its heaviest member, so no contrast divides 0 by 0
+    c, e = np.array([0.3, 1.0, 2.5]), np.array([1.0, -1.0, 0.5])
+    w = np.array([0.0, 1.0, 0.25, 0.5, 1.0])
+    M = np.column_stack([0 * c, c, 0.25 * c, 0.5 * e, e])
+    groups = sufficiency.key_classes(np.array([0, 0, 0, 1, 1]))
+    s, rank, V = moments._null_space(M, groups, w)
+    s0, rank0, V0 = svd_null_space(M)
+    assert np.all(np.isfinite(V)) and np.all(np.isfinite(s))
+    assert rank == rank0 == 2 and V.shape == V0.shape == (3, 5)
+    assert np.max(np.abs(V @ V.T - np.eye(3))) < 1e-12
+    assert subspace_residual(V, V0) < 1e-12
+
+
+@pytest.mark.parametrize("spec, y0, theta, classes, rank", [
+    (fl.panel_ar(1, 9), [0], [0.9], 18, 18),
+    (fl.quarterly_ar(1, 9), [0], [0.9], 162, 162),
+    # more classes than the rank: moments beyond conditioning exist
+    (fl.panel_ar(2, 8), [0, 0], [0.5, -0.3], 58, 15),
+], ids=["ar1_t9", "quarterly_t9", "ar2_t8"])
+def test_nullspace_report_counts_its_classes(spec, y0, theta, classes, rank):
+    rep = fl.nullspace_moments(spec, np.array(y0), None, theta)
+    assert (rep.classes, rep.rank) == (classes, rank)
+
+
+def test_coefficient_matrix_refuses_its_size_before_allocating():
+    # network n=4, tau=2: |D| = 8^6, so C would take 8 GiB
+    spec = fl.network_design(4, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(fl.model.TooLarge, match=re.escape(
+                "|D| x 2^T = 262,144 x 4,096, 8,589,934,592 bytes")):
+            moments.coefficient_matrix(spec, np.zeros(6, int), None, [0.5, 0.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_coefficient_matrix_admits_quarterly_t14(monkeypatch):
+    # 3,528 x 2^14 = 5.8e7 elements, under the 2^27 limit: the build starts
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(moments, "_expand_rows", build)
+    with pytest.raises(Built):
+        moments.coefficient_matrix(fl.quarterly_ar(1, 14), np.array([0]), None, [0.9])
+
+
 def test_columns_one_ulp_apart_stay_two_groups():
     c = np.array([0.3, 1.0, 2.5])
     M = np.column_stack([c, c, c + [0.0, np.spacing(1.0), 0.0], c.copy(), 2 * c])
     assert sufficiency.column_classes(M).cls.tolist() == [0, 0, 1, 0, 2]
-    s, rank, V = moments._null_space(M)
+    s, rank, V = moments._null_space(M, sufficiency.column_classes(M), np.ones(5))
     s0, rank0, V0 = svd_null_space(M)
     assert rank == rank0 == 1 and V.shape == V0.shape == (4, 5)
     assert subspace_residual(V, V0) < 1e-12
