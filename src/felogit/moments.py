@@ -282,12 +282,22 @@ class NullspaceReport:
     classes: int  # columns decomposed, one per conditioning class
 
 
-def _path_classes(spec, y0, X, theta):
+def _path_classes(spec, y0, X, theta, tables=None):
     """The ``class_key`` classes of all paths and each path's weight
-    exp(P theta) over the largest of its class, P the ``path_profile``."""
+    exp(P theta) over the largest of its class, P the ``path_profile``.
+
+    Given the index-value ``tables`` a coefficient matrix was built on,
+    P theta is sum_t y_t pi_t with each pi_t taken from its period's
+    table, as that matrix takes it, so its columns of one class are
+    these weights apart exactly, also where the tables merged values
+    within 1e-12."""
     paths = all_paths(spec.T)
     groups = row_classes(class_key(spec, paths, y0, X))
-    g = path_profile(spec, paths, y0, X) @ check_theta(spec, theta)
+    if tables is None:
+        g = path_profile(spec, paths, y0, X) @ check_theta(spec, theta)
+    else:
+        pi = index_matrix(spec, paths, y0, X, theta)
+        g = sum(y * tab[_q_index(tab, p)] for y, p, tab in zip(paths.T, pi.T, tables))
     return groups, np.exp(g - g[groups.by_weight(g).first][groups.cls])
 
 
@@ -336,8 +346,9 @@ def nullspace_moments(spec, y0, X, theta):
     if 2**spec.T > 16384:
         raise TooLarge(f"an explicit null-space basis over 2^{spec.T} paths would "
                        f"need up to {8 * 4**spec.T:,} bytes (limit 2^T <= 16384)")
-    groups, w = _path_classes(spec, y0, X, theta)
-    s, rank, basis = _null_space(coefficient_matrix(spec, y0, X, theta)[0], groups, w)
+    C, _, tables = coefficient_matrix(spec, y0, X, theta)
+    groups, w = _path_classes(spec, y0, X, theta, tables)
+    s, rank, basis = _null_space(C, groups, w)
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     # each moment is a view of its row: the basis is allocated once
     moments = [MomentFunction(spec.T, row) for row in basis]
