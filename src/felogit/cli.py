@@ -482,6 +482,8 @@ def _exponent_set(args):
     theta = np.zeros(spec.theta_dim) if theta is None else theta
     y0 = (_parse_bits(args.y0, "--y0", spec.y0_len) if args.y0
           else np.zeros(spec.y0_len, dtype=np.int8))
+    if spec.d_x and args.x is None:
+        raise DataError(f"--x is required: a covariate CSV of d_x x T = {(spec.d_x, spec.T)}")
     X = _load_X(spec, args.x)
     Q = moments.qt_values(spec, y0, X, theta)
     return spec, theta, y0, X, Q, moments.build_dset(spec, Q)

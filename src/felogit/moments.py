@@ -15,9 +15,9 @@ number of independent such functions is at least 2^T - |D|.
 When every design column is c_r e_r with one scale per row (indicator
 designs), a_t depends on one effect A_r, each path's product is one
 polynomial per row, and its column of the coefficient matrix
-[chat_d(y)] is the outer product of those.  Other designs take one
-forward pass over periods on the prefix tree of the outcome paths, in
-which paths that share y_1..y_t share the partial product.
+[chat_d(y)] is the outer product of those.  Other designs walk the
+exponent sets once, period by period, with sums compared by
+``model.exact_key``, and expand each path along that walk.
 
 This module counts the Q_t, builds D and the bound, expands the phi
 polynomials and extracts the null space numerically, one column per
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NETWORK, TooLarge, _check_y0, all_paths, check_theta, exact_key,
+from .model import (NETWORK, TooLarge, _check_X, _check_y0, all_paths, check_theta, exact_key,
                     index_matrix, lag_features, path_index, path_profile, step_index)
 from .sufficiency import class_key, row_classes
 
@@ -54,11 +54,6 @@ def _collapse(vals):
     return np.array(kept)
 
 
-def _q_index(values, pi):
-    """Position of the nearest entry of ``values`` for each index value."""
-    return np.argmin(np.abs(pi[:, None] - values[None, :]), axis=1)
-
-
 def index_value_tables(spec, y0, X, theta):
     """Per-period tables of achievable index values, sorted arrays.
 
@@ -70,8 +65,7 @@ def index_value_tables(spec, y0, X, theta):
     distinct histories.
     """
     L0, w = spec.y0_len, spec.step_width
-    y0 = _check_y0(spec, y0)
-    X = np.asarray(X, dtype=float) if spec.d_x else None
+    y0, X = _check_y0(spec, y0), _check_X(spec, X)
     tables = []
     for step in range(spec.T // w):
         window = np.arange(step * w, step * w + L0)  # positions in (y0, y)
@@ -98,32 +92,24 @@ class DSet:
     cardinality: int
 
 
-def _extend(ds, w, q):
-    """One period of the running exponent set.
-
-    Returns the sorted distinct rows d + k*w over the rows d of ``ds``
-    and k = 0..q, and trans[i, k], the position of ds[i] + k*w among
-    them.  For a fixed k the map i -> trans[i, k] is injective.
-    """
-    steps = np.arange(q + 1)[:, None] * w
-    cand = (ds[:, None, :] + steps[None]).reshape(-1, ds.shape[1])
-    nxt, trans = np.unique(cand, axis=0, return_inverse=True)
-    return nxt, trans.reshape(len(ds), q + 1)
-
-
 def _walk(cols, Q):
-    """|D| for exact design columns ``cols`` by the running set of
-    distinct partial sums that ``coefficient_matrix`` also walks.  Sets
-    that cannot fit desk-scale memory are refused with a size estimate."""
+    """The exponent set D of exact design columns ``cols`` and caps Q, one
+    period at a time: the sorted distinct sums d + k w_t, k = 0..Q_t, over
+    the sums d before it, compared by ``exact_key``.  Returns (ds, steps),
+    steps[t][i, k] the place of d_i + k w_t among the sums after period t,
+    injective in i for a fixed k.  Sets that cannot fit desk-scale memory
+    are refused with a size estimate."""
     size = math.prod(q + 1 for q in Q)
     if size > 1e8:
         raise TooLarge(f"exact enumeration would scan ~{size:.3g} combinations")
-    ds = np.zeros((1, len(cols)), dtype=cols.dtype)
+    ds, steps = np.zeros((1, len(cols)), dtype=cols.dtype), []
     for t, q in enumerate(Q):
-        ds, _ = _extend(ds, cols[:, t], q)
+        cand = (ds[:, None, :] + np.arange(q + 1)[:, None] * cols[:, t]).reshape(-1, len(cols))
+        ds, trans = np.unique(exact_key(cand).astype(cols.dtype), axis=0, return_inverse=True)
+        steps.append(trans.reshape(-1, q + 1))
         if len(ds) > 5_000_000:
             raise TooLarge(f"running element set exceeded 5e6 entries at period {t + 1}")
-    return len(ds)
+    return ds, steps
 
 
 def _row_scales(cols):
@@ -134,21 +120,22 @@ def _row_scales(cols):
     return distinct.sum(axis=1) if np.all(per_col == 1) and np.all(per_row <= 1) else None
 
 
-def build_dset(spec, Q):
-    """Count the exponent set D for caps Q = (Q_1..Q_T).
+def _count(cols, Q):
+    """|D| for caps Q, and the ``_walk`` that counted it or None.  When
+    ``_row_scales`` finds one scale per row, the rows of d vary freely and
+    |D| = prod_r (rowcap_r + 1), rowcap_r summing the Q_t of row r."""
+    if _row_scales(cols) is not None:
+        return math.prod(int(c) + 1 for c in (cols != 0) @ np.array(Q)), None
+    walk = _walk(cols, Q)
+    return len(walk[0]), walk
 
-    When ``_row_scales`` finds one scale per row, the rows of d vary
-    freely and |D| = prod_r (rowcap_r + 1), rowcap_r summing the Q_t of
-    the columns on row r.  Other designs are counted by ``_walk``.
-    """
+
+def build_dset(spec, Q):
+    """Count the exponent set D for caps Q = (Q_1..Q_T), by ``_count``."""
     Q = tuple(int(q) for q in Q)
     if len(Q) != spec.T:
         raise ValueError("need one cap per period")
-    cols = exact_key(spec.W)
-    if _row_scales(cols) is not None:
-        rowcap = (cols != 0) @ np.array(Q)
-        return DSet(Q, math.prod(int(c) + 1 for c in rowcap))
-    return DSet(Q, _walk(cols, Q))
+    return DSet(Q, _count(exact_key(spec.W), Q)[0])
 
 
 # -- phi polynomial expansion ----------------------------------------------
@@ -172,55 +159,51 @@ def _poly_cache(tables):
     return cache
 
 
-def _expand(spec, tables, polys, paths, pi):
+def _table_places(spec, y0, X, theta):
+    """The index-value tables, all paths and each path's place q_t in its
+    period's table, (2^T, T): the entry nearest its index value pi_t."""
+    tables, paths = index_value_tables(spec, y0, X, theta), all_paths(spec.T)
+    pi = index_matrix(spec, paths, y0, X, theta)
+    return tables, paths, np.column_stack([np.argmin(np.abs(p[:, None] - tab), axis=1)
+                                           for tab, p in zip(tables, pi.T)])
+
+
+def _expand(walk, polys, paths, q):
     """Expand prod_t phi_t(y, a_t) for every row y of ``paths`` at once,
-    on any design (``_expand_rows`` takes indicator designs).
+    on any design (``_expand_rows`` takes indicator designs), along the
+    ``_walk`` of its exponent sets.
 
-    The rows of ``paths`` are distinct and in ``all_paths`` order (all
-    paths, or a single one), so the last level of the prefix tree holds
-    the paths in their given order.
-
-    One forward pass over periods on the prefix tree of the paths: the
-    state S holds one row per distinct partial exponent
-    sum_{s<=t} k_s w_s and one column per distinct prefix y_1..y_t, so
-    paths that share a prefix share its partial product.  Period t
-    finds each prefix's q index by a nearest match of its index value
-    pi_t against the period table and adds S * coef[:, k] into the rows
-    d + k*w_t of the next state.  Returns (C, ds) with C[i, j] the
-    coefficient of exp(ds[i]'A) for path j; rows that are zero for
+    The state S holds one row per partial exponent sum_{s<=t} k_s w_s
+    and one column per path; period t adds S * coef[:, k] into the rows
+    d + k*w_t of the next state, coef the coefficients of phi_t at each
+    path's table place q_t and outcome y_t.  Returns (C, ds) with C[i, j]
+    the coefficient of exp(ds[i]'A) for path j; rows that are zero for
     every path are dropped.
     """
-    cols = exact_key(spec.W)
-    S = np.ones((1, 1))
-    ds = np.zeros((1, spec.d_w), dtype=cols.dtype)
-    node = np.zeros(paths.shape[0], dtype=np.int64)
-    for t, tab in enumerate(tables):
-        keys = path_index(paths[:, : t + 1])
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        coef = polys[t][_q_index(tab, pi[first, t]), paths[first, t]]
-        ds, trans = _extend(ds, cols[:, t], len(tab))
-        parent = S[:, node[first]]
-        S = np.zeros((ds.shape[0], first.size))
+    ds, steps = walk
+    S = np.ones((1, len(paths)))
+    for t, trans in enumerate(steps):
+        coef = polys[t][q[:, t], paths[:, t]]
+        parent, S = S, np.zeros((trans.max() + 1, len(paths)))
         # descending k adds each entry's terms from the source
         # d - Q_t*w_t up to d, as a per-path expansion over ascending
         # exponents does, so both round alike
-        for k in range(len(tab), -1, -1):
+        for k in range(trans.shape[1] - 1, -1, -1):
             S[trans[:, k]] += parent * coef[:, k]
-        node = inverse.reshape(-1)
     keep = np.any(S != 0.0, axis=1)
     return S[keep], ds[keep]
 
 
-def _expand_rows(cols, scales, tables, polys, paths, pi):
-    """``_expand`` of all paths for one scale c_r per row, by the module
+def _expand_rows(cols, polys, paths, q):
+    """``_expand`` for one scale c_r per row (``_row_scales``), by the module
     docstring's row polynomials (power k is the exponent k c_r): the box of
     the c_r * {0..rowcap_r} in lexicographic order, less C's zero rows."""
     n, C, axes = len(paths), np.ones((1, len(paths))), []
-    for r, c in enumerate(scales):
+    for r, c in enumerate(_row_scales(cols)):
         f = np.ones((1, n))  # row r's polynomial, (power, path)
         for t in np.flatnonzero(cols[r]):
-            coef = polys[t][_q_index(tables[t], pi[:, t]), paths[:, t]].T
-            g = np.zeros((len(f) + len(tables[t]), n))
+            coef = polys[t][q[:, t], paths[:, t]].T
+            g = np.zeros((len(f) + len(coef) - 1, n))
             for k, ck in enumerate(coef):
                 g[k: k + len(f)] += f * ck
             f = g
@@ -232,28 +215,30 @@ def _expand_rows(cols, scales, tables, polys, paths, pi):
     return (C, ds) if keep.all() else (C[keep], ds[keep])
 
 
+def _coefficients(spec, tables, paths, q):
+    """(C, ds) of ``coefficient_matrix`` on the given paths at their table
+    places q, refused by the size of the matrix over all 2^T paths."""
+    cols = exact_key(spec.W)
+    D, walk = _count(cols, [len(tab) for tab in tables])
+    if D * 2**spec.T > 2**27:
+        raise TooLarge(f"the coefficient matrix would be |D| x 2^T = {D:,} x {2**spec.T:,}, "
+                       f"{8 * D * 2**spec.T:,} bytes (limit 2^27 elements)")
+    polys = _poly_cache(tables)
+    return _expand_rows(cols, polys, paths, q) if walk is None else _expand(walk, polys, paths, q)
+
+
 def coefficient_matrix(spec, y0, X, theta):
     """The |D| x 2^T matrix [chat_d(y)] over all outcome paths.
 
     Designs of one scale per row (``_row_scales``) are built row by row
-    (``_expand_rows``), all others on the prefix tree (``_expand``).
+    (``_expand_rows``), all others along one ``_walk`` (``_expand``).
     Returns (C, ds, tables): row i of C holds the coefficients of
     exp(ds[i]'A), ds is the |D| x d_w array of exponent vectors in
     lexicographic order, and tables are the per-period index-value tables.
     More than 2^27 elements are refused with ``TooLarge`` before any is built.
     """
-    tables = index_value_tables(spec, y0, X, theta)
-    D = build_dset(spec, map(len, tables)).cardinality
-    if D * 2**spec.T > 2**27:
-        raise TooLarge(f"the coefficient matrix would be |D| x 2^T = {D:,} x {2**spec.T:,}, "
-                       f"{8 * D * 2**spec.T:,} bytes (limit 2^27 elements)")
-    paths = all_paths(spec.T)
-    pi = index_matrix(spec, paths, y0, X, theta)
-    cols = exact_key(spec.W)
-    scales, polys = _row_scales(cols), _poly_cache(tables)
-    C, ds = (_expand(spec, tables, polys, paths, pi) if scales is None
-             else _expand_rows(cols, scales, tables, polys, paths, pi))
-    return C, ds, tables
+    tables, paths, q = _table_places(spec, y0, X, theta)
+    return (*_coefficients(spec, tables, paths, q), tables)
 
 
 @dataclass
@@ -282,32 +267,23 @@ class NullspaceReport:
     classes: int  # columns decomposed, one per conditioning class
 
 
-def _path_classes(spec, y0, X, theta, tables=None):
-    """The ``class_key`` classes of all paths and each path's weight
-    exp(P theta) over the largest of its class, P the ``path_profile``.
-
-    Given the index-value ``tables`` a coefficient matrix was built on,
-    P theta is sum_t y_t pi_t with each pi_t taken from its period's
-    table, as that matrix takes it, so its columns of one class are
-    these weights apart exactly, also where the tables merged values
-    within 1e-12."""
-    paths = all_paths(spec.T)
+def _path_classes(spec, paths, y0, X, g):
+    """The ``class_key`` classes of ``paths``, members by descending weight,
+    and each path's weight exp(g) over the largest of its class, g the log
+    weight P theta (P the ``path_profile``)."""
     groups = row_classes(class_key(spec, paths, y0, X))
-    if tables is None:
-        g = path_profile(spec, paths, y0, X) @ check_theta(spec, theta)
-    else:
-        pi = index_matrix(spec, paths, y0, X, theta)
-        g = sum(y * tab[_q_index(tab, p)] for y, p, tab in zip(paths.T, pi.T, tables))
-    return groups, np.exp(g - g[groups.by_weight(g).first][groups.cls])
+    w = np.exp(g - g[groups.by_weight(g).first][groups.cls])
+    return groups.by_weight(w), w
 
 
-def _null_space(M, groups, w):
-    """Singular values, rank and orthonormal null-space basis (rows) of M
-    with its rows max-normalized, when column j of each class of ``groups``
-    is w_j / w_k times column k; built as ``nullspace_moments`` says."""
-    n, groups = M.shape[1], groups.by_weight(w)
+def _null_space(B, groups, w):
+    """Singular values, rank and orthonormal null-space basis (rows) of a
+    matrix M with its rows max-normalized, from B, the column of each
+    class's first member, when column j of each class of ``groups``
+    (members by descending ``w``) is w_j / w_k times column k; built as
+    ``nullspace_moments`` says."""
+    (m, _), n = B.shape, groups.cls.size
     norm = np.sqrt(np.bincount(groups.cls, w * w, len(groups.sizes)))
-    B = M[:, groups.first]
     scale = np.abs(B).max(axis=1, keepdims=True)
     B = B / np.where(scale == 0, 1.0, scale) * (norm / w[groups.first])
     if B.shape[0] > B.shape[1]:
@@ -328,7 +304,7 @@ def _null_space(M, groups, w):
     row[at] = np.arange(len(Z), n - rank)
     basis[row[at], at] = -np.sqrt(lt[at] / (lt[at] + ww[at]))
     basis[row[b], a] = w[a] * w[b] / np.sqrt(lt[b] * (lt[b] + ww[b]))
-    return np.concatenate([s, np.zeros(min(M.shape) - s.size)]), rank, basis
+    return np.concatenate([s, np.zeros(min(m, n) - s.size)]), rank, basis
 
 
 def nullspace_moments(spec, y0, X, theta):
@@ -336,9 +312,10 @@ def nullspace_moments(spec, y0, X, theta):
 
     The basis spans the null space of the coefficient matrix with its
     rows max-normalized, at the relative singular-value threshold 1e-9.
-    One column v ||w|| per ``class_key`` class is decomposed, v its
-    column at weight 1, w_j = exp(P_j theta) over the class's largest,
-    via its QR factor when |D| > ``classes``.  The basis is the null
+    One column v ||w|| per ``class_key`` class is built and decomposed,
+    v the column of its heaviest path, w_j = exp(P_j theta) over that
+    path's, P theta summing the y_t pi_t at the table places C is built
+    on, via its QR factor when |D| > ``classes``.  The basis is the null
     vectors z spread as z w_j / ||w||, then weighted Helmert contrasts
     within each class from its heaviest path.  ``weak_separation`` flags
     a retained/discarded singular-value gap below 10x.
@@ -346,8 +323,10 @@ def nullspace_moments(spec, y0, X, theta):
     if 2**spec.T > 16384:
         raise TooLarge(f"an explicit null-space basis over 2^{spec.T} paths would "
                        f"need up to {8 * 4**spec.T:,} bytes (limit 2^T <= 16384)")
-    C, _, tables = coefficient_matrix(spec, y0, X, theta)
-    groups, w = _path_classes(spec, y0, X, theta, tables)
+    tables, paths, q = _table_places(spec, y0, X, theta)
+    g = sum(y * tab[qt] for y, qt, tab in zip(paths.T, q.T, tables))
+    groups, w = _path_classes(spec, paths, y0, X, g)
+    C, _ = _coefficients(spec, tables, paths[groups.first], q[groups.first])
     s, rank, basis = _null_space(C, groups, w)
     weak = bool(rank > 0 and rank < s.size and s[rank - 1] / max(s[rank], 1e-300) < 10.0)
     # each moment is a view of its row: the basis is allocated once
@@ -416,8 +395,10 @@ def nullspace_from_probabilities(spec, y0, X, theta, A_rows):
     of the exp(d'A) profiles, so the two null spaces coincide for
     well-spread draws; P's columns share C's classes and weights.
     """
-    P = probability_matrix(spec, y0, X, theta, A_rows)
-    return _null_space(P, *_path_classes(spec, y0, X, theta))[2]
+    P, paths = probability_matrix(spec, y0, X, theta, A_rows), all_paths(spec.T)
+    g = path_profile(spec, paths, y0, X) @ check_theta(spec, theta)
+    groups, w = _path_classes(spec, paths, y0, X, g)
+    return _null_space(P[:, groups.first], groups, w)[2]
 
 
 def verify_moment(m, spec, y0, X, theta, A_grid):

@@ -16,9 +16,9 @@ sets, the two conditions of ``permutation_check``, the AR(1) pairs and
 the AR(p) condition check; it reads X only through ``period_pattern``.
 Every class is a set of rows sharing one key, built by one helper,
 ``key_classes``, and walked by ``KeyClasses.segments`` and ``.pairs``;
-``row_classes`` and ``column_classes`` group byte-identical rows and
-columns.  A log ratio is a ``model.path_profile`` difference @ theta;
-a transition gap, its lag-1 part.
+``row_classes`` groups byte-identical rows.  A log ratio is a
+``model.path_profile`` difference @ theta; a transition gap, its lag-1
+part.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ def row_classes(*parts):
     if not rec.shape[1]:
         return KeyClasses(np.zeros(n, np.intp), np.array([n]), np.zeros(1, np.intp))
     return key_classes(rec.view(np.dtype((np.void, rec.shape[1]))).ravel())
-
-
-def column_classes(M):
-    """Classes of M's columns, numbered by first appearance; columns share
-    a class only when byte-identical."""
-    keys = {}
-    return key_classes(np.array([keys.setdefault(c.tobytes(), len(keys)) for c in M.T], np.intp))
 
 
 class Pair(NamedTuple):
@@ -252,8 +245,10 @@ def canonicalize_design(W):
     that w_t'A = (W*_t)'A* with A* = Omega'A.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    groups = column_classes(exact_key(W))
-    return model.incidence(groups.cls, len(groups.first)), W[:, groups.first]
+    groups = row_classes(exact_key(W).T)
+    first = np.sort(groups.first)  # classes numbered by first appearance
+    cls = np.searchsorted(first, groups.first[groups.cls])
+    return model.incidence(cls, first.size), W[:, first]
 
 
 def enumerate_pairs_ar1(spec, y0, require_gap=False, theta=None):

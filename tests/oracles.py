@@ -628,20 +628,20 @@ class PhiExpansion:
 def phi_expand(spec, y, y0, X, theta):
     """Expand the path probability of y into exponent-grouped coefficients.
 
-    The grouping is the forward pass of ``moments.coefficient_matrix``
-    run on the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) = kappa(A)
+    The grouping is ``moments._expand`` along the ``_walk`` of the
+    design, run on the single path y.  Reconstruction: Pr(Y=y|Y0,X,A) = kappa(A)
     * sum_d grouped[d] * exp(d'A), where kappa(A) = prod_t prod_q
     (1 + exp(b_{t,q} + w_t'A))^{-1} over the index-value tables b_t.
     """
-    from felogit.model import index_matrix
-    from felogit.moments import _expand, _poly_cache, _q_index, index_value_tables
+    from felogit.model import exact_key, path_index
+    from felogit.moments import _expand, _poly_cache, _table_places, _walk
 
-    tables = index_value_tables(spec, y0, X, theta)
+    tables, _, q = _table_places(spec, y0, X, theta)
     paths = np.atleast_2d(np.asarray(y, dtype=np.int64))
-    pi = index_matrix(spec, paths, y0, X, theta)
+    q = q[path_index(paths)]
     polys = _poly_cache(tables)
-    C, ds = _expand(spec, tables, polys, paths, pi)
-    per_period = [polys[t][_q_index(tab, pi[0, t: t + 1])[0], y, : len(tab) + y]
+    C, ds = _expand(_walk(exact_key(spec.W), [len(tab) for tab in tables]), polys, paths, q)
+    per_period = [polys[t][q[0, t], y, : len(tab) + y]
                   for t, (tab, y) in enumerate(zip(tables, paths[0]))]
     grouped = dict(zip(map(tuple, ds.tolist()), C[:, 0].tolist()))
     return PhiExpansion(per_period=per_period, grouped=grouped)

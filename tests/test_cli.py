@@ -78,6 +78,24 @@ def test_dset_constant_column_design_is_counted_at_T30(tmp_path, capsys):
     assert doc["Q"] == [1] + [2] * 29 and doc["cardinality"] == 60
 
 
+@pytest.mark.parametrize("scale", ["0.1", "1"])
+def test_decimal_trend_design_counts_as_its_integer_multiple(tmp_path, capsys, scale):
+    # W = 0.1 (1..5) is W = (1..5) with A rescaled: 0.1 + 0.2 and 0.3 are
+    # one exponent, so |D| = 30, the bound is 2 and so is the dimension
+    W = [0.1, 0.2, 0.3, 0.4, 0.5] if scale == "0.1" else [1, 2, 3, 4, 5]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"family": "ar", "T": 5, "p": 1, "W": [W]}))
+    flags = ["--model", str(path), "--theta", "0.5", "--y0", "0"]
+    code, out, _ = run(capsys, "dset", *flags)
+    assert code == 0
+    assert json.loads(out) == {"Q": [1, 2, 2, 2, 2], "cardinality": 30, "bound": 2}
+    code, out, _ = run(capsys, "moments", *flags)
+    doc = json.loads(out)
+    assert code == 0 and 0.0 <= doc.pop("max_residual") < 1e-8
+    assert doc == {"Q": [1, 2, 2, 2, 2], "dset_cardinality": 30, "bound": 2,
+                   "nullspace_dimension": 2, "weak_separation": False}
+
+
 def test_pairs_standard_and_degenerate(capsys):
     code, out, _ = run(
         capsys, "pairs", "--design", "ar", "--p", "1", "--T", "3",
@@ -604,6 +622,10 @@ def _sample_file(tmp_path, argv):
     pytest.param(("pairs", *AR, "1", "--T", "16", "--y0", "0"),
                  "error: pairs would certify 155,084,752 pairs, a table of 7,754,237,600 "
                  "bytes (limit 2^22 pairs)", id="pairs AR(1) T=16"),
+    pytest.param(("dset", "--design", "two_way", "--n", "3", "--tau", "3", "--d-x", "1",
+                  "--theta", "0.5"),
+                 "error: --x is required: a covariate CSV of d_x x T = (1, 9)",
+                 id="dset with covariates and no --x"),
     pytest.param(("table1", "--max-p", "7"),
                  "error: --max-p must be at most 6, found 7", id="table1 p=7"),
     pytest.param(("table1", "--max-p", "-1"),
@@ -1090,6 +1112,32 @@ def test_moments_commands_print_golden_counts(capsys, command):
         "Q": [1] + [Q] * (T - 1), "dset_cardinality": cardinality, "bound": bound,
         "nullspace_dimension": dimension, "weak_separation": False}
     assert 0.0 <= doc["max_residual"] < 1e-8
+
+
+# `verify` at its defaults, 50 draws at seed 0: the schema line, the header
+# and each row's draw and moment depend on no BLAS and are pinned by
+# sha256; each residual is zero in exact arithmetic and is held below
+# 1e-14 (at most 3.1e-16 seen at one BLAS thread and at two).  CI runs
+# this test at both thread counts.
+GOLDEN_VERIFY = {
+    "verify --moment ar2_t3":
+        "c16e43fd386fe011bac3e125135d93acd3cc52815babd0ab1171b0911a99edda",
+    "verify --moment quarterly_t6":
+        "209d526fafa2691959a14bd4469f1a086dd575100f2c46f5b1259cf8e5ec4897",
+    "verify --moment network_t3":
+        "ba742831c30b7bd44b2bd9920613a098c5ca44dcc4a51b50a9c6d0ee939234db",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_VERIFY)
+def test_verify_commands_print_golden_transcripts(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    lines = out.splitlines()
+    rows = [line.rsplit(",", 1) for line in lines[2:]]
+    assert code == 0 and lines[1] == "draw,moment,residual"
+    text = "\n".join(lines[:2] + [label for label, _ in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERIFY[command]
+    assert all(0.0 <= float(residual) < 1e-14 for _, residual in rows)
 
 
 def test_identification_commands_never_import_scipy():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -49,6 +50,12 @@ def test_qt_quarterly():
     assert fl.qt_values(spec, np.array([0]), None, [0.9]) == (1, 2, 2, 2, 2, 2)
 
 
+def test_index_value_tables_refuse_missing_covariates():
+    spec = fl.build_design("two_way", n=3, tau=3)
+    with pytest.raises(ValueError, match=re.escape("X must be d_x x T = (1, 9)")):
+        moments.index_value_tables(spec, np.zeros(0), None, [0.5])
+
+
 def test_dset_ar_formula():
     for p, T in [(1, 3), (1, 6), (2, 4), (2, 6), (3, 6)]:
         spec = fl.panel_ar(p, T)
@@ -56,7 +63,7 @@ def test_dset_ar_formula():
         Q = fl.qt_values(spec, np.zeros(p, int), None, theta)
         ds = fl.build_dset(spec, Q)
         assert ds.cardinality == 2**p * (T + 1 - p)
-        assert ds.cardinality == moments._walk(model.exact_key(spec.W), Q)
+        assert ds.cardinality == len(moments._walk(model.exact_key(spec.W), Q)[0])
 
 
 def test_dset_quarterly_floor_formula():
@@ -83,7 +90,7 @@ def test_dset_network_count():
 def test_dset_zero_caps():
     spec = fl.panel_ar(1, 4)
     ds = fl.build_dset(spec, (0, 0, 0, 0))
-    assert ds.cardinality == moments._walk(model.exact_key(spec.W), ds.caps) == 1
+    assert ds.cardinality == len(moments._walk(model.exact_key(spec.W), ds.caps)[0]) == 1
 
 
 def test_dset_all_zero_design_counts_its_one_element():
@@ -111,7 +118,31 @@ def test_dset_closed_form_matches_walk_on_scaled_indicator_designs(data):
     W[row, np.arange(T)] = scale[:T] if per_column else scale[row]
     Q = tuple(data.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)))
     spec = fl.ModelSpec("static", T, W, d_x=1)
-    assert fl.build_dset(spec, Q).cardinality == moments._walk(model.exact_key(W), Q)
+    assert fl.build_dset(spec, Q).cardinality == len(moments._walk(model.exact_key(W), Q)[0])
+
+
+SCALED_FAMILIES = {
+    "ar": lambda data, T, d_x: fl.panel_ar(data.draw(st.integers(1, 2)), T, d_x=d_x),
+    "trend-ar": lambda data, T, d_x: fl.trend_ar(T, d_x=d_x),
+    "poly": lambda data, T, d_x: fl.build_design("poly", p=data.draw(st.integers(0, 2)), T=T),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), c=st.sampled_from([0.1, 0.5, 0.7, 3.0]))
+def test_scaling_the_design_keeps_every_count(data, c):
+    # W -> c W with A -> A / c is the same model: exponent sums that
+    # differ by rounding only, 0.1 + 0.2 against 0.3, are one exponent
+    spec = SCALED_FAMILIES[data.draw(st.sampled_from(sorted(SCALED_FAMILIES)))](
+        data, data.draw(st.integers(3, 7)), data.draw(st.integers(0, 1)))
+    scaled = model.ModelSpec(spec.family, spec.T, c * spec.W, d_x=spec.d_x, **spec.sizes)
+    theta, X, y0, _ = _draw_inputs(data, [spec])[1:]
+    counts = []
+    for s in (spec, scaled):
+        Q = fl.qt_values(s, y0, X, theta)
+        rep = fl.nullspace_moments(s, y0, X, theta)
+        counts.append((Q, fl.build_dset(s, Q).cardinality, rep.rank, rep.dimension))
+    assert counts[0] == counts[1]
 
 
 def test_dset_refuses_oversized_general_design():
@@ -206,12 +237,11 @@ def test_coefficient_matrix_matches_per_path_expansion(name, y0_bit):
     np.testing.assert_allclose(C, expect, rtol=1e-12, atol=0)
 
 
-def _prefix_tree(spec, y0, X, theta):
-    """(C, ds) of ``moments._expand``, the prefix-tree pass, on all paths."""
-    tables = moments.index_value_tables(spec, y0, X, theta)
-    paths = model.all_paths(spec.T)
-    pi = model.index_matrix(spec, paths, y0, X, theta)
-    return moments._expand(spec, tables, moments._poly_cache(tables), paths, pi)
+def _walk_build(spec, y0, X, theta):
+    """(C, ds) of ``moments._expand`` along the ``_walk``, on all paths."""
+    tables, paths, q = moments._table_places(spec, y0, X, theta)
+    walk = moments._walk(model.exact_key(spec.W), [len(tab) for tab in tables])
+    return moments._expand(walk, moments._poly_cache(tables), paths, q)
 
 
 ROW_SCALE_FAMILIES = {
@@ -227,30 +257,56 @@ ROW_SCALE_FAMILIES = {
 @given(data=st.data())
 def test_per_row_build_matches_prefix_tree(data):
     # designs of one scale per row take the per-row route; it must give
-    # the prefix tree's exponent rows in its order and C to rounding
+    # the walk's exponent rows in its order and C to rounding
     family = data.draw(st.sampled_from(sorted(ROW_SCALE_FAMILIES)))
     spec = ROW_SCALE_FAMILIES[family](data, data.draw(st.integers(3, 8)),
                                       data.draw(st.integers(0, 1)))
     assert moments._row_scales(model.exact_key(spec.W)) is not None
     theta, X, y0, _ = _draw_inputs(data, [spec])[1:]
     C, ds, _ = moments.coefficient_matrix(spec, y0, X, theta)
-    C0, ds0 = _prefix_tree(spec, y0, X, theta)
+    C0, ds0 = _walk_build(spec, y0, X, theta)
     assert ds.dtype == ds0.dtype and np.array_equal(ds, ds0)
     np.testing.assert_allclose(C, C0, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("spec", [COEFFICIENT_SPECS["trend_ar1"],
-                                  COEFFICIENT_SPECS["static_two_way_x"],
-                                  fl.build_design("dyadic", n=4)], ids=repr)
-def test_other_designs_keep_the_prefix_tree_bytes(spec):
-    assert moments._row_scales(model.exact_key(spec.W)) is None
+# sha256 of C.tobytes() + ds.tobytes() of ``coefficient_matrix`` at y0 = 1
+# and theta and X from default_rng(5), over both build routes; C is built
+# without BLAS, so the bytes are exact
+RECORDED_COEFFICIENTS = {
+    "trend_ar_t9": (fl.trend_ar(9), (426, 512),
+                    "5b7d0b0b1c6c0b6aecce55a5e0da08fc2f162c0e2bac65d9cd7d74b6f8ea868d"),
+    "two_way_3x3_x": (fl.build_design("two_way", n=3, tau=3), (328, 512),
+                      "cbdb50c3dc661b950b2fb83b4f795a89707a146e21792a4e3ba31d7be2fbd28e"),
+    "dyadic_n4_x": (fl.build_design("dyadic", n=4), (54, 64),
+                    "efe9446a282c689b6c1e5eba188f681b6573f1e52dec8c97a272b00c0defb95c"),
+    "poly_p2_t7_x": (fl.build_design("poly", p=2, T=7), (126, 128),
+                     "32458cda7c763db3a423492ca1be4c3507065fb4e0a1f89a4f439fe80275aac4"),
+    "quarterly_t9": (fl.quarterly_ar(1, 9), (750, 512),
+                     "801dd18974ab5b86db049af00040b154ac697492ad6be04e0fc88c3c58f93cb6"),
+    "network_n3_tau2": (fl.network_design(3, 2), (216, 64),
+                        "a5f7ec90cde6b44cce9df9c7ad97f2c85d81c8ada367d788348f101799b220ce"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_COEFFICIENTS)
+def test_coefficient_matrix_keeps_its_recorded_bytes(name):
+    spec, shape, digest = RECORDED_COEFFICIENTS[name]
     rng = np.random.default_rng(5)
     theta = rng.uniform(-1, 1, spec.theta_dim)
     X = rng.normal(size=(spec.d_x, spec.T)) if spec.d_x else None
-    y0 = np.ones(spec.y0_len, dtype=np.int8)
-    C, ds, _ = moments.coefficient_matrix(spec, y0, X, theta)
-    C0, ds0 = _prefix_tree(spec, y0, X, theta)
-    assert C.tobytes() == C0.tobytes() and ds.tobytes() == ds0.tobytes()
+    C, ds, _ = moments.coefficient_matrix(spec, np.ones(spec.y0_len, dtype=np.int8), X, theta)
+    assert C.shape == shape and (C.dtype, ds.dtype) == (np.float64, np.int64)
+    assert hashlib.sha256(C.tobytes() + ds.tobytes()).hexdigest() == digest
+
+
+def test_one_walk_gives_the_count_and_the_build(monkeypatch):
+    calls = []
+    walk = moments._walk
+    monkeypatch.setattr(moments, "_walk", lambda *a: calls.append(a) or walk(*a))
+    spec = fl.trend_ar(9)
+    C, ds, _ = moments.coefficient_matrix(spec, np.array([0]), None, [0.9])
+    assert len(calls) == 1 and C.shape == (len(ds), 512) == (426, 512)
+    assert not hasattr(moments, "_extend")
 
 
 PROPERTY_SPECS = [
@@ -353,9 +409,8 @@ def test_columns_of_one_class_are_proportional_by_the_path_profile(data):
     groups = sufficiency.row_classes(sufficiency.class_key(spec, paths, y0, X))
     # P_j theta = sum_t y_t pi_t, at the index values C is built on: pi
     # merged within 1e-12 into its period's table, as theta = 1e-12 is
-    tables = moments.index_value_tables(spec, y0, X, theta)
-    pi = model.index_matrix(spec, paths, y0, X, theta)
-    g = sum(y * tab[moments._q_index(tab, p)] for y, p, tab in zip(paths.T, pi.T, tables))
+    tables, _, q = moments._table_places(spec, y0, X, theta)
+    g = sum(y * tab[qt] for y, qt, tab in zip(paths.T, q.T, tables))
     np.testing.assert_allclose(g, model.path_profile(spec, paths, y0, X) @ theta,
                                rtol=0, atol=2e-12 * spec.T)
     k = groups.first[groups.cls]
@@ -369,8 +424,8 @@ def test_zero_weight_gives_no_nan():
     c, e = np.array([0.3, 1.0, 2.5]), np.array([1.0, -1.0, 0.5])
     w = np.array([0.0, 1.0, 0.25, 0.5, 1.0])
     M = np.column_stack([0 * c, c, 0.25 * c, 0.5 * e, e])
-    groups = sufficiency.key_classes(np.array([0, 0, 0, 1, 1]))
-    s, rank, V = moments._null_space(M, groups, w)
+    groups = sufficiency.key_classes(np.array([0, 0, 0, 1, 1])).by_weight(w)
+    s, rank, V = moments._null_space(M[:, groups.first], groups, w)
     s0, rank0, V0 = svd_null_space(M)
     assert np.all(np.isfinite(V)) and np.all(np.isfinite(s))
     assert rank == rank0 == 2 and V.shape == V0.shape == (3, 5)
@@ -419,8 +474,9 @@ def test_coefficient_matrix_admits_quarterly_t14(monkeypatch):
 def test_columns_one_ulp_apart_stay_two_groups():
     c = np.array([0.3, 1.0, 2.5])
     M = np.column_stack([c, c, c + [0.0, np.spacing(1.0), 0.0], c.copy(), 2 * c])
-    assert sufficiency.column_classes(M).cls.tolist() == [0, 0, 1, 0, 2]
-    s, rank, V = moments._null_space(M, sufficiency.column_classes(M), np.ones(5))
+    groups = sufficiency.row_classes(M.T)
+    assert groups.cls.tolist() == [0, 0, 1, 0, 2]
+    s, rank, V = moments._null_space(M[:, groups.first], groups, np.ones(5))
     s0, rank0, V0 = svd_null_space(M)
     assert rank == rank0 == 1 and V.shape == V0.shape == (4, 5)
     assert subspace_residual(V, V0) < 1e-12
